@@ -7,8 +7,8 @@ package gtlb_test
 // GOS/IOS-style iterative solvers.
 
 import (
+	"flag"
 	"io"
-	"runtime"
 	"testing"
 
 	"gtlb"
@@ -17,6 +17,36 @@ import (
 	"gtlb/internal/noncoop"
 	"gtlb/internal/schemes"
 )
+
+// benchWrite opts in to re-measuring the committed BENCH_*.json
+// reports of this package:
+//
+//	go test -run 'TestBench(DES|Obs|Dist)Report' -count=1 . -args -bench.write
+//
+// Without it each TestBench*Report checks its claims against the
+// committed report, so `go test ./...` leaves the tree clean.
+var benchWrite = flag.Bool("bench.write", false, "re-measure and rewrite the committed BENCH_*.json reports")
+
+// benchReport returns the report at path: measured and written under
+// -bench.write, the committed one otherwise.
+func benchReport(t *testing.T, path string, measure func() benchio.Report) benchio.Report {
+	t.Helper()
+	r, err := benchio.Refresh(path, *benchWrite, measure)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// benchEntry looks up an entry the calling report test requires.
+func benchEntry(t *testing.T, r benchio.Report, name string) benchio.Entry {
+	t.Helper()
+	e, ok := r.Lookup(name)
+	if !ok {
+		t.Fatalf("report has no %q entry", name)
+	}
+	return e
+}
 
 func benchFigure(b *testing.B, id string) {
 	b.Helper()
@@ -292,34 +322,37 @@ func BenchmarkSimulatorWorkers2(b *testing.B) { benchmarkSimulatorWorkers(b, 2) 
 func BenchmarkSimulatorWorkers4(b *testing.B) { benchmarkSimulatorWorkers(b, 4) }
 func BenchmarkSimulatorWorkers8(b *testing.B) { benchmarkSimulatorWorkers(b, 8) }
 
-// TestBenchDESReport measures the sequential-vs-parallel engine
-// benchmarks and writes the machine-readable BENCH_DES.json report that
-// tracks the simulator's perf trajectory across PRs. The ≥2× speedup
-// expectation only applies on a multi-core runner — on fewer than 4 CPUs
-// the ratio is recorded but not asserted.
+// TestBenchDESReport checks the sequential-vs-parallel engine claim in
+// BENCH_DES.json, the machine-readable report that tracks the
+// simulator's perf trajectory across PRs; under -bench.write it first
+// re-measures both benchmarks and rewrites the report. The ≥2× speedup
+// expectation only applies to a report measured on a multi-core runner
+// — on fewer than 4 CPUs the ratio is recorded but not asserted.
 func TestBenchDESReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark report skipped in -short mode")
 	}
-	report := benchio.NewReport()
-	results := map[int]testing.BenchmarkResult{}
-	for _, workers := range []int{1, 4} {
-		workers := workers
-		results[workers] = testing.Benchmark(func(b *testing.B) { benchmarkSimulatorWorkers(b, workers) })
-	}
-	speedup := float64(results[1].NsPerOp()) / float64(results[4].NsPerOp())
-	report.AddWithAllocs("des.Run/workers=1",
-		float64(results[1].NsPerOp()), float64(results[1].AllocsPerOp()), float64(results[1].AllocedBytesPerOp()), nil)
-	report.AddWithAllocs("des.Run/workers=4",
-		float64(results[4].NsPerOp()), float64(results[4].AllocsPerOp()), float64(results[4].AllocedBytesPerOp()),
-		map[string]float64{"speedup_vs_sequential": speedup})
-	if err := benchio.Write("BENCH_DES.json", report); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("des.Run speedup at 4 workers: %.2fx (GOMAXPROCS=%d, NumCPU=%d)",
-		speedup, runtime.GOMAXPROCS(0), runtime.NumCPU())
-	if runtime.NumCPU() >= 4 && speedup < 2 {
-		t.Errorf("expected >= 2x speedup at 4 workers on a %d-CPU machine, got %.2fx", runtime.NumCPU(), speedup)
+	report := benchReport(t, "BENCH_DES.json", func() benchio.Report {
+		report := benchio.NewReport()
+		results := map[int]testing.BenchmarkResult{}
+		for _, workers := range []int{1, 4} {
+			workers := workers
+			results[workers] = testing.Benchmark(func(b *testing.B) { benchmarkSimulatorWorkers(b, workers) })
+		}
+		speedup := float64(results[1].NsPerOp()) / float64(results[4].NsPerOp())
+		report.AddWithAllocs("des.Run/workers=1",
+			float64(results[1].NsPerOp()), float64(results[1].AllocsPerOp()), float64(results[1].AllocedBytesPerOp()), nil)
+		report.AddWithAllocs("des.Run/workers=4",
+			float64(results[4].NsPerOp()), float64(results[4].AllocsPerOp()), float64(results[4].AllocedBytesPerOp()),
+			map[string]float64{"speedup_vs_sequential": speedup})
+		return report
+	})
+	benchEntry(t, report, "des.Run/workers=1")
+	speedup := benchEntry(t, report, "des.Run/workers=4").Extra["speedup_vs_sequential"]
+	t.Logf("des.Run speedup at 4 workers: %.2fx (GOMAXPROCS=%d, NumCPU=%d when measured)",
+		speedup, report.GoMaxProcs, report.NumCPU)
+	if report.NumCPU >= 4 && speedup < 2 {
+		t.Errorf("expected >= 2x speedup at 4 workers on a %d-CPU machine, got %.2fx", report.NumCPU, speedup)
 	}
 }
 
@@ -416,9 +449,10 @@ type countWriter struct{ n int64 }
 
 func (c *countWriter) Write(p []byte) (int, error) { c.n += int64(len(p)); return len(p), nil }
 
-// TestBenchObsReport measures the observability overhead — no observer,
-// a no-op observer, the JSONL tracer, and the binary tracer — and
-// writes the machine-readable BENCH_OBS.json report.
+// TestBenchObsReport checks the observability-overhead claims in
+// BENCH_OBS.json — no observer, a no-op observer, the JSONL tracer, and
+// the binary tracer; under -bench.write it first re-measures all four
+// and rewrites the report.
 //
 // The bintracer entry carries the production-rate claims. Before the
 // pooled-page rewrite the JSONL tracer allocated ~100 MB/op here (the
@@ -434,62 +468,65 @@ func TestBenchObsReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark report skipped in -short mode")
 	}
-	bare := testing.Benchmark(func(b *testing.B) { benchmarkSimulatorObserved(b) })
-	noop := testing.Benchmark(func(b *testing.B) {
-		benchmarkSimulatorObserved(b, gtlb.WithObserver(nopObserver{}))
-	})
-	jsonlOut := &countWriter{}
-	traced := testing.Benchmark(func(b *testing.B) {
-		jsonlOut.n = 0
-		benchmarkSimulatorObserved(b, gtlb.WithTrace(jsonlOut))
-	})
-	binOut := &countWriter{}
-	binTraced := testing.Benchmark(func(b *testing.B) {
-		binOut.n = 0
-		benchmarkSimulatorObserved(b, gtlb.WithBinaryTrace(binOut))
-	})
-	jsonlSize := float64(jsonlOut.n) / float64(traced.N)
-	binSize := float64(binOut.n) / float64(binTraced.N)
+	report := benchReport(t, "BENCH_OBS.json", func() benchio.Report {
+		bare := testing.Benchmark(func(b *testing.B) { benchmarkSimulatorObserved(b) })
+		noop := testing.Benchmark(func(b *testing.B) {
+			benchmarkSimulatorObserved(b, gtlb.WithObserver(nopObserver{}))
+		})
+		jsonlOut := &countWriter{}
+		traced := testing.Benchmark(func(b *testing.B) {
+			jsonlOut.n = 0
+			benchmarkSimulatorObserved(b, gtlb.WithTrace(jsonlOut))
+		})
+		binOut := &countWriter{}
+		binTraced := testing.Benchmark(func(b *testing.B) {
+			binOut.n = 0
+			benchmarkSimulatorObserved(b, gtlb.WithBinaryTrace(binOut))
+		})
+		jsonlSize := float64(jsonlOut.n) / float64(traced.N)
+		binSize := float64(binOut.n) / float64(binTraced.N)
 
-	report := benchio.NewReport()
-	report.AddWithAllocs("des.Run/observer=none",
-		float64(bare.NsPerOp()), float64(bare.AllocsPerOp()), float64(bare.AllocedBytesPerOp()), nil)
-	report.AddWithAllocs("des.Run/observer=noop",
-		float64(noop.NsPerOp()), float64(noop.AllocsPerOp()), float64(noop.AllocedBytesPerOp()),
-		map[string]float64{"slowdown_vs_none": float64(noop.NsPerOp()) / float64(bare.NsPerOp())})
-	report.AddWithAllocs("des.Run/observer=tracer",
-		float64(traced.NsPerOp()), float64(traced.AllocsPerOp()), float64(traced.AllocedBytesPerOp()),
-		map[string]float64{
-			"slowdown_vs_none":           float64(traced.NsPerOp()) / float64(bare.NsPerOp()),
-			"trace_bytes_written_per_op": jsonlSize,
-		})
-	report.AddWithAllocs("des.Run/observer=bintracer",
-		float64(binTraced.NsPerOp()), float64(binTraced.AllocsPerOp()), float64(binTraced.AllocedBytesPerOp()),
-		map[string]float64{
-			"slowdown_vs_none":           float64(binTraced.NsPerOp()) / float64(bare.NsPerOp()),
-			"trace_bytes_written_per_op": binSize,
-			"size_ratio_vs_jsonl":        jsonlSize / binSize,
-		})
-	if err := benchio.Write("BENCH_OBS.json", report); err != nil {
-		t.Fatal(err)
-	}
+		report := benchio.NewReport()
+		report.AddWithAllocs("des.Run/observer=none",
+			float64(bare.NsPerOp()), float64(bare.AllocsPerOp()), float64(bare.AllocedBytesPerOp()), nil)
+		report.AddWithAllocs("des.Run/observer=noop",
+			float64(noop.NsPerOp()), float64(noop.AllocsPerOp()), float64(noop.AllocedBytesPerOp()),
+			map[string]float64{"slowdown_vs_none": float64(noop.NsPerOp()) / float64(bare.NsPerOp())})
+		report.AddWithAllocs("des.Run/observer=tracer",
+			float64(traced.NsPerOp()), float64(traced.AllocsPerOp()), float64(traced.AllocedBytesPerOp()),
+			map[string]float64{
+				"slowdown_vs_none":           float64(traced.NsPerOp()) / float64(bare.NsPerOp()),
+				"trace_bytes_written_per_op": jsonlSize,
+			})
+		report.AddWithAllocs("des.Run/observer=bintracer",
+			float64(binTraced.NsPerOp()), float64(binTraced.AllocsPerOp()), float64(binTraced.AllocedBytesPerOp()),
+			map[string]float64{
+				"slowdown_vs_none":           float64(binTraced.NsPerOp()) / float64(bare.NsPerOp()),
+				"trace_bytes_written_per_op": binSize,
+				"size_ratio_vs_jsonl":        jsonlSize / binSize,
+			})
+		return report
+	})
+	bare := benchEntry(t, report, "des.Run/observer=none")
+	noop := benchEntry(t, report, "des.Run/observer=noop")
+	traced := benchEntry(t, report, "des.Run/observer=tracer")
+	binTraced := benchEntry(t, report, "des.Run/observer=bintracer")
+	ratio := binTraced.Extra["size_ratio_vs_jsonl"]
 	t.Logf("observer overhead: noop %.2fx, tracer %.2fx, bintracer %.2fx vs bare; binary trace %.1fx smaller on the wire (%.0f vs %.0f bytes/op)",
-		float64(noop.NsPerOp())/float64(bare.NsPerOp()),
-		float64(traced.NsPerOp())/float64(bare.NsPerOp()),
-		float64(binTraced.NsPerOp())/float64(bare.NsPerOp()),
-		jsonlSize/binSize, binSize, jsonlSize)
+		noop.Extra["slowdown_vs_none"], traced.Extra["slowdown_vs_none"], binTraced.Extra["slowdown_vs_none"],
+		ratio, binTraced.Extra["trace_bytes_written_per_op"], traced.Extra["trace_bytes_written_per_op"])
 	// The production-rate gates. Allocated bytes and output sizes are
 	// deterministic, so those are hard assertions; wall-clock slowdown
 	// is noisy on shared runners, so it gets a generous ceiling rather
 	// than the 1.5x target (tracked in the report for trend analysis).
-	if limit := 1.2*float64(bare.AllocedBytesPerOp()) + 4096; float64(binTraced.AllocedBytesPerOp()) > limit {
-		t.Errorf("binary tracer allocates %d bytes/op, above 1.2x the untraced run's %d (+4096 slack = %.0f); the pooled pages are not recycling",
-			binTraced.AllocedBytesPerOp(), bare.AllocedBytesPerOp(), limit)
+	if limit := 1.2*bare.BytesPerOp + 4096; binTraced.BytesPerOp > limit {
+		t.Errorf("binary tracer allocates %.0f bytes/op, above 1.2x the untraced run's %.0f (+4096 slack = %.0f); the pooled pages are not recycling",
+			binTraced.BytesPerOp, bare.BytesPerOp, limit)
 	}
-	if ratio := jsonlSize / binSize; ratio < 4 {
+	if ratio < 4 {
 		t.Errorf("binary trace only %.1fx smaller than JSONL on the wire (want >= 4x)", ratio)
 	}
-	if slow := float64(binTraced.NsPerOp()) / float64(bare.NsPerOp()); slow > 2.5 {
+	if slow := binTraced.Extra["slowdown_vs_none"]; slow > 2.5 {
 		t.Errorf("binary tracer slowdown %.2fx vs observer=none exceeds the 2.5x ceiling (target <= 1.5x)", slow)
 	}
 }

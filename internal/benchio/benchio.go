@@ -121,3 +121,18 @@ func Read(path string) (Report, error) {
 	}
 	return r, nil
 }
+
+// Refresh returns the report a report test checks its claims against.
+// With write set (the tests' -bench.write opt-in) measure runs and its
+// report replaces the one at path; otherwise the committed report at
+// path is read back, so a plain `go test` never rewrites a tracked file.
+func Refresh(path string, write bool, measure func() Report) (Report, error) {
+	if !write {
+		return Read(path)
+	}
+	r := measure()
+	if err := Write(path, r); err != nil {
+		return Report{}, err
+	}
+	return r, nil
+}

@@ -240,7 +240,7 @@ func TestDaemonIgnoresMalformedMessages(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.Start()
-	if err := src.Send(dist.Message{From: "lbgen", To: "lbd", Kind: EstimateKind, Data: []byte("not gob")}); err != nil {
+	if err := src.Send(dist.Message{From: "lbgen", To: "lbd", Kind: EstimateKind, Data: []byte("not a wire payload")}); err != nil {
 		t.Fatal(err)
 	}
 	if err := src.Send(dist.Message{From: "lbgen", To: "lbd", Kind: "other.kind", Data: nil}); err != nil {

@@ -22,8 +22,7 @@
 package ctrl
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -31,7 +30,7 @@ import (
 	"gtlb/internal/dist"
 )
 
-// EstimateKind is the dist.Message kind carrying a gob-encoded
+// EstimateKind is the dist.Message kind carrying a wire-encoded
 // Estimate between a load reporter (lbgen) and the daemon (lbd).
 const EstimateKind = "ctrl.estimate"
 
@@ -106,6 +105,28 @@ func (e Estimate) UpCapacity() (sum float64, up int) {
 	return sum, up
 }
 
+// WireID, WireSize, AppendWire and DecodeWire give Estimate the dist
+// wire codec: Seq, Time, Phi, Mu, Source in field order, under the id
+// dist reserves for it.
+func (Estimate) WireID() byte { return dist.WireEstimate }
+func (e Estimate) WireSize() int {
+	return 4*binary.MaxVarintLen64 + 8*(1+len(e.Phi)+len(e.Mu)) + len(e.Source)
+}
+func (e Estimate) AppendWire(b []byte) []byte {
+	b = dist.AppendInt(b, e.Seq)
+	b = dist.AppendF64(b, e.Time)
+	b = dist.AppendF64s(b, e.Phi)
+	b = dist.AppendF64s(b, e.Mu)
+	return dist.AppendStr(b, e.Source)
+}
+func (e *Estimate) DecodeWire(d *dist.WireDec) {
+	e.Seq = d.Int()
+	e.Time = d.F64()
+	e.Phi = d.F64s(e.Phi)
+	e.Mu = d.F64s(e.Mu)
+	e.Source = d.Str()
+}
+
 // EncodeMessage packs the estimate into a transport message addressed
 // to the given node.
 func EncodeMessage(to string, e Estimate) (dist.Message, error) {
@@ -133,15 +154,8 @@ func DecodeEstimate(m dist.Message) (Estimate, error) {
 	return e, nil
 }
 
-// DecodeEstimateBytes decodes a bare gob-encoded estimate payload (the
-// fuzz surface: arbitrary bytes must never panic).
+// DecodeEstimateBytes decodes a bare estimate payload (a Message's
+// Data; the fuzz surface: arbitrary bytes must never panic).
 func DecodeEstimateBytes(data []byte) (Estimate, error) {
-	var e Estimate
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&e); err != nil {
-		return Estimate{}, fmt.Errorf("ctrl: decode estimate: %w", err)
-	}
-	if err := e.Validate(); err != nil {
-		return Estimate{}, err
-	}
-	return e, nil
+	return DecodeEstimate(dist.Message{Kind: EstimateKind, Data: data})
 }

@@ -2,7 +2,10 @@ package ctrl
 
 import (
 	"math"
+	"reflect"
 	"testing"
+
+	"gtlb/internal/dist"
 )
 
 // FuzzLoadEstimate hammers the wire-decoding surface: arbitrary bytes
@@ -10,7 +13,8 @@ import (
 // Estimate validity contract (so a malicious or corrupted peer cannot
 // smuggle NaN rates into the controller). Valid estimates round-trip.
 func FuzzLoadEstimate(f *testing.F) {
-	// Seed with a well-formed encoding and a few mutations of it.
+	// Seed with a well-formed binary wire encoding and a few mutations
+	// of it.
 	seed := Estimate{Seq: 3, Time: 1.5, Phi: []float64{10, 5}, Mu: []float64{40, 0, 25}, Source: "lbgen"}
 	m, err := EncodeMessage("lbd", seed)
 	if err != nil {
@@ -18,7 +22,7 @@ func FuzzLoadEstimate(f *testing.F) {
 	}
 	f.Add(m.Data)
 	f.Add([]byte{})
-	f.Add([]byte("not gob at all"))
+	f.Add([]byte("not a wire payload"))
 	if len(m.Data) > 4 {
 		trunc := append([]byte(nil), m.Data[:len(m.Data)/2]...)
 		f.Add(trunc)
@@ -62,4 +66,24 @@ func FuzzLoadEstimate(f *testing.F) {
 			t.Fatalf("round trip changed the estimate: %+v -> %+v", e, e2)
 		}
 	})
+}
+
+// TestEstimateWireRoundTrip pins the estimate's binary encoding: it
+// travels under the id dist reserves for it, and decodes back exactly.
+func TestEstimateWireRoundTrip(t *testing.T) {
+	in := Estimate{Seq: 9, Time: 2.5, Phi: []float64{10, 0, 5}, Mu: []float64{40, -1, 25}, Source: "lbgen"}
+	m, err := EncodeMessage("lbd", in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Data) < 2 || m.Data[1] != dist.WireEstimate {
+		t.Fatalf("estimate not on its reserved wire id: % x", m.Data)
+	}
+	out, err := DecodeEstimate(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(in, out) {
+		t.Errorf("round trip: got %+v, want %+v", out, in)
+	}
 }

@@ -1,50 +1,29 @@
-// Binary message codec for the protocol hot paths.
+// Binary message codec: the one payload encoding every Message carries.
 //
-// Message.Encode historically gob-encoded every payload with a fresh
-// gob.Encoder, re-emitting the type descriptors on every single send —
-// at n=10,000 users the descriptor tax plus the encoder/decoder
-// construction dominates the wire cost of a token hop. Two layers fix
-// this:
+// Every payload type (nash.*, lbm.*, hier.* here, and ctrl.Estimate
+// through the exported WireEncoder/WireDecoder pair) has a hand-rolled
+// binary encoding: one magic byte (0xB1), one wire-type byte, then
+// varint integers, little-endian float64s and bit-packed bools.
+// Encoding performs exactly one allocation (the Data slice, sized up
+// front); decoding into a reused payload struct performs none (slice
+// fields are decoded into the target's existing capacity). A value
+// without a wire encoding is refused with ErrUnsupportedPayload rather
+// than serialized some other way, so there is exactly one format on
+// the wire.
 //
-//  1. Every protocol payload type (nash.*, lbm.*, hier.*) has a
-//     hand-rolled binary encoding: one magic byte (0xB1, never a valid
-//     first byte of a gob stream), one wire-type byte, then varint
-//     integers, little-endian float64s and bit-packed bools. Encoding
-//     performs exactly one allocation (the Data slice, sized up front);
-//     decoding into a reused payload struct performs none (slice fields
-//     are decoded into the target's existing capacity).
-//
-//  2. Unknown payload types (the facade lets callers send anything, and
-//     internal/ctrl ships its Estimate through the same Message) still
-//     use gob, but through per-type pools of primed encoder/decoder
-//     states: the encoder's descriptor preamble is captured once and
-//     prepended to each message's value items, and pooled decoders skip
-//     the descriptor items of the self-describing stream they have
-//     already learned. Types whose descriptor stream is value-dependent
-//     (interfaces, custom marshalers) bypass the pools; any pooled-path
-//     failure falls back to the legacy one-shot codec, so behaviour is
-//     unchanged.
-//
-// The wire format is part of the TCP transport contract (tcp.go frames
-// carry Data verbatim) and is documented in DESIGN.md §Hierarchical
-// protocols.
+// The TCP transport carries Data verbatim inside its frames (tcp.go);
+// both layers are documented in DESIGN.md §Wire format.
 package dist
 
 import (
-	"bytes"
-	"encoding"
 	"encoding/binary"
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"math"
-	"reflect"
-	"sync"
 )
 
-// codecMagic marks a binary-codec payload. A gob stream can never start
-// with it: gob item framing opens with an unsigned length whose first
-// byte is either < 0x80 (small count) or >= 0xF8 (negated byte count),
-// and 0xB1 is in neither range.
+// codecMagic opens every encoded payload, so a stray or truncated Data
+// slice is rejected before its wire-type byte is trusted.
 const codecMagic = 0xB1
 
 // Wire type ids. These are wire-format constants: never renumber,
@@ -69,22 +48,32 @@ const (
 	wireHierRows
 	wireHierJoin
 	wireHierJoinOK
+	// WireEstimate is reserved for ctrl.Estimate, whose codec lives in
+	// internal/ctrl (dist must not import it).
+	WireEstimate
 )
 
-// wireEncoder is implemented (with value receivers) by every payload
-// with a binary encoding.
-type wireEncoder interface {
-	wireID() byte
-	// wireSize upper-bounds the encoded size so Encode allocates once.
-	wireSize() int
-	appendWire(b []byte) []byte
+// ErrUnsupportedPayload is returned (wrapped) by Message.Encode and
+// Message.Decode for a value that does not implement the wire codec.
+var ErrUnsupportedPayload = errors.New("dist: payload type has no wire encoding")
+
+// WireEncoder is implemented (with value receivers) by every payload
+// Message.Encode accepts.
+type WireEncoder interface {
+	// WireID is the payload's wire-type id (the constants above).
+	WireID() byte
+	// WireSize upper-bounds the encoded size so Encode allocates once.
+	WireSize() int
+	// AppendWire appends the encoded fields to b.
+	AppendWire(b []byte) []byte
 }
 
-// wireDecoder is implemented (with pointer receivers) by the same
-// payloads; decodeWire reuses the target's slice capacity.
-type wireDecoder interface {
-	wireID() byte
-	decodeWire(d *wireDec)
+// WireDecoder is implemented (with pointer receivers) by the same
+// payloads; DecodeWire reads the fields back through d, reusing the
+// target's slice capacity, and leaves any error in d.
+type WireDecoder interface {
+	WireID() byte
+	DecodeWire(d *WireDec)
 }
 
 // maxV is the worst-case encoded size of one varint field.
@@ -92,9 +81,11 @@ const maxV = binary.MaxVarintLen64
 
 // --- append helpers -------------------------------------------------
 
-func appendInt(b []byte, v int) []byte { return binary.AppendVarint(b, int64(v)) }
+// AppendInt appends v as a signed varint (read back by WireDec.Int).
+func AppendInt(b []byte, v int) []byte { return binary.AppendVarint(b, int64(v)) }
 
-func appendF64(b []byte, f float64) []byte {
+// AppendF64 appends f as 8 little-endian bytes (WireDec.F64).
+func AppendF64(b []byte, f float64) []byte {
 	return binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
 }
 
@@ -105,10 +96,11 @@ func appendBool(b []byte, v bool) []byte {
 	return append(b, 0)
 }
 
-func appendF64s(b []byte, s []float64) []byte {
+// AppendF64s appends a uvarint length and the floats (WireDec.F64s).
+func AppendF64s(b []byte, s []float64) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s)))
 	for _, f := range s {
-		b = appendF64(b, f)
+		b = AppendF64(b, f)
 	}
 	return b
 }
@@ -142,7 +134,8 @@ func appendBools(b []byte, s []bool) []byte {
 	return b
 }
 
-func appendStr(b []byte, s string) []byte {
+// AppendStr appends a uvarint length and the bytes of s (WireDec.Str).
+func AppendStr(b []byte, s string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s)))
 	return append(b, s...)
 }
@@ -150,7 +143,7 @@ func appendStr(b []byte, s string) []byte {
 func appendStrs(b []byte, s []string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s)))
 	for _, v := range s {
-		b = appendStr(b, v)
+		b = AppendStr(b, v)
 	}
 	return b
 }
@@ -158,7 +151,7 @@ func appendStrs(b []byte, s []string) []byte {
 func appendRows(b []byte, rows [][]float64) []byte {
 	b = binary.AppendUvarint(b, uint64(len(rows)))
 	for _, r := range rows {
-		b = appendF64s(b, r)
+		b = AppendF64s(b, r)
 	}
 	return b
 }
@@ -184,26 +177,26 @@ func sizeRows(rows [][]float64) int {
 
 // --- decoder --------------------------------------------------------
 
-// wireDec is a bounds-checked cursor over a binary payload. All methods
-// are no-ops once err is set, so decodeWire bodies read fields
+// WireDec is a bounds-checked cursor over a binary payload. All methods
+// are no-ops once err is set, so DecodeWire bodies read fields
 // unconditionally and check err once. Malformed input (truncation,
 // oversized length prefixes) sets err; nothing panics — chaos-duplicated
 // and fuzz-generated bytes reach these decoders.
-type wireDec struct {
+type WireDec struct {
 	b   []byte
 	off int
 	err error
 }
 
-func (d *wireDec) fail(what string) {
+func (d *WireDec) fail(what string) {
 	if d.err == nil {
 		d.err = fmt.Errorf("dist: wire: bad %s at offset %d", what, d.off)
 	}
 }
 
-func (d *wireDec) remaining() int { return len(d.b) - d.off }
+func (d *WireDec) remaining() int { return len(d.b) - d.off }
 
-func (d *wireDec) uvarint() uint64 {
+func (d *WireDec) uvarint() uint64 {
 	if d.err != nil {
 		return 0
 	}
@@ -216,7 +209,8 @@ func (d *wireDec) uvarint() uint64 {
 	return v
 }
 
-func (d *wireDec) int_() int {
+// Int reads a signed varint.
+func (d *WireDec) Int() int {
 	if d.err != nil {
 		return 0
 	}
@@ -229,9 +223,10 @@ func (d *wireDec) int_() int {
 	return int(v)
 }
 
-func (d *wireDec) i32() int32 { return int32(d.int_()) }
+func (d *WireDec) i32() int32 { return int32(d.Int()) }
 
-func (d *wireDec) f64() float64 {
+// F64 reads a little-endian float64.
+func (d *WireDec) F64() float64 {
 	if d.err != nil {
 		return 0
 	}
@@ -244,7 +239,7 @@ func (d *wireDec) f64() float64 {
 	return v
 }
 
-func (d *wireDec) bool_() bool {
+func (d *WireDec) bool_() bool {
 	if d.err != nil {
 		return false
 	}
@@ -259,7 +254,7 @@ func (d *wireDec) bool_() bool {
 
 // sliceLen validates a length prefix against the bytes actually left
 // (elemSize ≥ 1), so a corrupt prefix cannot drive a huge allocation.
-func (d *wireDec) sliceLen(elemSize int) int {
+func (d *WireDec) sliceLen(elemSize int) int {
 	n := d.uvarint()
 	if d.err != nil {
 		return 0
@@ -271,7 +266,8 @@ func (d *wireDec) sliceLen(elemSize int) int {
 	return int(n)
 }
 
-func (d *wireDec) f64s(dst []float64) []float64 {
+// F64s reads a float64 slice into dst's capacity.
+func (d *WireDec) F64s(dst []float64) []float64 {
 	n := d.sliceLen(8)
 	if d.err != nil {
 		return dst
@@ -281,12 +277,12 @@ func (d *wireDec) f64s(dst []float64) []float64 {
 	}
 	dst = dst[:n]
 	for i := range dst {
-		dst[i] = d.f64()
+		dst[i] = d.F64()
 	}
 	return dst
 }
 
-func (d *wireDec) i32s(dst []int32) []int32 {
+func (d *WireDec) i32s(dst []int32) []int32 {
 	n := d.sliceLen(1)
 	if d.err != nil {
 		return dst
@@ -304,7 +300,7 @@ func (d *wireDec) i32s(dst []int32) []int32 {
 	return dst
 }
 
-func (d *wireDec) bools(dst []bool) []bool {
+func (d *WireDec) bools(dst []bool) []bool {
 	n := d.uvarint()
 	if d.err != nil {
 		return dst
@@ -325,7 +321,8 @@ func (d *wireDec) bools(dst []bool) []bool {
 	return dst
 }
 
-func (d *wireDec) str() string {
+// Str reads a length-prefixed string.
+func (d *WireDec) Str() string {
 	n := d.sliceLen(1)
 	if d.err != nil {
 		return ""
@@ -335,7 +332,7 @@ func (d *wireDec) str() string {
 	return s
 }
 
-func (d *wireDec) strs(dst []string) []string {
+func (d *WireDec) strs(dst []string) []string {
 	n := d.sliceLen(1)
 	if d.err != nil {
 		return dst
@@ -345,7 +342,7 @@ func (d *wireDec) strs(dst []string) []string {
 	}
 	dst = dst[:n]
 	for i := range dst {
-		dst[i] = d.str()
+		dst[i] = d.Str()
 	}
 	if d.err != nil {
 		return dst[:0]
@@ -353,7 +350,7 @@ func (d *wireDec) strs(dst []string) []string {
 	return dst
 }
 
-func (d *wireDec) rows(dst [][]float64) [][]float64 {
+func (d *WireDec) rows(dst [][]float64) [][]float64 {
 	n := d.sliceLen(1)
 	if d.err != nil {
 		return dst
@@ -365,7 +362,7 @@ func (d *wireDec) rows(dst [][]float64) [][]float64 {
 	}
 	dst = dst[:n]
 	for i := range dst {
-		dst[i] = d.f64s(dst[i])
+		dst[i] = d.F64s(dst[i])
 	}
 	if d.err != nil {
 		return dst[:0]
@@ -375,531 +372,289 @@ func (d *wireDec) rows(dst [][]float64) [][]float64 {
 
 // --- per-payload encodings ------------------------------------------
 
-func (tokenPayload) wireID() byte { return wireToken }
-func (p tokenPayload) wireSize() int {
+func (tokenPayload) WireID() byte { return wireToken }
+func (p tokenPayload) WireSize() int {
 	return 3*maxV + 8 + sizeBools(p.Ejected)
 }
-func (p tokenPayload) appendWire(b []byte) []byte {
-	b = appendInt(b, p.Iteration)
-	b = appendF64(b, p.Norm)
-	b = appendInt(b, p.Epoch)
-	b = appendInt(b, p.Hops)
+func (p tokenPayload) AppendWire(b []byte) []byte {
+	b = AppendInt(b, p.Iteration)
+	b = AppendF64(b, p.Norm)
+	b = AppendInt(b, p.Epoch)
+	b = AppendInt(b, p.Hops)
 	return appendBools(b, p.Ejected)
 }
-func (p *tokenPayload) decodeWire(d *wireDec) {
-	p.Iteration = d.int_()
-	p.Norm = d.f64()
-	p.Epoch = d.int_()
-	p.Hops = d.int_()
+func (p *tokenPayload) DecodeWire(d *WireDec) {
+	p.Iteration = d.Int()
+	p.Norm = d.F64()
+	p.Epoch = d.Int()
+	p.Hops = d.Int()
 	p.Ejected = d.bools(p.Ejected)
 }
 
-func (queryPayload) wireID() byte  { return wireQuery }
-func (queryPayload) wireSize() int { return 2 * maxV }
-func (p queryPayload) appendWire(b []byte) []byte {
-	b = appendInt(b, p.User)
-	return appendInt(b, p.Seq)
+func (queryPayload) WireID() byte  { return wireQuery }
+func (queryPayload) WireSize() int { return 2 * maxV }
+func (p queryPayload) AppendWire(b []byte) []byte {
+	b = AppendInt(b, p.User)
+	return AppendInt(b, p.Seq)
 }
-func (p *queryPayload) decodeWire(d *wireDec) {
-	p.User = d.int_()
-	p.Seq = d.int_()
-}
-
-func (ratesPayload) wireID() byte    { return wireRates }
-func (p ratesPayload) wireSize() int { return maxV + sizeF64s(p.Avail) }
-func (p ratesPayload) appendWire(b []byte) []byte {
-	b = appendF64s(b, p.Avail)
-	return appendInt(b, p.Seq)
-}
-func (p *ratesPayload) decodeWire(d *wireDec) {
-	p.Avail = d.f64s(p.Avail)
-	p.Seq = d.int_()
+func (p *queryPayload) DecodeWire(d *WireDec) {
+	p.User = d.Int()
+	p.Seq = d.Int()
 }
 
-func (strategyPayload) wireID() byte    { return wireStrategy }
-func (p strategyPayload) wireSize() int { return 2*maxV + sizeF64s(p.S) }
-func (p strategyPayload) appendWire(b []byte) []byte {
-	b = appendInt(b, p.User)
-	b = appendF64s(b, p.S)
-	return appendInt(b, p.Seq)
+func (ratesPayload) WireID() byte    { return wireRates }
+func (p ratesPayload) WireSize() int { return maxV + sizeF64s(p.Avail) }
+func (p ratesPayload) AppendWire(b []byte) []byte {
+	b = AppendF64s(b, p.Avail)
+	return AppendInt(b, p.Seq)
 }
-func (p *strategyPayload) decodeWire(d *wireDec) {
-	p.User = d.int_()
-	p.S = d.f64s(p.S)
-	p.Seq = d.int_()
+func (p *ratesPayload) DecodeWire(d *WireDec) {
+	p.Avail = d.F64s(p.Avail)
+	p.Seq = d.Int()
 }
 
-func (pingPayload) wireID() byte                 { return wirePing }
-func (pingPayload) wireSize() int                { return maxV }
-func (p pingPayload) appendWire(b []byte) []byte { return appendInt(b, p.Seq) }
-func (p *pingPayload) decodeWire(d *wireDec)     { p.Seq = d.int_() }
-
-func (ejectPayload) wireID() byte  { return wireEject }
-func (ejectPayload) wireSize() int { return 2 * maxV }
-func (p ejectPayload) appendWire(b []byte) []byte {
-	b = appendInt(b, p.User)
-	return appendInt(b, p.Seq)
+func (strategyPayload) WireID() byte    { return wireStrategy }
+func (p strategyPayload) WireSize() int { return 2*maxV + sizeF64s(p.S) }
+func (p strategyPayload) AppendWire(b []byte) []byte {
+	b = AppendInt(b, p.User)
+	b = AppendF64s(b, p.S)
+	return AppendInt(b, p.Seq)
 }
-func (p *ejectPayload) decodeWire(d *wireDec) {
-	p.User = d.int_()
-	p.Seq = d.int_()
+func (p *strategyPayload) DecodeWire(d *WireDec) {
+	p.User = d.Int()
+	p.S = d.F64s(p.S)
+	p.Seq = d.Int()
 }
 
-func (ackPayload) wireID() byte                 { return wireAck }
-func (ackPayload) wireSize() int                { return maxV }
-func (p ackPayload) appendWire(b []byte) []byte { return appendInt(b, p.Seq) }
-func (p *ackPayload) decodeWire(d *wireDec)     { p.Seq = d.int_() }
+func (pingPayload) WireID() byte                 { return wirePing }
+func (pingPayload) WireSize() int                { return maxV }
+func (p pingPayload) AppendWire(b []byte) []byte { return AppendInt(b, p.Seq) }
+func (p *pingPayload) DecodeWire(d *WireDec)     { p.Seq = d.Int() }
 
-func (reqBidPayload) wireID() byte  { return wireReqBid }
-func (reqBidPayload) wireSize() int { return 2 * maxV }
-func (p reqBidPayload) appendWire(b []byte) []byte {
-	b = appendInt(b, p.Computer)
-	return appendInt(b, p.Attempt)
+func (ejectPayload) WireID() byte  { return wireEject }
+func (ejectPayload) WireSize() int { return 2 * maxV }
+func (p ejectPayload) AppendWire(b []byte) []byte {
+	b = AppendInt(b, p.User)
+	return AppendInt(b, p.Seq)
 }
-func (p *reqBidPayload) decodeWire(d *wireDec) {
-	p.Computer = d.int_()
-	p.Attempt = d.int_()
-}
-
-func (bidPayload) wireID() byte  { return wireBid }
-func (bidPayload) wireSize() int { return maxV + 8 }
-func (p bidPayload) appendWire(b []byte) []byte {
-	b = appendInt(b, p.Computer)
-	return appendF64(b, p.Bid)
-}
-func (p *bidPayload) decodeWire(d *wireDec) {
-	p.Computer = d.int_()
-	p.Bid = d.f64()
+func (p *ejectPayload) DecodeWire(d *WireDec) {
+	p.User = d.Int()
+	p.Seq = d.Int()
 }
 
-func (awardPayload) wireID() byte  { return wireAward }
-func (awardPayload) wireSize() int { return 16 }
-func (p awardPayload) appendWire(b []byte) []byte {
-	b = appendF64(b, p.Load)
-	return appendF64(b, p.Payment)
+func (ackPayload) WireID() byte                 { return wireAck }
+func (ackPayload) WireSize() int                { return maxV }
+func (p ackPayload) AppendWire(b []byte) []byte { return AppendInt(b, p.Seq) }
+func (p *ackPayload) DecodeWire(d *WireDec)     { p.Seq = d.Int() }
+
+func (reqBidPayload) WireID() byte  { return wireReqBid }
+func (reqBidPayload) WireSize() int { return 2 * maxV }
+func (p reqBidPayload) AppendWire(b []byte) []byte {
+	b = AppendInt(b, p.Computer)
+	return AppendInt(b, p.Attempt)
 }
-func (p *awardPayload) decodeWire(d *wireDec) {
-	p.Load = d.f64()
-	p.Payment = d.f64()
+func (p *reqBidPayload) DecodeWire(d *WireDec) {
+	p.Computer = d.Int()
+	p.Attempt = d.Int()
 }
 
-func (hierTokenPayload) wireID() byte { return wireHierToken }
-func (p hierTokenPayload) wireSize() int {
+func (bidPayload) WireID() byte  { return wireBid }
+func (bidPayload) WireSize() int { return maxV + 8 }
+func (p bidPayload) AppendWire(b []byte) []byte {
+	b = AppendInt(b, p.Computer)
+	return AppendF64(b, p.Bid)
+}
+func (p *bidPayload) DecodeWire(d *WireDec) {
+	p.Computer = d.Int()
+	p.Bid = d.F64()
+}
+
+func (awardPayload) WireID() byte  { return wireAward }
+func (awardPayload) WireSize() int { return 16 }
+func (p awardPayload) AppendWire(b []byte) []byte {
+	b = AppendF64(b, p.Load)
+	return AppendF64(b, p.Payment)
+}
+func (p *awardPayload) DecodeWire(d *WireDec) {
+	p.Load = d.F64()
+	p.Payment = d.F64()
+}
+
+func (hierTokenPayload) WireID() byte { return wireHierToken }
+func (p hierTokenPayload) WireSize() int {
 	return 4*maxV + 8 + sizeF64s(p.Loads)
 }
-func (p hierTokenPayload) appendWire(b []byte) []byte {
-	b = appendInt(b, p.Epoch)
-	b = appendInt(b, p.Hop)
-	b = appendInt(b, p.Round)
-	b = appendInt(b, p.Sweep)
-	b = appendF64(b, p.Norm)
-	return appendF64s(b, p.Loads)
+func (p hierTokenPayload) AppendWire(b []byte) []byte {
+	b = AppendInt(b, p.Epoch)
+	b = AppendInt(b, p.Hop)
+	b = AppendInt(b, p.Round)
+	b = AppendInt(b, p.Sweep)
+	b = AppendF64(b, p.Norm)
+	return AppendF64s(b, p.Loads)
 }
-func (p *hierTokenPayload) decodeWire(d *wireDec) {
-	p.Epoch = d.int_()
-	p.Hop = d.int_()
-	p.Round = d.int_()
-	p.Sweep = d.int_()
-	p.Norm = d.f64()
-	p.Loads = d.f64s(p.Loads)
+func (p *hierTokenPayload) DecodeWire(d *WireDec) {
+	p.Epoch = d.Int()
+	p.Hop = d.Int()
+	p.Round = d.Int()
+	p.Sweep = d.Int()
+	p.Norm = d.F64()
+	p.Loads = d.F64s(p.Loads)
 }
 
-func (hierPartialPayload) wireID() byte { return wireHierPartial }
-func (p hierPartialPayload) wireSize() int {
+func (hierPartialPayload) WireID() byte { return wireHierPartial }
+func (p hierPartialPayload) WireSize() int {
 	return 3*maxV + sizeI32s(p.Shards) + sizeF64s(p.Norms) + sizeI32s(p.Sweeps) +
 		sizeRows(p.Loads) + sizeI32s(p.Ejected)
 }
-func (p hierPartialPayload) appendWire(b []byte) []byte {
-	b = appendInt(b, p.Round)
-	b = appendInt(b, p.MEpoch)
+func (p hierPartialPayload) AppendWire(b []byte) []byte {
+	b = AppendInt(b, p.Round)
+	b = AppendInt(b, p.MEpoch)
 	b = appendI32s(b, p.Shards)
-	b = appendF64s(b, p.Norms)
+	b = AppendF64s(b, p.Norms)
 	b = appendI32s(b, p.Sweeps)
 	b = appendRows(b, p.Loads)
 	b = appendI32s(b, p.Ejected)
-	return appendInt(b, p.Seq)
+	return AppendInt(b, p.Seq)
 }
-func (p *hierPartialPayload) decodeWire(d *wireDec) {
-	p.Round = d.int_()
-	p.MEpoch = d.int_()
+func (p *hierPartialPayload) DecodeWire(d *WireDec) {
+	p.Round = d.Int()
+	p.MEpoch = d.Int()
 	p.Shards = d.i32s(p.Shards)
-	p.Norms = d.f64s(p.Norms)
+	p.Norms = d.F64s(p.Norms)
 	p.Sweeps = d.i32s(p.Sweeps)
 	p.Loads = d.rows(p.Loads)
 	p.Ejected = d.i32s(p.Ejected)
-	p.Seq = d.int_()
+	p.Seq = d.Int()
 }
 
-func (hierDownPayload) wireID() byte { return wireHierDown }
-func (p hierDownPayload) wireSize() int {
+func (hierDownPayload) WireID() byte { return wireHierDown }
+func (p hierDownPayload) WireSize() int {
 	return 3*maxV + 2 + 8 + sizeI32s(p.Active) + sizeF64s(p.Loads) + sizeI32s(p.EjectedShards) +
 		sizeI32s(p.JoinUsers) + sizeI32s(p.JoinShards) + sizeStrs(p.JoinNames) + sizeF64s(p.JoinPhis)
 }
-func (p hierDownPayload) appendWire(b []byte) []byte {
-	b = appendInt(b, p.Round)
-	b = appendInt(b, p.MEpoch)
+func (p hierDownPayload) AppendWire(b []byte) []byte {
+	b = AppendInt(b, p.Round)
+	b = AppendInt(b, p.MEpoch)
 	b = appendBool(b, p.Stop)
 	b = appendBool(b, p.Star)
-	b = appendF64(b, p.Norm)
+	b = AppendF64(b, p.Norm)
 	b = appendI32s(b, p.Active)
-	b = appendF64s(b, p.Loads)
+	b = AppendF64s(b, p.Loads)
 	b = appendI32s(b, p.EjectedShards)
 	b = appendI32s(b, p.JoinUsers)
 	b = appendI32s(b, p.JoinShards)
 	b = appendStrs(b, p.JoinNames)
-	b = appendF64s(b, p.JoinPhis)
-	return appendInt(b, p.Seq)
+	b = AppendF64s(b, p.JoinPhis)
+	return AppendInt(b, p.Seq)
 }
-func (p *hierDownPayload) decodeWire(d *wireDec) {
-	p.Round = d.int_()
-	p.MEpoch = d.int_()
+func (p *hierDownPayload) DecodeWire(d *WireDec) {
+	p.Round = d.Int()
+	p.MEpoch = d.Int()
 	p.Stop = d.bool_()
 	p.Star = d.bool_()
-	p.Norm = d.f64()
+	p.Norm = d.F64()
 	p.Active = d.i32s(p.Active)
-	p.Loads = d.f64s(p.Loads)
+	p.Loads = d.F64s(p.Loads)
 	p.EjectedShards = d.i32s(p.EjectedShards)
 	p.JoinUsers = d.i32s(p.JoinUsers)
 	p.JoinShards = d.i32s(p.JoinShards)
 	p.JoinNames = d.strs(p.JoinNames)
-	p.JoinPhis = d.f64s(p.JoinPhis)
-	p.Seq = d.int_()
+	p.JoinPhis = d.F64s(p.JoinPhis)
+	p.Seq = d.Int()
 }
 
-func (hierReqPayload) wireID() byte  { return wireHierReq }
-func (hierReqPayload) wireSize() int { return 2 * maxV }
-func (p hierReqPayload) appendWire(b []byte) []byte {
-	b = appendInt(b, p.Round)
-	return appendInt(b, p.Seq)
+func (hierReqPayload) WireID() byte  { return wireHierReq }
+func (hierReqPayload) WireSize() int { return 2 * maxV }
+func (p hierReqPayload) AppendWire(b []byte) []byte {
+	b = AppendInt(b, p.Round)
+	return AppendInt(b, p.Seq)
 }
-func (p *hierReqPayload) decodeWire(d *wireDec) {
-	p.Round = d.int_()
-	p.Seq = d.int_()
-}
-
-func (hierSyncPayload) wireID() byte  { return wireHierSync }
-func (hierSyncPayload) wireSize() int { return 2 * maxV }
-func (p hierSyncPayload) appendWire(b []byte) []byte {
-	b = appendInt(b, p.Epoch)
-	return appendInt(b, p.Seq)
-}
-func (p *hierSyncPayload) decodeWire(d *wireDec) {
-	p.Epoch = d.int_()
-	p.Seq = d.int_()
+func (p *hierReqPayload) DecodeWire(d *WireDec) {
+	p.Round = d.Int()
+	p.Seq = d.Int()
 }
 
-func (hierRowPayload) wireID() byte { return wireHierRow }
-func (p hierRowPayload) wireSize() int {
+func (hierSyncPayload) WireID() byte  { return wireHierSync }
+func (hierSyncPayload) WireSize() int { return 2 * maxV }
+func (p hierSyncPayload) AppendWire(b []byte) []byte {
+	b = AppendInt(b, p.Epoch)
+	return AppendInt(b, p.Seq)
+}
+func (p *hierSyncPayload) DecodeWire(d *WireDec) {
+	p.Epoch = d.Int()
+	p.Seq = d.Int()
+}
+
+func (hierRowPayload) WireID() byte { return wireHierRow }
+func (p hierRowPayload) WireSize() int {
 	return 3*maxV + 8 + sizeF64s(p.S)
 }
-func (p hierRowPayload) appendWire(b []byte) []byte {
-	b = appendInt(b, p.User)
-	b = appendInt(b, p.Epoch)
-	b = appendInt(b, p.Seq)
-	b = appendF64(b, p.PrevTime)
-	return appendF64s(b, p.S)
+func (p hierRowPayload) AppendWire(b []byte) []byte {
+	b = AppendInt(b, p.User)
+	b = AppendInt(b, p.Epoch)
+	b = AppendInt(b, p.Seq)
+	b = AppendF64(b, p.PrevTime)
+	return AppendF64s(b, p.S)
 }
-func (p *hierRowPayload) decodeWire(d *wireDec) {
-	p.User = d.int_()
-	p.Epoch = d.int_()
-	p.Seq = d.int_()
-	p.PrevTime = d.f64()
-	p.S = d.f64s(p.S)
+func (p *hierRowPayload) DecodeWire(d *WireDec) {
+	p.User = d.Int()
+	p.Epoch = d.Int()
+	p.Seq = d.Int()
+	p.PrevTime = d.F64()
+	p.S = d.F64s(p.S)
 }
 
-func (hierRowsPayload) wireID() byte { return wireHierRows }
-func (p hierRowsPayload) wireSize() int {
+func (hierRowsPayload) WireID() byte { return wireHierRows }
+func (p hierRowsPayload) WireSize() int {
 	return 2*maxV + sizeI32s(p.Users) + sizeI32s(p.Ejected) + sizeRows(p.Rows)
 }
-func (p hierRowsPayload) appendWire(b []byte) []byte {
-	b = appendInt(b, p.Shard)
-	b = appendInt(b, p.Seq)
+func (p hierRowsPayload) AppendWire(b []byte) []byte {
+	b = AppendInt(b, p.Shard)
+	b = AppendInt(b, p.Seq)
 	b = appendI32s(b, p.Users)
 	b = appendI32s(b, p.Ejected)
 	return appendRows(b, p.Rows)
 }
-func (p *hierRowsPayload) decodeWire(d *wireDec) {
-	p.Shard = d.int_()
-	p.Seq = d.int_()
+func (p *hierRowsPayload) DecodeWire(d *WireDec) {
+	p.Shard = d.Int()
+	p.Seq = d.Int()
 	p.Users = d.i32s(p.Users)
 	p.Ejected = d.i32s(p.Ejected)
 	p.Rows = d.rows(p.Rows)
 }
 
-func (hierJoinPayload) wireID() byte { return wireHierJoin }
-func (p hierJoinPayload) wireSize() int {
+func (hierJoinPayload) WireID() byte { return wireHierJoin }
+func (p hierJoinPayload) WireSize() int {
 	return maxV + 8 + sizeStr(p.Name)
 }
-func (p hierJoinPayload) appendWire(b []byte) []byte {
-	b = appendStr(b, p.Name)
-	b = appendF64(b, p.Phi)
-	return appendInt(b, p.Seq)
+func (p hierJoinPayload) AppendWire(b []byte) []byte {
+	b = AppendStr(b, p.Name)
+	b = AppendF64(b, p.Phi)
+	return AppendInt(b, p.Seq)
 }
-func (p *hierJoinPayload) decodeWire(d *wireDec) {
-	p.Name = d.str()
-	p.Phi = d.f64()
-	p.Seq = d.int_()
+func (p *hierJoinPayload) DecodeWire(d *WireDec) {
+	p.Name = d.Str()
+	p.Phi = d.F64()
+	p.Seq = d.Int()
 }
 
-func (hierJoinOKPayload) wireID() byte { return wireHierJoinOK }
-func (p hierJoinOKPayload) wireSize() int {
+func (hierJoinOKPayload) WireID() byte { return wireHierJoinOK }
+func (p hierJoinOKPayload) WireSize() int {
 	return 3*maxV + 1 + sizeStr(p.Name) + sizeStr(p.Reason)
 }
-func (p hierJoinOKPayload) appendWire(b []byte) []byte {
-	b = appendStr(b, p.Name)
-	b = appendInt(b, p.User)
-	b = appendInt(b, p.Shard)
+func (p hierJoinOKPayload) AppendWire(b []byte) []byte {
+	b = AppendStr(b, p.Name)
+	b = AppendInt(b, p.User)
+	b = AppendInt(b, p.Shard)
 	b = appendBool(b, p.Reject)
-	b = appendStr(b, p.Reason)
-	return appendInt(b, p.Seq)
+	b = AppendStr(b, p.Reason)
+	return AppendInt(b, p.Seq)
 }
-func (p *hierJoinOKPayload) decodeWire(d *wireDec) {
-	p.Name = d.str()
-	p.User = d.int_()
-	p.Shard = d.int_()
+func (p *hierJoinOKPayload) DecodeWire(d *WireDec) {
+	p.Name = d.Str()
+	p.User = d.Int()
+	p.Shard = d.Int()
 	p.Reject = d.bool_()
-	p.Reason = d.str()
-	p.Seq = d.int_()
-}
-
-// --- pooled gob legacy path -----------------------------------------
-
-// gobPoolable reports whether a type's gob descriptor stream is a pure
-// function of the type (so a primed encoder's preamble can be replayed
-// and a pooled decoder can skip descriptors it already learned).
-// Interface fields make descriptor emission value-dependent, and custom
-// marshalers control their own wire data; both bypass the pools.
-var (
-	gobEncoderT     = reflect.TypeOf((*gob.GobEncoder)(nil)).Elem()
-	gobDecoderT     = reflect.TypeOf((*gob.GobDecoder)(nil)).Elem()
-	binMarshalerT   = reflect.TypeOf((*encoding.BinaryMarshaler)(nil)).Elem()
-	binUnmarshalerT = reflect.TypeOf((*encoding.BinaryUnmarshaler)(nil)).Elem()
-	txtMarshalerT   = reflect.TypeOf((*encoding.TextMarshaler)(nil)).Elem()
-	txtUnmarshalerT = reflect.TypeOf((*encoding.TextUnmarshaler)(nil)).Elem()
-)
-
-func gobPoolableType(t reflect.Type) bool {
-	return gobPoolable(t, make(map[reflect.Type]bool))
-}
-
-func gobPoolable(t reflect.Type, seen map[reflect.Type]bool) bool {
-	if seen[t] {
-		return true
-	}
-	seen[t] = true
-	pt := reflect.PointerTo(t)
-	for _, iface := range []reflect.Type{gobEncoderT, gobDecoderT, binMarshalerT, binUnmarshalerT, txtMarshalerT, txtUnmarshalerT} {
-		if t.Implements(iface) || pt.Implements(iface) {
-			return false
-		}
-	}
-	switch t.Kind() {
-	case reflect.Interface, reflect.Chan, reflect.Func, reflect.UnsafePointer, reflect.Invalid:
-		return false
-	case reflect.Pointer, reflect.Slice, reflect.Array:
-		return gobPoolable(t.Elem(), seen)
-	case reflect.Map:
-		return gobPoolable(t.Key(), seen) && gobPoolable(t.Elem(), seen)
-	case reflect.Struct:
-		for i := 0; i < t.NumField(); i++ {
-			f := t.Field(i)
-			if !f.IsExported() {
-				continue // gob skips unexported fields
-			}
-			if !gobPoolable(f.Type, seen) {
-				return false
-			}
-		}
-		return true
-	default:
-		return true
-	}
-}
-
-// gobUint parses one gob-encoded unsigned integer (first byte < 0x80 is
-// the value; otherwise it is the negated big-endian byte count).
-// Returns width 0 on malformed input.
-func gobUint(b []byte) (uint64, int) {
-	if len(b) == 0 {
-		return 0, 0
-	}
-	c := b[0]
-	if c <= 0x7f {
-		return uint64(c), 1
-	}
-	nb := 256 - int(c)
-	if nb < 1 || nb > 8 || len(b) < 1+nb {
-		return 0, 0
-	}
-	var v uint64
-	for i := 0; i < nb; i++ {
-		v = v<<8 | uint64(b[1+i])
-	}
-	return v, 1 + nb
-}
-
-// gobInt parses one gob-encoded signed integer (unsigned with the sign
-// in bit 0).
-func gobInt(b []byte) (int64, int) {
-	u, w := gobUint(b)
-	if w == 0 {
-		return 0, 0
-	}
-	if u&1 != 0 {
-		return ^int64(u >> 1), w
-	}
-	return int64(u >> 1), w
-}
-
-// skipGobDescriptors returns the suffix of a self-describing gob stream
-// starting at its first value item: each item is a length-delimited
-// block whose body opens with a signed type id, negative for type
-// descriptors. Anything it does not understand returns the full stream,
-// routing the caller to a fresh decoder.
-func skipGobDescriptors(data []byte) []byte {
-	off := 0
-	for {
-		n, w := gobUint(data[off:])
-		if w == 0 || n == 0 {
-			return data
-		}
-		body := off + w
-		if n > uint64(len(data)-body) {
-			return data
-		}
-		id, iw := gobInt(data[body : body+int(n)])
-		if iw == 0 {
-			return data
-		}
-		if id >= 0 {
-			return data[off:] // first value item
-		}
-		off = body + int(n)
-		if off >= len(data) {
-			return data // descriptors but no value: bail out whole
-		}
-	}
-}
-
-type gobEncState struct {
-	buf      bytes.Buffer
-	enc      *gob.Encoder
-	preamble []byte
-}
-
-type gobDecState struct {
-	r   *bytes.Reader
-	dec *gob.Decoder
-}
-
-type codecPool struct {
-	ok   bool // type is safe to pool
-	pool sync.Pool
-}
-
-var (
-	gobEncPools sync.Map // reflect.Type → *codecPool of *gobEncState
-	gobDecPools sync.Map // reflect.Type → *codecPool of *gobDecState
-)
-
-func poolFor(m *sync.Map, t reflect.Type) *codecPool {
-	if e, hit := m.Load(t); hit {
-		return e.(*codecPool)
-	}
-	e := &codecPool{ok: gobPoolableType(t)}
-	actual, _ := m.LoadOrStore(t, e)
-	return actual.(*codecPool)
-}
-
-// newGobEncState primes an encoder by encoding the type's zero value
-// once, capturing the descriptor preamble for replay on every message.
-func newGobEncState(t reflect.Type) (*gobEncState, error) {
-	st := &gobEncState{}
-	st.enc = gob.NewEncoder(&st.buf)
-	zt := t
-	for zt.Kind() == reflect.Pointer {
-		zt = zt.Elem() // gob flattens indirections; prime with the base value
-	}
-	if err := st.enc.Encode(reflect.New(zt).Elem().Interface()); err != nil {
-		return nil, err
-	}
-	body := skipGobDescriptors(st.buf.Bytes())
-	st.preamble = append([]byte(nil), st.buf.Bytes()[:st.buf.Len()-len(body)]...)
-	st.buf.Reset()
-	return st, nil
-}
-
-func pooledGobEncode(e *codecPool, v any) ([]byte, bool) {
-	st, _ := e.pool.Get().(*gobEncState)
-	if st == nil {
-		var err error
-		st, err = newGobEncState(reflect.TypeOf(v))
-		if err != nil {
-			return nil, false
-		}
-	}
-	st.buf.Reset()
-	if err := st.enc.Encode(v); err != nil {
-		return nil, false // encoder state unknown: drop it, use the fresh path
-	}
-	data := make([]byte, 0, len(st.preamble)+st.buf.Len())
-	data = append(data, st.preamble...)
-	data = append(data, st.buf.Bytes()...)
-	e.pool.Put(st)
-	return data, true
-}
-
-// encodeGob is the legacy path for payload types without a binary
-// encoding (facade callers, internal/ctrl estimates). Poolable types
-// reuse a primed encoder; everything else — and any pooled-path
-// failure — takes the original one-shot route, so error behaviour is
-// identical to the historical codec.
-func (m *Message) encodeGob(v any) error {
-	if t := reflect.TypeOf(v); t != nil {
-		if e := poolFor(&gobEncPools, t); e.ok {
-			if data, ok := pooledGobEncode(e, v); ok {
-				m.Data = data
-				return nil
-			}
-		}
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return fmt.Errorf("dist: encode %s payload: %w", m.Kind, err)
-	}
-	m.Data = buf.Bytes()
-	return nil
-}
-
-func (m *Message) decodeGob(v any) error {
-	t := reflect.TypeOf(v)
-	if t != nil && t.Kind() == reflect.Pointer {
-		if e := poolFor(&gobDecPools, t); e.ok {
-			if st, _ := e.pool.Get().(*gobDecState); st != nil {
-				// A reused decoder has already learned this type's
-				// descriptors (every encoder emits the same preamble for a
-				// poolable type), so feed it the value items only. Failure
-				// means a stream from an unfamiliar encoder: drop the
-				// decoder and re-decode the full stream fresh below.
-				st.r.Reset(skipGobDescriptors(m.Data))
-				if err := st.dec.Decode(v); err == nil {
-					e.pool.Put(st)
-					return nil
-				}
-			} else {
-				st = &gobDecState{r: bytes.NewReader(m.Data)}
-				st.dec = gob.NewDecoder(st.r)
-				err := st.dec.Decode(v)
-				if err == nil {
-					e.pool.Put(st)
-					return nil
-				}
-				return fmt.Errorf("dist: decode %s payload: %w", m.Kind, err)
-			}
-		}
-	}
-	if err := gob.NewDecoder(bytes.NewReader(m.Data)).Decode(v); err != nil {
-		return fmt.Errorf("dist: decode %s payload: %w", m.Kind, err)
-	}
-	return nil
+	p.Reason = d.Str()
+	p.Seq = d.Int()
 }

@@ -34,8 +34,7 @@ func hierCodecSamples() []any {
 
 // TestHierCodecRoundTrip pins the binary wire format of every
 // hierarchical payload: encode → decode must reproduce the value
-// exactly, and the frame must carry the binary magic (no silent gob
-// fallback on the hot path).
+// exactly, and the payload must open with the codec magic.
 func TestHierCodecRoundTrip(t *testing.T) {
 	for _, p := range hierCodecSamples() {
 		m := Message{Kind: "t"}

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"errors"
 	"math"
 	"sync"
 	"testing"
@@ -21,7 +22,7 @@ func TestMemNetworkBasic(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := Message{To: "b", Kind: "ping"}
-	if err := m.Encode("hello"); err != nil {
+	if err := m.Encode(hierJoinPayload{Name: "hello"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Send(m); err != nil {
@@ -34,9 +35,9 @@ func TestMemNetworkBasic(t *testing.T) {
 	if got.From != "a" || got.Kind != "ping" {
 		t.Errorf("got %+v", got)
 	}
-	var s string
-	if err := got.Decode(&s); err != nil || s != "hello" {
-		t.Errorf("payload = %q, err=%v", s, err)
+	var p hierJoinPayload
+	if err := got.Decode(&p); err != nil || p.Name != "hello" {
+		t.Errorf("payload = %+v, err=%v", p, err)
 	}
 }
 
@@ -82,9 +83,27 @@ func TestMemNetworkClose(t *testing.T) {
 func TestMessageDecodeError(t *testing.T) {
 	t.Parallel()
 	m := Message{Kind: "x", Data: []byte{0xff, 0x01}}
-	var s string
-	if err := m.Decode(&s); err == nil {
+	var p pingPayload
+	if err := m.Decode(&p); err == nil {
 		t.Error("garbage decoded")
+	}
+}
+
+// TestMessageUnsupportedPayload: values without a wire encoding are
+// refused with the typed error on both sides, never serialized some
+// other way.
+func TestMessageUnsupportedPayload(t *testing.T) {
+	t.Parallel()
+	m := Message{Kind: "x"}
+	if err := m.Encode("hello"); !errors.Is(err, ErrUnsupportedPayload) {
+		t.Errorf("Encode(string) = %v, want ErrUnsupportedPayload", err)
+	}
+	if err := m.Encode(pingPayload{Seq: 1}); err != nil {
+		t.Fatal(err)
+	}
+	var n int
+	if err := m.Decode(&n); !errors.Is(err, ErrUnsupportedPayload) {
+		t.Errorf("Decode(*int) = %v, want ErrUnsupportedPayload", err)
 	}
 }
 
@@ -106,7 +125,7 @@ func TestTCPNetworkRoundTrip(t *testing.T) {
 	}
 	defer b.Close()
 	m := Message{To: "b", Kind: "ping"}
-	if err := m.Encode(42); err != nil {
+	if err := m.Encode(pingPayload{Seq: 42}); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Send(m); err != nil {
@@ -116,9 +135,9 @@ func TestTCPNetworkRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var v int
-	if err := got.Decode(&v); err != nil || v != 42 || got.From != "a" {
-		t.Errorf("got %+v payload %d err %v", got, v, err)
+	var v pingPayload
+	if err := got.Decode(&v); err != nil || v.Seq != 42 || got.From != "a" {
+		t.Errorf("got %+v payload %d err %v", got, v.Seq, err)
 	}
 }
 

@@ -5,7 +5,7 @@ import (
 )
 
 // FuzzMessageRoundTrip feeds arbitrary bytes through every payload
-// decoder the protocols use. Malformed gob must surface as an error —
+// decoder the protocols use. Malformed input must surface as an error —
 // never a panic — because chaos-duplicated or truncated traffic reaches
 // these decoders in production paths.
 func FuzzMessageRoundTrip(f *testing.F) {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"gtlb/internal/mechanism"
+	"gtlb/internal/metrics"
 	"gtlb/internal/noncoop"
 	"gtlb/internal/obs"
 )
@@ -247,6 +248,85 @@ func TestNashRingTokenLossRegenerated(t *testing.T) {
 	}
 	if ctr.Get("nash.token.regenerated") == 0 {
 		t.Errorf("counters = %s, want at least one regeneration", ctr)
+	}
+}
+
+// holdTokenNetwork makes every user but the last hold the n-th token
+// it forwards until it forwards the next one, then deliver both in
+// order, the second after a pause that lets the successor finish its
+// step on the first (a token arriving mid-step is dropped as stale
+// traffic). The held token stalls user 0's watchdog into regenerating a
+// token while the old one is still alive; as the two travel together,
+// each user best-replies on the old token and then, on an unchanged
+// profile, on the new one.
+type holdTokenNetwork struct {
+	Network
+	m, n int
+}
+
+func (h holdTokenNetwork) Join(name string) (Conn, error) {
+	c, err := h.Network.Join(name)
+	if err != nil || name == "state" || name == userName(h.m-1) {
+		return c, err
+	}
+	return &holdTokenConn{Conn: c, n: h.n}, nil
+}
+
+type holdTokenConn struct {
+	Conn
+	n, seen int
+	held    []Message
+}
+
+func (c *holdTokenConn) Send(m Message) error {
+	if m.Kind != kindToken || m.To == c.Name() { // a regenerated token goes to its creator first
+		return c.Conn.Send(m)
+	}
+	if c.seen++; c.seen == c.n {
+		c.held = append(c.held, m)
+		return nil
+	}
+	for _, h := range c.held {
+		if err := c.Conn.Send(h); err != nil {
+			return err
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	c.held = nil
+	return c.Conn.Send(m)
+}
+
+// TestNashRingRegenerationWithLiveToken: a token that was only late,
+// not lost, circulates alongside its regenerated replacement for one
+// round, so every user best-replies twice on the same profile and that
+// round's norm reads zero. The ring must not accept that round: it has
+// to converge to the fault-free equilibrium, not stop a sweep early.
+func TestNashRingRegenerationWithLiveToken(t *testing.T) {
+	t.Parallel()
+	sys := soakNashSystem(t)
+	ref, err := RunNashRing(NewMemNetwork(), sys, 1e-9, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{5, 10} {
+		ctr := obs.NewRegistry()
+		opts := NashOptions{
+			Watchdog:     30 * time.Millisecond,
+			ProbeTimeout: 15 * time.Millisecond,
+			Deadline:     10 * time.Second,
+			Observer:     ctr,
+		}
+		res, err := RunNashRingWith(holdTokenNetwork{NewMemNetwork(), sys.NumUsers(), n}, sys, 1e-9, 0, opts)
+		if err != nil {
+			t.Fatalf("hold token %d: %v (counters %s)", n, err, ctr)
+		}
+		if ctr.Get("nash.token.regenerated") == 0 {
+			t.Fatalf("hold token %d: counters = %s, want a regeneration", n, ctr)
+		}
+		if d := metrics.LInfNorm(sys.Loads(res.Profile), sys.Loads(ref.Profile)); d > 1e-6 {
+			t.Errorf("hold token %d: loads %g from the fault-free equilibrium after %d rounds (reference %d); counters %s",
+				n, d, res.Iterations, ref.Iterations, ctr)
+		}
 	}
 }
 

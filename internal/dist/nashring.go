@@ -300,7 +300,13 @@ func (u *userNode) run() {
 					u.fail(fmt.Errorf("dist: NASH ring exceeded %d iterations (norm=%g)", u.max, tok.Norm))
 					return
 				}
-				tok.Norm = 0
+				// A regenerated token (fresh epoch, no hops) keeps its
+				// saturated norm through the redo round: the token it
+				// replaced may still circulate, so users can best-reply
+				// twice on one profile and the round's norm is no sweep.
+				if tok.Epoch == 0 || tok.Hops > 0 {
+					tok.Norm = 0
+				}
 				u.curIter = tok.Iteration
 			}
 			if err := u.bestReply(&tok); err != nil {
@@ -464,7 +470,7 @@ func (u *userNode) regenerate() bool {
 	u.epoch++
 	tok := tokenPayload{
 		Iteration: u.curIter - 1,   // redo the interrupted round
-		Norm:      math.MaxFloat64, // incomplete round: never passes the stop test
+		Norm:      math.MaxFloat64, // the redo round never passes the stop test (see run)
 		Epoch:     u.epoch,
 		Ejected:   u.ejected,
 	}

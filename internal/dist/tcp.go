@@ -2,26 +2,228 @@ package dist
 
 import (
 	"bufio"
-	"encoding/gob"
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
+	"math/bits"
 	"net"
 	"sync"
 	"time"
 )
 
+// TCP wire format. Every frame on a connection, in either direction, is
+//
+//	u32 little-endian body length (at most maxFrame), then the body:
+//	uvarint len(From) | From | uvarint len(To) | To | uvarint len(Kind) | Kind | Data
+//
+// Data runs to the end of the body and is carried verbatim: it is the
+// payload codec's output (codec.go), which no TCP hop decodes. The
+// first frame a node sends is a hello whose Data is the single
+// wireVersion byte; the broker answers hello.ok with its own version
+// byte once the node is registered, or hello.bad and a close when the
+// versions differ.
+const (
+	wireVersion byte = 1
+	// maxFrame bounds a frame body. A larger length prefix is a corrupt
+	// or hostile stream: the reader drops the connection without
+	// allocating, and Send refuses a message that would need one.
+	maxFrame = 16 << 20
+	frameHdr = 4
+	// tcpBufSize is the read buffer per socket; frames that fit relay in place.
+	tcpBufSize = 8 << 10
+	// maxInterned bounds a receiver's name table (later names allocate).
+	maxInterned = 4096
+
+	helloKind    = "hello"
+	helloOKKind  = "hello.ok"
+	helloBadKind = "hello.bad"
+)
+
+var (
+	// ErrWireVersion is returned (wrapped) by Join when the broker
+	// speaks a different frame version.
+	ErrWireVersion = errors.New("dist: tcp wire version mismatch")
+	// ErrFrameTooLarge is returned (wrapped) by Send for a message whose
+	// frame body would exceed maxFrame, and ends a read loop that meets
+	// such a length prefix.
+	ErrFrameTooLarge = errors.New("dist: tcp frame too large")
+	errBadFrame      = errors.New("dist: tcp malformed frame")
+
+	versionData = []byte{wireVersion}
+)
+
+// nameSize is the encoded size of one uvarint-prefixed name.
+func nameSize(s string) int { return (bits.Len64(uint64(len(s))|1)+6)/7 + len(s) }
+
+// frameSize is the full size of the frame putFrame writes.
+func frameSize(from, to, kind string, data []byte) int {
+	return frameHdr + nameSize(from) + nameSize(to) + nameSize(kind) + len(data)
+}
+
+// putName writes one uvarint-prefixed name and returns its size.
+//
+//lb:hotpath
+func putName(dst []byte, s string) int {
+	w := binary.PutUvarint(dst, uint64(len(s)))
+	return w + copy(dst[w:], s)
+}
+
+// putFrame writes one frame into dst, which must hold frameSize bytes,
+// and returns the bytes written.
+//
+//lb:hotpath
+func putFrame(dst []byte, from, to, kind string, data []byte) int {
+	off := frameHdr + putName(dst[frameHdr:], from)
+	off += putName(dst[off:], to)
+	off += putName(dst[off:], kind)
+	off += copy(dst[off:], data)
+	binary.LittleEndian.PutUint32(dst, uint32(off-frameHdr))
+	return off
+}
+
+// putRelay writes a relayed frame into dst: From becomes the sender's
+// registered name, and rest — the original body after its From field
+// (To, Kind and Data) — is copied through untouched. dst must hold
+// frameHdr+nameSize(from)+len(rest) bytes.
+//
+//lb:hotpath
+func putRelay(dst []byte, from string, rest []byte) int {
+	off := frameHdr + putName(dst[frameHdr:], from)
+	off += copy(dst[off:], rest)
+	binary.LittleEndian.PutUint32(dst, uint32(off-frameHdr))
+	return off
+}
+
+// cutName splits one uvarint-prefixed name off b. Non-minimal varints
+// are rejected so that every accepted frame has exactly one encoding.
+func cutName(b []byte) (name, rest []byte, ok bool) {
+	n, w := binary.Uvarint(b)
+	if w <= 0 || (w > 1 && b[w-1] == 0) || n > uint64(len(b)-w) {
+		return nil, nil, false
+	}
+	end := w + int(n)
+	return b[w:end], b[end:], true
+}
+
+// frame is one parsed frame body. afterFrom is the body past the From
+// field (To, Kind and Data), which the broker relays as is.
+type frame struct{ from, to, kind, data, afterFrom []byte }
+
+func splitFrame(body []byte) (f frame, ok bool) {
+	if f.from, f.afterFrom, ok = cutName(body); !ok {
+		return
+	}
+	if f.to, f.data, ok = cutName(f.afterFrom); !ok {
+		return
+	}
+	f.kind, f.data, ok = cutName(f.data)
+	return
+}
+
+// nextFrame reads one frame from br and hands its fields to use. A frame
+// that fits br's buffer is parsed there in place, so the fields are
+// valid only during the call. A length prefix past maxFrame is refused
+// before any body is read; a malformed body or a read error also ends
+// the stream. The broker and the receivers both read through here.
+func nextFrame(br *bufio.Reader, use func(frame)) error {
+	h, err := br.Peek(frameHdr)
+	if err != nil {
+		return err
+	}
+	n := binary.LittleEndian.Uint32(h)
+	if n > maxFrame {
+		return fmt.Errorf("%w: length prefix %d", ErrFrameTooLarge, n)
+	}
+	size := frameHdr + int(n)
+	var body []byte
+	if size <= br.Size() {
+		if body, err = br.Peek(size); err != nil {
+			return err
+		}
+		body = body[frameHdr:]
+	} else if body, err = readBody(br, int(n)); err != nil {
+		return err
+	}
+	f, ok := splitFrame(body)
+	if !ok {
+		return errBadFrame
+	}
+	use(f)
+	if size <= br.Size() {
+		_, _ = br.Discard(size) // the bytes were peeked, so this cannot fail
+	}
+	return nil
+}
+
+// readBody consumes the length prefix and reads an n-byte body too
+// large for the read buffer. It grows with the bytes that actually
+// arrive, so a length prefix on a stream that dies early costs no more
+// than the stream carried.
+func readBody(br *bufio.Reader, n int) ([]byte, error) {
+	if _, err := br.Discard(frameHdr); err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	if _, err := io.CopyN(&buf, br, int64(n)); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// nameTable interns the names a receiver sees. A node hears from a
+// fixed set of peers in a fixed set of kinds, so in steady state every
+// From/To/Kind is a map hit and costs no allocation.
+type nameTable map[string]string
+
+func (t nameTable) intern(b []byte) string {
+	if s, ok := t[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if len(t) < maxInterned {
+		t[s] = s
+	}
+	return s
+}
+
+// readMessage reads one frame as a Message with its own copy of Data.
+func readMessage(br *bufio.Reader, names nameTable) (m Message, err error) {
+	err = nextFrame(br, func(f frame) {
+		m = Message{From: names.intern(f.from), To: names.intern(f.to), Kind: names.intern(f.kind), Data: bytes.Clone(f.data)}
+	})
+	return m, err
+}
+
 // tcpNetwork is a hub-and-spoke TCP transport: a broker listens on a
 // loopback port; every node dials in, announces its name, and the broker
-// relays messages between them. It exists to demonstrate the protocols
-// running over real sockets; the in-memory transport is preferred for
-// tests.
+// relays frames between them without decoding their payloads. It exists
+// to demonstrate the protocols running over real sockets; the in-memory
+// transport is preferred for tests.
 type tcpNetwork struct {
 	ln    net.Listener
 	mu    sync.Mutex
-	conn  map[string]*gob.Encoder
-	encM  map[string]*sync.Mutex
+	peers map[string]*tcpPeer
 	socks map[net.Conn]struct{} // live node sockets, closed on shutdown
 	wg    sync.WaitGroup        // accept loop + one serve per socket
+}
+
+// tcpPeer is the broker's write side of one registered node. Each
+// relayed frame is built in buf and written under mu as it arrives, so a
+// slow recipient slows its senders down instead of queueing in the broker.
+type tcpPeer struct {
+	mu  sync.Mutex
+	c   net.Conn
+	buf []byte // under mu; reused across frames
+}
+
+// resize returns buf resized to n bytes, reusing its capacity.
+func resize(buf []byte, n int) []byte {
+	if cap(buf) < n {
+		return make([]byte, n)
+	}
+	return buf[:n]
 }
 
 // NewTCPNetwork starts a broker on addr ("127.0.0.1:0" picks a free
@@ -37,8 +239,7 @@ func NewTCPNetwork(addr string) (Network, string, func() error, error) {
 	}
 	n := &tcpNetwork{
 		ln:    ln,
-		conn:  make(map[string]*gob.Encoder),
-		encM:  make(map[string]*sync.Mutex),
+		peers: make(map[string]*tcpPeer),
 		socks: make(map[net.Conn]struct{}),
 	}
 	n.wg.Add(1)
@@ -50,7 +251,7 @@ func NewTCPNetwork(addr string) (Network, string, func() error, error) {
 		err := ln.Close()
 		n.mu.Lock()
 		for c := range n.socks {
-			_ = c.Close() // unblocks the serve loop's Decode
+			_ = c.Close() // unblocks the serve loop's read and any relay write
 		}
 		n.mu.Unlock()
 		n.wg.Wait()
@@ -76,8 +277,9 @@ func (n *tcpNetwork) acceptLoop() {
 	}
 }
 
-// serve handles one node connection: first message announces the node's
-// name; subsequent messages are relayed to their recipients.
+// serve handles one node connection: the first frame is the hello that
+// names the node; every later frame is relayed to its recipient. A
+// malformed or oversize frame drops this connection only.
 func (n *tcpNetwork) serve(c net.Conn) {
 	defer func() {
 		n.mu.Lock()
@@ -85,122 +287,146 @@ func (n *tcpNetwork) serve(c net.Conn) {
 		n.mu.Unlock()
 		_ = c.Close() // broker teardown; the peer sees EOF either way
 	}()
-	dec := gob.NewDecoder(c)
-	enc := gob.NewEncoder(c)
-	var hello Message
-	if err := dec.Decode(&hello); err != nil || hello.Kind != "hello" {
+	br := bufio.NewReaderSize(c, tcpBufSize)
+	hello, err := readMessage(br, nameTable{})
+	if err != nil || hello.Kind != helloKind {
 		return // bad handshake; the deferred close drops the connection
 	}
+	self := &tcpPeer{c: c}
+	if !bytes.Equal(hello.Data, versionData) {
+		_ = self.post(helloBadKind, hello.From) // best effort: the close that follows ends the handshake either way
+		return
+	}
 	name := hello.From
-	mu := &sync.Mutex{}
+	// Register and ack under the peer's lock: Join blocks on the ack, so
+	// once it returns, messages sent to the node cannot be dropped as
+	// "recipient unknown", and no relayed frame can overtake the ack.
+	self.mu.Lock()
 	n.mu.Lock()
-	n.conn[name] = enc
-	n.encM[name] = mu
+	n.peers[name] = self
 	n.mu.Unlock()
+	err = self.post(helloOKKind, name)
+	self.mu.Unlock()
 	defer func() {
 		n.mu.Lock()
-		delete(n.conn, name)
-		delete(n.encM, name)
+		if n.peers[name] == self {
+			delete(n.peers, name)
+		}
 		n.mu.Unlock()
 	}()
-	// Ack the hello only after the node is registered: Join blocks on this
-	// ack, so once any node's Join returns, messages sent to it cannot be
-	// dropped as "recipient unknown" by a broker that has not caught up.
-	mu.Lock()
-	err := enc.Encode(Message{To: name, Kind: "hello.ok"})
-	mu.Unlock()
 	if err != nil {
-		return // ack failed; the peer sees a decode error
+		return // ack failed; the peer sees a read error
 	}
+	relay := func(f frame) { n.relay(name, f) }
 	for {
-		var m Message
-		if err := dec.Decode(&m); err != nil {
-			return
+		if err := nextFrame(br, relay); err != nil {
+			return // EOF, a broken socket or a bad frame: drop this connection only
 		}
-		m.From = name
-		n.relay(m)
 	}
 }
 
-func (n *tcpNetwork) relay(m Message) {
-	n.mu.Lock()
-	enc := n.conn[m.To]
-	mu := n.encM[m.To]
-	n.mu.Unlock()
-	if enc == nil {
-		return // recipient unknown or gone; the protocols tolerate loss on shutdown
+// post writes one handshake frame to the peer. Callers hold p.mu once
+// the peer is registered.
+func (p *tcpPeer) post(kind, to string) error {
+	p.buf = resize(p.buf, frameSize("", to, kind, versionData))
+	putFrame(p.buf, "", to, kind, versionData)
+	_, err := p.c.Write(p.buf)
+	return err
+}
+
+// relay writes frame f from the node registered as from to its
+// recipient, with From rewritten to that name (a node cannot speak for
+// another) and the rest of the body copied through without decoding the
+// payload. Frames for an unknown or departed recipient are dropped: the
+// protocols tolerate loss on shutdown.
+func (n *tcpNetwork) relay(from string, f frame) {
+	size := frameHdr + nameSize(from) + len(f.afterFrom)
+	if size-frameHdr > maxFrame {
+		return // the rewritten frame would be refused downstream
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	_ = enc.Encode(m) // best-effort relay; loss surfaces as a receiver timeout
+	n.mu.Lock()
+	p := n.peers[string(f.to)]
+	n.mu.Unlock()
+	if p == nil {
+		return
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.buf = resize(p.buf, size)
+	putRelay(p.buf, from, f.afterFrom)
+	_, _ = p.c.Write(p.buf) // best-effort relay; loss surfaces as a receiver timeout
 }
 
 // Join dials the broker and announces the node name.
-func (n *tcpNetwork) Join(name string) (Conn, error) {
+func (n *tcpNetwork) Join(name string) (Conn, error) { return n.join(name, wireVersion) }
+
+// join is Join announcing an explicit wire version.
+func (n *tcpNetwork) join(name string, version byte) (Conn, error) {
 	c, err := net.Dial("tcp", n.ln.Addr().String())
 	if err != nil {
 		return nil, fmt.Errorf("dist: dial broker: %w", err)
 	}
-	bw := bufio.NewWriter(c)
 	tc := &tcpConn{
-		name: name,
-		c:    c,
-		bw:   bw,
-		enc:  gob.NewEncoder(bw),
-		dec:  gob.NewDecoder(c),
-		in:   make(chan Message, 1024),
-		dead: make(chan struct{}),
-		stop: make(chan struct{}),
+		name:  name,
+		c:     c,
+		br:    bufio.NewReaderSize(c, tcpBufSize),
+		names: nameTable{},
+		in:    make(chan Message, 1024),
+		dead:  make(chan struct{}),
+		stop:  make(chan struct{}),
 	}
-	if err := tc.enc.Encode(Message{From: name, Kind: "hello"}); err != nil {
-		_ = c.Close() // already failing; the handshake error wins
-		return nil, fmt.Errorf("dist: hello: %w", err)
-	}
-	if err := bw.Flush(); err != nil {
+	if err := tc.Send(Message{Kind: helloKind, Data: []byte{version}}); err != nil {
 		_ = c.Close() // already failing; the handshake error wins
 		return nil, fmt.Errorf("dist: hello: %w", err)
 	}
 	// Wait for the broker's registration ack (see serve); without it a
 	// message addressed to this node could race ahead of its registration
 	// and be dropped.
-	var ack Message
-	if err := tc.dec.Decode(&ack); err != nil || ack.Kind != "hello.ok" {
+	ack, err := readMessage(tc.br, tc.names)
+	switch {
+	case err != nil:
+		err = fmt.Errorf("dist: no hello ack for %q: %w", name, err)
+	case ack.Kind != helloOKKind || !bytes.Equal(ack.Data, []byte{version}):
+		err = fmt.Errorf("%w: node %q speaks version %d, broker answered %s %v",
+			ErrWireVersion, name, version, ack.Kind, ack.Data)
+	}
+	if err != nil {
 		_ = c.Close() // already failing; the handshake error wins
-		return nil, fmt.Errorf("dist: no hello ack for %q (kind=%q, err=%v)", name, ack.Kind, err)
+		return nil, err
 	}
 	go tc.readLoop()
 	return tc, nil
 }
 
-// tcpConn pumps inbound messages through a dedicated reader goroutine
-// into a channel. Recv/RecvTimeout select on that channel, so a receive
-// deadline can expire without tearing a half-decoded gob message out of
-// the stream (a raw SetReadDeadline mid-Decode would poison the decoder
-// for every later message).
+// tcpConn pumps inbound frames through a dedicated reader goroutine into
+// a channel. Recv/RecvTimeout select on that channel, so a receive
+// deadline can expire without tearing a half-read frame out of the
+// stream (a raw SetReadDeadline mid-frame would desynchronise every
+// later read).
 type tcpConn struct {
 	name   string
 	c      net.Conn
-	bw     *bufio.Writer // under sendMu; flushed once per Send/SendBatch
-	enc    *gob.Encoder
-	dec    *gob.Decoder
+	br     *bufio.Reader // owned by readLoop after Join
+	names  nameTable     // owned by readLoop after Join
 	sendMu sync.Mutex
+	wbuf   []byte // under sendMu; reused across sends
 
 	in      chan Message
 	dead    chan struct{} // closed by readLoop after readErr is set
-	readErr error         // terminal decode error; written before dead closes
+	readErr error         // terminal read error; written before dead closes
 	stop    chan struct{} // closed by Close
 	stopOne sync.Once
 }
 
 func (t *tcpConn) Name() string { return t.name }
 
-// readLoop decodes messages until the stream dies, then records the
+// readLoop reads messages until the stream dies, then records the
 // terminal error and signals dead. The happens-before edge of close(dead)
 // makes readErr safe to read after <-t.dead.
 func (t *tcpConn) readLoop() {
 	for {
-		var m Message
-		if err := t.dec.Decode(&m); err != nil {
+		m, err := readMessage(t.br, t.names)
+		if err != nil {
 			t.readErr = err
 			close(t.dead)
 			return
@@ -213,40 +439,46 @@ func (t *tcpConn) readLoop() {
 	}
 }
 
-func (t *tcpConn) Send(m Message) error {
-	m.From = t.name
-	t.sendMu.Lock()
-	defer t.sendMu.Unlock()
-	if err := t.enc.Encode(m); err != nil {
-		return fmt.Errorf("dist: tcp send: %w", err)
-	}
-	if err := t.bw.Flush(); err != nil {
-		return fmt.Errorf("dist: tcp send: %w", err)
-	}
-	return nil
-}
+func (t *tcpConn) Send(m Message) error { return t.SendBatch([]Message{m}) }
 
-// SendBatch coalesces a burst into one buffered write: every message is
-// gob-framed into the write buffer and the socket sees a single flush,
-// so an n-message fan-out costs one syscall batch instead of n.
+// SendBatch coalesces a burst into one write: every message is framed
+// into the reused send buffer and the socket sees a single Write, so an
+// n-message fan-out costs one syscall instead of n. A message too large
+// for one frame fails the whole batch before anything is written.
 func (t *tcpConn) SendBatch(ms []Message) error {
 	t.sendMu.Lock()
 	defer t.sendMu.Unlock()
-	for i := range ms {
-		m := ms[i]
-		m.From = t.name
-		if err := t.enc.Encode(m); err != nil {
-			return fmt.Errorf("dist: tcp send: %w", err)
-		}
+	buf, err := t.frameBatch(ms)
+	if err != nil {
+		return err
 	}
-	if err := t.bw.Flush(); err != nil {
+	if _, err := t.c.Write(buf); err != nil {
 		return fmt.Errorf("dist: tcp send: %w", err)
 	}
 	return nil
 }
 
+// frameBatch frames ms, From set to the conn's name, into the reused
+// send buffer. Callers hold sendMu.
+func (t *tcpConn) frameBatch(ms []Message) ([]byte, error) {
+	size := 0
+	for i := range ms {
+		n := frameSize(t.name, ms[i].To, ms[i].Kind, ms[i].Data)
+		if n-frameHdr > maxFrame {
+			return nil, fmt.Errorf("%w: %s message to %q needs %d bytes", ErrFrameTooLarge, ms[i].Kind, ms[i].To, n-frameHdr)
+		}
+		size += n
+	}
+	t.wbuf = resize(t.wbuf, size)
+	off := 0
+	for i := range ms {
+		off += putFrame(t.wbuf[off:], t.name, ms[i].To, ms[i].Kind, ms[i].Data)
+	}
+	return t.wbuf, nil
+}
+
 // closedErr reports why the stream ended: ErrClosed joined with the
-// underlying decode error, so callers can tell a clean shutdown (EOF)
+// underlying read error, so callers can tell a clean shutdown (EOF)
 // from a corrupt stream or a reset without losing errors.Is(ErrClosed).
 func (t *tcpConn) closedErr() error {
 	if t.readErr != nil {
@@ -255,43 +487,25 @@ func (t *tcpConn) closedErr() error {
 	return ErrClosed
 }
 
-func (t *tcpConn) Recv() (Message, error) {
-	select {
-	case m := <-t.in:
-		return m, nil
-	default:
-	}
-	select {
-	case m := <-t.in:
-		return m, nil
-	case <-t.dead:
-		// Drain messages decoded before the stream died.
-		select {
-		case m := <-t.in:
-			return m, nil
-		default:
-			return Message{}, t.closedErr()
-		}
-	case <-t.stop:
-		return Message{}, ErrClosed
-	}
-}
+func (t *tcpConn) Recv() (Message, error) { return t.RecvTimeout(0) }
 
 func (t *tcpConn) RecvTimeout(d time.Duration) (Message, error) {
-	if d <= 0 {
-		return t.Recv()
-	}
 	select {
 	case m := <-t.in:
 		return m, nil
 	default:
 	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
+	var expired <-chan time.Time // nil: block forever
+	if d > 0 {
+		timer := time.NewTimer(d)
+		defer timer.Stop()
+		expired = timer.C
+	}
 	select {
 	case m := <-t.in:
 		return m, nil
 	case <-t.dead:
+		// Drain messages read before the stream died.
 		select {
 		case m := <-t.in:
 			return m, nil
@@ -300,7 +514,7 @@ func (t *tcpConn) RecvTimeout(d time.Duration) (Message, error) {
 		}
 	case <-t.stop:
 		return Message{}, ErrClosed
-	case <-timer.C:
+	case <-expired:
 		return Message{}, fmt.Errorf("dist: recv on %q after %v: %w", t.name, d, ErrTimeout)
 	}
 }

@@ -26,55 +26,56 @@ type Message struct {
 	From string // sender node name
 	To   string // recipient node name
 	Kind string // protocol-defined message type
-	Data []byte // encoded payload (binary codec or legacy gob; see codec.go)
+	Data []byte // encoded payload (the binary wire codec; see codec.go)
 }
 
-// Encode serializes a payload value into the message's Data. Protocol
-// payload types use the compact binary codec (one allocation); any
-// other type goes through the pooled gob legacy path (codec.go).
+// Encode serializes a payload value into the message's Data with one
+// allocation. v must implement WireEncoder; anything else is refused
+// with an error wrapping ErrUnsupportedPayload.
 func (m *Message) Encode(v any) error {
-	if p, ok := v.(wireEncoder); ok {
-		b := make([]byte, 0, 2+p.wireSize())
-		b = append(b, codecMagic, p.wireID())
-		m.Data = p.appendWire(b)
-		return nil
+	p, ok := v.(WireEncoder)
+	if !ok {
+		return fmt.Errorf("dist: encode %s payload %T: %w", m.Kind, v, ErrUnsupportedPayload)
 	}
-	return m.encodeGob(v)
+	b := make([]byte, 0, 2+p.WireSize())
+	b = append(b, codecMagic, p.WireID())
+	m.Data = p.AppendWire(b)
+	return nil
 }
 
-// wireDecPool recycles decoder states: the *wireDec handed to the
-// payload's decodeWire escapes through the interface call, so a fresh
+// wireDecPool recycles decoder states: the *WireDec handed to the
+// payload's DecodeWire escapes through the interface call, so a fresh
 // one per message would cost an allocation on every protocol receive.
-var wireDecPool = sync.Pool{New: func() any { return new(wireDec) }}
+var wireDecPool = sync.Pool{New: func() any { return new(WireDec) }}
 
 // Decode deserializes the message's Data into v, reusing v's slice
-// capacity on the binary path. Binary payloads decoded into a target of
-// the wrong wire type — or into a type without a binary encoding — are
-// an error, as is any malformed input (never a panic).
+// capacity. v must implement WireDecoder (ErrUnsupportedPayload
+// otherwise); a payload of another wire type, or any malformed input,
+// is an error — never a panic.
 func (m *Message) Decode(v any) error {
-	if len(m.Data) >= 2 && m.Data[0] == codecMagic {
-		p, ok := v.(wireDecoder)
-		if !ok {
-			return fmt.Errorf("dist: decode %s payload: binary frame into unsupported target %T", m.Kind, v)
-		}
-		if m.Data[1] != p.wireID() {
-			return fmt.Errorf("dist: decode %s payload: wire type %d does not match target %T", m.Kind, m.Data[1], v)
-		}
-		d := wireDecPool.Get().(*wireDec)
-		*d = wireDec{b: m.Data, off: 2}
-		p.decodeWire(d)
-		if d.err == nil && d.off != len(d.b) {
-			d.fail("trailing bytes")
-		}
-		err := d.err
-		*d = wireDec{}
-		wireDecPool.Put(d)
-		if err != nil {
-			return fmt.Errorf("dist: decode %s payload: %w", m.Kind, err)
-		}
-		return nil
+	p, ok := v.(WireDecoder)
+	if !ok {
+		return fmt.Errorf("dist: decode %s payload into %T: %w", m.Kind, v, ErrUnsupportedPayload)
 	}
-	return m.decodeGob(v)
+	if len(m.Data) < 2 || m.Data[0] != codecMagic {
+		return fmt.Errorf("dist: decode %s payload: not a wire-codec payload", m.Kind)
+	}
+	if m.Data[1] != p.WireID() {
+		return fmt.Errorf("dist: decode %s payload: wire type %d does not match target %T", m.Kind, m.Data[1], v)
+	}
+	d := wireDecPool.Get().(*WireDec)
+	*d = WireDec{b: m.Data, off: 2}
+	p.DecodeWire(d)
+	if d.err == nil && d.off != len(d.b) {
+		d.fail("trailing bytes")
+	}
+	err := d.err
+	*d = WireDec{}
+	wireDecPool.Put(d)
+	if err != nil {
+		return fmt.Errorf("dist: decode %s payload: %w", m.Kind, err)
+	}
+	return nil
 }
 
 // Conn is one node's endpoint on a transport.
