@@ -388,8 +388,8 @@ func TestTCPClosedErrorCarriesCause(t *testing.T) {
 		t.Fatal(err)
 	}
 	tc := conn.(*tcpConn)
-	// Sever the raw socket under the endpoint: the reader pump sees the
-	// failure while the endpoint itself is still open.
+	// Sever the raw socket under the endpoint: the receive's own read
+	// sees the failure while the endpoint itself is still open.
 	if err := tc.c.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,10 @@ import (
 	"io"
 	"math/bits"
 	"net"
+	"os"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -122,54 +125,79 @@ func splitFrame(body []byte) (f frame, ok bool) {
 	return
 }
 
-// nextFrame reads one frame from br and hands its fields to use. A frame
-// that fits br's buffer is parsed there in place, so the fields are
-// valid only during the call. A length prefix past maxFrame is refused
-// before any body is read; a malformed body or a read error also ends
-// the stream. The broker and the receivers both read through here.
-func nextFrame(br *bufio.Reader, use func(frame)) error {
-	h, err := br.Peek(frameHdr)
+// frameReader reads frames off one stream for the broker's serve loop,
+// Join's handshake and a node's receives. A read error part-way through
+// a frame — a receive deadline expiring — consumes nothing: the partial
+// length prefix or body stays buffered, and the next call resumes it, so
+// the stream never desynchronises. A length prefix past maxFrame, a
+// malformed body or any other read error ends the stream.
+type frameReader struct {
+	br   *bufio.Reader
+	done int    // size of the last frame parsed in place; the next call discards it
+	big  []byte // body of a frame too large for br, as far as it has arrived
+	want int    // the full size of big
+}
+
+func newFrameReader(r io.Reader) *frameReader {
+	return &frameReader{br: bufio.NewReaderSize(r, tcpBufSize)}
+}
+
+// next returns the next frame. Its fields alias the reader's buffers and
+// are valid only until the following call.
+func (r *frameReader) next() (frame, error) {
+	_, _ = r.br.Discard(r.done) // the bytes were peeked, so this cannot fail
+	r.done = 0
+	if len(r.big) == r.want {
+		r.big, r.want = nil, 0 // the last large frame is finished with
+	}
+	body, err := r.body()
 	if err != nil {
-		return err
-	}
-	n := binary.LittleEndian.Uint32(h)
-	if n > maxFrame {
-		return fmt.Errorf("%w: length prefix %d", ErrFrameTooLarge, n)
-	}
-	size := frameHdr + int(n)
-	var body []byte
-	if size <= br.Size() {
-		if body, err = br.Peek(size); err != nil {
-			return err
-		}
-		body = body[frameHdr:]
-	} else if body, err = readBody(br, int(n)); err != nil {
-		return err
+		return frame{}, err
 	}
 	f, ok := splitFrame(body)
 	if !ok {
-		return errBadFrame
+		return frame{}, errBadFrame
 	}
-	use(f)
-	if size <= br.Size() {
-		_, _ = br.Discard(size) // the bytes were peeked, so this cannot fail
-	}
-	return nil
+	return f, nil
 }
 
-// readBody consumes the length prefix and reads an n-byte body too
-// large for the read buffer. It grows with the bytes that actually
-// arrive, so a length prefix on a stream that dies early costs no more
-// than the stream carried.
-func readBody(br *bufio.Reader, n int) ([]byte, error) {
-	if _, err := br.Discard(frameHdr); err != nil {
-		return nil, err
+// body returns the next frame body. One that fits br's buffer is peeked
+// in place; a larger one is read into big, which grows with the bytes
+// that actually arrive, so a length prefix on a stream that dies early
+// costs no more than the stream carried.
+func (r *frameReader) body() ([]byte, error) {
+	if r.want == 0 {
+		h, err := r.br.Peek(frameHdr)
+		if err != nil {
+			return nil, err
+		}
+		n := binary.LittleEndian.Uint32(h)
+		if n > maxFrame {
+			return nil, fmt.Errorf("%w: length prefix %d", ErrFrameTooLarge, n)
+		}
+		size := frameHdr + int(n)
+		if size <= r.br.Size() {
+			b, err := r.br.Peek(size)
+			if err != nil {
+				return nil, err
+			}
+			r.done = size
+			return b[frameHdr:], nil
+		}
+		_, _ = r.br.Discard(frameHdr) // peeked above
+		r.want = int(n)
 	}
-	var buf bytes.Buffer
-	if _, err := io.CopyN(&buf, br, int64(n)); err != nil {
-		return nil, err
+	for len(r.big) < r.want {
+		if len(r.big) == cap(r.big) {
+			r.big = slices.Grow(r.big, min(r.want-len(r.big), len(r.big)+tcpBufSize))
+		}
+		k, err := r.br.Read(r.big[len(r.big):min(cap(r.big), r.want)])
+		r.big = r.big[:len(r.big)+k]
+		if err != nil {
+			return nil, err
+		}
 	}
-	return buf.Bytes(), nil
+	return r.big, nil
 }
 
 // nameTable interns the names a receiver sees. A node hears from a
@@ -188,12 +216,13 @@ func (t nameTable) intern(b []byte) string {
 	return s
 }
 
-// readMessage reads one frame as a Message with its own copy of Data.
-func readMessage(br *bufio.Reader, names nameTable) (m Message, err error) {
-	err = nextFrame(br, func(f frame) {
-		m = Message{From: names.intern(f.from), To: names.intern(f.to), Kind: names.intern(f.kind), Data: bytes.Clone(f.data)}
-	})
-	return m, err
+// message reads one frame as a Message with its own copy of Data.
+func (r *frameReader) message(names nameTable) (Message, error) {
+	f, err := r.next()
+	if err != nil {
+		return Message{}, err
+	}
+	return Message{From: names.intern(f.from), To: names.intern(f.to), Kind: names.intern(f.kind), Data: bytes.Clone(f.data)}, nil
 }
 
 // tcpNetwork is a hub-and-spoke TCP transport: a broker listens on a
@@ -287,8 +316,8 @@ func (n *tcpNetwork) serve(c net.Conn) {
 		n.mu.Unlock()
 		_ = c.Close() // broker teardown; the peer sees EOF either way
 	}()
-	br := bufio.NewReaderSize(c, tcpBufSize)
-	hello, err := readMessage(br, nameTable{})
+	rd := newFrameReader(c)
+	hello, err := rd.message(nameTable{})
 	if err != nil || hello.Kind != helloKind {
 		return // bad handshake; the deferred close drops the connection
 	}
@@ -317,11 +346,12 @@ func (n *tcpNetwork) serve(c net.Conn) {
 	if err != nil {
 		return // ack failed; the peer sees a read error
 	}
-	relay := func(f frame) { n.relay(name, f) }
 	for {
-		if err := nextFrame(br, relay); err != nil {
+		f, err := rd.next()
+		if err != nil {
 			return // EOF, a broken socket or a bad frame: drop this connection only
 		}
+		n.relay(name, f)
 	}
 }
 
@@ -366,15 +396,7 @@ func (n *tcpNetwork) join(name string, version byte) (Conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dist: dial broker: %w", err)
 	}
-	tc := &tcpConn{
-		name:  name,
-		c:     c,
-		br:    bufio.NewReaderSize(c, tcpBufSize),
-		names: nameTable{},
-		in:    make(chan Message, 1024),
-		dead:  make(chan struct{}),
-		stop:  make(chan struct{}),
-	}
+	tc := newTCPConn(name, c)
 	if err := tc.Send(Message{Kind: helloKind, Data: []byte{version}}); err != nil {
 		_ = c.Close() // already failing; the handshake error wins
 		return nil, fmt.Errorf("dist: hello: %w", err)
@@ -382,7 +404,7 @@ func (n *tcpNetwork) join(name string, version byte) (Conn, error) {
 	// Wait for the broker's registration ack (see serve); without it a
 	// message addressed to this node could race ahead of its registration
 	// and be dropped.
-	ack, err := readMessage(tc.br, tc.names)
+	ack, err := tc.rd.message(tc.names)
 	switch {
 	case err != nil:
 		err = fmt.Errorf("dist: no hello ack for %q: %w", name, err)
@@ -394,50 +416,30 @@ func (n *tcpNetwork) join(name string, version byte) (Conn, error) {
 		_ = c.Close() // already failing; the handshake error wins
 		return nil, err
 	}
-	go tc.readLoop()
 	return tc, nil
 }
 
-// tcpConn pumps inbound frames through a dedicated reader goroutine into
-// a channel. Recv/RecvTimeout select on that channel, so a receive
-// deadline can expire without tearing a half-read frame out of the
-// stream (a raw SetReadDeadline mid-frame would desynchronise every
-// later read).
+// tcpConn is one node's socket to the broker. Receives read frames on
+// the caller's goroutine — the Conn contract gives a connection a single
+// receiver — under a socket read deadline; the frame reader keeps a frame
+// cut short by the deadline for the next receive. The kernel socket
+// buffer is the node's only receive queue.
 type tcpConn struct {
 	name   string
 	c      net.Conn
-	br     *bufio.Reader // owned by readLoop after Join
-	names  nameTable     // owned by readLoop after Join
+	rd     *frameReader // receiver-owned
+	names  nameTable    // receiver-owned
+	err    error        // terminal read error; receiver-owned
+	closed atomic.Bool  // set by Close before the socket closes
 	sendMu sync.Mutex
 	wbuf   []byte // under sendMu; reused across sends
+}
 
-	in      chan Message
-	dead    chan struct{} // closed by readLoop after readErr is set
-	readErr error         // terminal read error; written before dead closes
-	stop    chan struct{} // closed by Close
-	stopOne sync.Once
+func newTCPConn(name string, c net.Conn) *tcpConn {
+	return &tcpConn{name: name, c: c, rd: newFrameReader(c), names: nameTable{}}
 }
 
 func (t *tcpConn) Name() string { return t.name }
-
-// readLoop reads messages until the stream dies, then records the
-// terminal error and signals dead. The happens-before edge of close(dead)
-// makes readErr safe to read after <-t.dead.
-func (t *tcpConn) readLoop() {
-	for {
-		m, err := readMessage(t.br, t.names)
-		if err != nil {
-			t.readErr = err
-			close(t.dead)
-			return
-		}
-		select {
-		case t.in <- m:
-		case <-t.stop:
-			return
-		}
-	}
-}
 
 func (t *tcpConn) Send(m Message) error { return t.SendBatch([]Message{m}) }
 
@@ -477,49 +479,38 @@ func (t *tcpConn) frameBatch(ms []Message) ([]byte, error) {
 	return t.wbuf, nil
 }
 
-// closedErr reports why the stream ended: ErrClosed joined with the
-// underlying read error, so callers can tell a clean shutdown (EOF)
-// from a corrupt stream or a reset without losing errors.Is(ErrClosed).
-func (t *tcpConn) closedErr() error {
-	if t.readErr != nil {
-		return errors.Join(ErrClosed, t.readErr)
-	}
-	return ErrClosed
-}
-
 func (t *tcpConn) Recv() (Message, error) { return t.RecvTimeout(0) }
 
+// RecvTimeout returns the next frame, buffered or read under a deadline
+// d from now. Once the stream dies it still returns the complete frames
+// already read, then ErrClosed joined with the cause, so callers can tell
+// a clean shutdown (EOF) from a corrupt stream or a reset.
 func (t *tcpConn) RecvTimeout(d time.Duration) (Message, error) {
-	select {
-	case m := <-t.in:
-		return m, nil
-	default:
-	}
-	var expired <-chan time.Time // nil: block forever
-	if d > 0 {
-		timer := time.NewTimer(d)
-		defer timer.Stop()
-		expired = timer.C
-	}
-	select {
-	case m := <-t.in:
-		return m, nil
-	case <-t.dead:
-		// Drain messages read before the stream died.
-		select {
-		case m := <-t.in:
-			return m, nil
-		default:
-			return Message{}, t.closedErr()
-		}
-	case <-t.stop:
+	if t.closed.Load() {
 		return Message{}, ErrClosed
-	case <-expired:
-		return Message{}, fmt.Errorf("dist: recv on %q after %v: %w", t.name, d, ErrTimeout)
 	}
+	if t.err != nil {
+		return Message{}, errors.Join(ErrClosed, t.err)
+	}
+	var deadline time.Time // zero: block forever
+	if d > 0 {
+		deadline = time.Now().Add(d)
+	}
+	_ = t.c.SetReadDeadline(deadline) // fails only on a closed socket, which the read reports
+	m, err := t.rd.message(t.names)
+	switch {
+	case err == nil:
+		return m, nil
+	case errors.Is(err, os.ErrDeadlineExceeded):
+		return Message{}, fmt.Errorf("dist: recv on %q after %v: %w", t.name, d, ErrTimeout)
+	case t.closed.Load():
+		return Message{}, ErrClosed
+	}
+	t.err = err
+	return Message{}, errors.Join(ErrClosed, err)
 }
 
 func (t *tcpConn) Close() error {
-	t.stopOne.Do(func() { close(t.stop) })
+	t.closed.Store(true)
 	return t.c.Close()
 }

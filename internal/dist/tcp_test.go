@@ -1,12 +1,12 @@
 package dist
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"io"
 	"net"
+	"os"
 	"testing"
 	"time"
 )
@@ -20,7 +20,7 @@ func rawFrame(from, to, kind string, data []byte) []byte {
 
 // rawJoin dials the broker on a bare socket and completes the hello
 // handshake by hand, for tests that need to write arbitrary bytes.
-func rawJoin(t *testing.T, addr, name string) (net.Conn, *bufio.Reader) {
+func rawJoin(t *testing.T, addr, name string) (net.Conn, *frameReader) {
 	t.Helper()
 	c, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -29,12 +29,39 @@ func rawJoin(t *testing.T, addr, name string) (net.Conn, *bufio.Reader) {
 	if _, err := c.Write(rawFrame(name, "", helloKind, versionData)); err != nil {
 		t.Fatal(err)
 	}
-	br := bufio.NewReader(c)
-	ack, err := readMessage(br, nameTable{})
+	rd := newFrameReader(c)
+	ack, err := rd.message(nameTable{})
 	if err != nil || ack.Kind != helloOKKind {
 		t.Fatalf("raw hello for %q: ack %+v, err %v", name, ack, err)
 	}
-	return c, br
+	return c, rd
+}
+
+// socketPair returns a tcpConn over one end of a loopback socket and the
+// raw other end, standing in for the broker, for tests that write the
+// stream a receiver sees byte by byte.
+func socketPair(t *testing.T) (raw net.Conn, tc *tcpConn) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	c, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err = ln.Accept()
+	if err != nil {
+		_ = c.Close()
+		t.Fatal(err)
+	}
+	tc = newTCPConn("node", c)
+	t.Cleanup(func() {
+		_ = raw.Close()
+		_ = tc.Close()
+	})
+	return raw, tc
 }
 
 func tcpPair(t *testing.T) (addr string, a, b Conn) {
@@ -87,12 +114,12 @@ func TestTCPBrokerDropsBadFrames(t *testing.T) {
 	garbage := binary.LittleEndian.AppendUint32(nil, 3)
 	garbage = append(garbage, 0x7f, 'x', 'y') // From claims 127 bytes of a 3-byte body
 	for i, bad := range [][]byte{oversize, garbage} {
-		c, br := rawJoin(t, addr, "rogue")
+		c, rd := rawJoin(t, addr, "rogue")
 		if _, err := c.Write(bad); err != nil {
 			t.Fatal(err)
 		}
 		_ = c.SetReadDeadline(time.Now().Add(5 * time.Second))
-		if _, err := br.ReadByte(); err != io.EOF {
+		if _, err := rd.next(); err != io.EOF {
 			t.Errorf("case %d: broker kept the rogue connection (read err %v, want EOF)", i, err)
 		}
 		_ = c.Close()
@@ -170,6 +197,115 @@ func TestTCPJoinWrongVersion(t *testing.T) {
 	// The broker is unharmed: a node on the right version still joins.
 	ok := mustJoin(t, netw, "x")
 	_ = ok.Close()
+}
+
+// TestTCPRecvResumesSplitFrame: a receive deadline that expires part-way
+// through a frame — in its length prefix, in its body, or in a body
+// larger than the read buffer — tears nothing out of the stream: once the
+// rest arrives, the next receive returns the frame intact.
+func TestTCPRecvResumesSplitFrame(t *testing.T) {
+	t.Parallel()
+	big := make([]byte, 1<<20)
+	for i := range big {
+		big[i] = byte(i * 7)
+	}
+	for _, tc := range []struct {
+		name string
+		data []byte
+		cut  int
+	}{
+		{"length prefix", []byte{1, 2, 3}, 2},
+		{"body", []byte{1, 2, 3}, frameHdr + 5},
+		{"large body", big, frameHdr + tcpBufSize + 100},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			raw, conn := socketPair(t)
+			wire := rawFrame("broker-said", "node", "ping", tc.data)
+			if _, err := raw.Write(wire[:tc.cut]); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := conn.RecvTimeout(20 * time.Millisecond); !errors.Is(err, ErrTimeout) {
+				t.Fatalf("half a frame: err = %v, want ErrTimeout", err)
+			}
+			// A large body grows with what arrived, not with its length prefix.
+			if c := cap(conn.rd.big); c > 2*tc.cut+tcpBufSize {
+				t.Errorf("%d of %d bytes arrived but the body holds %d", tc.cut, len(wire), c)
+			}
+			if _, err := raw.Write(wire[tc.cut:]); err != nil {
+				t.Fatal(err)
+			}
+			guard := time.AfterFunc(5*time.Second, func() { _ = conn.Close() })
+			defer guard.Stop()
+			m, err := conn.Recv()
+			if err != nil || m.From != "broker-said" || m.To != "node" || m.Kind != "ping" || !bytes.Equal(m.Data, tc.data) {
+				t.Fatalf("resumed frame: got %s/%s/%s with %d bytes (err %v)", m.From, m.To, m.Kind, len(m.Data), err)
+			}
+		})
+	}
+}
+
+// TestTCPCloseUnblocksRecv: Close from another goroutine wakes a receive
+// blocked with no deadline, and every later receive reports ErrClosed.
+func TestTCPCloseUnblocksRecv(t *testing.T) {
+	t.Parallel()
+	_, _, b := tcpPair(t)
+	got := make(chan error, 1)
+	go func() {
+		_, err := b.Recv()
+		got <- err
+	}()
+	select {
+	case err := <-got:
+		t.Fatalf("Recv with nothing sent returned %v", err)
+	case <-time.After(20 * time.Millisecond): // blocked, as it should be
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-got:
+		if !errors.Is(err, ErrClosed) {
+			t.Fatalf("blocked Recv returned %v, want ErrClosed", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Close did not unblock Recv within 1s")
+	}
+	if _, err := b.Recv(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Recv after Close returned %v, want ErrClosed", err)
+	}
+}
+
+// TestTCPRecvDrainsBeforeClosed: frames the broker wrote before it shut
+// down are all delivered, then the receive fails with ErrClosed carrying
+// the EOF that ended the stream.
+func TestTCPRecvDrainsBeforeClosed(t *testing.T) {
+	t.Parallel()
+	netw, _, closeFn, err := NewTCPNetwork("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := mustJoin(t, netw, "a"), mustJoin(t, netw, "b")
+	defer a.Close()
+	defer b.Close()
+	const n = 50
+	for i := 0; i < n; i++ {
+		sendPing(t, a, "b", i)
+	}
+	// The broker relays a's frames in order, so once a hears its own
+	// ping, every frame for b has been written to b's socket.
+	sendPing(t, a, "a", n)
+	expectPing(t, a, "a", n)
+	if err := closeFn(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		expectPing(t, b, "a", i)
+	}
+	_, err = b.RecvTimeout(5 * time.Second)
+	if !errors.Is(err, ErrClosed) || !errors.Is(err, io.EOF) {
+		t.Fatalf("after the drain: err = %v, want ErrClosed carrying io.EOF", err)
+	}
 }
 
 // TestTCPSendBatchOrder: consecutive SendBatch bursts arrive end to end
@@ -253,68 +389,122 @@ func TestTCPInternAllocs(t *testing.T) {
 	if s := names.intern([]byte("hier.token")); s != "hier.token" {
 		t.Errorf("intern = %q", s)
 	}
-	// A whole steady-state read allocates only the message's copy of Data.
-	wire := rawFrame("shard-3/leader", "", "hier.token", []byte{1, 2, 3})
-	rd := bytes.NewReader(wire)
-	br := bufio.NewReaderSize(rd, tcpBufSize)
-	n = testing.AllocsPerRun(100, func() {
-		rd.Reset(wire)
-		br.Reset(rd)
-		if _, err := readMessage(br, names); err != nil {
+	// A steady-state timed receive allocates only the message's copy of
+	// Data: no timer, no channel hop.
+	raw, conn := socketPair(t)
+	const runs = 100
+	wire := rawFrame("shard-3/leader", "node", "hier.token", []byte{1, 2, 3})
+	if _, err := raw.Write(bytes.Repeat(wire, runs+2)); err != nil {
+		t.Fatal(err)
+	}
+	recv := func() {
+		if _, err := conn.RecvTimeout(5 * time.Second); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if n != 1 {
-		t.Errorf("reading a steady-state frame allocates %.1f, want 1 (its Data)", n)
 	}
+	recv() // interns the names
+	if n := testing.AllocsPerRun(runs, recv); n != 1 {
+		t.Errorf("a steady-state RecvTimeout allocates %.1f, want 1 (its Data)", n)
+	}
+}
+
+// stallReader hands out data in chunks of cuts[i]+1 bytes (all of it
+// when cuts is empty) and fails with an expired deadline before each
+// chunk, the way a socket under a receive deadline does when the rest of
+// a frame is late.
+type stallReader struct {
+	data, cuts []byte
+	n          int
+	stalled    bool
+}
+
+func (r *stallReader) Read(p []byte) (int, error) {
+	if len(r.data) == 0 {
+		return 0, io.EOF
+	}
+	if r.stalled = !r.stalled; r.stalled {
+		return 0, os.ErrDeadlineExceeded
+	}
+	k := len(r.data)
+	if len(r.cuts) > 0 {
+		k = min(k, int(r.cuts[r.n%len(r.cuts)])+1)
+		r.n++
+	}
+	k = copy(p, r.data[:k])
+	r.data = r.data[k:]
+	return k, nil
 }
 
 // FuzzTCPFrame: arbitrary bytes never panic the frame reader that the
 // broker and the receivers share, a length prefix past maxFrame is
 // refused before any body is read, every frame accepted re-encodes byte
 // for byte, and the broker's From rewrite keeps To, Kind and Data intact.
+// Delivered in fuzzer-chosen chunks with a deadline expiring between
+// them, the stream reads as the same messages and the same terminal
+// error as in one piece.
 func FuzzTCPFrame(f *testing.F) {
 	tok := Message{Kind: "nash.token"}
 	if err := tok.Encode(tokenPayload{Iteration: 3, Norm: 0.5, Ejected: []bool{true, false}}); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(rawFrame("user-1", "", helloKind, versionData))
-	f.Add(rawFrame("user-1", "user-2", tok.Kind, tok.Data))
-	f.Add(append(rawFrame("", "", "", nil), rawFrame("a", "b", "c", []byte{1, 2, 3})...))
-	f.Add(rawFrame("a", "b", "big", make([]byte, tcpBufSize))) // too large to parse in place
-	f.Add(binary.LittleEndian.AppendUint32(nil, maxFrame+1))
-	f.Add(binary.LittleEndian.AppendUint32(nil, maxFrame))
-	f.Add([]byte{3, 0, 0, 0, 0x80, 0x00, 0x00}) // non-minimal varint
-	f.Add([]byte{0xff, 0x00, 0x13})
+	f.Add(rawFrame("user-1", "", helloKind, versionData), []byte(nil))
+	f.Add(rawFrame("user-1", "user-2", tok.Kind, tok.Data), []byte{0})
+	f.Add(append(rawFrame("", "", "", nil), rawFrame("a", "b", "c", []byte{1, 2, 3})...), []byte{2, 0, 6})
+	f.Add(rawFrame("a", "b", "big", make([]byte, tcpBufSize)), []byte{200, 3}) // too large to parse in place
+	f.Add(binary.LittleEndian.AppendUint32(nil, maxFrame+1), []byte{1})
+	f.Add(binary.LittleEndian.AppendUint32(nil, maxFrame), []byte{0})
+	f.Add([]byte{3, 0, 0, 0, 0x80, 0x00, 0x00}, []byte{4}) // non-minimal varint
+	f.Add([]byte{0xff, 0x00, 0x13}, []byte(nil))
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		br := bufio.NewReaderSize(bytes.NewReader(data), tcpBufSize)
+	f.Fuzz(func(t *testing.T, data, cuts []byte) {
+		rd := newFrameReader(bytes.NewReader(data))
+		var whole []Message
 		off := 0
+		var err error
 		for {
-			err := nextFrame(br, func(fr frame) {
-				m := Message{From: string(fr.from), To: string(fr.to), Kind: string(fr.kind), Data: fr.data}
-				size := frameSize(m.From, m.To, m.Kind, m.Data)
-				re := make([]byte, size)
-				putFrame(re, m.From, m.To, m.Kind, m.Data)
-				if !bytes.Equal(re, data[off:off+size]) {
-					t.Fatalf("accepted frame re-encodes differently:\n in  %x\n out %x", data[off:off+size], re)
-				}
-				off += size
-
-				relayed := make([]byte, frameHdr+nameSize("broker-said")+len(fr.afterFrom))
-				putRelay(relayed, "broker-said", fr.afterFrom)
-				r, err := readMessage(bufio.NewReader(bytes.NewReader(relayed)), nameTable{})
-				if err != nil || r.From != "broker-said" || r.To != m.To || r.Kind != m.Kind || !bytes.Equal(r.Data, m.Data) {
-					t.Fatalf("relay of %+v read back as %+v (err %v)", m, r, err)
-				}
-			})
-			if err != nil {
-				if len(data)-off >= frameHdr && binary.LittleEndian.Uint32(data[off:]) > maxFrame &&
-					!errors.Is(err, ErrFrameTooLarge) {
-					t.Fatalf("length prefix past maxFrame gave %v, want ErrFrameTooLarge", err)
-				}
-				return
+			var fr frame
+			if fr, err = rd.next(); err != nil {
+				break
 			}
+			m := Message{From: string(fr.from), To: string(fr.to), Kind: string(fr.kind), Data: bytes.Clone(fr.data)}
+			size := frameSize(m.From, m.To, m.Kind, m.Data)
+			re := make([]byte, size)
+			putFrame(re, m.From, m.To, m.Kind, m.Data)
+			if !bytes.Equal(re, data[off:off+size]) {
+				t.Fatalf("accepted frame re-encodes differently:\n in  %x\n out %x", data[off:off+size], re)
+			}
+			off += size
+			whole = append(whole, m)
+
+			relayed := make([]byte, frameHdr+nameSize("broker-said")+len(fr.afterFrom))
+			putRelay(relayed, "broker-said", fr.afterFrom)
+			r, err := newFrameReader(bytes.NewReader(relayed)).message(nameTable{})
+			if err != nil || r.From != "broker-said" || r.To != m.To || r.Kind != m.Kind || !bytes.Equal(r.Data, m.Data) {
+				t.Fatalf("relay of %+v read back as %+v (err %v)", m, r, err)
+			}
+		}
+		if len(data)-off >= frameHdr && binary.LittleEndian.Uint32(data[off:]) > maxFrame &&
+			!errors.Is(err, ErrFrameTooLarge) {
+			t.Fatalf("length prefix past maxFrame gave %v, want ErrFrameTooLarge", err)
+		}
+
+		rd = newFrameReader(&stallReader{data: data, cuts: cuts})
+		names := nameTable{}
+		for i := 0; ; {
+			m, cerr := rd.message(names)
+			if errors.Is(cerr, os.ErrDeadlineExceeded) {
+				continue
+			}
+			if cerr != nil {
+				if i != len(whole) || cerr.Error() != err.Error() {
+					t.Fatalf("chunked read ended after %d frames with %v; in one piece, %d frames and %v", i, cerr, len(whole), err)
+				}
+				break
+			}
+			if i >= len(whole) || m.From != whole[i].From || m.To != whole[i].To || m.Kind != whole[i].Kind || !bytes.Equal(m.Data, whole[i].Data) {
+				t.Fatalf("chunked frame %d = %+v, want %+v", i, m, whole[min(i, len(whole)-1)])
+			}
+			i++
 		}
 	})
 }

@@ -78,7 +78,11 @@ func (m *Message) Decode(v any) error {
 	return nil
 }
 
-// Conn is one node's endpoint on a transport.
+// Conn is one node's endpoint on a transport. Recv/RecvTimeout are
+// called only by the goroutine that owns the Conn; Send is safe for
+// concurrent use. The TCP conn reads frames on that receiving goroutine
+// and the mem conn reuses one timer across receives, both relying on
+// there being a single receiver. Close may come from any goroutine.
 type Conn interface {
 	// Name returns the node name this endpoint joined as.
 	Name() string
