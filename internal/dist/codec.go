@@ -574,15 +574,19 @@ func (p *hierReqPayload) DecodeWire(d *WireDec) {
 	p.Seq = d.Int()
 }
 
-func (hierSyncPayload) WireID() byte  { return wireHierSync }
-func (hierSyncPayload) WireSize() int { return 2 * maxV }
+func (hierSyncPayload) WireID() byte { return wireHierSync }
+func (p hierSyncPayload) WireSize() int {
+	return 2*maxV + sizeStr(p.Next)
+}
 func (p hierSyncPayload) AppendWire(b []byte) []byte {
 	b = AppendInt(b, p.Epoch)
-	return AppendInt(b, p.Seq)
+	b = AppendInt(b, p.Seq)
+	return AppendStr(b, p.Next)
 }
 func (p *hierSyncPayload) DecodeWire(d *WireDec) {
 	p.Epoch = d.Int()
 	p.Seq = d.Int()
+	p.Next = d.Str()
 }
 
 func (hierRowPayload) WireID() byte { return wireHierRow }

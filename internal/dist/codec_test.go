@@ -23,7 +23,7 @@ func hierCodecSamples() []any {
 			JoinUsers:     []int32{12}, JoinShards: []int32{2},
 			JoinNames: []string{"late-joiner"}, JoinPhis: []float64{0.375}, Seq: 13},
 		hierReqPayload{Round: 4, Seq: 21},
-		hierSyncPayload{Epoch: 8, Seq: 22},
+		hierSyncPayload{Epoch: 8, Seq: 22, Next: "user-3"},
 		hierRowPayload{User: 3, Epoch: 8, Seq: 23, PrevTime: 1.75, S: []float64{0.5, 0.5}},
 		hierRowsPayload{Shard: 2, Seq: 24, Users: []int32{4, 5}, Ejected: []int32{6},
 			Rows: [][]float64{{0.25, 0.75}, {1, 0}}},
@@ -57,7 +57,7 @@ func TestHierCodecRoundTrip(t *testing.T) {
 // TestHierTokenAllocs gates the shard hot path: encoding a token costs
 // exactly one allocation (the Data slice) and decoding into a reused
 // payload costs none. A regression here multiplies across every member
-// step of every sweep — ~2 messages per step at n=10,000 scale.
+// step of every sweep — one message per step at n=10,000 scale.
 func TestHierTokenAllocs(t *testing.T) {
 	tok := hierTokenPayload{Epoch: 1, Hop: 2, Round: 3, Sweep: 4, Norm: 0.5,
 		Loads: []float64{1, 2, 3, 4}}

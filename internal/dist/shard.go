@@ -20,43 +20,47 @@ import (
 //
 //   - m users are partitioned into G shards (game.PlanShards). Each
 //     shard has a leader node that drives best-reply sweeps over its
-//     members in a star: the leader sends the working token (the global
-//     per-computer load vector plus fencing metadata) to each member in
-//     turn, the member plays its best reply against the token loads,
-//     updates them in place and returns the token. A member step is one
-//     message round trip with no timers and one allocation on the
-//     member (the encoded return), versus the flat ring's five-message,
-//     O(m·n) state-node exchange.
+//     members around a ring, the §4.3 ring in miniature: the leader
+//     sends the working token (the global per-computer load vector plus
+//     fencing metadata) to the shard's first member; each member plays
+//     its best reply against the token loads, updates them in place and
+//     forwards the token to its successor; the last member returns it
+//     to the leader. A sweep over k members is k+1 messages with no
+//     timers on the members and one allocation per step (the encoded
+//     forward), versus the flat ring's five-message, O(m·n) state-node
+//     exchange per step.
 //   - A root node owns the cross-shard iteration. It is down-driven:
 //     every activation is a hier.down message carrying the reconciled
 //     global load vector and the set of shards that must sweep against
 //     it; each activated shard answers with a hier.partial carrying its
 //     new aggregate load. In the default sequential mode (block
 //     Gauss–Seidel, the provably convergent scheme — see
-//     game.ShardedOpts) the root activates one shard at a time, so the
-//     data plane is a star and a member step costs two messages and no
-//     timers, versus the flat ring's five-message, O(m·n) state-node
-//     exchange. In parallel mode (Jacobi across shards, damped by θ)
-//     the root broadcasts one down to all shards and the partials are
-//     merged through a binary tree of the leaders (parent(g) =
-//     (g-1)/2), so a round's reduction costs O(log G) sequential
-//     messages; parallel mode only converges for a handful of shards
-//     (EXPERIMENTS.md X8) but is the shape wide networks parallelize.
+//     game.ShardedOpts) the root activates one shard at a time. In
+//     parallel mode (Jacobi across shards, damped by θ) the root
+//     broadcasts one down to all shards and the partials are merged
+//     through a binary tree of the leaders (parent(g) = (g-1)/2), so a
+//     round's reduction costs O(log G) sequential messages; parallel
+//     mode only converges for a handful of shards (EXPERIMENTS.md X8)
+//     but is the shape wide networks parallelize.
 //
 // The math is exactly game.ShardedBestReply's, and a fault-free
 // distributed run performs the identical float operations in the
 // identical order, so the resulting profile is bit-identical to that
 // oracle (tests pin this).
 //
-// Fault tolerance generalizes the PR 3 epoch fencing to both levels:
+// Fault tolerance generalizes the flat ring's epoch fencing to both levels:
 //
-//   - Shard level: the token carries an (Epoch, Hop) pair and the live
-//     member set. A member that misses its return is retried (members
-//     answer exact-duplicate tokens with their cached return), then
-//     ejected; the leader bumps the epoch, re-syncs the surviving rows
-//     (hier.sync / hier.row — the sync's new epoch fences any zombie
-//     token still in flight), rebuilds its local loads and restarts the
-//     sweep.
+//   - Shard level: the token carries an (Epoch, Hop) pair; every member
+//     bumps Hop as it forwards. A circulation that does not come back
+//     is re-sent to the first member under the same (Epoch, Hop):
+//     members that already played answer the exact duplicate with their
+//     cached forward, so the token resumes at the member that missed
+//     it. When the attempts run out the leader resyncs: it bumps the
+//     epoch, gathers the members' rows (hier.sync / hier.row — the
+//     sync's new epoch fences any zombie token still in flight and
+//     names the member's successor), ejects the members that stay
+//     silent, rebuilds its local loads and restarts the sweep. A join
+//     resyncs the same way, since it changes the ring.
 //   - Root level: partials are re-requested (hier.partreq) with bounded
 //     attempts — the request doubles as a liveness probe — after which
 //     the shard is ejected, the membership epoch bumps, and the
@@ -72,7 +76,7 @@ import (
 
 // Message kinds used by the hierarchical protocol.
 const (
-	hierKindToken   = "hier.token"   // leader ↔ member: working token
+	hierKindToken   = "hier.token"   // leader → member → … → leader: working token
 	hierKindPartial = "hier.partial" // leader → parent/root: shard entries
 	hierKindDown    = "hier.down"    // root → leaders: reconciled loads
 	hierKindPartReq = "hier.partreq" // root → leader: partial re-request/probe
@@ -88,12 +92,13 @@ const (
 
 // hierTokenPayload is the shard-internal working token: the global
 // per-computer load vector the member plays against plus the fencing
-// metadata. The token deliberately carries no membership list: it is
-// unicast to live members only, the epoch/hop fence kills zombie
-// duplicates for every member that answered the last resync, and a
-// member ejected while a token was in flight may play it harmlessly —
-// its row is excluded from the leader's resync rebuild and zeroed in
-// the final profile, so a stale play never reaches the global state.
+// metadata. The token deliberately carries no membership list: each
+// member forwards it to the successor its leader's last sync named, the
+// epoch/hop fence kills zombie duplicates for every member that
+// answered the last resync, and a member ejected while a token was in
+// flight may play it harmlessly — its row is excluded from the
+// leader's resync rebuild and zeroed in the final profile, so a stale
+// play never reaches the global state.
 type hierTokenPayload struct {
 	Epoch int
 	Hop   int
@@ -149,9 +154,12 @@ type hierReqPayload struct {
 // hierSyncPayload asks a member for its current strategy row and
 // advances the member to Epoch, fencing off any older token still in
 // flight — answering the sync is the member's linearization point.
+// Next names the member's successor on the ring for that epoch: the
+// next live member, or the leader for the last one.
 type hierSyncPayload struct {
 	Epoch int
 	Seq   int
+	Next  string
 }
 
 // hierRowPayload is a member's sync answer.
@@ -191,9 +199,13 @@ type hierJoinOKPayload struct {
 	Seq    int
 }
 
-// errMemberLost aborts a member exchange after the retry budget; the
-// leader ejects the member and resyncs the shard.
+// errMemberLost aborts a sync exchange after the retry budget; the
+// leader ejects the member.
 var errMemberLost = errors.New("dist: shard member silent")
+
+// errTokenLost aborts a circulation after the retry budget; the leader
+// resyncs the shard, which ejects the members that stay silent.
+var errTokenLost = errors.New("dist: shard token lost")
 
 const rootName = "root"
 
@@ -239,8 +251,9 @@ type ShardOptions struct {
 	// and the leaders' down wait (default 2s). It must comfortably
 	// exceed one shard sweep.
 	Watchdog time.Duration
-	// ProbeTimeout is the per-attempt wait for a member's token return
-	// or sync answer (default 150ms).
+	// ProbeTimeout is the wait per attempt for a token circulation (the
+	// token's trip from the leader through every member of the shard
+	// and back) or for a member's sync answer (default 150ms).
 	ProbeTimeout time.Duration
 	// MaxAttempts bounds retries per request (default 3); exhausting it
 	// ejects the silent member or shard.
@@ -311,15 +324,17 @@ type NashShardedResult struct {
 
 // --- member ----------------------------------------------------------
 
-// shardUser is one selfish user served by a shard leader. Its receive
-// loop is the protocol's hot path: no timers, one best reply and one
-// allocation (the encoded token return) per step.
+// shardUser is one selfish user on its shard's ring. Its receive loop
+// is the protocol's hot path: no timers, one best reply and one
+// allocation (the encoded forward to its successor) per step.
 type shardUser struct {
-	conn Conn
-	id   int
-	phi  float64
-	mu   []float64
-	mDiv float64 // norm-fallback divisor (the initial m)
+	conn   Conn
+	id     int
+	phi    float64
+	mu     []float64
+	mDiv   float64 // norm-fallback divisor (the initial m)
+	leader string  // the only node whose syncs this member takes
+	next   string  // ring successor: the next member, or the leader
 
 	row      []float64
 	prevTime float64
@@ -332,7 +347,7 @@ type shardUser struct {
 	newRow  []float64
 	ord     []int
 	tok     hierTokenPayload // decode-reuse
-	ret     Message          // cached return, re-sent on exact-duplicate tokens
+	ret     Message          // cached forward, re-sent on exact-duplicate tokens
 	haveRet bool
 
 	deadline time.Time // zero: block forever (driver-owned users)
@@ -388,8 +403,8 @@ func (u *shardUser) serve() error {
 			return nil
 		case hierKindSync:
 			var p hierSyncPayload
-			if m.Decode(&p) != nil {
-				continue
+			if m.From != u.leader || m.Decode(&p) != nil {
+				continue // only the member's own leader may fence or rewire it
 			}
 			if p.Epoch > u.lastEpoch {
 				// The sync is the linearization point: fencing off
@@ -398,6 +413,7 @@ func (u *shardUser) serve() error {
 				// rebuilt loads.
 				u.lastEpoch, u.lastHop = p.Epoch, -1
 				u.haveRet = false
+				u.next = p.Next
 			}
 			reply := Message{To: m.From, Kind: hierKindRow}
 			if reply.Encode(hierRowPayload{User: u.id, Epoch: p.Epoch, Seq: p.Seq, PrevTime: u.prevTime, S: u.row}) != nil {
@@ -411,10 +427,11 @@ func (u *shardUser) serve() error {
 			}
 			tok := &u.tok
 			if tok.Epoch == u.lastEpoch && tok.Hop == u.lastHop && u.haveRet {
-				// Exact duplicate: our return was lost and the leader
-				// retried. Replay the cached return instead of playing
-				// twice.
-				_ = u.conn.Send(u.ret) // best-effort: the leader retries again on loss
+				// Exact duplicate: the circulation was lost further on
+				// and the leader re-sent it. Replay the cached forward
+				// instead of playing twice, so the token resumes at the
+				// member that missed it.
+				_ = u.conn.Send(u.ret) // best-effort: the leader re-sends again on loss
 				continue
 			}
 			if tok.Epoch < u.lastEpoch || (tok.Epoch == u.lastEpoch && tok.Hop <= u.lastHop) {
@@ -431,12 +448,13 @@ func (u *shardUser) serve() error {
 			if err := u.step(tok); err != nil {
 				return err
 			}
-			ret := Message{To: m.From, Kind: hierKindToken}
-			if err := ret.Encode(tok); err != nil {
+			tok.Hop++
+			fwd := Message{To: u.next, Kind: hierKindToken}
+			if err := fwd.Encode(tok); err != nil {
 				return err
 			}
-			u.ret, u.haveRet = ret, true
-			if err := u.conn.Send(ret); err != nil {
+			u.ret, u.haveRet = fwd, true
+			if err := u.conn.Send(fwd); err != nil {
 				return err
 			}
 			obs.Emit(u.obs, obs.Event{Kind: obs.NashSend, A: int32(u.id), Node: u.conn.Name()})
@@ -554,11 +572,12 @@ type shardLeader struct {
 	local []float64
 	ext   []float64
 
-	tok   hierTokenPayload // working token (Loads reused across sweeps)
-	ret   hierTokenPayload // return decode scratch
-	down  hierDownPayload  // down decode scratch
-	epoch int
-	hop   int
+	tok      hierTokenPayload // working token (Loads reused across sweeps)
+	ret      hierTokenPayload // return decode scratch
+	down     hierDownPayload  // down decode scratch
+	epoch    int
+	hop      int
+	needSync bool // the ring changed or lost the token; resync before the next sweep
 
 	curRound      int // wire round of the down being served
 	lastDownRound int // newest down round seen (dedup fence)
@@ -657,11 +676,16 @@ func (l *shardLeader) resendUp(round int) {
 }
 
 // sweepRound runs up to sweepsMax best-reply sweeps over the members,
-// restarting after an ejection-triggered resync. It returns the last
-// sweep's norm and the number of completed sweeps.
+// restarting after a resync. It returns the last sweep's norm and the
+// number of completed sweeps.
 func (l *shardLeader) sweepRound() (float64, int, error) {
 restart:
 	for {
+		if l.needSync {
+			if err := l.resync(); err != nil {
+				return 0, 0, err
+			}
+		}
 		if len(l.ids) == 0 {
 			return 0, 0, nil // fully ejected shard: zero contribution
 		}
@@ -676,20 +700,14 @@ restart:
 		var norm float64
 		sweeps := 0
 		for s := 1; s <= l.sweepsMax; s++ {
-			norm = 0
-			for idx := 0; idx < len(l.ids); idx++ {
-				ret, err := l.memberStep(idx, s, norm)
-				if err != nil {
-					if errors.Is(err, errMemberLost) {
-						l.ejectMember(idx)
-						if err := l.resync(); err != nil {
-							return 0, 0, err
-						}
-						continue restart
-					}
-					return 0, 0, err
-				}
-				norm = ret
+			var err error
+			norm, err = l.circulate(s)
+			if errors.Is(err, errTokenLost) {
+				l.needSync = true
+				continue restart
+			}
+			if err != nil {
+				return 0, 0, err
 			}
 			sweeps++
 			if norm <= locEps {
@@ -703,14 +721,17 @@ restart:
 	}
 }
 
-// memberStep sends the working token to member idx and waits for its
-// return, retrying with backoff; exhausted attempts report
-// errMemberLost.
-func (l *shardLeader) memberStep(idx, sweep int, norm float64) (float64, error) {
-	l.hop++
-	l.tok.Epoch, l.tok.Hop = l.epoch, l.hop
-	l.tok.Round, l.tok.Sweep, l.tok.Norm = l.curRound, sweep, norm
-	m := Message{To: l.names[idx], Kind: hierKindToken}
+// circulate sends the working token once around the ring — to the
+// first member, member to member, and back from the last — and returns
+// the sweep's norm. An attempt that does not come back in time re-sends
+// the same (Epoch, Hop) token to the first member; exhausted attempts
+// report errTokenLost.
+func (l *shardLeader) circulate(sweep int) (float64, error) {
+	start := l.hop + 1
+	back := start + len(l.ids) // every member bumps Hop as it forwards
+	l.tok.Epoch, l.tok.Hop = l.epoch, start
+	l.tok.Round, l.tok.Sweep, l.tok.Norm = l.curRound, sweep, 0
+	m := Message{To: l.names[0], Kind: hierKindToken}
 	if err := m.Encode(&l.tok); err != nil {
 		return 0, err
 	}
@@ -737,11 +758,12 @@ func (l *shardLeader) memberStep(idx, sweep int, norm float64) (float64, error) 
 				if r.Decode(&l.ret) != nil {
 					continue // malformed return; keep waiting
 				}
-				if l.ret.Epoch == l.epoch && l.ret.Hop == l.hop {
+				if l.ret.Epoch == l.epoch && l.ret.Hop == back {
 					if len(l.ret.Loads) != l.n {
 						return 0, fmt.Errorf("dist: shard %d: malformed token return from %s", l.g, r.From)
 					}
 					copy(l.tok.Loads, l.ret.Loads)
+					l.hop = back
 					return l.ret.Norm, nil
 				}
 				obs.Count(l.obs, obs.NashTokenStale)
@@ -752,7 +774,7 @@ func (l *shardLeader) memberStep(idx, sweep int, norm float64) (float64, error) 
 			}
 		}
 	}
-	return 0, fmt.Errorf("dist: shard %d: member %s: %w", l.g, l.names[idx], errMemberLost)
+	return 0, errTokenLost
 }
 
 func (l *shardLeader) ejectMember(idx int) {
@@ -766,20 +788,24 @@ func (l *shardLeader) ejectMember(idx int) {
 }
 
 // resync opens a new epoch, gathers every surviving member's strategy
-// row (ejecting further silent members) and rebuilds the shard's local
-// loads from them. Members answering the sync advance their epoch
-// fence, so any token from the old epoch still in flight is dead on
-// arrival — the rebuilt loads stay consistent.
+// row (ejecting silent members) and rebuilds the shard's local loads
+// from them. Members answering the sync advance their epoch fence, so
+// any token from the old epoch still in flight is dead on arrival — the
+// rebuilt loads stay consistent. Members are synced from the last to
+// the first, so each sync can name a successor already known to be
+// alive.
 func (l *shardLeader) resync() error {
 	l.epoch++
 	l.hop = 0
-	for idx := 0; idx < len(l.ids); {
-		row, err := l.syncMember(idx)
+	l.needSync = false
+	next := l.conn.Name()
+	for idx := len(l.ids) - 1; idx >= 0; idx-- {
+		row, err := l.syncMember(idx, next)
+		if errors.Is(err, errMemberLost) {
+			l.ejectMember(idx)
+			continue
+		}
 		if err != nil {
-			if errors.Is(err, errMemberLost) {
-				l.ejectMember(idx)
-				continue
-			}
 			return err
 		}
 		if cap(l.rows[idx]) < l.n {
@@ -787,7 +813,7 @@ func (l *shardLeader) resync() error {
 		}
 		l.rows[idx] = l.rows[idx][:l.n]
 		copy(l.rows[idx], row)
-		idx++
+		next = l.names[idx]
 	}
 	for i := range l.local {
 		l.local[i] = 0
@@ -800,12 +826,13 @@ func (l *shardLeader) resync() error {
 	return nil
 }
 
-// syncMember requests member idx's row under the current epoch.
-func (l *shardLeader) syncMember(idx int) ([]float64, error) {
+// syncMember requests member idx's row under the current epoch and
+// names next as its successor.
+func (l *shardLeader) syncMember(idx int, next string) ([]float64, error) {
 	for a := 0; a < l.attempts; a++ {
 		l.seq++
 		m := Message{To: l.names[idx], Kind: hierKindSync}
-		if err := m.Encode(hierSyncPayload{Epoch: l.epoch, Seq: l.seq}); err != nil {
+		if err := m.Encode(hierSyncPayload{Epoch: l.epoch, Seq: l.seq, Next: next}); err != nil {
 			return nil, err
 		}
 		if err := l.conn.Send(m); err != nil {
@@ -1004,6 +1031,7 @@ func (l *shardLeader) applyDown(p *hierDownPayload) {
 		l.names = append(l.names, p.JoinNames[i])
 		l.phis = append(l.phis, p.JoinPhis[i])
 		l.rows = append(l.rows, make([]float64, l.n))
+		l.needSync = true
 		obs.Count(l.obs, obs.HierJoin)
 	}
 }
@@ -1142,6 +1170,15 @@ type rootNode struct {
 	theta    float64 // parallel reconciliation damping; 1 in sequential mode
 	star     bool
 	changed  bool // membership changed this cycle; forces another cycle
+	// settle is set once the membership has changed. From then on a
+	// cycle ends the run only if every shard it activated met its eps
+	// share in its first sweep (resweep is false). The last-sweep norms
+	// the stop test sums cannot see a shard that settles locally
+	// against a view a later shard then moves, and after an ejection or
+	// a join the views move far. Fault-free runs never set it, so they
+	// stop exactly where the oracle does.
+	settle  bool
+	resweep bool // some shard activated this cycle swept more than once
 
 	// Active-set skipping state, mirroring the oracle (game.shard.go):
 	// a shard whose last activation met its eps share is not activated
@@ -1208,7 +1245,7 @@ func (rt *rootNode) liveCount() int {
 // partials tree-reduced, reconciliation damped by θ — Jacobi).
 func (rt *rootNode) protocol() error {
 	for cycle := 1; ; cycle++ {
-		rt.changed = false
+		rt.changed, rt.resweep = false, false
 		var cycleNorm float64
 		var err error
 		if rt.parallel {
@@ -1227,7 +1264,8 @@ func (rt *rootNode) protocol() error {
 		obs.Emit(rt.obs, obs.Event{Kind: obs.HierRound, Time: float64(cycle), V: cycleNorm, Node: rootName})
 		// A cycle that ejected or admitted someone must not be the last:
 		// the survivors' replies to the changed system are still unseen.
-		stop := cycleNorm <= rt.eps && !rt.changed
+		stop := cycleNorm <= rt.eps && !rt.changed && !(rt.settle && rt.resweep)
+		rt.settle = rt.settle || rt.changed
 		if !stop && cycle >= rt.maxRounds {
 			stop = true
 			rt.runErr = fmt.Errorf("dist: sharded NASH exceeded %d rounds (norm=%g)", rt.maxRounds, cycleNorm)
@@ -1297,6 +1335,7 @@ func (rt *rootNode) sequentialCycle() (float64, error) {
 		copy(rt.shardView[g], rt.global)
 		norm = satNorm(norm, rt.norms[g])
 		rt.sweepsTotal += int(rt.sweeps[g])
+		rt.resweep = rt.resweep || rt.sweeps[g] > 1
 	}
 	return norm, nil
 }
@@ -1334,6 +1373,7 @@ func (rt *rootNode) parallelRound() (float64, error) {
 		copy(rt.shardView[g], rt.global)
 		norm = satNorm(norm, rt.norms[g])
 		rt.sweepsTotal += int(rt.sweeps[g])
+		rt.resweep = rt.resweep || rt.sweeps[g] > 1
 	}
 	return norm, nil
 }
@@ -2058,21 +2098,28 @@ func RunNashShardedWith(netw Network, sys noncoop.System, eps float64, maxRounds
 			l.run()
 		}()
 	}
-	for j := 0; j < m; j++ {
-		u := &shardUser{
-			conn: userConns[j], id: j, phi: sys.Phi[j],
-			mu: sys.Mu, mDiv: float64(m),
-			row:       prof.S[j],
-			lastEpoch: -1, lastHop: -1,
-			avail: make([]float64, n), newRow: make([]float64, n), ord: make([]int, n),
-			obs:   opts.Observer,
-			errCh: errCh,
+	for g, members := range plan {
+		for i, j := range members {
+			next := shardName(g) // the last member returns the token
+			if i+1 < len(members) {
+				next = userName(members[i+1])
+			}
+			u := &shardUser{
+				conn: userConns[j], id: j, phi: sys.Phi[j],
+				mu: sys.Mu, mDiv: float64(m),
+				leader: shardName(g), next: next,
+				row:       prof.S[j],
+				lastEpoch: -1, lastHop: -1,
+				avail: make([]float64, n), newRow: make([]float64, n), ord: make([]int, n),
+				obs:   opts.Observer,
+				errCh: errCh,
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				u.run()
+			}()
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			u.run()
-		}()
 	}
 
 	var runErr error
@@ -2168,9 +2215,11 @@ func RunShardJoiner(netw Network, name string, phi float64, mu []float64, opts S
 		}
 	}
 	ju := JoinedUser{Name: name, User: ok.User, Shard: ok.Shard, Phi: phi}
+	// The joiner learns its successor from its leader's first sync.
 	u := &shardUser{
 		conn: conn, id: ok.User, phi: phi,
 		mu: mu, mDiv: 1,
+		leader:    shardName(ok.Shard),
 		row:       make([]float64, len(mu)),
 		lastEpoch: -1, lastHop: -1,
 		avail: make([]float64, len(mu)), newRow: make([]float64, len(mu)), ord: make([]int, len(mu)),

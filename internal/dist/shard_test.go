@@ -215,30 +215,311 @@ func TestNashShardedDeterministic(t *testing.T) {
 
 // TestNashShardedCrashedMemberEjected: a member that crashes mid-run is
 // ejected by its shard leader, the shard resyncs under a new epoch, and
-// the survivors converge to the reduced system's equilibrium.
+// the survivors converge to the reduced system's equilibrium — whichever
+// hop of the ring the crash breaks. Shard 1 holds users 3..5 (the
+// contiguous plan over 9 users in 3 shards).
 func TestNashShardedCrashedMemberEjected(t *testing.T) {
 	t.Parallel()
 	const m = 9
 	sys := shardTestSystem(t, m)
-	ctr := obs.NewRegistry()
-	netw := NewChaosNetwork(NewMemNetwork(), FaultPlan{Crash: map[string]int{userName(4): 2}}, ctr)
-	opts := fastShardOptions(3)
-	opts.Shards = 3
-	opts.Observer = ctr
-	res, err := RunNashShardedWith(netw, sys, 1e-9, 0, opts)
+	for _, tc := range []struct {
+		name   string
+		victim int
+	}{
+		{"head", 3},   // the leader→head hop
+		{"middle", 4}, // a member→member hop
+		{"tail", 5},   // the tail→leader hop
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			ctr := obs.NewRegistry()
+			netw := NewChaosNetwork(NewMemNetwork(), FaultPlan{Crash: map[string]int{userName(tc.victim): 2}}, ctr)
+			opts := fastShardOptions(3)
+			opts.Shards = 3
+			opts.Observer = ctr
+			res, err := RunNashShardedWith(netw, sys, 1e-9, 0, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Ejected) != 1 || res.Ejected[0] != tc.victim {
+				t.Fatalf("Ejected = %v, want [%d]", res.Ejected, tc.victim)
+			}
+			if len(res.EjectedShards) != 0 {
+				t.Errorf("EjectedShards = %v, want none", res.EjectedShards)
+			}
+			if ctr.Get("nash.ejected") == 0 {
+				t.Error("no nash.ejected count recorded")
+			}
+			shardedAtEquilibrium(t, sys, res, 1e-6)
+		})
+	}
+}
+
+// tapNetwork counts the messages its endpoints send, by kind, keeps
+// the hier.partial payloads, and swallows the messages drop accepts.
+type tapNetwork struct {
+	Network
+	drop func(from string, m Message) bool // nil: deliver everything
+
+	mu       sync.Mutex
+	kinds    map[string]int
+	partials []hierPartialPayload
+}
+
+func newTapNetwork(inner Network) *tapNetwork {
+	return &tapNetwork{Network: inner, kinds: make(map[string]int)}
+}
+
+func (n *tapNetwork) Join(name string) (Conn, error) {
+	c, err := n.Network.Join(name)
+	if err != nil {
+		return nil, err
+	}
+	return &tapConn{Conn: c, n: n}, nil
+}
+
+type tapConn struct {
+	Conn
+	n *tapNetwork
+}
+
+func (c *tapConn) Send(m Message) error {
+	c.n.mu.Lock()
+	c.n.kinds[m.Kind]++
+	if m.Kind == hierKindPartial {
+		var p hierPartialPayload
+		if err := m.Decode(&p); err == nil {
+			c.n.partials = append(c.n.partials, p)
+		}
+	}
+	dropped := c.n.drop != nil && c.n.drop(c.Name(), m)
+	c.n.mu.Unlock()
+	if dropped {
+		return nil
+	}
+	return c.Conn.Send(m)
+}
+
+// TestNashShardedReplaysLostToken: a token lost between two members is
+// re-sent from the head under the same (Epoch, Hop); the members that
+// already played answer with their cached forward, the member that
+// missed it plays it, and the run stays bit-identical to the oracle
+// with no one ejected.
+func TestNashShardedReplaysLostToken(t *testing.T) {
+	t.Parallel()
+	const m, shards, localSweeps = 12, 3, 2
+	sys := shardTestSystem(t, m)
+	want, err := game.ShardedBestReply(sys, game.PlanShards(m, shards), 1e-9, 0, game.ShardedOpts{LocalSweeps: localSweeps})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Ejected) != 1 || res.Ejected[0] != 4 {
-		t.Fatalf("Ejected = %v, want [4]", res.Ejected)
+
+	// Shard 1 holds users 4..7; user 5 sits mid-ring.
+	netw := newTapNetwork(NewMemNetwork())
+	dropped := false
+	netw.drop = func(from string, m Message) bool {
+		if dropped || from != userName(5) || m.Kind != hierKindToken {
+			return false
+		}
+		dropped = true
+		return true
 	}
-	if len(res.EjectedShards) != 0 {
-		t.Errorf("EjectedShards = %v, want none", res.EjectedShards)
+	ctr := obs.NewRegistry()
+	opts := fastShardOptions(1)
+	opts.Shards = shards
+	opts.LocalSweeps = localSweeps
+	opts.Observer = ctr
+	got, err := RunNashShardedWith(netw, sys, 1e-9, 0, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if ctr.Get("nash.ejected") == 0 {
-		t.Error("no nash.ejected count recorded")
+	netw.mu.Lock()
+	defer netw.mu.Unlock()
+	if !dropped {
+		t.Fatal("no token from the mid-ring member was dropped")
 	}
-	shardedAtEquilibrium(t, sys, res, 1e-6)
+	if len(got.Ejected) != 0 {
+		t.Errorf("Ejected = %v, want none", got.Ejected)
+	}
+	if ctr.Get("nash.retry") == 0 {
+		t.Error("no nash.retry count recorded")
+	}
+	if got.Rounds != want.Rounds || got.Sweeps != want.Sweeps || got.Norm != want.Norm {
+		t.Errorf("rounds/sweeps/norm = %d/%d/%g, oracle %d/%d/%g",
+			got.Rounds, got.Sweeps, got.Norm, want.Rounds, want.Sweeps, want.Norm)
+	}
+	for j := range want.Profile.S {
+		for i := range want.Profile.S[j] {
+			if got.Profile.S[j][i] != want.Profile.S[j][i] {
+				t.Fatalf("profile[%d][%d] = %v, oracle %v (not bit-identical)",
+					j, i, got.Profile.S[j][i], want.Profile.S[j][i])
+			}
+		}
+	}
+}
+
+// TestNashShardedMessagePattern pins the ring's message count: a sweep
+// over k members costs k+1 hier.token messages (leader to the first
+// member, member to member, the last back to the leader), and every
+// other kind keeps the count the leader↔member star sent for the same
+// fault-free run. The timeouts are far above a run's length, so no
+// retry or re-request adds traffic.
+func TestNashShardedMessagePattern(t *testing.T) {
+	t.Parallel()
+	const m, shards, localSweeps = 12, 3, 2
+	sys := shardTestSystem(t, m)
+	plan := game.PlanShards(m, shards)
+	netw := newTapNetwork(NewMemNetwork())
+	res, err := RunNashShardedWith(netw, sys, 1e-9, 0, ShardOptions{
+		Shards:       shards,
+		LocalSweeps:  localSweeps,
+		Watchdog:     10 * time.Second,
+		ProbeTimeout: 5 * time.Second,
+		Deadline:     30 * time.Second,
+		Seed:         1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	netw.mu.Lock()
+	defer netw.mu.Unlock()
+
+	tokens, sweeps := 0, 0
+	for _, p := range netw.partials {
+		for i, g := range p.Shards {
+			tokens += int(p.Sweeps[i]) * (len(plan[g]) + 1)
+			sweeps += int(p.Sweeps[i])
+		}
+	}
+	if sweeps != res.Sweeps {
+		t.Fatalf("partials report %d sweeps, result %d", sweeps, res.Sweeps)
+	}
+	want := map[string]int{
+		hierKindToken:   tokens,
+		hierKindDown:    141,
+		hierKindPartial: 138,
+		hierKindSync:    12,
+		hierKindRow:     12,
+		hierKindRows:    3,
+		hierKindStop:    15,
+	}
+	for kind, n := range want {
+		if netw.kinds[kind] != n {
+			t.Errorf("%s: %d messages, want %d", kind, netw.kinds[kind], n)
+		}
+	}
+	for kind, n := range netw.kinds {
+		if _, ok := want[kind]; !ok {
+			t.Errorf("%s: %d unexpected messages", kind, n)
+		}
+	}
+}
+
+// recvSignalConn reports the kind of every message its owner receives.
+type recvSignalConn struct {
+	Conn
+	got chan string
+}
+
+func (c recvSignalConn) Recv() (Message, error) {
+	m, err := c.Conn.Recv()
+	if err == nil {
+		c.got <- m.Kind
+	}
+	return m, err
+}
+
+// TestShardUserTakesSyncsOnlyFromLeader: a higher-epoch sync from a
+// node other than the member's leader neither fences the member off nor
+// rewires its successor, so the member still plays the leader's next
+// token and forwards it along the ring. Over TCP the broker stamps From
+// with the sender's registered name, so the check covers real sockets.
+func TestShardUserTakesSyncsOnlyFromLeader(t *testing.T) {
+	t.Parallel()
+	for _, transport := range []string{"mem", "tcp"} {
+		t.Run(transport, func(t *testing.T) {
+			t.Parallel()
+			var netw Network = NewMemNetwork()
+			if transport == "tcp" {
+				tcp, _, closeFn, err := NewTCPNetwork("127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer func() {
+					_ = closeFn() // test teardown
+				}()
+				netw = tcp
+			}
+			join := func(name string) Conn {
+				c, err := netw.Join(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() {
+					_ = c.Close() // test teardown
+				})
+				return c
+			}
+			leader, mallory := join(shardName(0)), join("mallory")
+			// Room for every message the test sends the member, so its
+			// receive loop never blocks on a report.
+			uc := recvSignalConn{Conn: join(userName(0)), got: make(chan string, 3)}
+			mu := []float64{30, 20}
+			errCh := make(chan error, 1)
+			u := &shardUser{
+				conn: uc, id: 0, phi: 2, mu: mu, mDiv: 1,
+				leader: shardName(0), next: shardName(0),
+				row:       []float64{0.6, 0.4},
+				lastEpoch: -1, lastHop: -1,
+				avail: make([]float64, 2), newRow: make([]float64, 2), ord: make([]int, 2),
+				errCh: errCh,
+			}
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				u.run()
+			}()
+
+			send := func(from Conn, kind string, v any) {
+				msg := Message{To: userName(0), Kind: kind}
+				if err := msg.Encode(v); err != nil {
+					t.Fatal(err)
+				}
+				if err := from.Send(msg); err != nil {
+					t.Fatal(err)
+				}
+			}
+			send(mallory, hierKindSync, hierSyncPayload{Epoch: 7, Seq: 1, Next: "mallory"})
+			if kind := <-uc.got; kind != hierKindSync {
+				t.Fatalf("member received %q first, want the forged sync", kind)
+			}
+			send(leader, hierKindToken, &hierTokenPayload{Epoch: 0, Hop: 1, Loads: []float64{1.2, 0.8}})
+
+			r, err := leader.RecvTimeout(5 * time.Second)
+			if err != nil {
+				t.Fatalf("leader got no token back: %v", err)
+			}
+			var tok hierTokenPayload
+			if r.Kind != hierKindToken || r.Decode(&tok) != nil {
+				t.Fatalf("leader got %q, want a token", r.Kind)
+			}
+			if tok.Epoch != 0 || tok.Hop != 2 {
+				t.Errorf("forwarded token (Epoch, Hop) = (%d, %d), want (0, 2)", tok.Epoch, tok.Hop)
+			}
+			if r, err := mallory.RecvTimeout(50 * time.Millisecond); err == nil {
+				t.Errorf("the forging node received %q", r.Kind)
+			}
+			if err := leader.Send(Message{To: userName(0), Kind: hierKindStop}); err != nil {
+				t.Fatal(err)
+			}
+			<-done
+			select {
+			case err := <-errCh:
+				t.Fatalf("member failed: %v", err)
+			default:
+			}
+		})
+	}
 }
 
 // TestNashShardedCrashedLeaderEjectsShard: a crashed shard leader takes
