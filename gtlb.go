@@ -181,9 +181,8 @@ func RunNashRing(n Network, sys MultiSystem, opts ...Option) (NashRingResult, er
 }
 
 // ShardOptions tunes the hierarchical (sharded) NASH runtime: shard
-// count, per-activation sweep budget, sequential vs parallel
-// reconciliation, and the fault-tolerance knobs shared with the flat
-// ring; the zero value uses safe defaults.
+// count, per-activation sweep budget, and the fault-tolerance knobs
+// shared with the flat ring; the zero value uses safe defaults.
 type ShardOptions = dist.ShardOptions
 
 // NashShardedResult is the outcome of a hierarchical NASH run,

@@ -503,40 +503,38 @@ func (p *hierTokenPayload) DecodeWire(d *WireDec) {
 
 func (hierPartialPayload) WireID() byte { return wireHierPartial }
 func (p hierPartialPayload) WireSize() int {
-	return 3*maxV + sizeI32s(p.Shards) + sizeF64s(p.Norms) + sizeI32s(p.Sweeps) +
-		sizeRows(p.Loads) + sizeI32s(p.Ejected)
+	return 5*maxV + 8 + sizeF64s(p.Loads) + sizeI32s(p.Ejected)
 }
 func (p hierPartialPayload) AppendWire(b []byte) []byte {
 	b = AppendInt(b, p.Round)
 	b = AppendInt(b, p.MEpoch)
-	b = appendI32s(b, p.Shards)
-	b = AppendF64s(b, p.Norms)
-	b = appendI32s(b, p.Sweeps)
-	b = appendRows(b, p.Loads)
+	b = AppendInt(b, p.Shard)
+	b = AppendF64(b, p.Norm)
+	b = AppendInt(b, p.Sweeps)
+	b = AppendF64s(b, p.Loads)
 	b = appendI32s(b, p.Ejected)
 	return AppendInt(b, p.Seq)
 }
 func (p *hierPartialPayload) DecodeWire(d *WireDec) {
 	p.Round = d.Int()
 	p.MEpoch = d.Int()
-	p.Shards = d.i32s(p.Shards)
-	p.Norms = d.F64s(p.Norms)
-	p.Sweeps = d.i32s(p.Sweeps)
-	p.Loads = d.rows(p.Loads)
+	p.Shard = d.Int()
+	p.Norm = d.F64()
+	p.Sweeps = d.Int()
+	p.Loads = d.F64s(p.Loads)
 	p.Ejected = d.i32s(p.Ejected)
 	p.Seq = d.Int()
 }
 
 func (hierDownPayload) WireID() byte { return wireHierDown }
 func (p hierDownPayload) WireSize() int {
-	return 3*maxV + 2 + 8 + sizeI32s(p.Active) + sizeF64s(p.Loads) + sizeI32s(p.EjectedShards) +
+	return 3*maxV + 1 + 8 + sizeI32s(p.Active) + sizeF64s(p.Loads) + sizeI32s(p.EjectedShards) +
 		sizeI32s(p.JoinUsers) + sizeI32s(p.JoinShards) + sizeStrs(p.JoinNames) + sizeF64s(p.JoinPhis)
 }
 func (p hierDownPayload) AppendWire(b []byte) []byte {
 	b = AppendInt(b, p.Round)
 	b = AppendInt(b, p.MEpoch)
 	b = appendBool(b, p.Stop)
-	b = appendBool(b, p.Star)
 	b = AppendF64(b, p.Norm)
 	b = appendI32s(b, p.Active)
 	b = AppendF64s(b, p.Loads)
@@ -551,7 +549,6 @@ func (p *hierDownPayload) DecodeWire(d *WireDec) {
 	p.Round = d.Int()
 	p.MEpoch = d.Int()
 	p.Stop = d.bool_()
-	p.Star = d.bool_()
 	p.Norm = d.F64()
 	p.Active = d.i32s(p.Active)
 	p.Loads = d.F64s(p.Loads)

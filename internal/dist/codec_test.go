@@ -14,10 +14,10 @@ func hierCodecSamples() []any {
 		hierTokenPayload{Epoch: 3, Hop: 17, Round: 9, Sweep: 2, Norm: 0.125,
 			Loads: []float64{1.5, 2.25, 0, 3}},
 		hierPartialPayload{Round: 5, MEpoch: 2, Seq: 11,
-			Shards: []int32{0, 3}, Norms: []float64{0.5, 0.25}, Sweeps: []int32{4, 8},
-			Loads:   [][]float64{{1, 2}, {3, 4}},
+			Shard: 3, Norm: 0.25, Sweeps: 4,
+			Loads:   []float64{1, 2, 3, 4},
 			Ejected: []int32{7}},
-		hierDownPayload{Round: 6, MEpoch: 1, Stop: false, Star: true, Norm: 2.5,
+		hierDownPayload{Round: 6, MEpoch: 1, Stop: true, Norm: 2.5,
 			Active: []int32{0, 2, 5}, Loads: []float64{5, 6, 7},
 			EjectedShards: []int32{1},
 			JoinUsers:     []int32{12}, JoinShards: []int32{2},
@@ -92,7 +92,7 @@ func TestHierTokenAllocs(t *testing.T) {
 // steady-state down (no joins) must be one allocation to encode and
 // alloc-free to decode into a reused payload.
 func TestHierDownAllocs(t *testing.T) {
-	down := hierDownPayload{Round: 7, MEpoch: 1, Star: true, Norm: 0.25,
+	down := hierDownPayload{Round: 7, MEpoch: 1, Norm: 0.25,
 		Active: []int32{0, 1, 2}, Loads: []float64{1, 2, 3, 4}, Seq: 9}
 	encAllocs := testing.AllocsPerRun(200, func() {
 		m := Message{Kind: hierKindDown}

@@ -31,17 +31,12 @@ import (
 //     exchange per step.
 //   - A root node owns the cross-shard iteration. It is down-driven:
 //     every activation is a hier.down message carrying the reconciled
-//     global load vector and the set of shards that must sweep against
-//     it; each activated shard answers with a hier.partial carrying its
-//     new aggregate load. In the default sequential mode (block
-//     Gauss–Seidel, the provably convergent scheme — see
-//     game.ShardedOpts) the root activates one shard at a time. In
-//     parallel mode (Jacobi across shards, damped by θ) the root
-//     broadcasts one down to all shards and the partials are merged
-//     through a binary tree of the leaders (parent(g) = (g-1)/2), so a
-//     round's reduction costs O(log G) sequential messages; parallel
-//     mode only converges for a handful of shards (EXPERIMENTS.md X8)
-//     but is the shape wide networks parallelize.
+//     global load vector and the shard that must sweep against it; the
+//     activated shard answers with a hier.partial carrying its new
+//     aggregate load. The root activates one shard at a time (block
+//     Gauss–Seidel across shards, the scheme game.ShardedBestReply
+//     runs), so every shard sweeps against the loads the shards before
+//     it already moved.
 //
 // The math is exactly game.ShardedBestReply's, and a fault-free
 // distributed run performs the identical float operations in the
@@ -63,11 +58,9 @@ import (
 //     resyncs the same way, since it changes the ring.
 //   - Root level: partials are re-requested (hier.partreq) with bounded
 //     attempts — the request doubles as a liveness probe — after which
-//     the shard is ejected, the membership epoch bumps, and the
-//     reduction degrades permanently from the tree to a star so the
-//     remaining leaders report directly. Leaders that miss the downward
-//     broadcast re-request it (hier.downreq) forever; the driver
-//     deadline is the backstop.
+//     the shard is ejected and the membership epoch bumps. Leaders that
+//     miss the downward broadcast re-request it (hier.downreq) forever;
+//     the driver deadline is the backstop.
 //
 // Users can also join a running computation (hier.join to the root):
 // the root checks feasibility, assigns the joiner to the smallest live
@@ -77,7 +70,7 @@ import (
 // Message kinds used by the hierarchical protocol.
 const (
 	hierKindToken   = "hier.token"   // leader → member → … → leader: working token
-	hierKindPartial = "hier.partial" // leader → parent/root: shard entries
+	hierKindPartial = "hier.partial" // leader → root: shard report
 	hierKindDown    = "hier.down"    // root → leaders: reconciled loads
 	hierKindPartReq = "hier.partreq" // root → leader: partial re-request/probe
 	hierKindDownReq = "hier.downreq" // leader → root: down re-request
@@ -108,31 +101,28 @@ type hierTokenPayload struct {
 	Loads []float64
 }
 
-// hierPartialPayload carries one or more per-shard reduction entries:
-// entry i is (Shards[i], Norms[i], Sweeps[i], Loads[i]). Parents merge
-// children's entries by concatenation; the root sums them in ascending
-// shard order so the reduction is bit-deterministic however the tree
-// delivers them. Ejected lists user ids ejected by the reporting
-// shard(s) since the last report.
+// hierPartialPayload is a leader's report on one activation: the
+// shard's new aggregate load, the norm of its last sweep and how many
+// sweeps it ran. Ejected lists every user id the shard has ejected so
+// far.
 type hierPartialPayload struct {
 	Round   int
 	MEpoch  int
-	Shards  []int32
-	Norms   []float64
-	Sweeps  []int32
-	Loads   [][]float64
+	Shard   int
+	Norm    float64
+	Sweeps  int
+	Loads   []float64
 	Ejected []int32
 	Seq     int
 }
 
 // hierDownPayload is the root's downward broadcast closing a round:
 // the reconciled global loads, the round norm, membership changes
-// (ejected shards, admitted joiners) and the Stop/Star mode switches.
+// (ejected shards, admitted joiners) and the Stop switch.
 type hierDownPayload struct {
 	Round         int
 	MEpoch        int
 	Stop          bool
-	Star          bool
 	Norm          float64
 	Active        []int32
 	Loads         []float64
@@ -235,18 +225,6 @@ type ShardOptions struct {
 	// cuts total sweeps ~12× (40k → 3.2k) at identical equilibrium
 	// quality; 1 reproduces the flat ring's user visit order exactly.
 	LocalSweeps int
-	// Parallel switches the cross-shard iteration from sequential
-	// activation (block Gauss–Seidel, the default: one shard sweeps at
-	// a time against the freshest reconciled view) to simultaneous
-	// rounds (Jacobi: all shards sweep against the same frozen view,
-	// partials reduced through the leader tree, reconciliation damped
-	// by Damping). Mirrors game.ShardedOpts.Parallel, including its
-	// convergence caveat.
-	Parallel bool
-	// Damping is parallel mode's reconciliation relaxation θ ∈ (0, 1];
-	// ≤ 0 selects game.DefaultDamping. Ignored (pinned to 1) in
-	// sequential mode.
-	Damping float64
 	// Watchdog is the root's per-wait partial/rows collection timeout
 	// and the leaders' down wait (default 2s). It must comfortably
 	// exceed one shard sweep.
@@ -494,69 +472,10 @@ func (u *shardUser) step(tok *hierTokenPayload) error {
 
 // --- leader ----------------------------------------------------------
 
-// partialAccum merges reduction entries (own + children's) for one
-// round, deduplicating by shard id.
-type partialAccum struct {
-	shards  []int32
-	norms   []float64
-	sweeps  []int32
-	loads   [][]float64
-	ejected []int32
-}
-
-func (a *partialAccum) reset() {
-	a.shards = a.shards[:0]
-	a.norms = a.norms[:0]
-	a.sweeps = a.sweeps[:0]
-	a.loads = a.loads[:0]
-	a.ejected = a.ejected[:0]
-}
-
-func (a *partialAccum) has(g int32) bool {
-	for _, s := range a.shards {
-		if s == g {
-			return true
-		}
-	}
-	return false
-}
-
-// add merges p's entries, skipping shards already present. It returns
-// how many new entries were merged.
-func (a *partialAccum) add(p *hierPartialPayload) int {
-	k := len(p.Shards)
-	if len(p.Norms) != k || len(p.Sweeps) != k || len(p.Loads) != k {
-		return 0 // malformed; the root re-requests
-	}
-	added := 0
-	for i := 0; i < k; i++ {
-		if a.has(p.Shards[i]) {
-			continue
-		}
-		a.shards = append(a.shards, p.Shards[i])
-		a.norms = append(a.norms, p.Norms[i])
-		a.sweeps = append(a.sweeps, p.Sweeps[i])
-		a.loads = append(a.loads, p.Loads[i])
-		added++
-	}
-	a.ejected = append(a.ejected, p.Ejected...)
-	return added
-}
-
-func (a *partialAccum) payload(round, mEpoch, seq int) hierPartialPayload {
-	return hierPartialPayload{
-		Round: round, MEpoch: mEpoch,
-		Shards: a.shards, Norms: a.norms, Sweeps: a.sweeps,
-		Loads: a.loads, Ejected: a.ejected, Seq: seq,
-	}
-}
-
-// shardLeader drives one shard's sweeps and participates in the tree
-// reduction.
+// shardLeader drives one shard's sweeps and reports them to the root.
 type shardLeader struct {
 	conn      Conn
 	g         int
-	numShards int
 	n         int
 	mInit     int
 	eps       float64
@@ -582,10 +501,7 @@ type shardLeader struct {
 	curRound      int // wire round of the down being served
 	lastDownRound int // newest down round seen (dedup fence)
 	mEpoch        int
-	star          bool
 
-	accum       partialAccum
-	ownSent     bool   // this round's merged partial already sent up
 	cachedUp    []byte // last encoded partial, replayed on re-requests
 	cachedUpRnd int
 
@@ -635,7 +551,7 @@ func (l *shardLeader) protocol() error {
 			return l.finalGather()
 		}
 		if !activeHas(down.Active, l.g) {
-			continue // another shard's activation (sequential mode)
+			continue // another shard's activation
 		}
 		if len(down.Loads) != l.n {
 			return fmt.Errorf("dist: shard %d: malformed down loads (len %d, want %d)", l.g, len(down.Loads), l.n)
@@ -872,96 +788,28 @@ func (l *shardLeader) syncMember(idx int, next string) ([]float64, error) {
 	return nil, fmt.Errorf("dist: shard %d: member %s: %w", l.g, l.names[idx], errMemberLost)
 }
 
-// treeChildren returns the leader's children in the reduction tree.
-func (l *shardLeader) treeChildren() []int {
-	var cs []int
-	for _, c := range [2]int{2*l.g + 1, 2*l.g + 2} {
-		if c < l.numShards {
-			cs = append(cs, c)
-		}
-	}
-	return cs
-}
-
-func subtreeSize(g, numShards int) int {
-	if g >= numShards {
-		return 0
-	}
-	return 1 + subtreeSize(2*g+1, numShards) + subtreeSize(2*g+2, numShards)
-}
-
-// sendUp reports this activation's entries toward the root: in tree
-// mode (parallel, undegraded) the leader merges its subtree's entries
-// (waiting boundedly for children) and forwards to its parent; in star
-// mode — always in sequential mode — it reports its own entry directly
-// to the root. The encoded report is cached for replay on re-requests.
+// sendUp reports this activation to the root and caches the encoded
+// report for replay on re-requests.
 func (l *shardLeader) sendUp(norm float64, sweeps int) error {
-	own := hierPartialPayload{
-		Round: l.curRound, MEpoch: l.mEpoch,
-		Shards:  []int32{int32(l.g)},
-		Norms:   []float64{norm},
-		Sweeps:  []int32{int32(sweeps)},
-		Loads:   [][]float64{append([]float64(nil), l.local...)},
-		Ejected: append([]int32(nil), l.ejected...),
-	}
-	l.accum.add(&own)
-	to := rootName
-	if !l.star {
-		want := 1
-		for _, c := range l.treeChildren() {
-			want += subtreeSize(c, l.numShards)
-		}
-		dl := time.Now().Add(l.watchdog)
-		for len(l.accum.shards) < want {
-			left := time.Until(dl)
-			if left <= 0 {
-				break // report what we have; the root re-requests the rest
-			}
-			r, err := l.conn.RecvTimeout(left)
-			if err != nil {
-				if errors.Is(err, ErrTimeout) {
-					break
-				}
-				return err
-			}
-			switch r.Kind {
-			case hierKindPartial:
-				var p hierPartialPayload
-				if r.Decode(&p) != nil {
-					continue
-				}
-				if p.Round == l.curRound {
-					l.accum.add(&p)
-				}
-			case hierKindStop:
-				return errStopped
-			default:
-				l.handleOOB(r)
-			}
-		}
-		if l.g > 0 {
-			to = shardName((l.g - 1) / 2)
-		}
-	}
 	l.seq++
-	up := Message{To: to, Kind: hierKindPartial}
-	part := l.accum.payload(l.curRound, l.mEpoch, l.seq)
-	if err := up.Encode(&part); err != nil {
+	up := Message{To: rootName, Kind: hierKindPartial}
+	if err := up.Encode(&hierPartialPayload{
+		Round: l.curRound, MEpoch: l.mEpoch, Shard: l.g,
+		Norm: norm, Sweeps: sweeps,
+		Loads:   l.local,
+		Ejected: l.ejected,
+		Seq:     l.seq,
+	}); err != nil {
 		return err
 	}
 	l.cachedUp, l.cachedUpRnd = up.Data, l.curRound
-	if err := l.conn.Send(up); err != nil {
-		return err
-	}
-	l.ownSent = true
-	return nil
+	return l.conn.Send(up)
 }
 
 // awaitDown waits for the root's next activation, re-requesting on
 // every timeout (unbounded; the driver deadline is the backstop). A
 // duplicate of an already-served round means the root lost our partial:
-// the cached report is replayed. In tree mode a fresh down is forwarded
-// to the leader's children before it is served.
+// the cached report is replayed.
 func (l *shardLeader) awaitDown() (*hierDownPayload, error) {
 	for a := 0; ; a++ {
 		wait := backoffDelay(l.watchdog, 2*l.watchdog, a, l.rng)
@@ -991,14 +839,6 @@ func (l *shardLeader) awaitDown() (*hierDownPayload, error) {
 			l.lastDownRound = l.down.Round
 			l.curRound = l.down.Round
 			l.applyDown(&l.down)
-			if !l.down.Stop && !l.star {
-				for _, c := range l.treeChildren() {
-					fwd := Message{To: shardName(c), Kind: hierKindDown, Data: r.Data}
-					_ = l.conn.Send(fwd) // best-effort: children re-request from the root on loss
-				}
-			}
-			l.accum.reset()
-			l.ownSent = false
 			return &l.down, nil
 		case hierKindStop:
 			return nil, errStopped
@@ -1008,13 +848,10 @@ func (l *shardLeader) awaitDown() (*hierDownPayload, error) {
 	}
 }
 
-// applyDown ingests a round-closing broadcast: mode switches and
-// membership changes (joiners assigned to this shard).
+// applyDown ingests a round-closing broadcast: the membership epoch and
+// joiners assigned to this shard.
 func (l *shardLeader) applyDown(p *hierDownPayload) {
 	l.mEpoch = p.MEpoch
-	if p.Star {
-		l.star = true
-	}
 	k := len(p.JoinUsers)
 	if len(p.JoinShards) != k || len(p.JoinNames) != k || len(p.JoinPhis) != k {
 		return // malformed join block; ignore
@@ -1091,37 +928,19 @@ func (l *shardLeader) finalGather() error {
 }
 
 // handleOOB processes out-of-band traffic arriving while the leader
-// waits for something else: children's partials (merge or relay), the
-// root's partial re-request (switch to star reporting, replay the
-// cached report), and stale broadcasts.
+// waits for something else: the root's partial re-request (replay the
+// cached report) and stale broadcasts.
 func (l *shardLeader) handleOOB(r Message) {
 	switch r.Kind {
-	case hierKindPartial:
-		var p hierPartialPayload
-		if r.Decode(&p) != nil {
-			return
-		}
-		if p.Round == l.curRound && !l.ownSent {
-			l.accum.add(&p)
-			return
-		}
-		// Straggler from a child after we reported up: relay it to the
-		// root verbatim so the root need not probe the child.
-		fwd := Message{To: rootName, Kind: hierKindPartial, Data: r.Data}
-		_ = l.conn.Send(fwd) // best-effort relay; the root re-requests on loss
 	case hierKindPartReq:
 		var p hierReqPayload
 		if r.Decode(&p) != nil {
 			return
 		}
-		// The root probing us directly means the tree path failed:
-		// report directly from now on. (No-op in sequential mode, which
-		// is always a star.)
-		l.star = true
 		l.resendUp(p.Round)
 	default:
-		// Stale downs, rows, rows re-requests outside the gather phase:
-		// drop.
+		// Stale downs, partials, rows, rows re-requests outside the
+		// gather phase: drop.
 	}
 }
 
@@ -1153,23 +972,19 @@ type rootNode struct {
 	userEjected []bool
 	livePhi     float64
 
-	live     []bool
-	members  [][]int // root's view of shard membership
-	leaderG  map[string]int
-	have     []bool
-	norms    []float64
-	sweeps   []int32
-	locals   [][]float64
-	attempts []int
+	live    []bool
+	members [][]int // root's view of shard membership
+	leaderG map[string]int
+	have    []bool
+	norms   []float64
+	sweeps  []int
+	locals  [][]float64
 
-	global   []float64
-	round    int // completed reconciliation cycles
-	downSeq  int // monotone wire round of downs
-	mEpoch   int
-	parallel bool
-	theta    float64 // parallel reconciliation damping; 1 in sequential mode
-	star     bool
-	changed  bool // membership changed this cycle; forces another cycle
+	global  []float64
+	round   int // completed reconciliation cycles
+	downSeq int // monotone wire round of downs
+	mEpoch  int
+	changed bool // membership changed this cycle; forces another cycle
 	// settle is set once the membership has changed. From then on a
 	// cycle ends the run only if every shard it activated met its eps
 	// share in its first sweep (resweep is false). The last-sweep norms
@@ -1184,11 +999,9 @@ type rootNode struct {
 	// a shard whose last activation met its eps share is not activated
 	// again until the global view drifts past that share. shardView[g]
 	// is the reconciled global shard g last swept into; shardNorm[g] its
-	// last activation norm (+Inf until the first); act[g] whether g is
-	// activated in the in-flight parallel round.
+	// last activation norm (+Inf until the first).
 	shardView [][]float64
 	shardNorm []float64
-	act       []bool
 
 	cachedDown []byte
 
@@ -1238,21 +1051,11 @@ func (rt *rootNode) liveCount() int {
 }
 
 // protocol runs reconciliation cycles until the global norm reaches eps
-// on a cycle with stable membership, then gathers the final rows. One
-// cycle activates every live shard once: sequentially (one targeted
-// down per shard, the global view refreshed between activations — block
-// Gauss–Seidel) or, in parallel mode, all at once (one broadcast down,
-// partials tree-reduced, reconciliation damped by θ — Jacobi).
+// on a cycle with stable membership, then gathers the final rows.
 func (rt *rootNode) protocol() error {
 	for cycle := 1; ; cycle++ {
 		rt.changed, rt.resweep = false, false
-		var cycleNorm float64
-		var err error
-		if rt.parallel {
-			cycleNorm, err = rt.parallelRound()
-		} else {
-			cycleNorm, err = rt.sequentialCycle()
-		}
+		cycleNorm, err := rt.sequentialCycle()
 		if err != nil {
 			return err
 		}
@@ -1334,53 +1137,14 @@ func (rt *rootNode) sequentialCycle() (float64, error) {
 		rt.shardNorm[g] = rt.norms[g]
 		copy(rt.shardView[g], rt.global)
 		norm = satNorm(norm, rt.norms[g])
-		rt.sweepsTotal += int(rt.sweeps[g])
-		rt.resweep = rt.resweep || rt.sweeps[g] > 1
-	}
-	return norm, nil
-}
-
-// parallelRound broadcasts one down to every live shard, collects all
-// partials, and reconciles the global view once, damped by θ — the
-// oracle's parallel round.
-func (rt *rootNode) parallelRound() (float64, error) {
-	if err := rt.broadcastRound(); err != nil {
-		return 0, err
-	}
-	if err := rt.collectRound(); err != nil {
-		return 0, err
-	}
-	for i := range rt.global {
-		var sum float64
-		for g := 0; g < rt.numShards; g++ {
-			if rt.live[g] {
-				sum += rt.locals[g][i]
-			}
-		}
-		//lint:ignore floatcmp theta is pinned to exactly 1 in sequential mode; the direct assignment (not +=θ·Δ) is what keeps the oracle bit-identical
-		if rt.theta == 1 {
-			rt.global[i] = sum
-		} else {
-			rt.global[i] += rt.theta * (sum - rt.global[i])
-		}
-	}
-	var norm float64
-	for g := 0; g < rt.numShards; g++ {
-		if !rt.live[g] || !rt.act[g] || !rt.have[g] {
-			continue
-		}
-		rt.shardNorm[g] = rt.norms[g]
-		copy(rt.shardView[g], rt.global)
-		norm = satNorm(norm, rt.norms[g])
-		rt.sweepsTotal += int(rt.sweeps[g])
+		rt.sweepsTotal += rt.sweeps[g]
 		rt.resweep = rt.resweep || rt.sweeps[g] > 1
 	}
 	return norm, nil
 }
 
 // recomputeGlobal rebuilds the global view as the sum of the live
-// shards' loads in ascending shard order — the oracle's θ==1 reconcile
-// (direct assignment; sequential bit-exactness depends on it).
+// shards' loads in ascending shard order — the oracle's reconcile.
 func (rt *rootNode) recomputeGlobal() {
 	for i := range rt.global {
 		var sum float64
@@ -1441,7 +1205,7 @@ func (rt *rootNode) sendDown(g int) error {
 	rt.have[g] = false
 	p := hierDownPayload{
 		Round: rt.downSeq, MEpoch: rt.mEpoch,
-		Star: rt.star, Norm: rt.lastNorm,
+		Norm:          rt.lastNorm,
 		Active:        []int32{int32(g)},
 		Loads:         rt.global,
 		EjectedShards: rt.ejectedShardIDs(),
@@ -1499,95 +1263,6 @@ func (rt *rootNode) awaitPartial(g int) error {
 	return nil
 }
 
-// broadcastRound opens a parallel round: one down to every live,
-// non-quiescent shard, sent down the tree (or to each leader directly
-// in star mode). Skipped shards are pre-marked collected so the
-// reduction neither waits on nor probes them.
-func (rt *rootNode) broadcastRound() error {
-	rt.downSeq++
-	var active []int32
-	for g := 0; g < rt.numShards; g++ {
-		rt.act[g] = false
-		if !rt.live[g] {
-			continue
-		}
-		if rt.shouldSkipShard(g) {
-			rt.have[g] = true
-			continue
-		}
-		rt.act[g] = true
-		active = append(active, int32(g))
-		rt.have[g] = false
-		rt.attempts[g] = 0
-	}
-	p := hierDownPayload{
-		Round: rt.downSeq, MEpoch: rt.mEpoch,
-		Star: rt.star, Norm: rt.lastNorm,
-		Active:        active,
-		Loads:         rt.global,
-		EjectedShards: rt.ejectedShardIDs(),
-	}
-	rt.flushJoins(&p)
-	rt.seq++
-	p.Seq = rt.seq
-	m := Message{Kind: hierKindDown}
-	if err := m.Encode(&p); err != nil {
-		return err
-	}
-	rt.cachedDown = m.Data
-	if rt.star {
-		for g := 0; g < rt.numShards; g++ {
-			if rt.act[g] {
-				_ = rt.conn.Send(Message{To: shardName(g), Kind: hierKindDown, Data: rt.cachedDown}) // best-effort; leaders re-request
-			}
-		}
-		return nil
-	}
-	_ = rt.conn.Send(Message{To: shardName(0), Kind: hierKindDown, Data: rt.cachedDown}) // best-effort; leaders re-request
-	return nil
-}
-
-// collectRound gathers one reduction entry per live shard for the
-// current wire round, probing (and ultimately ejecting) silent shards.
-func (rt *rootNode) collectRound() error {
-	for {
-		if rt.liveCount() == 0 {
-			return fmt.Errorf("dist: all %d shards ejected: %w", rt.numShards, ErrStalled)
-		}
-		if rt.allHave() {
-			return nil
-		}
-		wait := backoffDelay(rt.watchdog, 2*rt.watchdog, 0, rt.rng)
-		m, err := rt.conn.RecvTimeout(wait)
-		if err != nil {
-			if errors.Is(err, ErrTimeout) {
-				rt.recoverRound()
-				continue
-			}
-			return err
-		}
-		switch m.Kind {
-		case hierKindPartial:
-			rt.onPartial(m)
-		case hierKindJoin:
-			rt.onJoin(m, false)
-		case hierKindDownReq:
-			rt.onDownReq(m)
-		default:
-			// Stale rows/acks from the previous phase; drop.
-		}
-	}
-}
-
-func (rt *rootNode) allHave() bool {
-	for g := range rt.have {
-		if rt.live[g] && !rt.have[g] {
-			return false
-		}
-	}
-	return true
-}
-
 func (rt *rootNode) onPartial(m Message) {
 	var p hierPartialPayload
 	if m.Decode(&p) != nil {
@@ -1596,23 +1271,11 @@ func (rt *rootNode) onPartial(m Message) {
 	if p.Round != rt.downSeq {
 		return // stale round
 	}
-	k := len(p.Shards)
-	if len(p.Norms) != k || len(p.Sweeps) != k || len(p.Loads) != k {
-		return // malformed; the probe path re-requests
-	}
-	for i := 0; i < k; i++ {
-		g := int(p.Shards[i])
-		if g < 0 || g >= rt.numShards || !rt.live[g] || rt.have[g] {
-			continue
-		}
-		if len(p.Loads[i]) != rt.n {
-			continue
-		}
-		copy(rt.locals[g], p.Loads[i])
-		rt.norms[g] = p.Norms[i]
-		rt.sweeps[g] = p.Sweeps[i]
+	if g := p.Shard; g >= 0 && g < rt.numShards && rt.live[g] && !rt.have[g] && len(p.Loads) == rt.n {
+		copy(rt.locals[g], p.Loads)
+		rt.norms[g] = p.Norm
+		rt.sweeps[g] = p.Sweeps
 		rt.have[g] = true
-		rt.attempts[g] = 0
 		rt.retireJoins(g, p.Round)
 	}
 	for _, id := range p.Ejected {
@@ -1638,34 +1301,6 @@ func (rt *rootNode) ejectUser(id int) {
 		}
 	}
 	obs.Count(rt.obs, obs.NashEjected)
-}
-
-// recoverRound reacts to a parallel-collection timeout: switch to star
-// reporting, re-send the round's down (in case the leader missed it),
-// probe missing shards, and eject those exhausting the probe budget.
-func (rt *rootNode) recoverRound() {
-	obs.Count(rt.obs, obs.NashTimeout)
-	rt.star = true
-	for g := 0; g < rt.numShards; g++ {
-		if !rt.live[g] || rt.have[g] {
-			continue
-		}
-		rt.attempts[g]++
-		if rt.attempts[g] > rt.attemptsN {
-			rt.ejectShard(g)
-			continue
-		}
-		obs.Count(rt.obs, obs.NashRetry)
-		if rt.cachedDown != nil {
-			_ = rt.conn.Send(Message{To: shardName(g), Kind: hierKindDown, Data: rt.cachedDown}) // best-effort re-broadcast
-		}
-		rt.seq++
-		req := Message{To: shardName(g), Kind: hierKindPartReq}
-		if req.Encode(hierReqPayload{Round: rt.downSeq, Seq: rt.seq}) != nil {
-			continue
-		}
-		_ = rt.conn.Send(req) // best-effort probe; the next timeout retries
-	}
 }
 
 // ejectShard removes a silent shard: its members are ejected and the
@@ -1743,15 +1378,14 @@ func (rt *rootNode) onDownReq(m Message) {
 	}
 }
 
-// broadcastStop announces the end of the run directly to every live
-// leader (the tree is skipped: a stop must not depend on relaying).
+// broadcastStop announces the end of the run to every live leader.
 // Unconfirmed pending joins are deliberately excluded — their joiners
 // are released by shutdown instead.
 func (rt *rootNode) broadcastStop(norm float64) error {
 	rt.downSeq++
 	p := hierDownPayload{
 		Round: rt.downSeq, MEpoch: rt.mEpoch,
-		Stop: true, Star: true, Norm: norm,
+		Stop: true, Norm: norm,
 		EjectedShards: rt.ejectedShardIDs(),
 	}
 	rt.seq++
@@ -1774,8 +1408,8 @@ func (rt *rootNode) broadcastStop(norm float64) error {
 func (rt *rootNode) gatherRows() error {
 	for g := range rt.rowsHave {
 		rt.rowsHave[g] = false
-		rt.attempts[g] = 0
 	}
+	attempts := make([]int, rt.numShards)
 	done := func() bool {
 		for g := range rt.rowsHave {
 			if rt.live[g] && !rt.rowsHave[g] {
@@ -1793,8 +1427,8 @@ func (rt *rootNode) gatherRows() error {
 					if !rt.live[g] || rt.rowsHave[g] {
 						continue
 					}
-					rt.attempts[g]++
-					if rt.attempts[g] > rt.attemptsN {
+					attempts[g]++
+					if attempts[g] > rt.attemptsN {
 						rt.ejectShard(g)
 						continue
 					}
@@ -2021,13 +1655,6 @@ func RunNashShardedWith(netw Network, sys noncoop.System, eps float64, maxRounds
 	for g := range rootLocals {
 		rootLocals[g] = append([]float64(nil), locals[g]...)
 	}
-	theta := opts.Damping
-	if theta <= 0 || theta > 1 {
-		theta = game.DefaultDamping
-	}
-	if !opts.Parallel || numShards <= 1 {
-		theta = 1
-	}
 	rt := &rootNode{
 		conn: rootConn, numShards: numShards, n: n, mInit: m,
 		eps: eps, maxRounds: maxRounds, totalMu: total,
@@ -2039,16 +1666,11 @@ func RunNashShardedWith(netw Network, sys noncoop.System, eps float64, maxRounds
 		leaderG:     leaderG,
 		have:        make([]bool, numShards),
 		norms:       make([]float64, numShards),
-		sweeps:      make([]int32, numShards),
+		sweeps:      make([]int, numShards),
 		locals:      rootLocals,
-		attempts:    make([]int, numShards),
 		global:      append([]float64(nil), initGlobal...),
 		shardView:   make([][]float64, numShards),
 		shardNorm:   make([]float64, numShards),
-		act:         make([]bool, numShards),
-		parallel:    opts.Parallel,
-		theta:       theta,
-		star:        !opts.Parallel,
 		joinAnswers: make(map[string]hierJoinOKPayload),
 		rowsHave:    make([]bool, numShards),
 		rowsUsers:   make([][]int32, numShards),
@@ -2081,11 +1703,10 @@ func RunNashShardedWith(netw Network, sys noncoop.System, eps float64, maxRounds
 			rows[i] = make([]float64, n)
 		}
 		l := &shardLeader{
-			conn: leaderConns[g], g: g, numShards: numShards, n: n, mInit: m,
+			conn: leaderConns[g], g: g, n: n, mInit: m,
 			eps: eps, sweepsMax: opts.LocalSweeps,
 			ids: append([]int(nil), members...), names: names, phis: phis, rows: rows,
 			local: append([]float64(nil), locals[g]...), ext: make([]float64, n),
-			star:     !opts.Parallel,
 			watchdog: opts.Watchdog, probeTO: opts.ProbeTimeout,
 			attempts: opts.MaxAttempts,
 			rng:      queueing.NewRNG(opts.Seed).Split(uint64(g) + 2),

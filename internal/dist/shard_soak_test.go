@@ -13,7 +13,7 @@ import (
 
 // The sharded chaos soak drives the hierarchical NASH protocol through
 // a sweep of seeded fault schedules that target both levels of the
-// tree: member crashes inside a shard, shard-leader crashes (taking the
+// hierarchy: member crashes inside a shard, shard-leader crashes (taking the
 // whole shard out), root-link partitions, and leader-link partitions —
 // on top of ambient drop/delay/duplicate/reorder noise. The oracle for
 // every run: either the protocol converges with every survivor at the

@@ -1,12 +1,13 @@
 // Sharded best-reply: the shard-local solve + reconciliation scheme the
 // hierarchical NASH runtime (internal/dist/shard.go) distributes.
 //
-// Users are partitioned into G shards. Within a round every shard runs
-// best-reply sweeps over its own members against a frozen view of the
-// external load (the other shards' last reported per-computer loads),
-// then the shards' local loads are reconciled into a new global load
-// vector — a Jacobi iteration across shards of Gauss–Seidel sweeps
-// within them. "Approximate Congestion Games for Load Balancing"
+// Users are partitioned into G shards. Within a round the shards are
+// activated one at a time: each runs best-reply sweeps over its own
+// members against a frozen view of the external load (the other
+// shards' last reported per-computer loads), then its local loads are
+// reconciled into the global load vector before the next shard sweeps
+// — block Gauss–Seidel across shards, of Gauss–Seidel sweeps within
+// them. "Approximate Congestion Games for Load Balancing"
 // (PAPERS.md) licenses the scheme: group-local approximate equilibria
 // reconcile to the global Nash point, which is also the fixed point of
 // the flat best-reply ring.
@@ -92,14 +93,9 @@ func satAdd(norm, d float64) float64 {
 	return math.MaxFloat64
 }
 
-// DefaultDamping is the reconciliation damping factor θ used by
-// parallel-mode ShardedBestReply (and the distributed runtime) when
-// given none. See ShardedOpts.Parallel for why θ < 1 is required once
-// shards move simultaneously.
-const DefaultDamping = 0.5
-
 // ShardedOpts tunes ShardedBestReply. The zero value is the default
-// scheme: sequential shard activation, one sweep per activation.
+// scheme: shards activated one at a time, each running up to four
+// sweeps per activation.
 type ShardedOpts struct {
 	// LocalSweeps is the number of best-reply sweeps a shard runs per
 	// activation (default 4, matching dist.ShardOptions). Sweeps
@@ -108,51 +104,17 @@ type ShardedOpts struct {
 	// spending it while loads are moving extracts far more progress per
 	// reconciliation round (at m=1000, 4 sweeps cut total work ~12×
 	// versus 1). Set 1 to reproduce the flat ring's exact user visit
-	// order in sequential mode.
+	// order.
 	LocalSweeps int
-	// Parallel switches the across-shard iteration from sequential
-	// (block Gauss–Seidel: shard g sweeps against the global loads
-	// already updated by shards 0..g-1 this round) to simultaneous
-	// (Jacobi: every shard sweeps against the same frozen global view,
-	// then the views are reconciled at once).
-	//
-	// Sequential activation inherits the flat ring's convergence — with
-	// LocalSweeps == 1 it visits users in exactly the flat order — and
-	// is the default. Simultaneous activation is the shape a tree
-	// reduction parallelizes, but undamped simultaneous best replies
-	// overshoot and oscillate persistently (every shard chases the same
-	// underloaded computer at once), so parallel mode relaxes the
-	// reconciled view by Damping; even damped it only converges
-	// reliably for a handful of shards (see EXPERIMENTS.md X8).
-	Parallel bool
-	// Damping is parallel mode's relaxation factor θ ∈ (0, 1]: the new
-	// global view is global + θ·(Σ_g local_g − global). At equilibrium
-	// Σ local = global, so damping moves the fixed point nowhere; it
-	// only tempers the overshoot along the way. ≤ 0 selects
-	// DefaultDamping. Ignored in sequential mode (θ is pinned to 1:
-	// there the fresh shard sum is already stable).
-	Damping float64
-}
-
-func (o ShardedOpts) withDefaults(numShards int) ShardedOpts {
-	if o.LocalSweeps <= 0 {
-		o.LocalSweeps = 4
-	}
-	if o.Damping <= 0 || o.Damping > 1 {
-		o.Damping = DefaultDamping
-	}
-	if !o.Parallel || numShards <= 1 {
-		o.Damping = 1
-	}
-	return o
 }
 
 // ShardedBestReply runs the two-level scheme in process: per global
-// round every (live) shard is activated once — sequentially by default,
-// simultaneously in parallel mode — running up to LocalSweeps
-// best-reply sweeps over its members against the external load view,
-// until the global per-round norm reaches eps or maxRounds is
-// exceeded.
+// round every (live) shard is activated once, in ascending shard order
+// against the global loads the shards before it already updated (block
+// Gauss–Seidel, which inherits the flat ring's convergence), running up
+// to LocalSweeps best-reply sweeps over its members against the
+// external load view, until the global per-round norm reaches eps or
+// maxRounds is exceeded.
 //
 // This function is the in-process oracle for the distributed runtime
 // (internal/dist.RunNashSharded): it performs the identical
@@ -169,8 +131,10 @@ func ShardedBestReply(sys noncoop.System, shards [][]int, eps float64, maxRounds
 	if maxRounds <= 0 {
 		maxRounds = 10_000
 	}
-	opt = opt.withDefaults(len(shards))
-	localSweeps, theta := opt.LocalSweeps, opt.Damping
+	localSweeps := opt.LocalSweeps
+	if localSweeps <= 0 {
+		localSweeps = 4
+	}
 	m, n := sys.NumUsers(), sys.NumComputers()
 	for _, members := range shards {
 		for _, j := range members {
@@ -221,31 +185,20 @@ func ShardedBestReply(sys noncoop.System, shards [][]int, eps float64, maxRounds
 	// last activation norm (+Inf until first activation, forcing it).
 	view := make([][]float64, len(shards))
 	lastNorm := make([]float64, len(shards))
-	activated := make([]bool, len(shards))
 	for g := range shards {
 		view[g] = make([]float64, n)
 		lastNorm[g] = math.Inf(1)
 	}
 
-	// reconcile recomputes the global view from the shard locals: the
-	// sum is accumulated in ascending shard order (the distributed root
-	// reduces in the same order, whatever order partials arrive in),
-	// then relaxed toward the previous view by θ. θ == 1 assigns the
-	// fresh sum directly — global + (sum − global) is not sum in
-	// floating point, and sequential mode's bit-exactness depends on
-	// the direct assignment.
+	// reconcile recomputes the global view from the shard locals, summed
+	// in ascending shard order as the distributed root sums them.
 	reconcile := func() {
 		for i := 0; i < n; i++ {
 			var sum float64
 			for g := range shards {
 				sum += local[g][i]
 			}
-			//lint:ignore floatcmp theta is pinned to exactly 1 in sequential mode; the direct assignment (not +=θ·Δ) is what keeps the dist runtime bit-identical
-			if theta == 1 {
-				global[i] = sum
-			} else {
-				global[i] += theta * (sum - global[i])
-			}
+			global[i] = sum
 		}
 	}
 
@@ -272,7 +225,6 @@ func ShardedBestReply(sys noncoop.System, shards [][]int, eps float64, maxRounds
 	for round := 1; round <= maxRounds; round++ {
 		var roundNorm float64
 		for g, members := range shards {
-			activated[g] = false
 			k := len(members)
 			if k == 0 {
 				continue
@@ -281,7 +233,6 @@ func ShardedBestReply(sys noncoop.System, shards [][]int, eps float64, maxRounds
 			if shouldSkip(g, locEps) {
 				continue
 			}
-			activated[g] = true
 			for i := 0; i < n; i++ {
 				ext[i] = global[i] - local[g][i]
 			}
@@ -328,23 +279,10 @@ func ShardedBestReply(sys noncoop.System, shards [][]int, eps float64, maxRounds
 				local[g][i] = tok[i] - ext[i]
 			}
 			lastNorm[g] = norm
-			if !opt.Parallel {
-				// Sequential activation: the next shard sees this
-				// shard's moves — block Gauss–Seidel.
-				reconcile()
-				copy(view[g], global)
-			}
-			roundNorm = satAdd(roundNorm, norm)
-		}
-		if opt.Parallel {
-			// Simultaneous activation: every shard swept against the
-			// same frozen view; reconcile once, damped.
+			// The next shard sweeps against this shard's moves.
 			reconcile()
-			for g := range shards {
-				if activated[g] {
-					copy(view[g], global)
-				}
-			}
+			copy(view[g], global)
+			roundNorm = satAdd(roundNorm, norm)
 		}
 		res.Rounds = round
 		res.Norm = roundNorm

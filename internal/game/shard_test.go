@@ -78,9 +78,9 @@ func TestPlanShards(t *testing.T) {
 }
 
 // TestShardedMatchesFlatNash: the sharded fixed point is the flat
-// best-reply iteration's Nash equilibrium, for both sequential and
-// (damped) parallel activation and across local-sweep budgets. The
-// equilibrium is unique, so the profiles must agree elementwise.
+// best-reply iteration's Nash equilibrium, across local-sweep budgets
+// and shard counts. The equilibrium is unique, so the profiles must
+// agree elementwise.
 func TestShardedMatchesFlatNash(t *testing.T) {
 	t.Parallel()
 	const m, eps = 24, 1e-10
@@ -96,19 +96,20 @@ func TestShardedMatchesFlatNash(t *testing.T) {
 	}{
 		{"sequential-1sweep", ShardedOpts{LocalSweeps: 1}},
 		{"sequential-default", ShardedOpts{}},
-		{"parallel-damped", ShardedOpts{Parallel: true}},
 	} {
-		res, err := ShardedBestReply(sys, PlanShards(m, 4), eps, 100000, c.opt)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		if res.Norm > eps {
-			t.Errorf("%s: final norm %g > eps %g", c.name, res.Norm, eps)
-		}
-		for j := range flat.Profile.S {
-			for i := range flat.Profile.S[j] {
-				if d := math.Abs(res.Profile.S[j][i] - flat.Profile.S[j][i]); d > 1e-6 {
-					t.Errorf("%s: profile[%d][%d] off flat equilibrium by %g", c.name, j, i, d)
+		for _, g := range []int{4, 8, 16} {
+			res, err := ShardedBestReply(sys, PlanShards(m, g), eps, 100000, c.opt)
+			if err != nil {
+				t.Fatalf("%s G=%d: %v", c.name, g, err)
+			}
+			if res.Norm > eps {
+				t.Errorf("%s G=%d: final norm %g > eps %g", c.name, g, res.Norm, eps)
+			}
+			for j := range flat.Profile.S {
+				for i := range flat.Profile.S[j] {
+					if d := math.Abs(res.Profile.S[j][i] - flat.Profile.S[j][i]); d > 1e-6 {
+						t.Errorf("%s G=%d: profile[%d][%d] off flat equilibrium by %g", c.name, g, j, i, d)
+					}
 				}
 			}
 		}

@@ -175,7 +175,7 @@ func WithLBMOptions(opts LBMOptions) Option {
 
 // WithShardOptions installs the hierarchical NASH runtime's topology
 // and fault-tolerance options (shard count, local sweep budget,
-// parallel reconciliation, watchdog, retries, deadline, seed).
+// watchdog, retries, deadline, seed).
 func WithShardOptions(opts ShardOptions) Option {
 	return func(ro *runOptions) { ro.shard = opts }
 }
