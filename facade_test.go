@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -185,8 +186,10 @@ func TestFacadeNashRingResume(t *testing.T) {
 	if err == nil {
 		t.Skip("converged within the tiny budget; nothing to resume")
 	}
-	// Resume through the new checkpoint option and through the
-	// deprecated wrapper; both must reach a valid profile.
+	// Resume through the checkpoint option, once with the default ring
+	// and once with explicit (zero) ring options and an explicit
+	// unbounded iteration budget; both must reach the same valid
+	// profile.
 	resumed, err := gtlb.RunNashRing(gtlb.NewMemNetwork(), sys,
 		gtlb.WithCheckpoint(partial.Profile), gtlb.WithEpsilon(1e-8))
 	if err != nil {
@@ -195,12 +198,15 @@ func TestFacadeNashRingResume(t *testing.T) {
 	if err := sys.ValidateProfile(resumed.Profile); err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := gtlb.RunNashRingFrom(gtlb.NewMemNetwork(), sys, partial.Profile, 1e-8, 0)
+	explicit, err := gtlb.RunNashRing(gtlb.NewMemNetwork(), sys,
+		gtlb.WithCheckpoint(partial.Profile), gtlb.WithEpsilon(1e-8),
+		gtlb.WithMaxIter(0), gtlb.WithRingOptions(gtlb.NashRingOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.ValidateProfile(legacy.Profile); err != nil {
-		t.Fatal(err)
+	if explicit.Iterations != resumed.Iterations || !reflect.DeepEqual(explicit.Profile, resumed.Profile) {
+		t.Errorf("explicit-options resume = %d iterations %v, want %d iterations %v",
+			explicit.Iterations, explicit.Profile, resumed.Iterations, resumed.Profile)
 	}
 }
 
@@ -236,10 +242,9 @@ func TestFacadeUserSchemes(t *testing.T) {
 }
 
 func TestFacadeChaosNetwork(t *testing.T) {
-	// Deprecated surface: explicit chaos wrapping plus RunLBMWith, with
-	// the registry threaded through the (also deprecated) FaultCounters
-	// alias. Must keep working verbatim.
-	ctr := gtlb.NewFaultCounters()
+	// Explicit chaos wrapping, with the registry reaching the protocol
+	// through LBMOptions.Observer rather than WithObserver.
+	ctr := gtlb.NewRegistry()
 	plan := gtlb.FaultPlan{Crash: map[string]int{"computer-0": 0}}
 	netw := gtlb.NewChaosNetwork(gtlb.NewMemNetwork(), plan, gtlb.WithObserver(ctr))
 	trueVals := table51TrueValues()
@@ -250,7 +255,8 @@ func TestFacadeChaosNetwork(t *testing.T) {
 		AgentBudget: time.Second,
 		Observer:    ctr,
 	}
-	res, err := gtlb.RunLBMWith(netw, trueVals, make([]gtlb.BidPolicy, len(trueVals)), 0.5*0.663, opts)
+	res, err := gtlb.RunLBM(netw, trueVals, make([]gtlb.BidPolicy, len(trueVals)), 0.5*0.663,
+		gtlb.WithLBMOptions(opts))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -235,19 +235,6 @@ type FaultPlan = dist.FaultPlan
 // PartitionPlan cuts a FaultPlan's network in two for a traffic window.
 type PartitionPlan = dist.PartitionPlan
 
-// FaultCounters collects named fault/retry event counts (chaos.*,
-// nash.*, lbm.*) from a chaos run; safe for concurrent use.
-//
-// Deprecated: FaultCounters is now the general metrics Registry, which
-// keeps the historical counter names and adds gauges and latency
-// histograms. Use Registry (and WithObserver) directly.
-type FaultCounters = obs.Registry
-
-// NewFaultCounters returns an empty fault-event counter set.
-//
-// Deprecated: use NewRegistry.
-func NewFaultCounters() *FaultCounters { return obs.NewRegistry() }
-
 // NewChaosNetwork wraps a transport with deterministic, seeded fault
 // injection (drop, delay, duplicate, reorder, crash, partition). The
 // same plan replayed over the same traffic produces the same schedule.
@@ -267,21 +254,6 @@ type NashRingOptions = dist.NashOptions
 // LBMOptions tunes the hardened LBM dispatcher (bid deadline, retries,
 // backoff); the zero value uses safe defaults.
 type LBMOptions = dist.LBMOptions
-
-// RunNashRingWith is RunNashRing with explicit fault-tolerance options.
-//
-// Deprecated: use RunNashRing with WithEpsilon, WithMaxIter and
-// WithRingOptions.
-func RunNashRingWith(n Network, sys MultiSystem, eps float64, maxIter int, opts NashRingOptions) (NashRingResult, error) {
-	return RunNashRing(n, sys, WithEpsilon(eps), WithMaxIter(maxIter), WithRingOptions(opts))
-}
-
-// RunLBMWith is RunLBM with explicit fault-tolerance options.
-//
-// Deprecated: use RunLBM with WithLBMOptions.
-func RunLBMWith(n Network, trueValues []float64, policies []BidPolicy, phi float64, opts LBMOptions) (LBMResult, error) {
-	return RunLBM(n, trueValues, policies, phi, WithLBMOptions(opts))
-}
 
 // SimConfig configures the discrete-event simulator. Replications run
 // concurrently on a bounded worker pool (SimConfig.Workers; 0 means
@@ -412,14 +384,6 @@ type LBMService = dist.LBMService
 // NewLBMService prepares the long-running bidding dispatcher.
 func NewLBMService(newNet func() Network, trueValues []float64, policies []BidPolicy) (*LBMService, error) {
 	return dist.NewLBMService(newNet, trueValues, policies)
-}
-
-// RunNashRingFrom resumes the NASH ring protocol from a checkpointed
-// strategy profile (e.g. after a node crash).
-//
-// Deprecated: use RunNashRing with WithCheckpoint.
-func RunNashRingFrom(n Network, sys MultiSystem, checkpoint Profile, eps float64, maxIter int) (NashRingResult, error) {
-	return RunNashRing(n, sys, WithCheckpoint(checkpoint), WithEpsilon(eps), WithMaxIter(maxIter))
 }
 
 // Trace is a recorded arrival workload; see internal/workload.

@@ -1,10 +1,14 @@
 package dist
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"gtlb/internal/metrics"
 	"gtlb/internal/noncoop"
@@ -77,6 +81,226 @@ func TestMemNetworkClose(t *testing.T) {
 	// Closing twice is safe.
 	if err := a.Close(); err != nil {
 		t.Errorf("second close: %v", err)
+	}
+}
+
+// TestMemNetworkContract pins what the mem mailbox promises on top of
+// the Conn interface: per-sender FIFO under concurrent senders, queued
+// messages outlive Close, sends to departed nodes fail, an empty
+// mailbox times out, and a send or Close mid-wait wakes the receiver.
+func TestMemNetworkContract(t *testing.T) {
+	t.Parallel()
+	t.Run("per-sender FIFO", func(t *testing.T) {
+		const senders, each = 8, 10_000
+		n := NewMemNetwork()
+		sink, _ := n.Join("sink")
+		var wg sync.WaitGroup
+		for s := 0; s < senders; s++ {
+			c, err := n.Join(fmt.Sprintf("s%d", s))
+			if err != nil {
+				t.Fatal(err)
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for k := uint64(0); k < each; k++ {
+					if err := c.Send(Message{To: "sink", Data: binary.LittleEndian.AppendUint64(nil, k)}); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		next := make(map[string]uint64, senders)
+		for i := 0; i < senders*each; i++ {
+			m, err := sink.RecvTimeout(10 * time.Second)
+			if err != nil {
+				t.Fatalf("after %d messages: %v", i, err)
+			}
+			if k := binary.LittleEndian.Uint64(m.Data); k != next[m.From] {
+				t.Fatalf("from %s: got #%d, want #%d", m.From, k, next[m.From])
+			}
+			next[m.From]++
+		}
+		wg.Wait()
+	})
+	t.Run("queued before Close outlive it", func(t *testing.T) {
+		n := NewMemNetwork()
+		a, _ := n.Join("a")
+		b, _ := n.Join("b")
+		for _, k := range []string{"1", "2", "3", "4"} {
+			if err := a.Send(Message{To: "b", Kind: k}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		b.Close()
+		for i, k := range []string{"1", "2", "3", "4"} {
+			var m Message
+			var err error
+			if i%2 == 0 {
+				m, err = b.Recv()
+			} else {
+				m, err = b.RecvTimeout(time.Second)
+			}
+			if err != nil || m.Kind != k {
+				t.Fatalf("receive %d after Close = %q, %v; want %q", i, m.Kind, err, k)
+			}
+		}
+		if _, err := b.Recv(); err != ErrClosed {
+			t.Errorf("drained Recv = %v, want ErrClosed", err)
+		}
+		if _, err := b.RecvTimeout(time.Second); err != ErrClosed {
+			t.Errorf("drained RecvTimeout = %v, want ErrClosed", err)
+		}
+	})
+	t.Run("send to a departed node fails", func(t *testing.T) {
+		n := NewMemNetwork()
+		a, _ := n.Join("a")
+		b, _ := n.Join("b")
+		box := b.(*memConn).box // a sender that looked b up before it left
+		b.Close()
+		if err := a.Send(Message{To: "b"}); err == nil {
+			t.Error("send to a node that left succeeded")
+		}
+		if box.put(Message{To: "b"}) {
+			t.Error("put into a closed mailbox succeeded")
+		}
+	})
+	t.Run("empty mailbox times out", func(t *testing.T) {
+		n := NewMemNetwork()
+		a, _ := n.Join("a")
+		for i := 0; i < 2; i++ { // the second wait reuses the timer
+			if _, err := a.RecvTimeout(5 * time.Millisecond); !errors.Is(err, ErrTimeout) {
+				t.Fatalf("RecvTimeout on empty mailbox = %v, want ErrTimeout", err)
+			}
+		}
+	})
+	t.Run("send mid-wait wakes the receiver", func(t *testing.T) {
+		// Ping-pong: each side parks on an empty mailbox until the
+		// other's send, so a lost wake-up stalls a round into the
+		// timeout.
+		const rounds = 5_000
+		n := NewMemNetwork()
+		a, _ := n.Join("a")
+		b, _ := n.Join("b")
+		errc := make(chan error, 1)
+		go func() {
+			for i := 0; i < rounds; i++ {
+				var err error
+				if i%2 == 0 {
+					_, err = b.Recv()
+				} else {
+					_, err = b.RecvTimeout(10 * time.Second)
+				}
+				if err == nil {
+					err = b.Send(Message{To: "a"})
+				}
+				if err != nil {
+					errc <- err
+					return
+				}
+			}
+			errc <- nil
+		}()
+		for i := 0; i < rounds; i++ {
+			if err := a.Send(Message{To: "b"}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := a.RecvTimeout(10 * time.Second); err != nil {
+				t.Fatalf("round %d: %v", i, err)
+			}
+		}
+		if err := <-errc; err != nil {
+			t.Fatal(err)
+		}
+		// A Close mid-wait wakes the receiver too.
+		go func() {
+			time.Sleep(5 * time.Millisecond)
+			b.Close()
+		}()
+		if _, err := b.RecvTimeout(10 * time.Second); err != ErrClosed {
+			t.Errorf("RecvTimeout across Close = %v, want ErrClosed", err)
+		}
+	})
+}
+
+// TestMailboxBoundedBacking: a queue that never drains must not keep
+// its consumed prefix, so its backing array stays bounded however many
+// messages pass through. Single-goroutine and deterministic, so it is
+// named outside the 'TestMemNetwork' race shake-out CI repeats.
+func TestMailboxBoundedBacking(t *testing.T) {
+	t.Parallel()
+	const pairs = 1_000_000
+	n := NewMemNetwork()
+	a, _ := n.Join("a")
+	box := a.(*memConn).box
+	for i := 0; i < 3; i++ { // never lets the queue drain
+		if err := a.Send(Message{To: "a"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < pairs; i++ {
+		if err := a.Send(Message{To: "a"}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.Recv(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	box.mu.Lock()
+	c, pending := cap(box.q), len(box.q)-box.head
+	box.mu.Unlock()
+	if pending != 3 || c > 16 {
+		t.Errorf("after %d send/recv pairs: %d pending, cap %d; want 3 pending in cap <= 16", pairs, pending, c)
+	}
+}
+
+// TestMemConnAllocs gates the mem transport's cost: a node that joins
+// and leaves allocates at most 1 KiB, since a mailbox grows only when
+// messages queue, and a steady-state Send+Recv of a pre-encoded message
+// allocates nothing. An m=1000 solve joins about 1,040 nodes. Not
+// parallel, so other tests' allocations stay out of the byte count.
+func TestMemConnAllocs(t *testing.T) {
+	const nodes = 1000
+	names := make([]string, nodes)
+	for i := range names {
+		names[i] = fmt.Sprintf("user-%d", i)
+	}
+	n := NewMemNetwork()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	conns := make([]Conn, 0, nodes)
+	for _, name := range names {
+		c, err := n.Join(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conns = append(conns, c)
+	}
+	for _, c := range conns {
+		c.Close()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / nodes; per > 1024 {
+		t.Errorf("Join+Close allocate %d B per node, want <= 1024", per)
+	}
+
+	a, _ := n.Join("a")
+	b, _ := n.Join("b")
+	m := Message{To: "b", Kind: hierKindToken}
+	if err := m.Encode(&hierTokenPayload{Epoch: 1, Loads: []float64{1, 2}}); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if err := a.Send(m); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.Recv(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 0 {
+		t.Errorf("steady-state Send+Recv costs %.1f allocs/op, want 0", allocs)
 	}
 }
 

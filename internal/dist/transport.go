@@ -1,8 +1,9 @@
 // Package dist provides the simulated distributed runtime the protocols
 // of Chapters 4 and 5 execute on: named nodes exchanging messages over a
 // pluggable transport. Two transports are provided — an in-memory one
-// built on channels (deterministic, used by tests and examples) and a
-// TCP loopback one (shows the protocols running across real sockets).
+// built on per-node unbounded FIFO mailboxes (deterministic, used by
+// tests and examples) and a TCP loopback one (shows the protocols
+// running across real sockets).
 //
 // The two protocols implemented on top are:
 //
@@ -80,9 +81,10 @@ func (m *Message) Decode(v any) error {
 
 // Conn is one node's endpoint on a transport. Recv/RecvTimeout are
 // called only by the goroutine that owns the Conn; Send is safe for
-// concurrent use. The TCP conn reads frames on that receiving goroutine
-// and the mem conn reuses one timer across receives, both relying on
-// there being a single receiver. Close may come from any goroutine.
+// concurrent use. The TCP conn reads frames on that receiving goroutine,
+// and the mem conn parks it on a one-slot wake-up channel and reuses one
+// timer across receives, both relying on there being a single receiver.
+// Close may come from any goroutine.
 type Conn interface {
 	// Name returns the node name this endpoint joined as.
 	Name() string
@@ -110,9 +112,9 @@ type Network interface {
 
 // BatchSender is implemented by transports that can coalesce several
 // outbound messages into one frame/syscall (the TCP conn writes one
-// buffer, the mem conn amortizes the recipient lookups). Fault-injecting
-// wrappers deliberately do not implement it, so every message still
-// receives its own fault draw.
+// buffer; the mem conn has nothing to coalesce and takes SendAll's
+// sequential path). Fault-injecting wrappers deliberately do not
+// implement it, so every message still receives its own fault draw.
 type BatchSender interface {
 	// SendBatch delivers the messages in order. It stops at the first
 	// send error.
@@ -149,17 +151,85 @@ type memNetwork struct {
 	boxes map[string]*mailbox
 }
 
-// mailbox is one node's message queue. The message channel is never
-// closed — closure is signalled on done instead, so a Send racing with
-// the recipient's Close selects the done case rather than panicking on
-// a closed channel (a send/close race the race detector rightly flags).
+// mailbox is one node's message queue: a FIFO slice that grows on
+// demand, so a node costs a few hundred bytes until messages actually
+// queue up. The queue is unbounded — Send never blocks — which is what
+// keeps protocol fan-out (a dispatcher messaging n computers) from
+// deadlocking. The single receiver (the Conn contract) parks on wake,
+// a one-slot channel that every put and the close signal. A token left
+// by a put that raced the receiver's empty check keeps that wake-up
+// from being lost; a stale token costs one empty re-check.
 type mailbox struct {
-	ch   chan Message
-	done chan struct{}
+	mu     sync.Mutex
+	q      []Message // q[head:] is pending; q[:head] is consumed and zeroed
+	head   int
+	closed bool
+	wake   chan struct{}
 }
 
-// NewMemNetwork returns an in-memory Network. Mailboxes are buffered so
-// protocol fan-out (a dispatcher messaging n computers) cannot deadlock.
+// put appends m and wakes the receiver. It fails once the mailbox is
+// closed.
+func (b *mailbox) put(m Message) bool {
+	b.mu.Lock()
+	if b.closed {
+		b.mu.Unlock()
+		return false
+	}
+	b.q = append(b.q, m)
+	b.mu.Unlock()
+	b.signal()
+	return true
+}
+
+// close refuses further puts and wakes the receiver, which drains what
+// is queued and then gets ErrClosed.
+func (b *mailbox) close() {
+	b.mu.Lock()
+	b.closed = true
+	b.mu.Unlock()
+	b.signal()
+}
+
+// signal leaves a wake-up token unless one is already pending.
+func (b *mailbox) signal() {
+	select {
+	case b.wake <- struct{}{}:
+	default:
+	}
+}
+
+// take pops the oldest message (ok). With the queue empty it returns
+// ErrClosed once the mailbox is closed, and neither while the receiver
+// must wait. Messages queued before the close are returned first.
+func (b *mailbox) take() (m Message, ok bool, err error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.head == len(b.q) {
+		if b.closed {
+			return Message{}, false, ErrClosed
+		}
+		return Message{}, false, nil
+	}
+	m = b.q[b.head]
+	b.q[b.head] = Message{} // drop the payload reference
+	b.head++
+	switch {
+	case b.head == len(b.q):
+		// Drained: start over at the front of the same array.
+		b.q, b.head = b.q[:0], 0
+	case 2*b.head > len(b.q):
+		// A queue that never drains must not keep its consumed prefix:
+		// slide the pending tail down once it is the smaller half.
+		n := copy(b.q, b.q[b.head:])
+		clear(b.q[n:])
+		b.q, b.head = b.q[:n], 0
+	}
+	return m, true, nil
+}
+
+// NewMemNetwork returns an in-memory Network. Each mailbox is an
+// unbounded FIFO, so Send never blocks and protocol fan-out cannot
+// deadlock; per-sender order is preserved.
 func NewMemNetwork() Network {
 	return &memNetwork{boxes: make(map[string]*mailbox)}
 }
@@ -170,7 +240,7 @@ func (n *memNetwork) Join(name string) (Conn, error) {
 	if _, dup := n.boxes[name]; dup {
 		return nil, fmt.Errorf("dist: node %q already joined", name)
 	}
-	box := &mailbox{ch: make(chan Message, 1024), done: make(chan struct{})}
+	box := &mailbox{wake: make(chan struct{}, 1)}
 	n.boxes[name] = box
 	return &memConn{net: n, name: name, box: box}, nil
 }
@@ -186,7 +256,7 @@ func (n *memNetwork) leave(name string) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if box, ok := n.boxes[name]; ok {
-		close(box.done)
+		box.close()
 		delete(n.boxes, name)
 	}
 }
@@ -213,43 +283,18 @@ func (c *memConn) Send(m Message) error {
 	if !ok {
 		return fmt.Errorf("dist: unknown node %q", m.To)
 	}
-	select {
-	case box.ch <- m:
-		return nil
-	case <-box.done:
+	if !box.put(m) {
 		return fmt.Errorf("dist: node %q closed", m.To)
-	}
-}
-
-// SendBatch delivers a burst in order, resolving each recipient once.
-func (c *memConn) SendBatch(ms []Message) error {
-	for i := range ms {
-		if err := c.Send(ms[i]); err != nil {
-			return err
-		}
 	}
 	return nil
 }
 
 func (c *memConn) Recv() (Message, error) {
-	select {
-	case m := <-c.box.ch:
-		return m, nil
-	default:
-	}
-	select {
-	case m := <-c.box.ch:
-		return m, nil
-	case <-c.box.done:
-		// Closed — but drain messages that arrived before the close, in
-		// case the blocking select picked the done case over a ready
-		// message (select order is randomized).
-		select {
-		case m := <-c.box.ch:
-			return m, nil
-		default:
-			return Message{}, ErrClosed
+	for {
+		if m, ok, err := c.box.take(); ok || err != nil {
+			return m, err
 		}
+		<-c.box.wake
 	}
 }
 
@@ -257,10 +302,8 @@ func (c *memConn) RecvTimeout(d time.Duration) (Message, error) {
 	if d <= 0 {
 		return c.Recv()
 	}
-	select {
-	case m := <-c.box.ch:
-		return m, nil
-	default:
+	if m, ok, err := c.box.take(); ok || err != nil {
+		return m, err
 	}
 	t := c.timer
 	if t == nil {
@@ -279,19 +322,15 @@ func (c *memConn) RecvTimeout(d time.Duration) (Message, error) {
 			}
 		}
 	}()
-	select {
-	case m := <-c.box.ch:
-		return m, nil
-	case <-c.box.done:
-		// Same pre-close drain as Recv.
+	for {
 		select {
-		case m := <-c.box.ch:
-			return m, nil
-		default:
-			return Message{}, ErrClosed
+		case <-c.box.wake:
+			if m, ok, err := c.box.take(); ok || err != nil {
+				return m, err
+			}
+		case <-t.C:
+			return Message{}, fmt.Errorf("dist: recv on %q after %v: %w", c.name, d, ErrTimeout)
 		}
-	case <-t.C:
-		return Message{}, fmt.Errorf("dist: recv on %q after %v: %w", c.name, d, ErrTimeout)
 	}
 }
 

@@ -1,3 +1,7 @@
+// Package game holds the game-level solvers that sit beside the closed
+// forms: a generic two-player Nash Bargaining Solution solver used to
+// cross-check internal/core, the warm-started COOP re-solve, and the
+// in-process sharded best-reply oracle for the distributed NASH runtime.
 package game
 
 import (

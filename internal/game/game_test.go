@@ -8,124 +8,6 @@ import (
 	"gtlb/internal/core"
 )
 
-func TestPrisonersDilemmaEquilibrium(t *testing.T) {
-	g := PrisonersDilemma()
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	eq := g.NashEquilibria()
-	if len(eq) != 1 || eq[0] != (Cell{I: 1, J: 1}) {
-		t.Fatalf("equilibria = %v, want only (D, D)", eq)
-	}
-	if g.Label(eq[0]) != "(D, D)" {
-		t.Errorf("label = %s", g.Label(eq[0]))
-	}
-	// D is a dominant strategy for both players (§2.1, Example 2.1).
-	if g.DominantStrategy(0) != 1 || g.DominantStrategy(1) != 1 {
-		t.Error("D should be dominant for both players")
-	}
-}
-
-func TestPrisonersDilemmaParetoSuboptimal(t *testing.T) {
-	g := PrisonersDilemma()
-	for _, c := range g.ParetoOptimal() {
-		if c == (Cell{I: 1, J: 1}) {
-			t.Error("(D, D) must not be Pareto optimal — that is the dilemma")
-		}
-	}
-	// (C, C) is Pareto optimal.
-	found := false
-	for _, c := range g.ParetoOptimal() {
-		if c == (Cell{I: 0, J: 0}) {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("(C, C) should be Pareto optimal")
-	}
-}
-
-func TestBattleOfTheSexesTwoEquilibria(t *testing.T) {
-	g := BattleOfTheSexes()
-	eq := g.NashEquilibria()
-	if len(eq) != 2 {
-		t.Fatalf("equilibria = %v, want exactly two (Example 2.2)", eq)
-	}
-	want := map[Cell]bool{{I: 0, J: 0}: true, {I: 1, J: 1}: true}
-	for _, c := range eq {
-		if !want[c] {
-			t.Errorf("unexpected equilibrium %v", c)
-		}
-	}
-	if g.DominantStrategy(0) != -1 || g.DominantStrategy(1) != -1 {
-		t.Error("Battle of the Sexes has no dominant strategies")
-	}
-}
-
-func TestMatrixValidate(t *testing.T) {
-	bad := Matrix{
-		Strategies: [2][]string{{"A"}, {"X", "Y"}},
-		Payoffs:    [][]Outcome{{{P1: 0, P2: 0}}},
-	}
-	if err := bad.Validate(); err == nil {
-		t.Error("ragged matrix validated")
-	}
-	empty := Matrix{}
-	if err := empty.Validate(); err == nil {
-		t.Error("empty matrix validated")
-	}
-}
-
-func TestEnvelopeGameEquilibrium(t *testing.T) {
-	// Example 2.3: state (2, 3) — player 2 has the larger envelope.
-	g, err := EnvelopeGame(2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eq := g.NashEquilibria()
-	foundNBNB := false
-	for _, c := range eq {
-		if c == (Cell{I: 1, J: 1}) {
-			foundNBNB = true
-		}
-	}
-	if !foundNBNB {
-		t.Errorf("(NB, NB) not among equilibria %v (Example 2.3)", eq)
-	}
-}
-
-func TestEnvelopeGameInvalid(t *testing.T) {
-	if _, err := EnvelopeGame(2, 2); err == nil {
-		t.Error("equal exponents accepted")
-	}
-	if _, err := EnvelopeGame(0, 1); err == nil {
-		t.Error("non-positive exponent accepted")
-	}
-}
-
-func TestBayesianNoBet(t *testing.T) {
-	// Whatever the belief, not betting is an equilibrium action when the
-	// opponent does not bet: betting then just burns the dollar.
-	for _, p := range []float64{0, 0.25, 0.5, 0.75, 1} {
-		if !BayesianNoBetIsEquilibrium(3, EnvelopeBelief{ProbLower: p}) {
-			t.Errorf("no-bet not an equilibrium under belief %v", p)
-		}
-	}
-}
-
-func TestExpectedEnvelopePayoff(t *testing.T) {
-	// Holding 10^2 = 100 and not betting yields exactly 100.
-	if got := ExpectedEnvelopePayoff(2, EnvelopeBelief{ProbLower: 0.5}, false, 1); got != 100 {
-		t.Errorf("no-bet payoff = %v, want 100", got)
-	}
-	// Betting against a certain better: expected swap value minus 1.
-	got := ExpectedEnvelopePayoff(2, EnvelopeBelief{ProbLower: 0.5}, true, 1)
-	want := 0.5*10 + 0.5*1000 - 1
-	if math.Abs(got-want) > 1e-9 {
-		t.Errorf("bet payoff = %v, want %v", got, want)
-	}
-}
-
 // TestBargain2MatchesCOOP cross-checks the generic bargaining solver
 // against the COOP closed form on two-computer systems.
 func TestBargain2MatchesCOOP(t *testing.T) {
