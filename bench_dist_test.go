@@ -1,21 +1,18 @@
 package gtlb_test
 
-// Convergence/wall-clock benchmark suite for the distributed NASH
-// protocols (flat §4.3 ring vs the hierarchical sharded runtime), on
-// both transports, with and without chaos. TestBenchDistReport writes
-// the machine-readable BENCH_DIST.json report; TestDistScaleSmoke is
-// the fast CI tier (run under -race by the dist-scale-smoke job).
+// Convergence and wall-clock checks for the distributed NASH protocols
+// (flat §4.3 ring vs the hierarchical sharded runtime).
+// BenchmarkShardedVsFlat gates the hierarchy's speed-up over the ring;
+// TestDistScaleSmoke is the fast CI tier (run under -race by the
+// dist-scale-smoke job).
 
 import (
 	"fmt"
 	"math"
-	"os"
 	"testing"
 	"time"
 
 	"gtlb"
-	"gtlb/internal/benchio"
-	"gtlb/internal/dist"
 	"gtlb/internal/noncoop"
 )
 
@@ -81,29 +78,24 @@ func bestReplyGap(tb testing.TB, sys gtlb.MultiSystem, prof gtlb.Profile) float6
 }
 
 type distRun struct {
-	wall   time.Duration
-	sweeps int // unit of convergence work: best-reply sweeps completed
-	rounds int // flat: == sweeps; sharded: reconciliation cycles
-	norm   float64
-	msgs   int64
-	bytes  int64
-	prof   gtlb.Profile
+	wall time.Duration
+	norm float64
+	prof gtlb.Profile
 }
 
-func runFlat(tb testing.TB, netw gtlb.Network, sys gtlb.MultiSystem, eps float64, seed uint64) distRun {
+// runFlat solves with the flat §4.3 ring on the mem transport and
+// returns its wall clock.
+func runFlat(tb testing.TB, sys gtlb.MultiSystem, eps float64) time.Duration {
 	tb.Helper()
-	cnt := dist.NewCountingNetwork(netw)
 	start := time.Now()
-	res, err := gtlb.RunNashRing(cnt, sys,
+	_, err := gtlb.RunNashRing(gtlb.NewMemNetwork(), sys,
 		gtlb.WithEpsilon(eps), gtlb.WithMaxIter(100_000),
-		gtlb.WithRingOptions(gtlb.NashRingOptions{Seed: seed, Deadline: 10 * time.Minute}))
+		gtlb.WithRingOptions(gtlb.NashRingOptions{Seed: 1, Deadline: 10 * time.Minute}))
 	wall := time.Since(start)
 	if err != nil {
 		tb.Fatalf("flat NASH: %v", err)
 	}
-	msgs, bytes := cnt.Totals()
-	return distRun{wall: wall, sweeps: res.Iterations, rounds: res.Iterations,
-		msgs: msgs, bytes: bytes, prof: res.Profile}
+	return wall
 }
 
 // chaosShardOptions are the hardening knobs for fault-injected runs:
@@ -120,9 +112,9 @@ func chaosShardOptions(seed uint64) gtlb.ShardOptions {
 	}
 }
 
-func runSharded(tb testing.TB, netw gtlb.Network, sys gtlb.MultiSystem, eps float64, so gtlb.ShardOptions, chaos *gtlb.FaultPlan) distRun {
+// runSharded solves with the sharded hierarchy on the mem transport.
+func runSharded(tb testing.TB, sys gtlb.MultiSystem, eps float64, so gtlb.ShardOptions, chaos *gtlb.FaultPlan) distRun {
 	tb.Helper()
-	cnt := dist.NewCountingNetwork(netw)
 	opts := []gtlb.Option{
 		gtlb.WithEpsilon(eps), gtlb.WithMaxIter(100_000),
 		gtlb.WithShardOptions(so),
@@ -131,128 +123,46 @@ func runSharded(tb testing.TB, netw gtlb.Network, sys gtlb.MultiSystem, eps floa
 		opts = append(opts, gtlb.WithFaultPlan(*chaos))
 	}
 	start := time.Now()
-	res, err := gtlb.RunNashSharded(cnt, sys, opts...)
+	res, err := gtlb.RunNashSharded(gtlb.NewMemNetwork(), sys, opts...)
 	wall := time.Since(start)
 	if err != nil {
 		tb.Fatalf("sharded NASH: %v", err)
 	}
-	msgs, bytes := cnt.Totals()
-	return distRun{wall: wall, sweeps: res.Sweeps, rounds: res.Rounds,
-		norm: res.Norm, msgs: msgs, bytes: bytes, prof: res.Profile}
+	return distRun{wall: wall, norm: res.Norm, prof: res.Profile}
 }
 
-func addDistEntry(report *benchio.Report, name string, r distRun, extra map[string]float64) {
-	if extra == nil {
-		extra = map[string]float64{}
-	}
-	extra["sweeps_to_eps"] = float64(r.sweeps)
-	extra["rounds"] = float64(r.rounds)
-	extra["final_norm"] = r.norm
-	extra["messages"] = float64(r.msgs)
-	extra["payload_bytes"] = float64(r.bytes)
-	if r.sweeps > 0 {
-		extra["bytes_per_sweep"] = float64(r.bytes) / float64(r.sweeps)
-		extra["msgs_per_sweep"] = float64(r.msgs) / float64(r.sweeps)
-	}
-	report.Add(name, float64(r.wall.Nanoseconds()), extra)
-}
-
-// TestBenchDistReport checks the convergence suite's claim in
-// BENCH_DIST.json; under -bench.write it first runs the full suite and
-// rewrites the report. Sizes: flat mem at m ∈ {10,100,1000} (the flat ring
-// at m=10000 would need hours — the point of the hierarchy), sharded
-// mem at m ∈ {10,100,1000} plus m=10000 when GTLB_DIST_BENCH=1 (the
-// committed report includes it), TCP through m=1000, and a chaos
-// variant of the sharded runtime on mem. Asserts the tentpole speedup:
-// sharded ≥ 10× faster than flat in wall-clock at m=1000 with
-// equilibrium quality in the same ε class.
-func TestBenchDistReport(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmark report skipped in -short mode")
-	}
-	report := benchReport(t, "BENCH_DIST.json", func() benchio.Report { return measureDistReport(t) })
-	speedup := benchEntry(t, report, "dist.nash/sharded/mem/m=1000").Extra["speedup_vs_flat"]
-	t.Logf("m=1000 sharded speedup vs flat: %.1fx", speedup)
-	if speedup < 10 {
-		t.Errorf("sharded runtime is %.1fx faster than the flat ring at m=1000; the hierarchy promises >= 10x", speedup)
-	}
-}
-
-// measureDistReport runs the convergence suite behind BENCH_DIST.json.
-func measureDistReport(t *testing.T) benchio.Report {
-	report := benchio.NewReport()
-	flatWall := map[int]time.Duration{}
-
-	for _, m := range []int{10, 100, 1000} {
-		sys := distBenchSystem(t, m)
-		eps := distBenchEps(m)
-		r := runFlat(t, gtlb.NewMemNetwork(), sys, eps, 1)
-		gap := bestReplyGap(t, sys, r.prof)
-		flatWall[m] = r.wall
-		addDistEntry(&report, fmt.Sprintf("dist.nash/flat/mem/m=%d", m), r,
-			map[string]float64{"bestreply_gap": gap})
-		t.Logf("flat/mem/m=%d: %v, %d sweeps, norm %.3g, gap %.3g", m, r.wall, r.sweeps, r.norm, gap)
-	}
-
-	shardSizes := []int{10, 100, 1000}
-	if os.Getenv("GTLB_DIST_BENCH") != "" {
-		shardSizes = append(shardSizes, 10000)
-	}
-	for _, m := range shardSizes {
-		sys := distBenchSystem(t, m)
-		eps := distBenchEps(m)
-		r := runSharded(t, gtlb.NewMemNetwork(), sys, eps,
-			gtlb.ShardOptions{Seed: 1, Deadline: 10 * time.Minute}, nil)
-		gap := bestReplyGap(t, sys, r.prof)
-		extra := map[string]float64{"bestreply_gap": gap}
-		if fw, ok := flatWall[m]; ok {
-			extra["speedup_vs_flat"] = float64(fw) / float64(r.wall)
+// BenchmarkShardedVsFlat times NASH to ε(m) on the mem transport. At
+// m=1000 each iteration runs the flat §4.3 ring and the sharded
+// hierarchy once, reports both wall clocks and their ratio, and holds
+// the hierarchy to at least 10x the ring's speed. At m=10000 only the
+// hierarchy runs: the flat ring would need hours there, which is the
+// point of the hierarchy. Run it with -benchtime 1x; one flat solve at
+// m=1000 takes tens of seconds.
+func BenchmarkShardedVsFlat(b *testing.B) {
+	shardOpts := gtlb.ShardOptions{Seed: 1, Deadline: 10 * time.Minute}
+	b.Run("m=1000", func(b *testing.B) {
+		sys, eps := distBenchSystem(b, 1000), distBenchEps(1000)
+		var flatWall, shardedWall time.Duration
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			flatWall += runFlat(b, sys, eps)
+			shardedWall += runSharded(b, sys, eps, shardOpts, nil).wall
 		}
-		addDistEntry(&report, fmt.Sprintf("dist.nash/sharded/mem/m=%d", m), r, extra)
-		t.Logf("sharded/mem/m=%d: %v, %d rounds / %d sweeps, norm %.3g, gap %.3g",
-			m, r.wall, r.rounds, r.sweeps, r.norm, gap)
-	}
-
-	// TCP loopback: flat through m=100 (the flat ring over sockets at
-	// m=1000 is minutes of wall-clock for no extra information), the
-	// sharded runtime through m=1000.
-	for _, m := range []int{10, 100} {
-		sys := distBenchSystem(t, m)
-		netw, _, closeFn, err := dist.NewTCPNetwork("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
+		speedup := float64(flatWall) / float64(shardedWall)
+		b.ReportMetric(flatWall.Seconds()/float64(b.N), "flat-s/op")
+		b.ReportMetric(shardedWall.Seconds()/float64(b.N), "sharded-s/op")
+		b.ReportMetric(speedup, "speedup-x")
+		if speedup < 10 {
+			b.Errorf("sharded runtime is %.1fx faster than the flat ring at m=1000; the hierarchy promises >= 10x", speedup)
 		}
-		r := runFlat(t, netw, sys, distBenchEps(m), 1)
-		_ = closeFn()
-		addDistEntry(&report, fmt.Sprintf("dist.nash/flat/tcp/m=%d", m), r, nil)
-		t.Logf("flat/tcp/m=%d: %v, %d sweeps", m, r.wall, r.sweeps)
-	}
-	for _, m := range []int{10, 100, 1000} {
-		sys := distBenchSystem(t, m)
-		netw, _, closeFn, err := dist.NewTCPNetwork("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
+	})
+	b.Run("m=10000", func(b *testing.B) {
+		sys, eps := distBenchSystem(b, 10000), distBenchEps(10000)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			runSharded(b, sys, eps, shardOpts, nil)
 		}
-		r := runSharded(t, netw, sys, distBenchEps(m),
-			gtlb.ShardOptions{Seed: 1, Deadline: 10 * time.Minute}, nil)
-		_ = closeFn()
-		addDistEntry(&report, fmt.Sprintf("dist.nash/sharded/tcp/m=%d", m), r, nil)
-		t.Logf("sharded/tcp/m=%d: %v, %d rounds / %d sweeps", m, r.wall, r.rounds, r.sweeps)
-	}
-
-	// Chaos tier: seeded drop/delay/duplicate faults on mem. The runs
-	// still converge; the report records the fault tax in sweeps and
-	// wall-clock.
-	for _, m := range []int{10, 100, 1000} {
-		sys := distBenchSystem(t, m)
-		plan := gtlb.FaultPlan{Seed: 7, Drop: 0.002, Delay: 0.05, MaxDelay: 2 * time.Millisecond, Duplicate: 0.005}
-		r := runSharded(t, gtlb.NewMemNetwork(), sys, distBenchEps(m), chaosShardOptions(1), &plan)
-		addDistEntry(&report, fmt.Sprintf("dist.nash/sharded/mem/m=%d/chaos", m), r, nil)
-		t.Logf("sharded/mem/m=%d/chaos: %v, %d rounds / %d sweeps, norm %.3g",
-			m, r.wall, r.rounds, r.sweeps, r.norm)
-	}
-
-	return report
+	})
 }
 
 // TestDistScaleSmoke is the CI tier of the scale suite: sharded runs at
@@ -265,7 +175,7 @@ func TestDistScaleSmoke(t *testing.T) {
 		t.Run(fmt.Sprintf("m=%d", m), func(t *testing.T) {
 			sys := distBenchSystem(t, m)
 			eps := distBenchEps(m)
-			r := runSharded(t, gtlb.NewMemNetwork(), sys, eps,
+			r := runSharded(t, sys, eps,
 				gtlb.ShardOptions{Seed: 1, Deadline: 10 * time.Minute}, nil)
 			if r.norm > eps {
 				t.Errorf("converged norm %.3g exceeds eps %.3g", r.norm, eps)
@@ -278,7 +188,7 @@ func TestDistScaleSmoke(t *testing.T) {
 				t.Errorf("best-reply gap %.3g exceeds 4·eps = %.3g", gap, 4*eps)
 			}
 			plan := gtlb.FaultPlan{Seed: uint64(m), Drop: 0.002, Delay: 0.05, MaxDelay: time.Millisecond, Duplicate: 0.005}
-			rc := runSharded(t, gtlb.NewMemNetwork(), sys, eps, chaosShardOptions(2), &plan)
+			rc := runSharded(t, sys, eps, chaosShardOptions(2), &plan)
 			if rc.norm > eps {
 				t.Errorf("chaos run norm %.3g exceeds eps %.3g", rc.norm, eps)
 			}

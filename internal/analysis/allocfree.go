@@ -1,5 +1,5 @@
 // Analyzer allocfree: the zero-allocation DES hot core (PR 4) is gated
-// at runtime by TestDESAllocBaseline and the steady-state alloc tests —
+// at runtime by TestDESAllocBudget and the steady-state alloc tests —
 // signals that fire only after a regression lands and only on the
 // scenarios the benchmarks happen to cover. This analyzer turns the
 // contract into a compile-time diagnostic: functions annotated

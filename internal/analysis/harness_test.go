@@ -135,6 +135,22 @@ func TestVetRepoClean(t *testing.T) {
 	}
 }
 
+// BenchmarkVetFullTree times one lbvet run over the whole repository,
+// so the analyzer's cost stays visible as the tree grows: parsing and
+// type-checking from source is only acceptable while it stays cheap
+// next to `go test`.
+func BenchmarkVetFullTree(b *testing.B) {
+	var res VetResult
+	for i := 0; i < b.N; i++ {
+		var err error
+		if res, err = Vet("../..", []string{"./..."}, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(res.Packages), "packages")
+	b.ReportMetric(float64(res.Files), "files")
+}
+
 // TestIgnoreDirectives covers the suppression contract itself:
 // malformed directives, unknown analyzers, and stale suppressions are
 // findings in their own right.

@@ -195,8 +195,8 @@ func TestDynamicSteadyStateAllocs(t *testing.T) {
 }
 
 // BenchmarkRunOnce measures one sequential replication of the steady
-// scenario — the number BENCH_DES.json tracks per PR, with allocs/op
-// making any hot-loop allocation regression visible in the report.
+// scenario, with allocs/op making any hot-loop allocation regression
+// visible next to ns/op.
 func BenchmarkRunOnce(b *testing.B) {
 	cfg := steadyCfg(false)
 	b.ReportAllocs()

@@ -330,7 +330,7 @@ type replication struct {
 //
 // Observation discipline: every emission is guarded by `if o != nil`, so
 // the disabled path adds one predicted branch per event and no
-// allocations (gated by TestSteadyStateAllocs and TestDESAllocBaseline).
+// allocations (gated by TestSteadyStateAllocs and TestDESAllocBudget).
 // Emissions never draw randomness, so traces cannot perturb streams.
 //
 //lb:hotpath

@@ -85,7 +85,7 @@ func writeChaosArtifact(t *testing.T, label string, plan FaultPlan, ctr *obs.Reg
 	blob, err := json.MarshalIndent(struct {
 		Label    string
 		Plan     FaultPlan
-		Counters []metrics.Counter
+		Counters []obs.Counter
 		Err      string
 	}{label, plan, ctr.Snapshot(), errStr}, "", "  ")
 	if err != nil {

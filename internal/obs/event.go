@@ -17,7 +17,7 @@
 // and every emission site is guarded by a nil check, so the nil
 // (disabled) path costs one predicted branch and zero allocations — the
 // DES engine's zero-steady-state-allocation property is gated on this
-// (see TestDESAllocBaseline).
+// (see TestDESAllocBudget).
 package obs
 
 // Kind identifies what happened. The numeric values are internal; the

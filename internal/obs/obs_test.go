@@ -2,6 +2,7 @@ package obs
 
 import (
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -150,6 +151,87 @@ func TestRegistryCountsAndGauges(t *testing.T) {
 	}
 	if _, ok := reg.Gauge("fw.gap"); ok {
 		t.Error("fw.gap gauge set without any FW event")
+	}
+}
+
+// TestRegistryCounterSnapshot pins the counter exposition chaos
+// artifacts and CLI dumps depend on: a snapshot sorted by name, the
+// "name=value" line, and "(no events)" for a registry that counted
+// nothing.
+func TestRegistryCounterSnapshot(t *testing.T) {
+	reg := NewRegistry()
+	if reg.Snapshot() != nil || reg.String() != "(no events)" {
+		t.Errorf("empty registry: snapshot %v, String() %q", reg.Snapshot(), reg.String())
+	}
+	reg.Observe(Event{Kind: LBMRetry, N: 5})
+	reg.Observe(Event{Kind: ChaosDrop})
+	reg.Observe(Event{Kind: ChaosDrop, N: 2})
+	want := []Counter{{"chaos.drop", 3}, {"lbm.retry", 5}}
+	snap := reg.Snapshot()
+	if len(snap) != len(want) {
+		t.Fatalf("snapshot %v, want %v", snap, want)
+	}
+	for i := range want {
+		if snap[i] != want[i] {
+			t.Errorf("snapshot[%d] = %v, want %v", i, snap[i], want[i])
+		}
+	}
+	if s := reg.String(); s != "chaos.drop=3 lbm.retry=5" {
+		t.Errorf("String() = %q", s)
+	}
+}
+
+func TestRegistryConcurrentCounts(t *testing.T) {
+	reg := NewRegistry()
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 1000; k++ {
+				reg.Observe(Event{Kind: ChaosDrop})
+			}
+		}()
+	}
+	wg.Wait()
+	if got := reg.Get("chaos.drop"); got != 8000 {
+		t.Errorf("chaos.drop = %d, want 8000", got)
+	}
+}
+
+// TestRegistryCounterEqual compares registries on their counters
+// alone: equal counts are equal, one extra event is not.
+func TestRegistryCounterEqual(t *testing.T) {
+	a, b := NewRegistry(), NewRegistry()
+	a.Observe(Event{Kind: ChaosDrop, N: 2})
+	b.Observe(Event{Kind: ChaosDrop, N: 2})
+	if !a.Equal(b) {
+		t.Error("identical counter sets unequal")
+	}
+	b.Observe(Event{Kind: LBMRetry})
+	if a.Equal(b) {
+		t.Error("different counter sets equal")
+	}
+}
+
+// TestRegistryCounterNilSafe pins the counter side of a nil registry:
+// counting is a no-op, reads are zero, the line is "(no events)", and
+// it equals both a nil and an empty registry.
+func TestRegistryCounterNilSafe(t *testing.T) {
+	var reg *Registry
+	reg.Observe(Event{Kind: ChaosDrop}) // must not panic
+	reg.Observe(Event{Kind: ChaosDrop, N: 7})
+	if reg.Get("chaos.drop") != 0 {
+		t.Error("nil registry returned a count")
+	}
+	if reg.Snapshot() != nil {
+		t.Error("nil registry returned a snapshot")
+	}
+	if s := reg.String(); s != "(no events)" {
+		t.Errorf("String() = %q", s)
+	}
+	if !reg.Equal(nil) || !reg.Equal(NewRegistry()) {
+		t.Error("nil and empty registries must compare equal")
 	}
 }
 

@@ -6,8 +6,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-
-	"gtlb/internal/metrics"
 )
 
 // Registry is the metrics side of the observability layer: it
@@ -15,11 +13,10 @@ import (
 // event kind, keyed by Kind.Name()), gauges (latest level of the
 // convergence events) and fixed-bucket histograms (response times).
 //
-// Registry absorbs the old FaultCounters role: metrics.Counters is its
-// counter implementation, so the chaos.*, nash.* and lbm.* keys, the
-// snapshot format and the String() exposition carry over unchanged,
-// now sharing one namespace with the des.*, coop.*, fw.* and wardrop.*
-// observability metrics.
+// Registry absorbs the old FaultCounters role: the chaos.*, nash.* and
+// lbm.* keys, the snapshot format and the String() exposition carry
+// over unchanged, sharing one namespace with the des.*, coop.*, fw.*
+// and wardrop.* observability metrics.
 //
 // A Registry is safe for concurrent use. Unlike the Tracer it is
 // deliberately shared across simulation replications (it does not
@@ -27,19 +24,26 @@ import (
 // deterministic at any worker count. Histogram sums are float
 // accumulations and deterministic only up to reduction order.
 //
-// All methods are nil-receiver safe, mirroring metrics.Counters: a nil
-// *Registry reads as empty and drops writes.
+// All methods are nil-receiver safe, so instrumented code can call
+// them unconditionally: a nil *Registry reads as empty and drops
+// writes.
 type Registry struct {
 	mu       sync.Mutex
-	counters *metrics.Counters
+	counters map[string]uint64
 	gauges   map[string]float64
 	hists    map[string]*Histogram
+}
+
+// Counter is one named counter value in a Snapshot.
+type Counter struct {
+	Name  string
+	Value uint64
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: metrics.NewCounters(),
+		counters: map[string]uint64{},
 		gauges:   map[string]float64{},
 		hists:    map[string]*Histogram{},
 	}
@@ -69,7 +73,9 @@ func (r *Registry) Observe(e Event) {
 	if r == nil {
 		return
 	}
-	r.counters.Add(e.Kind.Name(), uint64(e.Count()))
+	r.mu.Lock()
+	r.counters[e.Kind.Name()] += uint64(e.Count())
+	r.mu.Unlock()
 	if name, ok := gaugeNames[e.Kind]; ok {
 		r.SetGauge(name, e.V)
 	}
@@ -83,7 +89,9 @@ func (r *Registry) Get(name string) uint64 {
 	if r == nil {
 		return 0
 	}
-	return r.counters.Get(name)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.counters[name]
 }
 
 // SetGauge sets a gauge to the given level.
@@ -139,12 +147,23 @@ func (r *Registry) Histogram(name string) (HistogramSnapshot, bool) {
 }
 
 // Snapshot returns the counters sorted by name — the same format the
-// old FaultCounters exposed, so chaos artifacts keep their schema.
-func (r *Registry) Snapshot() []metrics.Counter {
+// old FaultCounters exposed, so chaos artifacts keep their schema. A
+// nil or counter-free registry returns a nil slice.
+func (r *Registry) Snapshot() []Counter {
 	if r == nil {
 		return nil
 	}
-	return r.counters.Snapshot()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if len(r.counters) == 0 {
+		return nil
+	}
+	out := make([]Counter, 0, len(r.counters))
+	for name, v := range r.counters {
+		out = append(out, Counter{Name: name, Value: v})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
 }
 
 // gaugeSnapshot returns the gauges sorted by name.
@@ -251,7 +270,16 @@ func (r *Registry) String() string {
 		return "(no events)"
 	}
 	var b strings.Builder
-	b.WriteString(r.counters.String())
+	snap := r.Snapshot()
+	if len(snap) == 0 {
+		b.WriteString("(no events)")
+	}
+	for i, kv := range snap {
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		fmt.Fprintf(&b, "%s=%d", kv.Name, kv.Value)
+	}
 	names, vals := r.gaugeSnapshot()
 	for i, name := range names {
 		fmt.Fprintf(&b, "\n%s=%g", name, vals[i])
