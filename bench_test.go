@@ -102,14 +102,46 @@ func BenchmarkWARDROPAlgorithm(b *testing.B) {
 	}
 }
 
-// TestCOOPFasterThanWardrop asserts the ordering behind the paper's
-// timing remark (§3.4.2): the direct algorithm beats the iterative one.
-func TestCOOPFasterThanWardrop(t *testing.T) {
-	coop := testing.Benchmark(BenchmarkCOOPAlgorithm)
-	wardrop := testing.Benchmark(BenchmarkWARDROPAlgorithm)
-	if coop.NsPerOp() >= wardrop.NsPerOp() {
-		t.Errorf("COOP (%d ns/op) not faster than WARDROP (%d ns/op)",
-			coop.NsPerOp(), wardrop.NsPerOp())
+// BenchmarkCOOPVsWardrop holds the ordering behind the paper's timing
+// remark (§3.4.2): the direct algorithm beats the iterative one. Each
+// iteration times a batch of COOP solves and a batch of WARDROP solves
+// on the Table 3.1 system, alternating so both sides see the same
+// machine state; it reports both per-solve times and fails unless COOP
+// is strictly faster. It is a benchmark rather than a test because it
+// compares wall clocks, which the race detector's instrumentation
+// distorts.
+func BenchmarkCOOPVsWardrop(b *testing.B) {
+	const batch = 1000
+	sys, err := gtlb.NewSystem(table31Mu(), 0.5*0.663)
+	if err != nil {
+		b.Fatal(err)
+	}
+	w := &schemes.Wardrop{Eps: 1e-10}
+	var coopWall, wardropWall time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		start := time.Now()
+		for k := 0; k < batch; k++ {
+			if _, err := gtlb.COOP(sys); err != nil {
+				b.Fatal(err)
+			}
+		}
+		coopWall += time.Since(start)
+		start = time.Now()
+		for k := 0; k < batch; k++ {
+			if _, err := w.Allocate(sys.Mu, sys.Phi); err != nil {
+				b.Fatal(err)
+			}
+		}
+		wardropWall += time.Since(start)
+	}
+	solves := float64(b.N * batch)
+	coopNs := float64(coopWall.Nanoseconds()) / solves
+	wardropNs := float64(wardropWall.Nanoseconds()) / solves
+	b.ReportMetric(coopNs, "coop-ns/solve")
+	b.ReportMetric(wardropNs, "wardrop-ns/solve")
+	if coopNs >= wardropNs {
+		b.Errorf("COOP (%.0f ns/solve) not faster than WARDROP (%.0f ns/solve)", coopNs, wardropNs)
 	}
 }
 
@@ -461,16 +493,18 @@ func BenchmarkBinaryTracerOverhead(b *testing.B) {
 	}
 }
 
-// BenchmarkNashRingProtocol times the distributed ring protocol end to
-// end over the in-memory transport.
+// BenchmarkNashRingProtocol times the distributed §4.3 ring (one
+// shard, one best reply per user per round) end to end over the
+// in-memory transport.
 func BenchmarkNashRingProtocol(b *testing.B) {
 	sys, err := ch4Bench()
 	if err != nil {
 		b.Fatal(err)
 	}
+	ring := gtlb.WithShardOptions(gtlb.ShardOptions{Shards: 1, LocalSweeps: 1})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := gtlb.RunNashRing(gtlb.NewMemNetwork(), sys, gtlb.WithEpsilon(1e-4)); err != nil {
+		if _, err := gtlb.RunNashSharded(gtlb.NewMemNetwork(), sys, gtlb.WithEpsilon(1e-4), ring); err != nil {
 			b.Fatal(err)
 		}
 	}

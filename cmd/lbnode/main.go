@@ -4,14 +4,15 @@
 //
 // Usage:
 //
-//	lbnode -proto nash -rho 0.6          # §4.3 NASH ring, 10 users
+//	lbnode -proto nash -rho 0.6          # §4.3 NASH ring (one shard), 10 users
 //	lbnode -proto lbm -liar 1.33         # §5.4 LBM bidding, C1 lies
 //
 // Fault injection (the deterministic chaos transport) is enabled by the
 // chaos flags; the run then reports its fault/retry counters:
 //
 //	lbnode -proto nash -chaos-seed 7 -drop 0.05   # lossy links
-//	lbnode -proto nash -crash user-2:4            # user 2 dies mid-run
+//	lbnode -proto nash -crash user-2:4            # user 2 dies mid-run, is ejected
+//	lbnode -proto nash -crash shard-0:4           # the ring's leader dies: typed error
 //	lbnode -proto lbm -crash computer-5:0         # C6 never bids
 //
 // Observability:
@@ -156,23 +157,25 @@ func runNash(netw gtlb.Network, rho float64, seed uint64, chaosOn bool, report f
 		fmt.Fprintf(os.Stderr, "lbnode: %v\n", err)
 		os.Exit(1)
 	}
-	ring := gtlb.NashRingOptions{Seed: seed}
+	// One shard, one sweep per round: the §4.3 ring, with shard-0 as its
+	// leader and the root as the round closer.
+	ring := gtlb.ShardOptions{Shards: 1, LocalSweeps: 1, Seed: seed}
 	if chaosOn {
 		// Chaos run: repair token losses quickly so the demo converges
 		// under sustained loss instead of idling on the 2s default.
 		ring.Watchdog = 300 * time.Millisecond
 		ring.ProbeTimeout = 50 * time.Millisecond
 	}
-	opts = append(opts, gtlb.WithEpsilon(1e-8), gtlb.WithRingOptions(ring))
-	res, err := gtlb.RunNashRing(netw, sys, opts...)
+	opts = append(opts, gtlb.WithEpsilon(1e-8), gtlb.WithShardOptions(ring))
+	res, err := gtlb.RunNashSharded(netw, sys, opts...)
 	if err != nil {
 		report()
 		fmt.Fprintf(os.Stderr, "lbnode: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Printf("NASH ring converged in %d iterations\n\n", res.Iterations)
+	fmt.Printf("NASH ring converged in %d rounds\n\n", res.Rounds)
 	if len(res.Ejected) > 0 {
-		fmt.Printf("ejected users (crashed mid-run): %v\n\n", res.Ejected)
+		fmt.Printf("ejected users (silent past the retry budget): %v\n\n", res.Ejected)
 	}
 	fmt.Printf("%-8s %-12s %-16s\n", "user", "phi (jobs/s)", "expected T (s)")
 	for j, t := range sys.UserTimes(res.Profile) {

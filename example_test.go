@@ -112,18 +112,19 @@ func ExampleVerifiedMechanism() {
 	// slow execution punished: true
 }
 
-// The §4.3 NASH protocol as real message-passing nodes over the
-// in-memory transport.
-func ExampleRunNashRing() {
+// The §4.3 NASH ring as real message-passing nodes over the in-memory
+// transport: one shard, one best reply per user per round.
+func ExampleRunNashSharded() {
 	sys, err := gtlb.NewMultiSystem([]float64{10, 5}, []float64{4, 2})
 	if err != nil {
 		panic(err)
 	}
-	res, err := gtlb.RunNashRing(gtlb.NewMemNetwork(), sys, gtlb.WithEpsilon(1e-9))
+	res, err := gtlb.RunNashSharded(gtlb.NewMemNetwork(), sys, gtlb.WithEpsilon(1e-9),
+		gtlb.WithShardOptions(gtlb.ShardOptions{Shards: 1, LocalSweeps: 1}))
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("converged: %v\n", res.Iterations > 0)
+	fmt.Printf("converged: %v\n", res.Rounds > 0)
 	fmt.Printf("conservation: %.3f jobs/s\n", sys.Loads(res.Profile)[0]+sys.Loads(res.Profile)[1])
 	// Output:
 	// converged: true

@@ -43,15 +43,17 @@ func main() {
 	fmt.Printf("centralized NASH_P converged in %d iterations\n", central.Iterations)
 
 	// The same equilibrium via the distributed ring protocol: each user
-	// is a node exchanging messages with a state node standing in for
-	// the observable run queues.
-	ring, err := gtlb.RunNashRing(gtlb.NewMemNetwork(), sys,
-		gtlb.WithEpsilon(1e-9), gtlb.WithObserver(reg))
+	// is a node that plays its best reply against the per-computer loads
+	// carried on the circulating token and forwards it to the next user.
+	// One shard with one sweep per round is the §4.3 ring.
+	ring, err := gtlb.RunNashSharded(gtlb.NewMemNetwork(), sys,
+		gtlb.WithEpsilon(1e-9), gtlb.WithObserver(reg),
+		gtlb.WithShardOptions(gtlb.ShardOptions{Shards: 1, LocalSweeps: 1}))
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("distributed ring converged in %d iterations (%d messages forwarded)\n\n",
-		ring.Iterations, reg.Get("nash.send"))
+	fmt.Printf("distributed ring converged in %d rounds (%d messages forwarded)\n\n",
+		ring.Rounds, reg.Get("nash.send"))
 
 	fmt.Printf("%-6s %-14s %-16s %-16s\n", "user", "phi (jobs/s)", "central E[T] (s)", "ring E[T] (s)")
 	ct := sys.UserTimes(central.Profile)

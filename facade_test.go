@@ -41,12 +41,12 @@ func TestFacadeTCPNetwork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := gtlb.RunNashRing(netw, sys, gtlb.WithEpsilon(1e-8))
+	res, err := gtlb.RunNashSharded(netw, sys, gtlb.WithEpsilon(1e-8), ringOption())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Iterations == 0 {
-		t.Error("no iterations over TCP")
+	if res.Rounds == 0 {
+		t.Error("no rounds over TCP")
 	}
 }
 
@@ -175,38 +175,48 @@ func TestFacadeTheoremCatalog(t *testing.T) {
 	}
 }
 
+// ringOption runs the NASH protocol as the §4.3 ring: one shard, one
+// best reply per user per round.
+func ringOption() gtlb.Option {
+	return gtlb.WithShardOptions(gtlb.ShardOptions{Shards: 1, LocalSweeps: 1})
+}
+
 func TestFacadeNashRingResume(t *testing.T) {
 	mu := []float64{10, 10, 20, 50}
 	sys, err := gtlb.NewMultiSystem(mu, []float64{20, 15, 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	partial, err := gtlb.RunNashRing(gtlb.NewMemNetwork(), sys,
-		gtlb.WithEpsilon(1e-14), gtlb.WithMaxIter(2))
+	partial, err := gtlb.RunNashSharded(gtlb.NewMemNetwork(), sys,
+		gtlb.WithEpsilon(1e-14), gtlb.WithMaxIter(2), ringOption())
 	if err == nil {
 		t.Skip("converged within the tiny budget; nothing to resume")
 	}
-	// Resume through the checkpoint option, once with the default ring
-	// and once with explicit (zero) ring options and an explicit
-	// unbounded iteration budget; both must reach the same valid
-	// profile.
-	resumed, err := gtlb.RunNashRing(gtlb.NewMemNetwork(), sys,
-		gtlb.WithCheckpoint(partial.Profile), gtlb.WithEpsilon(1e-8))
+	// Resume through the checkpoint option, once with the ring's
+	// default fault-tolerance options and once with those defaults
+	// spelled out and an explicit unbounded round budget; both must
+	// reach the same valid profile.
+	resumed, err := gtlb.RunNashSharded(gtlb.NewMemNetwork(), sys,
+		gtlb.WithCheckpoint(partial.Profile), gtlb.WithEpsilon(1e-8), ringOption())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.ValidateProfile(resumed.Profile); err != nil {
 		t.Fatal(err)
 	}
-	explicit, err := gtlb.RunNashRing(gtlb.NewMemNetwork(), sys,
+	explicit, err := gtlb.RunNashSharded(gtlb.NewMemNetwork(), sys,
 		gtlb.WithCheckpoint(partial.Profile), gtlb.WithEpsilon(1e-8),
-		gtlb.WithMaxIter(0), gtlb.WithRingOptions(gtlb.NashRingOptions{}))
+		gtlb.WithMaxIter(0), gtlb.WithShardOptions(gtlb.ShardOptions{
+			Shards: 1, LocalSweeps: 1,
+			Watchdog: 2 * time.Second, ProbeTimeout: 150 * time.Millisecond,
+			MaxAttempts: 3, Deadline: time.Minute,
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if explicit.Iterations != resumed.Iterations || !reflect.DeepEqual(explicit.Profile, resumed.Profile) {
-		t.Errorf("explicit-options resume = %d iterations %v, want %d iterations %v",
-			explicit.Iterations, explicit.Profile, resumed.Iterations, resumed.Profile)
+	if explicit.Rounds != resumed.Rounds || !reflect.DeepEqual(explicit.Profile, resumed.Profile) {
+		t.Errorf("explicit-options resume = %d rounds %v, want %d rounds %v",
+			explicit.Rounds, explicit.Profile, resumed.Rounds, resumed.Profile)
 	}
 }
 
@@ -302,8 +312,8 @@ func TestFacadeTraceOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := gtlb.RunNashRing(gtlb.NewMemNetwork(), sys,
-		gtlb.WithEpsilon(1e-8), gtlb.WithTrace(&buf)); err != nil {
+	if _, err := gtlb.RunNashSharded(gtlb.NewMemNetwork(), sys,
+		gtlb.WithEpsilon(1e-8), gtlb.WithTrace(&buf), ringOption()); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -319,8 +329,8 @@ func TestFacadeTraceOption(t *testing.T) {
 			t.Fatalf("trace line %q lacks a kind", line)
 		}
 	}
-	if !strings.Contains(out, `"kind":"nash.round"`) {
-		t.Errorf("trace lacks nash.round events:\n%s", out)
+	if !strings.Contains(out, `"kind":"hier.round"`) {
+		t.Errorf("trace lacks hier.round events:\n%s", out)
 	}
 }
 

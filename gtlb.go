@@ -13,8 +13,8 @@
 //   - Schemes returns the comparison allocators (PROP, OPTIM, WARDROP)
 //     alongside COOP behind one interface.
 //   - NashEquilibrium solves the multi-user noncooperative game by
-//     iterated best replies; RunNashRing runs the same computation as a
-//     distributed message-passing protocol.
+//     iterated best replies; RunNashSharded runs the same computation as
+//     the distributed §4.3 message-passing protocol.
 //   - Mechanism is the truthful load-balancing mechanism (Archer–Tardos
 //     payments); VerifiedMechanism is the compensation-and-bonus
 //     mechanism with execution verification; RunLBM drives the bidding
@@ -154,60 +154,40 @@ func NewTCPNetwork(addr string) (Network, string, func() error, error) {
 	return dist.NewTCPNetwork(addr)
 }
 
-// NashRingResult is the outcome of the distributed NASH ring protocol.
-type NashRingResult = dist.NashRingResult
-
 // LBMResult is the outcome of the distributed LBM bidding protocol.
 type LBMResult = dist.LBMResult
 
-// RunNashRing runs the §4.3 NASH protocol over a network of user nodes.
-// Options tune convergence (WithEpsilon, WithMaxIter), resume from a
-// checkpoint (WithCheckpoint), harden the runtime (WithRingOptions),
-// inject faults (WithFaultPlan) and observe the run (WithObserver,
-// WithTrace); zero-value tolerances keep the protocol defaults.
-func RunNashRing(n Network, sys MultiSystem, opts ...Option) (NashRingResult, error) {
-	ro := applyOptions(opts)
-	ring := ro.ring
-	ring.Observer = obs.Multi(ring.Observer, ro.observer())
-	netw := ro.network(n)
-	var res NashRingResult
-	var err error
-	if ro.resume != nil {
-		res, err = dist.RunNashRingFromWith(netw, sys, *ro.resume, ro.eps, ro.maxIter, ring)
-	} else {
-		res, err = dist.RunNashRingWith(netw, sys, ro.eps, ro.maxIter, ring)
-	}
-	return res, ro.finish(err)
-}
-
-// ShardOptions tunes the hierarchical (sharded) NASH runtime: shard
-// count, per-activation sweep budget, and the fault-tolerance knobs
-// shared with the flat ring; the zero value uses safe defaults.
+// ShardOptions tunes the NASH protocol runtime: shard count,
+// per-activation sweep budget, and the fault-tolerance knobs (watchdog,
+// retries, deadline, seed); the zero value uses safe defaults.
+// ShardOptions{Shards: 1, LocalSweeps: 1} runs the paper's §4.3 ring.
 type ShardOptions = dist.ShardOptions
 
-// NashShardedResult is the outcome of a hierarchical NASH run,
-// including reconciliation rounds, total shard-local sweeps, and any
-// users ejected or admitted while it ran.
+// NashShardedResult is the outcome of a NASH protocol run, including
+// reconciliation rounds, total shard-local sweeps, and any users
+// ejected or admitted while it ran.
 type NashShardedResult = dist.NashShardedResult
 
 // JoinedUser describes a user admitted to a running sharded
 // computation.
 type JoinedUser = dist.JoinedUser
 
-// RunNashSharded runs the two-level hierarchical variant of the §4.3
-// NASH protocol: users are partitioned into shards that run the
-// epoch-fenced token protocol internally, while a root node activates
-// shards and reconciles their aggregate loads — O(m/G + log G) per
-// global sweep instead of the flat ring's O(m), and ≳10× faster in
-// wall-clock at m=1000 (see DESIGN.md "Hierarchical protocols").
-// Options tune convergence (WithEpsilon, WithMaxIter), topology and
-// hardening (WithShardOptions), inject faults (WithFaultPlan) and
-// observe the run (WithObserver, WithTrace).
+// RunNashSharded runs the §4.3 NASH protocol over a network of user
+// nodes, organised as a two-level hierarchy: users are partitioned into
+// shards that pass an epoch-fenced token around a ring, while a root
+// node activates shards and reconciles their aggregate loads —
+// O(m/G + log G) per global sweep instead of a single ring's O(m) (see
+// DESIGN.md "Hierarchical protocols"). With
+// WithShardOptions(ShardOptions{Shards: 1, LocalSweeps: 1}) it is the
+// paper's single ring. Options tune convergence (WithEpsilon,
+// WithMaxIter), resume from a checkpoint (WithCheckpoint), set the
+// topology and hardening (WithShardOptions), inject faults
+// (WithFaultPlan) and observe the run (WithObserver, WithTrace).
 func RunNashSharded(n Network, sys MultiSystem, opts ...Option) (NashShardedResult, error) {
 	ro := applyOptions(opts)
 	so := ro.shard
 	so.Observer = obs.Multi(so.Observer, ro.observer())
-	res, err := dist.RunNashShardedWith(ro.network(n), sys, ro.eps, ro.maxIter, so)
+	res, err := dist.RunNashShardedWith(ro.network(n), sys, ro.resume, ro.eps, ro.maxIter, so)
 	return res, ro.finish(err)
 }
 
@@ -246,10 +226,6 @@ func NewChaosNetwork(inner Network, plan FaultPlan, opts ...Option) Network {
 	ro := applyOptions(opts)
 	return dist.NewChaosNetwork(inner, plan, ro.observer())
 }
-
-// NashRingOptions tunes the fault-tolerant NASH ring runtime (watchdog,
-// retries, deadline); the zero value uses safe defaults.
-type NashRingOptions = dist.NashOptions
 
 // LBMOptions tunes the hardened LBM dispatcher (bid deadline, retries,
 // backoff); the zero value uses safe defaults.

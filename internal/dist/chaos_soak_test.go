@@ -47,10 +47,12 @@ func soakPlan(seed uint64) FaultPlan {
 		Reorder:   0.06 * rng.Float64(),
 	}
 	// Crash one node in ~30% of schedules; any node is fair game —
-	// crashing user 0, the state node or the dispatcher must end in a
-	// typed error, everything else in a degraded success.
+	// crashing the ring's leader (shard-0) or the dispatcher must end in
+	// a typed error, any other crash in a degraded success or a typed
+	// error. The list keeps its length and order, so each seed's
+	// schedule is unchanged for every other victim.
 	victims := []string{
-		userName(0), userName(1), userName(2), "state",
+		userName(0), userName(1), userName(2), shardName(0),
 		"dispatcher", computerName(0), computerName(3),
 	}
 	if rng.Float64() < 0.3 {
@@ -100,9 +102,9 @@ func writeChaosArtifact(t *testing.T, label string, plan FaultPlan, ctr *obs.Reg
 	t.Logf("failing fault schedule written to %s", path)
 }
 
-// nashOracle validates one NASH soak run against the fault-free
+// nashOracle validates one NASH ring soak run against the fault-free
 // reference equilibrium (or the reduced system's, after ejections).
-func nashOracle(sys noncoop.System, ref NashRingResult, res NashRingResult, err error) error {
+func nashOracle(sys noncoop.System, ref NashShardedResult, res NashShardedResult, err error) error {
 	if err != nil {
 		if !typedFaultErr(err) {
 			return fmt.Errorf("untyped failure: %w", err)
@@ -123,31 +125,7 @@ func nashOracle(sys noncoop.System, ref NashRingResult, res NashRingResult, err 
 		return nil
 	}
 	// Ejections: survivors must sit at the reduced system's equilibrium.
-	ejected := make(map[int]bool, len(res.Ejected))
-	for _, j := range res.Ejected {
-		ejected[j] = true
-	}
-	for j := range sys.Phi {
-		if ejected[j] {
-			for _, s := range res.Profile.S[j] {
-				if s != 0 {
-					return fmt.Errorf("ejected user %d still carries load", j)
-				}
-			}
-			continue
-		}
-		avail := sys.Available(res.Profile, j)
-		br, brErr := noncoop.BestReply(avail, sys.Phi[j])
-		if brErr != nil {
-			return brErr
-		}
-		have := noncoop.BestReplyTime(avail, res.Profile.S[j], sys.Phi[j])
-		want := noncoop.BestReplyTime(avail, br, sys.Phi[j])
-		if math.Abs(have-want) > 1e-6 {
-			return fmt.Errorf("survivor %d is %g from its best reply", j, have-want)
-		}
-	}
-	return nil
+	return survivorsAtBestReply(sys, res, 1e-6)
 }
 
 // lbmOracle validates one LBM soak run: the outcome must equal the
@@ -221,7 +199,7 @@ func TestChaosSoak(t *testing.T) {
 	}
 
 	nashSys := soakNashSystem(t)
-	nashRef, err := RunNashRing(NewMemNetwork(), nashSys, 1e-9, 0)
+	nashRef, err := RunNashShardedWith(NewMemNetwork(), nashSys, nil, 1e-9, 0, ShardOptions{Shards: 1, LocalSweeps: 1})
 	if err != nil {
 		t.Fatalf("fault-free NASH reference: %v", err)
 	}
@@ -232,8 +210,10 @@ func TestChaosSoak(t *testing.T) {
 	}
 	lbmPhi := 0.5 * lbmCap
 
-	nashOpts := func(seed uint64, ctr *obs.Registry) NashOptions {
-		return NashOptions{
+	nashOpts := func(seed uint64, ctr *obs.Registry) ShardOptions {
+		return ShardOptions{
+			Shards:       1,
+			LocalSweeps:  1,
 			Watchdog:     60 * time.Millisecond,
 			ProbeTimeout: 15 * time.Millisecond,
 			MaxAttempts:  3,
@@ -263,7 +243,7 @@ func TestChaosSoak(t *testing.T) {
 				ctr := obs.NewRegistry()
 				netw, cleanup := soakNetwork(t, transport, plan, ctr)
 				defer cleanup()
-				res, runErr := RunNashRingWith(netw, nashSys, 1e-9, 0, nashOpts(seed, ctr))
+				res, runErr := RunNashShardedWith(netw, nashSys, nil, 1e-9, 0, nashOpts(seed, ctr))
 				if oErr := nashOracle(nashSys, nashRef, res, runErr); oErr != nil {
 					writeChaosArtifact(t, label, plan, ctr, runErr)
 					t.Errorf("seed %d %s: %v (run err: %v, counters %s)", seed, label, oErr, runErr, ctr)

@@ -1,9 +1,9 @@
 // Binary message codec: the one payload encoding every Message carries.
 //
-// Every payload type (nash.*, lbm.*, hier.* here, and ctrl.Estimate
+// Every payload type (lbm.* and hier.* here, and ctrl.Estimate
 // through the exported WireEncoder/WireDecoder pair) has a hand-rolled
 // binary encoding: one magic byte (0xB1), one wire-type byte, then
-// varint integers, little-endian float64s and bit-packed bools.
+// varint integers, little-endian float64s and one-byte bools.
 // Encoding performs exactly one allocation (the Data slice, sized up
 // front); decoding into a reused payload struct performs none (slice
 // fields are decoded into the target's existing capacity). A value
@@ -27,16 +27,11 @@ import (
 const codecMagic = 0xB1
 
 // Wire type ids. These are wire-format constants: never renumber,
-// append only.
+// append only. Ids 1–7 belonged to the retired state-node NASH ring
+// (token, query, rates, strategy, ping, eject, ack); they stay
+// unassigned, so no live decoder accepts a frame of that era.
 const (
-	wireToken byte = iota + 1
-	wireQuery
-	wireRates
-	wireStrategy
-	wirePing
-	wireEject
-	wireAck
-	wireReqBid
+	wireReqBid byte = iota + 8
 	wireBid
 	wireAward
 	wireHierToken
@@ -113,27 +108,6 @@ func appendI32s(b []byte, s []int32) []byte {
 	return b
 }
 
-// appendBools bit-packs the mask: the flat ring's token carries an
-// m-wide ejection mask on every hop, so at m=10,000 this is 1.25 KB
-// instead of 10 KB per forward.
-func appendBools(b []byte, s []bool) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	var acc byte
-	for i, v := range s {
-		if v {
-			acc |= 1 << (i % 8)
-		}
-		if i%8 == 7 {
-			b = append(b, acc)
-			acc = 0
-		}
-	}
-	if len(s)%8 != 0 {
-		b = append(b, acc)
-	}
-	return b
-}
-
 // AppendStr appends a uvarint length and the bytes of s (WireDec.Str).
 func AppendStr(b []byte, s string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s)))
@@ -158,7 +132,6 @@ func appendRows(b []byte, rows [][]float64) []byte {
 
 func sizeF64s(s []float64) int { return maxV + 8*len(s) }
 func sizeI32s(s []int32) int   { return maxV + maxV*len(s) }
-func sizeBools(s []bool) int   { return maxV + (len(s)+7)/8 }
 func sizeStr(s string) int     { return maxV + len(s) }
 func sizeStrs(s []string) int {
 	n := maxV
@@ -300,27 +273,6 @@ func (d *WireDec) i32s(dst []int32) []int32 {
 	return dst
 }
 
-func (d *WireDec) bools(dst []bool) []bool {
-	n := d.uvarint()
-	if d.err != nil {
-		return dst
-	}
-	nb := (n + 7) / 8
-	if nb > uint64(d.remaining()) {
-		d.fail("bool mask length")
-		return dst
-	}
-	if cap(dst) < int(n) {
-		dst = make([]bool, n)
-	}
-	dst = dst[:n]
-	for i := range dst {
-		dst[i] = d.b[d.off+i/8]&(1<<(i%8)) != 0
-	}
-	d.off += int(nb)
-	return dst
-}
-
 // Str reads a length-prefixed string.
 func (d *WireDec) Str() string {
 	n := d.sliceLen(1)
@@ -371,81 +323,6 @@ func (d *WireDec) rows(dst [][]float64) [][]float64 {
 }
 
 // --- per-payload encodings ------------------------------------------
-
-func (tokenPayload) WireID() byte { return wireToken }
-func (p tokenPayload) WireSize() int {
-	return 3*maxV + 8 + sizeBools(p.Ejected)
-}
-func (p tokenPayload) AppendWire(b []byte) []byte {
-	b = AppendInt(b, p.Iteration)
-	b = AppendF64(b, p.Norm)
-	b = AppendInt(b, p.Epoch)
-	b = AppendInt(b, p.Hops)
-	return appendBools(b, p.Ejected)
-}
-func (p *tokenPayload) DecodeWire(d *WireDec) {
-	p.Iteration = d.Int()
-	p.Norm = d.F64()
-	p.Epoch = d.Int()
-	p.Hops = d.Int()
-	p.Ejected = d.bools(p.Ejected)
-}
-
-func (queryPayload) WireID() byte  { return wireQuery }
-func (queryPayload) WireSize() int { return 2 * maxV }
-func (p queryPayload) AppendWire(b []byte) []byte {
-	b = AppendInt(b, p.User)
-	return AppendInt(b, p.Seq)
-}
-func (p *queryPayload) DecodeWire(d *WireDec) {
-	p.User = d.Int()
-	p.Seq = d.Int()
-}
-
-func (ratesPayload) WireID() byte    { return wireRates }
-func (p ratesPayload) WireSize() int { return maxV + sizeF64s(p.Avail) }
-func (p ratesPayload) AppendWire(b []byte) []byte {
-	b = AppendF64s(b, p.Avail)
-	return AppendInt(b, p.Seq)
-}
-func (p *ratesPayload) DecodeWire(d *WireDec) {
-	p.Avail = d.F64s(p.Avail)
-	p.Seq = d.Int()
-}
-
-func (strategyPayload) WireID() byte    { return wireStrategy }
-func (p strategyPayload) WireSize() int { return 2*maxV + sizeF64s(p.S) }
-func (p strategyPayload) AppendWire(b []byte) []byte {
-	b = AppendInt(b, p.User)
-	b = AppendF64s(b, p.S)
-	return AppendInt(b, p.Seq)
-}
-func (p *strategyPayload) DecodeWire(d *WireDec) {
-	p.User = d.Int()
-	p.S = d.F64s(p.S)
-	p.Seq = d.Int()
-}
-
-func (pingPayload) WireID() byte                 { return wirePing }
-func (pingPayload) WireSize() int                { return maxV }
-func (p pingPayload) AppendWire(b []byte) []byte { return AppendInt(b, p.Seq) }
-func (p *pingPayload) DecodeWire(d *WireDec)     { p.Seq = d.Int() }
-
-func (ejectPayload) WireID() byte  { return wireEject }
-func (ejectPayload) WireSize() int { return 2 * maxV }
-func (p ejectPayload) AppendWire(b []byte) []byte {
-	b = AppendInt(b, p.User)
-	return AppendInt(b, p.Seq)
-}
-func (p *ejectPayload) DecodeWire(d *WireDec) {
-	p.User = d.Int()
-	p.Seq = d.Int()
-}
-
-func (ackPayload) WireID() byte                 { return wireAck }
-func (ackPayload) WireSize() int                { return maxV }
-func (p ackPayload) AppendWire(b []byte) []byte { return AppendInt(b, p.Seq) }
-func (p *ackPayload) DecodeWire(d *WireDec)     { p.Seq = d.Int() }
 
 func (reqBidPayload) WireID() byte  { return wireReqBid }
 func (reqBidPayload) WireSize() int { return 2 * maxV }
@@ -607,9 +484,10 @@ func (p *hierRowPayload) DecodeWire(d *WireDec) {
 
 func (hierRowsPayload) WireID() byte { return wireHierRows }
 func (p hierRowsPayload) WireSize() int {
-	return 2*maxV + sizeI32s(p.Users) + sizeI32s(p.Ejected) + sizeRows(p.Rows)
+	return 3*maxV + sizeI32s(p.Users) + sizeI32s(p.Ejected) + sizeRows(p.Rows)
 }
 func (p hierRowsPayload) AppendWire(b []byte) []byte {
+	b = AppendInt(b, p.Round)
 	b = AppendInt(b, p.Shard)
 	b = AppendInt(b, p.Seq)
 	b = appendI32s(b, p.Users)
@@ -617,6 +495,7 @@ func (p hierRowsPayload) AppendWire(b []byte) []byte {
 	return appendRows(b, p.Rows)
 }
 func (p *hierRowsPayload) DecodeWire(d *WireDec) {
+	p.Round = d.Int()
 	p.Shard = d.Int()
 	p.Seq = d.Int()
 	p.Users = d.i32s(p.Users)

@@ -25,7 +25,7 @@ func hierCodecSamples() []any {
 		hierReqPayload{Round: 4, Seq: 21},
 		hierSyncPayload{Epoch: 8, Seq: 22, Next: "user-3"},
 		hierRowPayload{User: 3, Epoch: 8, Seq: 23, PrevTime: 1.75, S: []float64{0.5, 0.5}},
-		hierRowsPayload{Shard: 2, Seq: 24, Users: []int32{4, 5}, Ejected: []int32{6},
+		hierRowsPayload{Round: 9, Shard: 2, Seq: 24, Users: []int32{4, 5}, Ejected: []int32{6},
 			Rows: [][]float64{{0.25, 0.75}, {1, 0}}},
 		hierJoinPayload{Name: "u-99", Phi: 0.625, Seq: 25},
 		hierJoinOKPayload{Name: "u-99", User: 99, Shard: 3, Reject: true, Reason: "stopping", Seq: 26},
@@ -51,6 +51,36 @@ func TestHierCodecRoundTrip(t *testing.T) {
 		if got := out.Elem().Interface(); !reflect.DeepEqual(got, p) {
 			t.Errorf("%T: round trip mismatch:\n got %+v\nwant %+v", p, got, p)
 		}
+	}
+}
+
+// TestWireIDs pins every live payload's wire-type byte. The ids are
+// wire-format constants: ids 1–7 stay retired (FuzzMessageRoundTrip
+// checks no decoder accepts them) and nothing is renumbered.
+func TestWireIDs(t *testing.T) {
+	for _, c := range []struct {
+		p  WireEncoder
+		id byte
+	}{
+		{reqBidPayload{}, 8},
+		{bidPayload{}, 9},
+		{awardPayload{}, 10},
+		{hierTokenPayload{}, 11},
+		{hierPartialPayload{}, 12},
+		{hierDownPayload{}, 13},
+		{hierReqPayload{}, 14},
+		{hierSyncPayload{}, 15},
+		{hierRowPayload{}, 16},
+		{hierRowsPayload{}, 17},
+		{hierJoinPayload{}, 18},
+		{hierJoinOKPayload{}, 19},
+	} {
+		if got := c.p.WireID(); got != c.id {
+			t.Errorf("%T: wire id %d, want %d", c.p, got, c.id)
+		}
+	}
+	if WireEstimate != 20 {
+		t.Errorf("WireEstimate = %d, want 20", WireEstimate)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"gtlb/internal/metrics"
 	"gtlb/internal/noncoop"
 )
 
@@ -307,7 +306,7 @@ func TestMemConnAllocs(t *testing.T) {
 func TestMessageDecodeError(t *testing.T) {
 	t.Parallel()
 	m := Message{Kind: "x", Data: []byte{0xff, 0x01}}
-	var p pingPayload
+	var p hierReqPayload
 	if err := m.Decode(&p); err == nil {
 		t.Error("garbage decoded")
 	}
@@ -322,7 +321,7 @@ func TestMessageUnsupportedPayload(t *testing.T) {
 	if err := m.Encode("hello"); !errors.Is(err, ErrUnsupportedPayload) {
 		t.Errorf("Encode(string) = %v, want ErrUnsupportedPayload", err)
 	}
-	if err := m.Encode(pingPayload{Seq: 1}); err != nil {
+	if err := m.Encode(hierReqPayload{Seq: 1}); err != nil {
 		t.Fatal(err)
 	}
 	var n int
@@ -349,7 +348,7 @@ func TestTCPNetworkRoundTrip(t *testing.T) {
 	}
 	defer b.Close()
 	m := Message{To: "b", Kind: "ping"}
-	if err := m.Encode(pingPayload{Seq: 42}); err != nil {
+	if err := m.Encode(hierReqPayload{Seq: 42}); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Send(m); err != nil {
@@ -359,7 +358,7 @@ func TestTCPNetworkRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var v pingPayload
+	var v hierReqPayload
 	if err := got.Decode(&v); err != nil || v.Seq != 42 || got.From != "a" {
 		t.Errorf("got %+v payload %d err %v", got, v.Seq, err)
 	}
@@ -384,90 +383,6 @@ func paperSystem(t *testing.T, rho float64) noncoop.System {
 		t.Fatal(err)
 	}
 	return sys
-}
-
-// TestNashRingMatchesCentralized: the distributed protocol must reach the
-// same equilibrium as the centralized iteration of internal/noncoop.
-func TestNashRingMatchesCentralized(t *testing.T) {
-	t.Parallel()
-	sys := paperSystem(t, 0.6)
-	res, err := RunNashRing(NewMemNetwork(), sys, 1e-9, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.ValidateProfile(res.Profile); err != nil {
-		t.Fatalf("ring profile infeasible: %v", err)
-	}
-	ok, err := noncoop.IsNashEquilibrium(sys, res.Profile, 1e-6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Error("ring result is not a Nash equilibrium")
-	}
-	central, err := noncoop.Nash(sys, noncoop.NashOptions{Init: noncoop.InitProportional, Eps: 1e-9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := metrics.LInfNorm(sys.Loads(res.Profile), sys.Loads(central.Profile))
-	if d > 1e-6 {
-		t.Errorf("ring and centralized equilibria differ by %v", d)
-	}
-	if res.Iterations == 0 {
-		t.Error("ring reported zero iterations")
-	}
-}
-
-func TestNashRingOverTCP(t *testing.T) {
-	t.Parallel()
-	netw, _, closeFn, err := NewTCPNetwork("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closeFn()
-	sys := paperSystem(t, 0.5)
-	res, err := RunNashRing(netw, sys, 1e-8, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ok, err := noncoop.IsNashEquilibrium(sys, res.Profile, 1e-5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Error("TCP ring result is not a Nash equilibrium")
-	}
-}
-
-func TestNashRingSingleUser(t *testing.T) {
-	t.Parallel()
-	sys, err := noncoop.NewSystem([]float64{10, 5}, []float64{6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunNashRing(NewMemNetwork(), sys, 1e-10, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.ValidateProfile(res.Profile); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestNashRingIterationBudget(t *testing.T) {
-	t.Parallel()
-	sys := paperSystem(t, 0.9)
-	if _, err := RunNashRing(NewMemNetwork(), sys, 1e-15, 2); err == nil {
-		t.Error("expected failure with a two-iteration budget")
-	}
-}
-
-func TestNashRingInvalidSystem(t *testing.T) {
-	t.Parallel()
-	bad := noncoop.System{Mu: []float64{1}, Phi: []float64{2}}
-	if _, err := RunNashRing(NewMemNetwork(), bad, 0, 0); err == nil {
-		t.Error("invalid system accepted")
-	}
 }
 
 func table51Values() []float64 {

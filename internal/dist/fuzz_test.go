@@ -1,23 +1,23 @@
 package dist
 
 import (
+	"slices"
 	"testing"
 )
+
+// retiredWireIDs are the wire types of the retired state-node NASH ring
+// (token, query, rates, strategy, ping, eject, ack). No live payload
+// may claim them.
+var retiredWireIDs = []byte{1, 2, 3, 4, 5, 6, 7}
 
 // FuzzMessageRoundTrip feeds arbitrary bytes through every payload
 // decoder the protocols use. Malformed input must surface as an error —
 // never a panic — because chaos-duplicated or truncated traffic reaches
 // these decoders in production paths.
 func FuzzMessageRoundTrip(f *testing.F) {
-	// Seed with one valid encoding per payload type plus degenerate data.
+	// Seed with one valid encoding per payload type, one frame per
+	// retired wire type, plus degenerate data.
 	seedPayloads := []any{
-		tokenPayload{Iteration: 3, Norm: 0.5, Epoch: 1, Hops: 2, Ejected: []bool{false, true}},
-		queryPayload{User: 1, Seq: 7},
-		ratesPayload{Avail: []float64{1, 2, 3}, Seq: 8},
-		strategyPayload{User: 2, S: []float64{0.5, 0.5}, Seq: 9},
-		pingPayload{Seq: 10},
-		ejectPayload{User: 1, Seq: 11},
-		ackPayload{Seq: 12},
 		reqBidPayload{Computer: 4, Attempt: 1},
 		bidPayload{Computer: 4, Bid: 7.7},
 		awardPayload{Load: 0.3, Payment: 2.5},
@@ -30,55 +30,41 @@ func FuzzMessageRoundTrip(f *testing.F) {
 		}
 		f.Add(m.Data)
 	}
+	for _, id := range retiredWireIDs {
+		f.Add([]byte{codecMagic, id, 0x02, 0x0e})
+	}
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0x00, 0x13, 0x37})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m := Message{From: "a", To: "b", Kind: "fuzz", Data: data}
-		// Every decoder must reject or accept, never panic.
-		var tok tokenPayload
-		_ = m.Decode(&tok)
-		var q queryPayload
-		_ = m.Decode(&q)
-		var r ratesPayload
-		_ = m.Decode(&r)
-		var s strategyPayload
-		_ = m.Decode(&s)
-		var pi pingPayload
-		_ = m.Decode(&pi)
-		var e ejectPayload
-		_ = m.Decode(&e)
-		var a ackPayload
-		_ = m.Decode(&a)
-		var rb reqBidPayload
-		_ = m.Decode(&rb)
-		var b bidPayload
-		_ = m.Decode(&b)
-		var aw awardPayload
-		_ = m.Decode(&aw)
-		var ht hierTokenPayload
-		_ = m.Decode(&ht)
-		var hp hierPartialPayload
-		_ = m.Decode(&hp)
-		var hd hierDownPayload
-		_ = m.Decode(&hd)
-		var hr hierRowsPayload
-		_ = m.Decode(&hr)
-		var hj hierJoinOKPayload
-		_ = m.Decode(&hj)
+		retired := len(data) >= 2 && data[0] == codecMagic && slices.Contains(retiredWireIDs, data[1])
+		// Every decoder must reject or accept, never panic; none may
+		// accept a retired wire type.
+		for _, v := range []any{
+			&reqBidPayload{}, &bidPayload{}, &awardPayload{},
+			&hierTokenPayload{}, &hierPartialPayload{}, &hierDownPayload{},
+			&hierReqPayload{}, &hierSyncPayload{}, &hierRowPayload{},
+			&hierRowsPayload{}, &hierJoinPayload{}, &hierJoinOKPayload{},
+		} {
+			if err := m.Decode(v); err == nil && retired {
+				t.Fatalf("%T accepted retired wire type %d", v, data[1])
+			}
+		}
 
 		// A payload that decodes as a token must survive a re-encode
 		// round trip unchanged in the fields the protocol fences on.
+		var tok hierTokenPayload
 		if err := m.Decode(&tok); err == nil {
 			again := Message{Kind: "fuzz"}
-			if err := again.Encode(tok); err != nil {
+			if err := again.Encode(&tok); err != nil {
 				t.Fatalf("re-encode of decoded token failed: %v", err)
 			}
-			var tok2 tokenPayload
+			var tok2 hierTokenPayload
 			if err := again.Decode(&tok2); err != nil {
 				t.Fatalf("round trip decode failed: %v", err)
 			}
-			if tok2.Epoch != tok.Epoch || tok2.Hops != tok.Hops || tok2.Iteration != tok.Iteration {
+			if tok2.Epoch != tok.Epoch || tok2.Hop != tok.Hop || tok2.Round != tok.Round || tok2.Sweep != tok.Sweep {
 				t.Fatalf("token fencing fields changed in round trip: %+v vs %+v", tok, tok2)
 			}
 		}

@@ -8,8 +8,6 @@ import (
 	"time"
 
 	"gtlb/internal/mechanism"
-	"gtlb/internal/metrics"
-	"gtlb/internal/noncoop"
 	"gtlb/internal/obs"
 )
 
@@ -143,231 +141,6 @@ func TestLBMCrashedComputerExcluded(t *testing.T) {
 	}
 	if ctr.Get("chaos.crash") != 1 || ctr.Get("lbm.retry") == 0 {
 		t.Errorf("counters = %s, want a crash and retries", ctr)
-	}
-}
-
-func soakNashSystem(t *testing.T) noncoop.System {
-	t.Helper()
-	sys, err := noncoop.NewSystem([]float64{20, 10, 10, 5, 5}, []float64{9, 7, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sys
-}
-
-// survivorsAtEquilibrium checks that every non-ejected user's strategy
-// is (within tol, in expected-time terms) a best reply to the published
-// profile — the equilibrium of the system reduced by the ejected users.
-func survivorsAtEquilibrium(t *testing.T, sys noncoop.System, res NashRingResult, tol float64) {
-	t.Helper()
-	ejected := make(map[int]bool, len(res.Ejected))
-	for _, j := range res.Ejected {
-		ejected[j] = true
-	}
-	for j := range sys.Phi {
-		if ejected[j] {
-			for i, s := range res.Profile.S[j] {
-				if s != 0 {
-					t.Errorf("ejected user %d keeps load fraction %v on computer %d", j, s, i)
-				}
-			}
-			continue
-		}
-		avail := sys.Available(res.Profile, j)
-		br, err := noncoop.BestReply(avail, sys.Phi[j])
-		if err != nil {
-			t.Fatalf("user %d best reply: %v", j, err)
-		}
-		have := noncoop.BestReplyTime(avail, res.Profile.S[j], sys.Phi[j])
-		want := noncoop.BestReplyTime(avail, br, sys.Phi[j])
-		if math.Abs(have-want) > tol {
-			t.Errorf("user %d is %v from its best reply (tol %v)", j, have-want, tol)
-		}
-	}
-}
-
-// TestNashRingCrashedUserEjected: a user that crashes mid-run is
-// detected by user 0's watchdog, ejected, and the survivors converge to
-// the reduced system's equilibrium.
-func TestNashRingCrashedUserEjected(t *testing.T) {
-	t.Parallel()
-	sys := soakNashSystem(t)
-	ctr := obs.NewRegistry()
-	netw := NewChaosNetwork(NewMemNetwork(), FaultPlan{Crash: map[string]int{userName(2): 4}}, ctr)
-	opts := NashOptions{
-		Watchdog:     60 * time.Millisecond,
-		ProbeTimeout: 15 * time.Millisecond,
-		MaxAttempts:  3,
-		Deadline:     10 * time.Second,
-		Observer:     ctr,
-	}
-	res, err := RunNashRingWith(netw, sys, 1e-9, 0, opts)
-	if err != nil {
-		t.Fatalf("survivors failed to converge: %v (counters %s)", err, ctr)
-	}
-	if len(res.Ejected) != 1 || res.Ejected[0] != 2 {
-		t.Fatalf("Ejected = %v, want [2]", res.Ejected)
-	}
-	survivorsAtEquilibrium(t, sys, res, 1e-6)
-	if ctr.Get("nash.token.regenerated") == 0 || ctr.Get("nash.ejected") != 1 {
-		t.Errorf("counters = %s, want a regeneration and one ejection", ctr)
-	}
-}
-
-// TestNashRingTokenLossRegenerated: a pure token loss (no node died) is
-// repaired by regeneration alone — nobody gets ejected and the full
-// ring still reaches the fault-free equilibrium.
-func TestNashRingTokenLossRegenerated(t *testing.T) {
-	t.Parallel()
-	sys := soakNashSystem(t)
-	ctr := obs.NewRegistry()
-	// Drop the first message into user 0 on every link: the injected
-	// token dies; first pings/pongs die too and are retried.
-	plan := FaultPlan{Partition: &PartitionPlan{Nodes: []string{userName(0)}, From: 0, To: 1}}
-	netw := NewChaosNetwork(NewMemNetwork(), plan, ctr)
-	opts := NashOptions{
-		Watchdog:     60 * time.Millisecond,
-		ProbeTimeout: 15 * time.Millisecond,
-		MaxAttempts:  3,
-		Deadline:     10 * time.Second,
-		Observer:     ctr,
-	}
-	res, err := RunNashRingWith(netw, sys, 1e-9, 0, opts)
-	if err != nil {
-		t.Fatalf("run failed: %v (counters %s)", err, ctr)
-	}
-	if len(res.Ejected) != 0 {
-		t.Fatalf("Ejected = %v, want none", res.Ejected)
-	}
-	ok, err := noncoop.IsNashEquilibrium(sys, res.Profile, 1e-6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Error("regenerated run did not reach the equilibrium")
-	}
-	if ctr.Get("nash.token.regenerated") == 0 {
-		t.Errorf("counters = %s, want at least one regeneration", ctr)
-	}
-}
-
-// holdTokenNetwork makes every user but the last hold the n-th token
-// it forwards until it forwards the next one, then deliver both in
-// order, the second after a pause that lets the successor finish its
-// step on the first (a token arriving mid-step is dropped as stale
-// traffic). The held token stalls user 0's watchdog into regenerating a
-// token while the old one is still alive; as the two travel together,
-// each user best-replies on the old token and then, on an unchanged
-// profile, on the new one.
-type holdTokenNetwork struct {
-	Network
-	m, n int
-}
-
-func (h holdTokenNetwork) Join(name string) (Conn, error) {
-	c, err := h.Network.Join(name)
-	if err != nil || name == "state" || name == userName(h.m-1) {
-		return c, err
-	}
-	return &holdTokenConn{Conn: c, n: h.n}, nil
-}
-
-type holdTokenConn struct {
-	Conn
-	n, seen int
-	held    []Message
-}
-
-func (c *holdTokenConn) Send(m Message) error {
-	if m.Kind != kindToken || m.To == c.Name() { // a regenerated token goes to its creator first
-		return c.Conn.Send(m)
-	}
-	if c.seen++; c.seen == c.n {
-		c.held = append(c.held, m)
-		return nil
-	}
-	for _, h := range c.held {
-		if err := c.Conn.Send(h); err != nil {
-			return err
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	c.held = nil
-	return c.Conn.Send(m)
-}
-
-// TestNashRingRegenerationWithLiveToken: a token that was only late,
-// not lost, circulates alongside its regenerated replacement for one
-// round, so every user best-replies twice on the same profile and that
-// round's norm reads zero. The ring must not accept that round: it has
-// to converge to the fault-free equilibrium, not stop a sweep early.
-func TestNashRingRegenerationWithLiveToken(t *testing.T) {
-	t.Parallel()
-	sys := soakNashSystem(t)
-	ref, err := RunNashRing(NewMemNetwork(), sys, 1e-9, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range []int{5, 10} {
-		ctr := obs.NewRegistry()
-		opts := NashOptions{
-			Watchdog:     30 * time.Millisecond,
-			ProbeTimeout: 15 * time.Millisecond,
-			Deadline:     10 * time.Second,
-			Observer:     ctr,
-		}
-		res, err := RunNashRingWith(holdTokenNetwork{NewMemNetwork(), sys.NumUsers(), n}, sys, 1e-9, 0, opts)
-		if err != nil {
-			t.Fatalf("hold token %d: %v (counters %s)", n, err, ctr)
-		}
-		if ctr.Get("nash.token.regenerated") == 0 {
-			t.Fatalf("hold token %d: counters = %s, want a regeneration", n, ctr)
-		}
-		if d := metrics.LInfNorm(sys.Loads(res.Profile), sys.Loads(ref.Profile)); d > 1e-6 {
-			t.Errorf("hold token %d: loads %g from the fault-free equilibrium after %d rounds (reference %d); counters %s",
-				n, d, res.Iterations, ref.Iterations, ctr)
-		}
-	}
-}
-
-// TestNashRingStalled: when not even the watchdog can act (it is set
-// far beyond the driver deadline) the run ends in ErrStalled with the
-// checkpoint profile instead of hanging.
-func TestNashRingStalled(t *testing.T) {
-	t.Parallel()
-	sys := soakNashSystem(t)
-	plan := FaultPlan{Partition: &PartitionPlan{Nodes: []string{userName(0)}, From: 0, To: 1}}
-	netw := NewChaosNetwork(NewMemNetwork(), plan, nil)
-	opts := NashOptions{
-		Watchdog: 10 * time.Second, // never fires before the deadline
-		Deadline: 80 * time.Millisecond,
-	}
-	res, err := RunNashRingWith(netw, sys, 1e-9, 0, opts)
-	if !errors.Is(err, ErrStalled) {
-		t.Fatalf("err = %v, want ErrStalled", err)
-	}
-	if len(res.Profile.S) != sys.NumUsers() {
-		t.Error("stalled run lost the checkpoint profile")
-	}
-}
-
-// TestNashRingUserZeroCrash: user 0 crashing kills the watchdog itself;
-// the run must still end promptly with a typed error.
-func TestNashRingUserZeroCrash(t *testing.T) {
-	t.Parallel()
-	sys := soakNashSystem(t)
-	netw := NewChaosNetwork(NewMemNetwork(), FaultPlan{Crash: map[string]int{userName(0): 0}}, nil)
-	opts := NashOptions{
-		Watchdog:     50 * time.Millisecond,
-		ProbeTimeout: 10 * time.Millisecond,
-		Deadline:     2 * time.Second,
-	}
-	_, err := RunNashRingWith(netw, sys, 1e-9, 0, opts)
-	if err == nil {
-		t.Fatal("run with a crashed user 0 succeeded")
-	}
-	if !errors.Is(err, ErrCrashed) && !errors.Is(err, ErrTimeout) && !errors.Is(err, ErrStalled) {
-		t.Errorf("err = %v, want a typed fault error", err)
 	}
 }
 

@@ -14,21 +14,23 @@ import (
 	"gtlb/internal/queueing"
 )
 
-// The hierarchical sharded NASH protocol scales the §4.3 scheme past a
-// few dozen users by replacing the single m-node ring with a two-level
-// hierarchy:
+// The §4.3 NASH protocol runs the m users as nodes on a logical ring:
+// the token carries the global per-computer load vector, each user
+// plays its BEST-REPLY against it, updates the loads in place, adds
+// |ΔD_j| to the token's norm and forwards it; the round ends when the
+// accumulated norm falls to eps. This runtime runs that ring as a
+// two-level hierarchy, so one implementation covers both the paper's
+// protocol and its scale-out:
 //
 //   - m users are partitioned into G shards (game.PlanShards). Each
 //     shard has a leader node that drives best-reply sweeps over its
-//     members around a ring, the §4.3 ring in miniature: the leader
-//     sends the working token (the global per-computer load vector plus
-//     fencing metadata) to the shard's first member; each member plays
-//     its best reply against the token loads, updates them in place and
-//     forwards the token to its successor; the last member returns it
-//     to the leader. A sweep over k members is k+1 messages with no
-//     timers on the members and one allocation per step (the encoded
-//     forward), versus the flat ring's five-message, O(m·n) state-node
-//     exchange per step.
+//     members around a ring: the leader sends the working token (the
+//     global per-computer load vector plus fencing metadata) to the
+//     shard's first member; each member plays its best reply against
+//     the token loads, updates them in place and forwards the token to
+//     its successor; the last member returns it to the leader. A sweep
+//     over k members is k+1 messages with no timers on the members and
+//     one allocation per step (the encoded forward).
 //   - A root node owns the cross-shard iteration. It is down-driven:
 //     every activation is a hier.down message carrying the reconciled
 //     global load vector and the shard that must sweep against it; the
@@ -38,12 +40,17 @@ import (
 //     runs), so every shard sweeps against the loads the shards before
 //     it already moved.
 //
+// With one shard and one local sweep per activation (ShardOptions{
+// Shards: 1, LocalSweeps: 1}) this is the §4.3 ring itself: users are
+// visited in ring order, each best-replies once per round, and the
+// root stops on the round's Σ|ΔD_j| ≤ eps.
+//
 // The math is exactly game.ShardedBestReply's, and a fault-free
 // distributed run performs the identical float operations in the
 // identical order, so the resulting profile is bit-identical to that
 // oracle (tests pin this).
 //
-// Fault tolerance generalizes the flat ring's epoch fencing to both levels:
+// Fault tolerance fences stale traffic by epoch at both levels:
 //
 //   - Shard level: the token carries an (Epoch, Hop) pair; every member
 //     bumps Hop as it forwards. A circulation that does not come back
@@ -58,9 +65,16 @@ import (
 //     resyncs the same way, since it changes the ring.
 //   - Root level: partials are re-requested (hier.partreq) with bounded
 //     attempts — the request doubles as a liveness probe — after which
-//     the shard is ejected and the membership epoch bumps. Leaders that
-//     miss the downward broadcast re-request it (hier.downreq) forever;
-//     the driver deadline is the backstop.
+//     the shard is ejected and the membership epoch bumps. A leader still
+//     working on the requested round (retrying its token, resyncing a
+//     silent member) answers the probe with hier.alive, which restarts
+//     the root's count, so a member's failure never reads as its
+//     leader's. Leaders that miss the downward broadcast re-request it
+//     (hier.downreq) forever; the driver deadline is the backstop.
+//   - The run ends with a final gather: a resync of every shard whose
+//     rows go to the root. A member ejected there leaves the survivors
+//     at best replies to loads that still held it, so the root resumes
+//     reconciliation from the gathered rows instead of finishing.
 //
 // Users can also join a running computation (hier.join to the root):
 // the root checks feasibility, assigns the joiner to the smallest live
@@ -78,6 +92,7 @@ const (
 	hierKindRow     = "hier.row"     // member → leader: sync answer
 	hierKindRows    = "hier.rows"    // leader → root: final strategy rows
 	hierKindRowsReq = "hier.rowsreq" // root → leader: rows re-request
+	hierKindAlive   = "hier.alive"   // leader → root: still working on the probed round
 	hierKindJoin    = "hier.join"    // joiner → root: admission request
 	hierKindJoinOK  = "hier.join.ok" // root → joiner: assignment / rejection
 	hierKindStop    = "hier.stop"    // root → leaders → members: run over
@@ -135,7 +150,8 @@ type hierDownPayload struct {
 }
 
 // hierReqPayload re-requests a lost partial (root → leader), downward
-// broadcast (leader → root) or rows report (root → leader).
+// broadcast (leader → root) or rows report (root → leader), and carries
+// a busy leader's liveness answer to such a probe (leader → root).
 type hierReqPayload struct {
 	Round int
 	Seq   int
@@ -162,8 +178,10 @@ type hierRowPayload struct {
 }
 
 // hierRowsPayload is a leader's final gather report: the surviving
-// members' strategy rows.
+// members' strategy rows. Round is the wire round of the stop it
+// answers, which fences a late report from an earlier gather.
 type hierRowsPayload struct {
+	Round   int
 	Shard   int
 	Seq     int
 	Users   []int32
@@ -189,6 +207,16 @@ type hierJoinOKPayload struct {
 	Seq    int
 }
 
+// ErrStalled is returned when the protocol makes no progress within the
+// driver deadline (e.g. the root crashed, or every shard was ejected).
+// The result still carries the latest profile, so the computation can
+// resume from it as a checkpoint (RunNashShardedWith's initial
+// profile).
+var ErrStalled = errors.New("dist: protocol stalled")
+
+// errStopped aborts an in-flight wait when a stop arrives.
+var errStopped = errors.New("dist: stop received")
+
 // errMemberLost aborts a sync exchange after the retry budget; the
 // leader ejects the member.
 var errMemberLost = errors.New("dist: shard member silent")
@@ -201,9 +229,11 @@ const rootName = "root"
 
 func shardName(g int) string { return fmt.Sprintf("shard-%d", g) }
 
+func userName(j int) string { return fmt.Sprintf("user-%d", j) }
+
 // satNorm accumulates a norm contribution, saturating at MaxFloat64 so
 // several divergent users cannot overflow the sum to +Inf. Identical to
-// the flat ring's and the in-process oracle's arithmetic.
+// the in-process oracle's arithmetic.
 func satNorm(norm, d float64) float64 {
 	if sum := norm + d; !math.IsInf(sum, 1) {
 		return sum
@@ -223,7 +253,8 @@ type ShardOptions struct {
 	// share. Higher values let each activation extract more progress
 	// from one round trip to the root: at m=1000 moving from 1 to 4
 	// cuts total sweeps ~12× (40k → 3.2k) at identical equilibrium
-	// quality; 1 reproduces the flat ring's user visit order exactly.
+	// quality. With Shards 1, LocalSweeps 1 is the §4.3 ring: each user
+	// best-replies once per round, in ring order.
 	LocalSweeps int
 	// Watchdog is the root's per-wait partial/rows collection timeout
 	// and the leaders' down wait (default 2s). It must comfortably
@@ -544,11 +575,11 @@ func (l *shardLeader) stopMembers() {
 func (l *shardLeader) protocol() error {
 	for {
 		down, err := l.awaitDown()
-		if err != nil {
-			return err
+		for err == nil && down != nil && down.Stop {
+			down, err = l.finalGather()
 		}
-		if down.Stop {
-			return l.finalGather()
+		if err != nil || down == nil {
+			return err
 		}
 		if !activeHas(down.Active, l.g) {
 			continue // another shard's activation
@@ -619,6 +650,9 @@ restart:
 			var err error
 			norm, err = l.circulate(s)
 			if errors.Is(err, errTokenLost) {
+				// The resync opens a fresh epoch: the leader regenerates
+				// the token from the members' rows.
+				obs.Count(l.obs, obs.NashTokenRegenerated)
 				l.needSync = true
 				continue restart
 			}
@@ -700,7 +734,6 @@ func (l *shardLeader) ejectMember(idx int) {
 	l.names = append(l.names[:idx], l.names[idx+1:]...)
 	l.phis = append(l.phis[:idx], l.phis[idx+1:]...)
 	l.rows = append(l.rows[:idx], l.rows[idx+1:]...)
-	obs.Count(l.obs, obs.NashEjected)
 }
 
 // resync opens a new epoch, gathers every surviving member's strategy
@@ -883,11 +916,13 @@ func memberOfInts(ids []int, id int) bool {
 }
 
 // finalGather resyncs the surviving members' rows under a fresh epoch,
-// reports them to the root, and waits for the shutdown broadcast
-// (re-reporting on every timeout).
-func (l *shardLeader) finalGather() error {
+// reports them to the root, and waits for the shutdown (re-reporting on
+// every timeout), which ends it with a nil down. A newer down means the
+// root resumed reconciliation — the gather ejected someone — and is
+// returned for the protocol loop to serve.
+func (l *shardLeader) finalGather() (*hierDownPayload, error) {
 	if err := l.resync(); err != nil {
-		return err
+		return nil, err
 	}
 	l.seq++
 	users := make([]int32, len(l.ids))
@@ -896,15 +931,15 @@ func (l *shardLeader) finalGather() error {
 	}
 	rows := Message{To: rootName, Kind: hierKindRows}
 	if err := rows.Encode(hierRowsPayload{
-		Shard: l.g, Seq: l.seq,
+		Round: l.curRound, Shard: l.g, Seq: l.seq,
 		Users:   users,
 		Ejected: append([]int32(nil), l.ejected...),
 		Rows:    l.rows,
 	}); err != nil {
-		return err
+		return nil, err
 	}
 	if err := l.conn.Send(rows); err != nil {
-		return err
+		return nil, err
 	}
 	for a := 0; ; a++ {
 		wait := backoffDelay(l.watchdog, 2*l.watchdog, a, l.rng)
@@ -914,13 +949,21 @@ func (l *shardLeader) finalGather() error {
 				_ = l.conn.Send(rows) // best-effort re-report; the root also re-requests
 				continue
 			}
-			return err
+			return nil, err
 		}
 		switch r.Kind {
-		case hierKindRowsReq, hierKindDown:
+		case hierKindDown:
+			if r.Decode(&l.down) == nil && l.down.Round > l.lastDownRound {
+				l.lastDownRound = l.down.Round
+				l.curRound = l.down.Round
+				l.applyDown(&l.down)
+				return &l.down, nil
+			}
+			_ = l.conn.Send(rows) // a re-sent stop: the root missed our report
+		case hierKindRowsReq:
 			_ = l.conn.Send(rows) // the root missed our report; re-send
 		case hierKindStop:
-			return nil
+			return nil, nil
 		default:
 			l.handleOOB(r)
 		}
@@ -928,16 +971,28 @@ func (l *shardLeader) finalGather() error {
 }
 
 // handleOOB processes out-of-band traffic arriving while the leader
-// waits for something else: the root's partial re-request (replay the
-// cached report) and stale broadcasts.
+// waits for something else: the root's probes and stale broadcasts. A
+// partial re-request for an answered round replays the cached report; a
+// probe for the round the leader is still working on — a sweep, or the
+// final gather's resync — gets a hier.alive so the root keeps waiting.
 func (l *shardLeader) handleOOB(r Message) {
 	switch r.Kind {
-	case hierKindPartReq:
+	case hierKindPartReq, hierKindRowsReq:
 		var p hierReqPayload
 		if r.Decode(&p) != nil {
 			return
 		}
-		l.resendUp(p.Round)
+		if r.Kind == hierKindPartReq && p.Round == l.cachedUpRnd {
+			l.resendUp(p.Round)
+			return
+		}
+		if p.Round != l.curRound {
+			return // a round this leader has not seen yet
+		}
+		alive := Message{To: rootName, Kind: hierKindAlive}
+		if alive.Encode(hierReqPayload{Round: p.Round, Seq: p.Seq}) == nil {
+			_ = l.conn.Send(alive) // best-effort; the root probes again
+		}
 	default:
 		// Stale downs, partials, rows, rows re-requests outside the
 		// gather phase: drop.
@@ -1080,11 +1135,42 @@ func (rt *rootNode) protocol() error {
 			if err := rt.gatherRows(); err != nil {
 				return err
 			}
+			if rt.changed && rt.runErr == nil {
+				// The gather ejected someone: the survivors' rows are
+				// best replies to loads that still held them. Reconcile
+				// again from the gathered rows.
+				rt.settle = true
+				rt.adoptRows()
+				continue
+			}
 			rt.assemble()
 			rt.shutdown()
 			return nil
 		}
 	}
+}
+
+// adoptRows makes the gathered rows the root's view after a gather that
+// ejected someone: each live shard's loads are rebuilt from its rows (the
+// leader's own resync arithmetic, so the leader's external view comes
+// out exact) and every live shard is due for activation again.
+func (rt *rootNode) adoptRows() {
+	for g := 0; g < rt.numShards; g++ {
+		if !rt.live[g] {
+			continue
+		}
+		loc := rt.locals[g]
+		for i := range loc {
+			loc[i] = 0
+		}
+		for k, id := range rt.rowsUsers[g] {
+			for i, f := range rt.rowsRows[g][k] {
+				loc[i] += f * rt.phis[id]
+			}
+		}
+		rt.shardNorm[g] = math.Inf(1)
+	}
+	rt.recomputeGlobal()
 }
 
 // shouldSkipShard reports whether shard g can sit this cycle out: its
@@ -1252,6 +1338,10 @@ func (rt *rootNode) awaitPartial(g int) error {
 		switch m.Kind {
 		case hierKindPartial:
 			rt.onPartial(m)
+		case hierKindAlive:
+			if rt.isAlive(m, g) {
+				attempts = 0 // the leader is still working on this round
+			}
 		case hierKindJoin:
 			rt.onJoin(m, false)
 		case hierKindDownReq:
@@ -1261,6 +1351,17 @@ func (rt *rootNode) awaitPartial(g int) error {
 		}
 	}
 	return nil
+}
+
+// isAlive reports whether m is shard g's liveness answer to a probe for
+// the current wire round.
+func (rt *rootNode) isAlive(m Message, g int) bool {
+	var p hierReqPayload
+	if m.Decode(&p) != nil {
+		return false
+	}
+	lg, known := rt.leaderG[m.From]
+	return known && lg == g && p.Round == rt.downSeq
 }
 
 func (rt *rootNode) onPartial(m Message) {
@@ -1451,10 +1552,10 @@ func (rt *rootNode) gatherRows() error {
 				continue
 			}
 			g := p.Shard
-			if g < 0 || g >= rt.numShards || !rt.live[g] || rt.rowsHave[g] {
-				continue
+			if p.Round != rt.downSeq || g < 0 || g >= rt.numShards || !rt.live[g] || rt.rowsHave[g] {
+				continue // a late report from an earlier gather, or not a live shard's
 			}
-			if len(p.Rows) != len(p.Users) {
+			if !rt.validRows(p) {
 				continue
 			}
 			rt.rowsUsers[g] = append([]int32(nil), p.Users...)
@@ -1465,6 +1566,10 @@ func (rt *rootNode) gatherRows() error {
 			rt.rowsHave[g] = true
 			for _, id := range p.Ejected {
 				rt.ejectUser(int(id))
+			}
+		case hierKindAlive:
+			if lg, known := rt.leaderG[m.From]; known && rt.isAlive(m, lg) {
+				attempts[lg] = 0 // the leader is still resyncing its members
 			}
 		case hierKindJoin:
 			rt.onJoin(m, true)
@@ -1477,6 +1582,20 @@ func (rt *rootNode) gatherRows() error {
 	return nil
 }
 
+// validRows reports whether a rows report is well formed: one row of
+// length n per known user id.
+func (rt *rootNode) validRows(p hierRowsPayload) bool {
+	if len(p.Rows) != len(p.Users) {
+		return false
+	}
+	for i, id := range p.Users {
+		if int(id) < 0 || int(id) >= len(rt.phis) || len(p.Rows[i]) != rt.n {
+			return false
+		}
+	}
+	return true
+}
+
 // assemble publishes the final result: one profile row per user id,
 // zero for ejected users.
 func (rt *rootNode) assemble() {
@@ -1487,9 +1606,6 @@ func (rt *rootNode) assemble() {
 			continue
 		}
 		for i, id := range rt.rowsUsers[g] {
-			if int(id) < 0 || int(id) >= mFinal || len(rt.rowsRows[g][i]) != rt.n {
-				continue
-			}
 			copy(prof.S[int(id)], rt.rowsRows[g][i])
 		}
 	}
@@ -1540,18 +1656,24 @@ func (rt *rootNode) shutdown() {
 
 // --- driver ----------------------------------------------------------
 
-// RunNashSharded executes the hierarchical sharded NASH protocol over
+// RunNashSharded executes the §4.3 NASH protocol as a hierarchy over
 // the given network with default options. Each user starts from the
 // NASH_P proportional initialization; eps is the acceptance tolerance
 // on the per-round global norm and maxRounds bounds the reconciliation
 // rounds. A fault-free run returns a profile bit-identical to
 // game.ShardedBestReply on the same system and shard plan.
 func RunNashSharded(netw Network, sys noncoop.System, eps float64, maxRounds int) (NashShardedResult, error) {
-	return RunNashShardedWith(netw, sys, eps, maxRounds, ShardOptions{})
+	return RunNashShardedWith(netw, sys, nil, eps, maxRounds, ShardOptions{})
 }
 
-// RunNashShardedWith is RunNashSharded with explicit options.
-func RunNashShardedWith(netw Network, sys noncoop.System, eps float64, maxRounds int, opts ShardOptions) (NashShardedResult, error) {
+// RunNashShardedWith is RunNashSharded with explicit options and an
+// optional initial profile. A nil initial starts from NASH_P; otherwise
+// the users resume from that checkpoint — typically the Profile of a
+// result whose run was cut short (crash, round budget) — so a restarted
+// computation converges to the same equilibrium without redoing the
+// completed rounds. Even on error the returned result carries the
+// latest profile, usable as the next checkpoint.
+func RunNashShardedWith(netw Network, sys noncoop.System, initial *noncoop.Profile, eps float64, maxRounds int, opts ShardOptions) (NashShardedResult, error) {
 	if err := sys.Validate(); err != nil {
 		return NashShardedResult{}, err
 	}
@@ -1570,12 +1692,21 @@ func RunNashShardedWith(netw Network, sys noncoop.System, eps float64, maxRounds
 	plan := game.PlanShards(m, numShards)
 	numShards = len(plan)
 
-	// NASH_P proportional initialization, identical to the oracle.
-	prof := noncoop.NewProfile(m, n)
+	// The checkpoint, or the NASH_P proportional initialization
+	// identical to the oracle's.
 	total := sys.TotalMu()
-	for j := 0; j < m; j++ {
-		for i, mu := range sys.Mu {
-			prof.S[j][i] = mu / total
+	var prof noncoop.Profile
+	if initial != nil {
+		if err := sys.ValidateProfile(*initial); err != nil {
+			return NashShardedResult{}, fmt.Errorf("dist: checkpoint profile invalid: %w", err)
+		}
+		prof = initial.Clone()
+	} else {
+		prof = noncoop.NewProfile(m, n)
+		for j := 0; j < m; j++ {
+			for i, mu := range sys.Mu {
+				prof.S[j][i] = mu / total
+			}
 		}
 	}
 	// Per-shard initial locals and the initial global view, accumulated

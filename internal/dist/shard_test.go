@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -42,11 +43,12 @@ func fastShardOptions(seed uint64) ShardOptions {
 	}
 }
 
-// shardedAtEquilibrium checks every surviving user's strategy is
-// (within tol, in expected-time terms) a best reply to the published
-// profile, and that ejected users carry zero load.
-func shardedAtEquilibrium(t *testing.T, sys noncoop.System, res NashShardedResult, tol float64) {
-	t.Helper()
+// survivorsAtBestReply checks a converged result against the
+// equilibrium of the system reduced by its ejected users: every ejected
+// user's strategy row is zero, and every surviving user's strategy is
+// within tol (in expected-time terms) of a best reply to the published
+// profile. It returns the first violation.
+func survivorsAtBestReply(sys noncoop.System, res NashShardedResult, tol float64) error {
 	ejected := make(map[int]bool, len(res.Ejected))
 	for _, j := range res.Ejected {
 		ejected[j] = true
@@ -55,7 +57,7 @@ func shardedAtEquilibrium(t *testing.T, sys noncoop.System, res NashShardedResul
 		if ejected[j] {
 			for i, s := range res.Profile.S[j] {
 				if s != 0 {
-					t.Errorf("ejected user %d keeps load fraction %v on computer %d", j, s, i)
+					return fmt.Errorf("ejected user %d keeps load fraction %v on computer %d", j, s, i)
 				}
 			}
 			continue
@@ -63,53 +65,56 @@ func shardedAtEquilibrium(t *testing.T, sys noncoop.System, res NashShardedResul
 		avail := sys.Available(res.Profile, j)
 		br, err := noncoop.BestReply(avail, sys.Phi[j])
 		if err != nil {
-			t.Fatalf("user %d best reply: %v", j, err)
+			return fmt.Errorf("user %d best reply: %w", j, err)
 		}
 		have := noncoop.BestReplyTime(avail, res.Profile.S[j], sys.Phi[j])
 		want := noncoop.BestReplyTime(avail, br, sys.Phi[j])
 		if math.Abs(have-want) > tol {
-			t.Errorf("user %d is %v from its best reply (tol %v)", j, have-want, tol)
+			return fmt.Errorf("user %d is %g from its best reply (tol %g)", j, have-want, tol)
 		}
 	}
+	return nil
 }
 
 // TestNashShardedMatchesOracle: a fault-free distributed run performs
 // the identical float operations in the identical order as the
 // in-process game.ShardedBestReply, so profile, rounds, sweeps and norm
-// are all bit-identical.
+// are all bit-identical — for a multi-shard hierarchy and for the §4.3
+// ring (one shard, one sweep per round).
 func TestNashShardedMatchesOracle(t *testing.T) {
 	t.Parallel()
-	const m, shards, localSweeps = 12, 3, 2
+	const m = 12
 	sys := shardTestSystem(t, m)
+	for _, c := range []struct{ shards, localSweeps int }{{3, 2}, {1, 1}} {
+		want, err := game.ShardedBestReply(sys, game.PlanShards(m, c.shards), 1e-9, 0, game.ShardedOpts{LocalSweeps: c.localSweeps})
+		if err != nil {
+			t.Fatal(err)
+		}
 
-	want, err := game.ShardedBestReply(sys, game.PlanShards(m, shards), 1e-9, 0, game.ShardedOpts{LocalSweeps: localSweeps})
-	if err != nil {
-		t.Fatal(err)
-	}
+		opts := fastShardOptions(1)
+		opts.Shards = c.shards
+		opts.LocalSweeps = c.localSweeps
+		got, err := RunNashShardedWith(NewMemNetwork(), sys, nil, 1e-9, 0, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-	opts := fastShardOptions(1)
-	opts.Shards = shards
-	opts.LocalSweeps = localSweeps
-	got, err := RunNashShardedWith(NewMemNetwork(), sys, 1e-9, 0, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if got.Rounds != want.Rounds || got.Sweeps != want.Sweeps || got.Norm != want.Norm {
-		t.Errorf("rounds/sweeps/norm = %d/%d/%g, oracle %d/%d/%g",
-			got.Rounds, got.Sweeps, got.Norm, want.Rounds, want.Sweeps, want.Norm)
-	}
-	for j := range want.Profile.S {
-		for i := range want.Profile.S[j] {
-			if got.Profile.S[j][i] != want.Profile.S[j][i] {
-				t.Fatalf("profile[%d][%d] = %v, oracle %v (not bit-identical)",
-					j, i, got.Profile.S[j][i], want.Profile.S[j][i])
+		if got.Rounds != want.Rounds || got.Sweeps != want.Sweeps || got.Norm != want.Norm {
+			t.Errorf("%+v: rounds/sweeps/norm = %d/%d/%g, oracle %d/%d/%g",
+				c, got.Rounds, got.Sweeps, got.Norm, want.Rounds, want.Sweeps, want.Norm)
+		}
+		for j := range want.Profile.S {
+			for i := range want.Profile.S[j] {
+				if got.Profile.S[j][i] != want.Profile.S[j][i] {
+					t.Fatalf("%+v: profile[%d][%d] = %v, oracle %v (not bit-identical)",
+						c, j, i, got.Profile.S[j][i], want.Profile.S[j][i])
+				}
 			}
 		}
 	}
 }
 
-// TestNashShardedMatchesFlat: the sharded fixed point is the flat
+// TestNashShardedMatchesFlat: the sharded fixed point is the flat §4.3
 // ring's equilibrium — both profiles are best replies to themselves and
 // they agree within a loose elementwise tolerance (the equilibrium is
 // unique).
@@ -118,25 +123,23 @@ func TestNashShardedMatchesFlat(t *testing.T) {
 	const m = 10
 	sys := shardTestSystem(t, m)
 
-	flat, err := RunNashRingWith(NewMemNetwork(), sys, 1e-9, 0, NashOptions{
-		Watchdog:     time.Second,
-		ProbeTimeout: 50 * time.Millisecond,
-		MaxAttempts:  3,
-		Deadline:     20 * time.Second,
-		Seed:         7,
-	})
+	ringOpts := fastShardOptions(7)
+	ringOpts.Shards, ringOpts.LocalSweeps = 1, 1
+	flat, err := RunNashShardedWith(NewMemNetwork(), sys, nil, 1e-9, 0, ringOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	opts := fastShardOptions(7)
 	opts.Shards = 3
-	sharded, err := RunNashShardedWith(NewMemNetwork(), sys, 1e-9, 0, opts)
+	sharded, err := RunNashShardedWith(NewMemNetwork(), sys, nil, 1e-9, 0, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	shardedAtEquilibrium(t, sys, sharded, 1e-6)
+	if err := survivorsAtBestReply(sys, sharded, 1e-6); err != nil {
+		t.Error(err)
+	}
 	for j := range sys.Phi {
 		for i := range sys.Mu {
 			if d := math.Abs(sharded.Profile.S[j][i] - flat.Profile.S[j][i]); d > 1e-3 {
@@ -158,7 +161,7 @@ func TestNashShardedDeterministic(t *testing.T) {
 		plan := FaultPlan{Seed: 42, Drop: 0.02, Delay: 0.05, MaxDelay: 2 * time.Millisecond}
 		opts := fastShardOptions(42)
 		opts.Shards = 3
-		res, err := RunNashShardedWith(NewChaosNetwork(NewMemNetwork(), plan, nil), sys, 1e-9, 0, opts)
+		res, err := RunNashShardedWith(NewChaosNetwork(NewMemNetwork(), plan, nil), sys, nil, 1e-9, 0, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,7 +204,7 @@ func TestNashShardedCrashedMemberEjected(t *testing.T) {
 			opts := fastShardOptions(3)
 			opts.Shards = 3
 			opts.Observer = ctr
-			res, err := RunNashShardedWith(netw, sys, 1e-9, 0, opts)
+			res, err := RunNashShardedWith(netw, sys, nil, 1e-9, 0, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -214,7 +217,9 @@ func TestNashShardedCrashedMemberEjected(t *testing.T) {
 			if ctr.Get("nash.ejected") == 0 {
 				t.Error("no nash.ejected count recorded")
 			}
-			shardedAtEquilibrium(t, sys, res, 1e-6)
+			if err := survivorsAtBestReply(sys, res, 1e-6); err != nil {
+				t.Error(err)
+			}
 		})
 	}
 }
@@ -293,7 +298,7 @@ func TestNashShardedReplaysLostToken(t *testing.T) {
 	opts.Shards = shards
 	opts.LocalSweeps = localSweeps
 	opts.Observer = ctr
-	got, err := RunNashShardedWith(netw, sys, 1e-9, 0, opts)
+	got, err := RunNashShardedWith(netw, sys, nil, 1e-9, 0, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +339,7 @@ func TestNashShardedMessagePattern(t *testing.T) {
 	sys := shardTestSystem(t, m)
 	plan := game.PlanShards(m, shards)
 	netw := newTapNetwork(NewMemNetwork())
-	res, err := RunNashShardedWith(netw, sys, 1e-9, 0, ShardOptions{
+	res, err := RunNashShardedWith(netw, sys, nil, 1e-9, 0, ShardOptions{
 		Shards:       shards,
 		LocalSweeps:  localSweeps,
 		Watchdog:     10 * time.Second,
@@ -497,7 +502,7 @@ func TestNashShardedCrashedLeaderEjectsShard(t *testing.T) {
 	opts.Shards = 3
 	opts.Observer = ctr
 	opts.Watchdog = 150 * time.Millisecond
-	res, err := RunNashShardedWith(netw, sys, 1e-9, 0, opts)
+	res, err := RunNashShardedWith(netw, sys, nil, 1e-9, 0, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -511,7 +516,9 @@ func TestNashShardedCrashedLeaderEjectsShard(t *testing.T) {
 	if ctr.Get("hier.shard.ejected") != 1 {
 		t.Errorf("hier.shard.ejected = %d, want 1", ctr.Get("hier.shard.ejected"))
 	}
-	shardedAtEquilibrium(t, sys, res, 1e-6)
+	if err := survivorsAtBestReply(sys, res, 1e-6); err != nil {
+		t.Error(err)
+	}
 }
 
 // signalObserver closes ch on the first event matching kind.
@@ -557,7 +564,7 @@ func TestNashShardedJoin(t *testing.T) {
 		joinCh <- joinOut{ju, err}
 	}()
 
-	res, err := RunNashShardedWith(netw, sys, 1e-9, 0, opts)
+	res, err := RunNashShardedWith(netw, sys, nil, 1e-9, 0, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -587,7 +594,9 @@ func TestNashShardedJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shardedAtEquilibrium(t, extSys, res, 1e-6)
+	if err := survivorsAtBestReply(extSys, res, 1e-6); err != nil {
+		t.Error(err)
+	}
 }
 
 // TestNashShardedJoinInfeasible: a joiner whose arrival rate would
@@ -609,7 +618,7 @@ func TestNashShardedJoinInfeasible(t *testing.T) {
 		joinErr <- err
 	}()
 
-	res, err := RunNashShardedWith(netw, sys, 1e-9, 0, opts)
+	res, err := RunNashShardedWith(netw, sys, nil, 1e-9, 0, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -619,7 +628,9 @@ func TestNashShardedJoinInfeasible(t *testing.T) {
 	if len(res.Joined) != 0 {
 		t.Errorf("Joined = %+v, want none", res.Joined)
 	}
-	shardedAtEquilibrium(t, sys, res, 1e-6)
+	if err := survivorsAtBestReply(sys, res, 1e-6); err != nil {
+		t.Error(err)
+	}
 }
 
 // TestNashShardedTCP: the hierarchical protocol runs over the TCP
@@ -637,14 +648,16 @@ func TestNashShardedTCP(t *testing.T) {
 	}()
 	opts := fastShardOptions(17)
 	opts.Shards = 2
-	res, err := RunNashShardedWith(netw, sys, 1e-9, 0, opts)
+	res, err := RunNashShardedWith(netw, sys, nil, 1e-9, 0, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shardedAtEquilibrium(t, sys, res, 1e-6)
+	if err := survivorsAtBestReply(sys, res, 1e-6); err != nil {
+		t.Error(err)
+	}
 
 	// Same seed in-memory: the TCP run reaches the identical profile.
-	memRes, err := RunNashShardedWith(NewMemNetwork(), sys, 1e-9, 0, opts)
+	memRes, err := RunNashShardedWith(NewMemNetwork(), sys, nil, 1e-9, 0, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -669,7 +682,7 @@ func TestNashShardedStalled(t *testing.T) {
 	opts.Watchdog = 30 * time.Millisecond
 	opts.ProbeTimeout = 10 * time.Millisecond
 	opts.Deadline = 700 * time.Millisecond
-	_, err := RunNashShardedWith(netw, sys, 1e-9, 0, opts)
+	_, err := RunNashShardedWith(netw, sys, nil, 1e-9, 0, opts)
 	if err == nil {
 		t.Fatal("total message loss converged")
 	}

@@ -87,7 +87,7 @@ func expectPing(t *testing.T, c Conn, from string, seq int) {
 	if err != nil {
 		t.Fatalf("recv seq %d: %v", seq, err)
 	}
-	var p pingPayload
+	var p hierReqPayload
 	if err := m.Decode(&p); err != nil || m.From != from || p.Seq != seq {
 		t.Fatalf("got %+v (seq %d, err %v), want ping %d from %q", m, p.Seq, err, seq, from)
 	}
@@ -96,7 +96,7 @@ func expectPing(t *testing.T, c Conn, from string, seq int) {
 func sendPing(t *testing.T, c Conn, to string, seq int) {
 	t.Helper()
 	m := Message{To: to, Kind: "ping"}
-	if err := m.Encode(pingPayload{Seq: seq}); err != nil {
+	if err := m.Encode(hierReqPayload{Seq: seq}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Send(m); err != nil {
@@ -141,7 +141,7 @@ func TestTCPBrokerRelaysSplitFrames(t *testing.T) {
 	ends := make([]int, frames)
 	for i := range ends {
 		m := Message{Kind: "ping"}
-		if err := m.Encode(pingPayload{Seq: i}); err != nil {
+		if err := m.Encode(hierReqPayload{Seq: i}); err != nil {
 			t.Fatal(err)
 		}
 		stream = append(stream, rawFrame("streamer", "b", m.Kind, m.Data)...)
@@ -168,7 +168,7 @@ func TestTCPBrokerRewritesFrom(t *testing.T) {
 	c, _ := rawJoin(t, addr, "mallory")
 	defer c.Close()
 	m := Message{Kind: "ping"}
-	if err := m.Encode(pingPayload{Seq: 7}); err != nil {
+	if err := m.Encode(hierReqPayload{Seq: 7}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Write(rawFrame("a", "b", m.Kind, m.Data)); err != nil {
@@ -320,7 +320,7 @@ func TestTCPSendBatchOrder(t *testing.T) {
 			ms := make([]Message, per)
 			for j := range ms {
 				ms[j] = Message{To: "b", Kind: "ping"}
-				_ = ms[j].Encode(pingPayload{Seq: seq})
+				_ = ms[j].Encode(hierReqPayload{Seq: seq})
 				seq++
 			}
 			if err := SendAll(a, ms); err != nil {
@@ -443,8 +443,8 @@ func (r *stallReader) Read(p []byte) (int, error) {
 // them, the stream reads as the same messages and the same terminal
 // error as in one piece.
 func FuzzTCPFrame(f *testing.F) {
-	tok := Message{Kind: "nash.token"}
-	if err := tok.Encode(tokenPayload{Iteration: 3, Norm: 0.5, Ejected: []bool{true, false}}); err != nil {
+	tok := Message{Kind: hierKindToken}
+	if err := tok.Encode(&hierTokenPayload{Epoch: 1, Hop: 3, Norm: 0.5, Loads: []float64{1.5, 2}}); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(rawFrame("user-1", "", helloKind, versionData), []byte(nil))

@@ -9,8 +9,9 @@ import (
 
 // Checkpoint persistence: a strategy profile can be saved as JSON and
 // restored in another process, so the distributed NASH protocol's
-// checkpoint/resume story (dist.RunNashRingFrom) survives restarts of
-// the whole coordinator, not just of individual nodes.
+// checkpoint/resume story (gtlb.WithCheckpoint, the initial profile of
+// dist.RunNashShardedWith) survives restarts of the whole coordinator,
+// not just of individual nodes.
 
 // profileDoc is the serialized form; versioned so the format can evolve.
 type profileDoc struct {

@@ -58,12 +58,12 @@ const (
 	ChaosCrash     // node crash window opened
 	ChaosPartition // network partition window opened
 
-	// NASH ring protocol (internal/dist/nashring.go).
+	// NASH ring traffic inside each shard (internal/dist/shard.go).
 	NashSend             // token forwarded by user A
 	NashTimeout          // token wait timed out at user A
 	NashRetry            // token retransmitted by user A
 	NashEjected          // user A ejected from the ring
-	NashTokenRegenerated // watchdog regenerated a lost token
+	NashTokenRegenerated // leader regenerated a lost token under a fresh epoch
 	NashTokenStale       // stale token generation discarded
 
 	// LBM bidding protocol (internal/dist/lbm.go).

@@ -8,7 +8,7 @@ import (
 )
 
 // This file is the package's functional-options surface. Every run
-// entry point (Simulate, SimulateDynamic, RunNashRing, RunLBM, COOP)
+// entry point (Simulate, SimulateDynamic, RunNashSharded, RunLBM, COOP)
 // takes a trailing ...Option, so cross-cutting concerns — observation,
 // tracing, fault injection, solver tuning — compose instead of forking
 // new Run/RunWith/RunFrom variants per concern.
@@ -80,7 +80,6 @@ type runOptions struct {
 	observers []obs.Observer
 	sinks     []obs.Sink
 	plan      *FaultPlan
-	ring      NashRingOptions
 	shard     ShardOptions
 	lbm       LBMOptions
 	eps       float64
@@ -155,16 +154,10 @@ func WithBinaryTrace(w io.Writer) Option {
 
 // WithFaultPlan wraps the entry point's network in the seeded chaos
 // transport before the protocol runs; fault events reach the run's
-// observers. Only the protocol entry points (RunNashRing, RunLBM) use
-// a network.
+// observers. Only the protocol entry points (RunNashSharded, RunLBM)
+// use a network.
 func WithFaultPlan(plan FaultPlan) Option {
 	return func(ro *runOptions) { ro.plan = &plan }
-}
-
-// WithRingOptions installs the NASH ring's fault-tolerance options
-// (watchdog, probe timeout, retries, deadline, seed).
-func WithRingOptions(opts NashRingOptions) Option {
-	return func(ro *runOptions) { ro.ring = opts }
 }
 
 // WithLBMOptions installs the LBM dispatcher's fault-tolerance options
@@ -173,7 +166,7 @@ func WithLBMOptions(opts LBMOptions) Option {
 	return func(ro *runOptions) { ro.lbm = opts }
 }
 
-// WithShardOptions installs the hierarchical NASH runtime's topology
+// WithShardOptions installs the NASH protocol runtime's topology
 // and fault-tolerance options (shard count, local sweep budget,
 // watchdog, retries, deadline, seed).
 func WithShardOptions(opts ShardOptions) Option {
@@ -181,7 +174,8 @@ func WithShardOptions(opts ShardOptions) Option {
 }
 
 // WithEpsilon sets the convergence tolerance of iterative entry points
-// (the NASH ring's norm acceptance); non-positive keeps the default.
+// (the NASH protocol's round-norm acceptance); non-positive keeps the
+// default.
 func WithEpsilon(eps float64) Option {
 	return func(ro *runOptions) { ro.eps = eps }
 }
@@ -192,8 +186,10 @@ func WithMaxIter(n int) Option {
 	return func(ro *runOptions) { ro.maxIter = n }
 }
 
-// WithCheckpoint resumes the NASH ring from a checkpointed strategy
-// profile (e.g. after a node crash).
+// WithCheckpoint resumes the NASH protocol from a checkpointed strategy
+// profile (e.g. the Profile of a run cut short by a crash or its round
+// budget) instead of the NASH_P initialization. The profile must be
+// feasible for the system.
 func WithCheckpoint(checkpoint Profile) Option {
 	return func(ro *runOptions) { ro.resume = &checkpoint }
 }
