@@ -22,7 +22,6 @@
 package ctrl
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -105,13 +104,10 @@ func (e Estimate) UpCapacity() (sum float64, up int) {
 	return sum, up
 }
 
-// WireID, WireSize, AppendWire and DecodeWire give Estimate the dist
-// wire codec: Seq, Time, Phi, Mu, Source in field order, under the id
-// dist reserves for it.
+// WireID, AppendWire and DecodeWire give Estimate the dist wire codec:
+// Seq, Time, Phi, Mu, Source in field order, under the id dist reserves
+// for it.
 func (Estimate) WireID() byte { return dist.WireEstimate }
-func (e Estimate) WireSize() int {
-	return 4*binary.MaxVarintLen64 + 8*(1+len(e.Phi)+len(e.Mu)) + len(e.Source)
-}
 func (e Estimate) AppendWire(b []byte) []byte {
 	b = dist.AppendInt(b, e.Seq)
 	b = dist.AppendF64(b, e.Time)

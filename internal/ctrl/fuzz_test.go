@@ -58,6 +58,9 @@ func FuzzLoadEstimate(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoding a valid estimate failed: %v", err)
 		}
+		if cap(m.Data) != len(m.Data) {
+			t.Fatalf("re-encoded estimate has cap %d for %d bytes", cap(m.Data), len(m.Data))
+		}
 		e2, err := DecodeEstimate(m)
 		if err != nil {
 			t.Fatalf("round trip failed: %v", err)
@@ -69,7 +72,8 @@ func FuzzLoadEstimate(f *testing.F) {
 }
 
 // TestEstimateWireRoundTrip pins the estimate's binary encoding: it
-// travels under the id dist reserves for it, and decodes back exactly.
+// travels under the id dist reserves for it in a Data slice of exactly
+// its length, and decodes back exactly.
 func TestEstimateWireRoundTrip(t *testing.T) {
 	in := Estimate{Seq: 9, Time: 2.5, Phi: []float64{10, 0, 5}, Mu: []float64{40, -1, 25}, Source: "lbgen"}
 	m, err := EncodeMessage("lbd", in)
@@ -78,6 +82,9 @@ func TestEstimateWireRoundTrip(t *testing.T) {
 	}
 	if len(m.Data) < 2 || m.Data[1] != dist.WireEstimate {
 		t.Fatalf("estimate not on its reserved wire id: % x", m.Data)
+	}
+	if cap(m.Data) != len(m.Data) {
+		t.Errorf("encoded estimate has cap %d for %d bytes, want an exact-size Data", cap(m.Data), len(m.Data))
 	}
 	out, err := DecodeEstimate(m)
 	if err != nil {

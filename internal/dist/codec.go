@@ -4,8 +4,9 @@
 // through the exported WireEncoder/WireDecoder pair) has a hand-rolled
 // binary encoding: one magic byte (0xB1), one wire-type byte, then
 // varint integers, little-endian float64s and one-byte bools.
-// Encoding performs exactly one allocation (the Data slice, sized up
-// front); decoding into a reused payload struct performs none (slice
+// Encoding appends into a pooled scratch buffer and performs exactly
+// one allocation: the Data slice, copied out at exactly the encoded
+// length. Decoding into a reused payload struct performs none (slice
 // fields are decoded into the target's existing capacity). A value
 // without a wire encoding is refused with ErrUnsupportedPayload rather
 // than serialized some other way, so there is exactly one format on
@@ -57,8 +58,6 @@ var ErrUnsupportedPayload = errors.New("dist: payload type has no wire encoding"
 type WireEncoder interface {
 	// WireID is the payload's wire-type id (the constants above).
 	WireID() byte
-	// WireSize upper-bounds the encoded size so Encode allocates once.
-	WireSize() int
 	// AppendWire appends the encoded fields to b.
 	AppendWire(b []byte) []byte
 }
@@ -70,9 +69,6 @@ type WireDecoder interface {
 	WireID() byte
 	DecodeWire(d *WireDec)
 }
-
-// maxV is the worst-case encoded size of one varint field.
-const maxV = binary.MaxVarintLen64
 
 // --- append helpers -------------------------------------------------
 
@@ -128,24 +124,6 @@ func appendRows(b []byte, rows [][]float64) []byte {
 		b = AppendF64s(b, r)
 	}
 	return b
-}
-
-func sizeF64s(s []float64) int { return maxV + 8*len(s) }
-func sizeI32s(s []int32) int   { return maxV + maxV*len(s) }
-func sizeStr(s string) int     { return maxV + len(s) }
-func sizeStrs(s []string) int {
-	n := maxV
-	for _, v := range s {
-		n += sizeStr(v)
-	}
-	return n
-}
-func sizeRows(rows [][]float64) int {
-	n := maxV
-	for _, r := range rows {
-		n += sizeF64s(r)
-	}
-	return n
 }
 
 // --- decoder --------------------------------------------------------
@@ -324,8 +302,7 @@ func (d *WireDec) rows(dst [][]float64) [][]float64 {
 
 // --- per-payload encodings ------------------------------------------
 
-func (reqBidPayload) WireID() byte  { return wireReqBid }
-func (reqBidPayload) WireSize() int { return 2 * maxV }
+func (reqBidPayload) WireID() byte { return wireReqBid }
 func (p reqBidPayload) AppendWire(b []byte) []byte {
 	b = AppendInt(b, p.Computer)
 	return AppendInt(b, p.Attempt)
@@ -335,8 +312,7 @@ func (p *reqBidPayload) DecodeWire(d *WireDec) {
 	p.Attempt = d.Int()
 }
 
-func (bidPayload) WireID() byte  { return wireBid }
-func (bidPayload) WireSize() int { return maxV + 8 }
+func (bidPayload) WireID() byte { return wireBid }
 func (p bidPayload) AppendWire(b []byte) []byte {
 	b = AppendInt(b, p.Computer)
 	return AppendF64(b, p.Bid)
@@ -346,8 +322,7 @@ func (p *bidPayload) DecodeWire(d *WireDec) {
 	p.Bid = d.F64()
 }
 
-func (awardPayload) WireID() byte  { return wireAward }
-func (awardPayload) WireSize() int { return 16 }
+func (awardPayload) WireID() byte { return wireAward }
 func (p awardPayload) AppendWire(b []byte) []byte {
 	b = AppendF64(b, p.Load)
 	return AppendF64(b, p.Payment)
@@ -358,9 +333,6 @@ func (p *awardPayload) DecodeWire(d *WireDec) {
 }
 
 func (hierTokenPayload) WireID() byte { return wireHierToken }
-func (p hierTokenPayload) WireSize() int {
-	return 4*maxV + 8 + sizeF64s(p.Loads)
-}
 func (p hierTokenPayload) AppendWire(b []byte) []byte {
 	b = AppendInt(b, p.Epoch)
 	b = AppendInt(b, p.Hop)
@@ -379,9 +351,6 @@ func (p *hierTokenPayload) DecodeWire(d *WireDec) {
 }
 
 func (hierPartialPayload) WireID() byte { return wireHierPartial }
-func (p hierPartialPayload) WireSize() int {
-	return 5*maxV + 8 + sizeF64s(p.Loads) + sizeI32s(p.Ejected)
-}
 func (p hierPartialPayload) AppendWire(b []byte) []byte {
 	b = AppendInt(b, p.Round)
 	b = AppendInt(b, p.MEpoch)
@@ -404,10 +373,6 @@ func (p *hierPartialPayload) DecodeWire(d *WireDec) {
 }
 
 func (hierDownPayload) WireID() byte { return wireHierDown }
-func (p hierDownPayload) WireSize() int {
-	return 3*maxV + 1 + 8 + sizeI32s(p.Active) + sizeF64s(p.Loads) + sizeI32s(p.EjectedShards) +
-		sizeI32s(p.JoinUsers) + sizeI32s(p.JoinShards) + sizeStrs(p.JoinNames) + sizeF64s(p.JoinPhis)
-}
 func (p hierDownPayload) AppendWire(b []byte) []byte {
 	b = AppendInt(b, p.Round)
 	b = AppendInt(b, p.MEpoch)
@@ -437,8 +402,7 @@ func (p *hierDownPayload) DecodeWire(d *WireDec) {
 	p.Seq = d.Int()
 }
 
-func (hierReqPayload) WireID() byte  { return wireHierReq }
-func (hierReqPayload) WireSize() int { return 2 * maxV }
+func (hierReqPayload) WireID() byte { return wireHierReq }
 func (p hierReqPayload) AppendWire(b []byte) []byte {
 	b = AppendInt(b, p.Round)
 	return AppendInt(b, p.Seq)
@@ -449,9 +413,6 @@ func (p *hierReqPayload) DecodeWire(d *WireDec) {
 }
 
 func (hierSyncPayload) WireID() byte { return wireHierSync }
-func (p hierSyncPayload) WireSize() int {
-	return 2*maxV + sizeStr(p.Next)
-}
 func (p hierSyncPayload) AppendWire(b []byte) []byte {
 	b = AppendInt(b, p.Epoch)
 	b = AppendInt(b, p.Seq)
@@ -464,9 +425,6 @@ func (p *hierSyncPayload) DecodeWire(d *WireDec) {
 }
 
 func (hierRowPayload) WireID() byte { return wireHierRow }
-func (p hierRowPayload) WireSize() int {
-	return 3*maxV + 8 + sizeF64s(p.S)
-}
 func (p hierRowPayload) AppendWire(b []byte) []byte {
 	b = AppendInt(b, p.User)
 	b = AppendInt(b, p.Epoch)
@@ -483,9 +441,6 @@ func (p *hierRowPayload) DecodeWire(d *WireDec) {
 }
 
 func (hierRowsPayload) WireID() byte { return wireHierRows }
-func (p hierRowsPayload) WireSize() int {
-	return 3*maxV + sizeI32s(p.Users) + sizeI32s(p.Ejected) + sizeRows(p.Rows)
-}
 func (p hierRowsPayload) AppendWire(b []byte) []byte {
 	b = AppendInt(b, p.Round)
 	b = AppendInt(b, p.Shard)
@@ -504,9 +459,6 @@ func (p *hierRowsPayload) DecodeWire(d *WireDec) {
 }
 
 func (hierJoinPayload) WireID() byte { return wireHierJoin }
-func (p hierJoinPayload) WireSize() int {
-	return maxV + 8 + sizeStr(p.Name)
-}
 func (p hierJoinPayload) AppendWire(b []byte) []byte {
 	b = AppendStr(b, p.Name)
 	b = AppendF64(b, p.Phi)
@@ -519,9 +471,6 @@ func (p *hierJoinPayload) DecodeWire(d *WireDec) {
 }
 
 func (hierJoinOKPayload) WireID() byte { return wireHierJoinOK }
-func (p hierJoinOKPayload) WireSize() int {
-	return 3*maxV + 1 + sizeStr(p.Name) + sizeStr(p.Reason)
-}
 func (p hierJoinOKPayload) AppendWire(b []byte) []byte {
 	b = AppendStr(b, p.Name)
 	b = AppendInt(b, p.User)

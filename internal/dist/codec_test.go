@@ -34,7 +34,8 @@ func hierCodecSamples() []any {
 
 // TestHierCodecRoundTrip pins the binary wire format of every
 // hierarchical payload: encode → decode must reproduce the value
-// exactly, and the payload must open with the codec magic.
+// exactly, the payload must open with the codec magic, and Data must be
+// exactly as long as its capacity.
 func TestHierCodecRoundTrip(t *testing.T) {
 	for _, p := range hierCodecSamples() {
 		m := Message{Kind: "t"}
@@ -43,6 +44,9 @@ func TestHierCodecRoundTrip(t *testing.T) {
 		}
 		if len(m.Data) < 2 || m.Data[0] != codecMagic {
 			t.Fatalf("%T: encoded without the binary codec (first byte %#x)", p, m.Data[0])
+		}
+		if cap(m.Data) != len(m.Data) {
+			t.Errorf("%T: Data has cap %d for %d bytes, want exact size", p, cap(m.Data), len(m.Data))
 		}
 		out := reflect.New(reflect.TypeOf(p)) // a *T zero value
 		if err := m.Decode(out.Interface()); err != nil {

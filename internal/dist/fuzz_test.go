@@ -13,7 +13,8 @@ var retiredWireIDs = []byte{1, 2, 3, 4, 5, 6, 7}
 // FuzzMessageRoundTrip feeds arbitrary bytes through every payload
 // decoder the protocols use. Malformed input must surface as an error —
 // never a panic — because chaos-duplicated or truncated traffic reaches
-// these decoders in production paths.
+// these decoders in production paths. Every payload that decodes
+// re-encodes into a Data slice of exactly its length.
 func FuzzMessageRoundTrip(f *testing.F) {
 	// Seed with one valid encoding per payload type, one frame per
 	// retired wire type, plus degenerate data.
@@ -27,6 +28,9 @@ func FuzzMessageRoundTrip(f *testing.F) {
 		m := Message{Kind: "seed"}
 		if err := m.Encode(p); err != nil {
 			f.Fatal(err)
+		}
+		if cap(m.Data) != len(m.Data) {
+			f.Fatalf("%T: Data has cap %d for %d bytes", p, cap(m.Data), len(m.Data))
 		}
 		f.Add(m.Data)
 	}
@@ -47,8 +51,18 @@ func FuzzMessageRoundTrip(f *testing.F) {
 			&hierReqPayload{}, &hierSyncPayload{}, &hierRowPayload{},
 			&hierRowsPayload{}, &hierJoinPayload{}, &hierJoinOKPayload{},
 		} {
-			if err := m.Decode(v); err == nil && retired {
+			if err := m.Decode(v); err != nil {
+				continue
+			}
+			if retired {
 				t.Fatalf("%T accepted retired wire type %d", v, data[1])
+			}
+			again := Message{Kind: "fuzz"}
+			if err := again.Encode(v); err != nil {
+				t.Fatalf("re-encode of decoded %T failed: %v", v, err)
+			}
+			if cap(again.Data) != len(again.Data) {
+				t.Fatalf("re-encoded %T has cap %d for %d bytes", v, cap(again.Data), len(again.Data))
 			}
 		}
 

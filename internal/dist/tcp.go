@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -10,7 +9,6 @@ import (
 	"math/bits"
 	"net"
 	"os"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,8 +32,9 @@ const (
 	// allocating, and Send refuses a message that would need one.
 	maxFrame = 16 << 20
 	frameHdr = 4
-	// tcpBufSize is the read buffer per socket; frames that fit relay in place.
-	tcpBufSize = 8 << 10
+	// frameBufInit is a frame reader's first buffer: most frames are
+	// under 100 bytes, and larger ones grow the buffer.
+	frameBufInit = 256
 	// maxInterned bounds a receiver's name table (later names allocate).
 	maxInterned = 4096
 
@@ -126,29 +125,32 @@ func splitFrame(body []byte) (f frame, ok bool) {
 }
 
 // frameReader reads frames off one stream for the broker's serve loop,
-// Join's handshake and a node's receives. A read error part-way through
-// a frame — a receive deadline expiring — consumes nothing: the partial
-// length prefix or body stays buffered, and the next call resumes it, so
-// the stream never desynchronises. A length prefix past maxFrame, a
-// malformed body or any other read error ends the stream.
+// Join's handshake and a node's receives. It owns one buffer, sized to
+// the traffic: it starts at frameBufInit bytes on the first read and
+// grows — by at most doubling, and only when a frame is incomplete and
+// the buffer is full — so a length prefix on a stream that dies early
+// costs at most frameBufInit plus twice the bytes that arrived. A read error
+// part-way through a frame — a receive deadline expiring — consumes
+// nothing: the partial length prefix or body stays buffered, and the
+// next call resumes it, so the stream never desynchronises. A length
+// prefix past maxFrame, a malformed body or any other read error ends
+// the stream.
 type frameReader struct {
-	br   *bufio.Reader
-	done int    // size of the last frame parsed in place; the next call discards it
-	big  []byte // body of a frame too large for br, as far as it has arrived
-	want int    // the full size of big
+	r    io.Reader
+	buf  []byte // buf[off:] is read but not yet consumed
+	off  int
+	done int // size of the last frame returned; the next call consumes it
 }
 
-func newFrameReader(r io.Reader) *frameReader {
-	return &frameReader{br: bufio.NewReaderSize(r, tcpBufSize)}
-}
+func newFrameReader(r io.Reader) *frameReader { return &frameReader{r: r} }
 
-// next returns the next frame. Its fields alias the reader's buffers and
+// next returns the next frame. Its fields alias the reader's buffer and
 // are valid only until the following call.
 func (r *frameReader) next() (frame, error) {
-	_, _ = r.br.Discard(r.done) // the bytes were peeked, so this cannot fail
+	r.off += r.done
 	r.done = 0
-	if len(r.big) == r.want {
-		r.big, r.want = nil, 0 // the last large frame is finished with
+	if r.off == len(r.buf) {
+		r.buf, r.off = r.buf[:0], 0
 	}
 	body, err := r.body()
 	if err != nil {
@@ -161,43 +163,44 @@ func (r *frameReader) next() (frame, error) {
 	return f, nil
 }
 
-// body returns the next frame body. One that fits br's buffer is peeked
-// in place; a larger one is read into big, which grows with the bytes
-// that actually arrive, so a length prefix on a stream that dies early
-// costs no more than the stream carried.
+// body returns the next frame body, in place in buf.
 func (r *frameReader) body() ([]byte, error) {
-	if r.want == 0 {
-		h, err := r.br.Peek(frameHdr)
-		if err != nil {
-			return nil, err
-		}
-		n := binary.LittleEndian.Uint32(h)
-		if n > maxFrame {
-			return nil, fmt.Errorf("%w: length prefix %d", ErrFrameTooLarge, n)
-		}
-		size := frameHdr + int(n)
-		if size <= r.br.Size() {
-			b, err := r.br.Peek(size)
-			if err != nil {
-				return nil, err
+	need := frameHdr
+	for {
+		if have := r.buf[r.off:]; len(have) >= frameHdr {
+			n := binary.LittleEndian.Uint32(have)
+			if n > maxFrame {
+				return nil, fmt.Errorf("%w: length prefix %d", ErrFrameTooLarge, n)
 			}
-			r.done = size
-			return b[frameHdr:], nil
+			if need = frameHdr + int(n); len(have) >= need {
+				r.done = need
+				return have[frameHdr:need], nil
+			}
 		}
-		_, _ = r.br.Discard(frameHdr) // peeked above
-		r.want = int(n)
-	}
-	for len(r.big) < r.want {
-		if len(r.big) == cap(r.big) {
-			r.big = slices.Grow(r.big, min(r.want-len(r.big), len(r.big)+tcpBufSize))
-		}
-		k, err := r.br.Read(r.big[len(r.big):min(cap(r.big), r.want)])
-		r.big = r.big[:len(r.big)+k]
-		if err != nil {
+		if err := r.fill(need); err != nil {
 			return nil, err
 		}
 	}
-	return r.big, nil
+}
+
+// fill reads more of the stream into buf for a frame of need bytes. The
+// unconsumed bytes move to the front first; the buffer grows only if
+// they fill it.
+func (r *frameReader) fill(need int) error {
+	if r.off > 0 {
+		r.buf = r.buf[:copy(r.buf, r.buf[r.off:])]
+		r.off = 0
+	}
+	if len(r.buf) == cap(r.buf) {
+		grown := make([]byte, len(r.buf), max(frameBufInit, min(2*cap(r.buf), need)))
+		r.buf = grown[:copy(grown, r.buf)]
+	}
+	k, err := r.r.Read(r.buf[len(r.buf):cap(r.buf)])
+	r.buf = r.buf[:len(r.buf)+k]
+	if k > 0 {
+		return nil // an error that came with bytes recurs on the next read
+	}
+	return err
 }
 
 // nameTable interns the names a receiver sees. A node hears from a

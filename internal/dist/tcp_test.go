@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"os"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -201,8 +203,8 @@ func TestTCPJoinWrongVersion(t *testing.T) {
 
 // TestTCPRecvResumesSplitFrame: a receive deadline that expires part-way
 // through a frame — in its length prefix, in its body, or in a body
-// larger than the read buffer — tears nothing out of the stream: once the
-// rest arrives, the next receive returns the frame intact.
+// larger than the initial read buffer — tears nothing out of the stream:
+// once the rest arrives, the next receive returns the frame intact.
 func TestTCPRecvResumesSplitFrame(t *testing.T) {
 	t.Parallel()
 	big := make([]byte, 1<<20)
@@ -216,7 +218,7 @@ func TestTCPRecvResumesSplitFrame(t *testing.T) {
 	}{
 		{"length prefix", []byte{1, 2, 3}, 2},
 		{"body", []byte{1, 2, 3}, frameHdr + 5},
-		{"large body", big, frameHdr + tcpBufSize + 100},
+		{"large body", big, frameHdr + 8<<10 + 100},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
@@ -228,9 +230,9 @@ func TestTCPRecvResumesSplitFrame(t *testing.T) {
 			if _, err := conn.RecvTimeout(20 * time.Millisecond); !errors.Is(err, ErrTimeout) {
 				t.Fatalf("half a frame: err = %v, want ErrTimeout", err)
 			}
-			// A large body grows with what arrived, not with its length prefix.
-			if c := cap(conn.rd.big); c > 2*tc.cut+tcpBufSize {
-				t.Errorf("%d of %d bytes arrived but the body holds %d", tc.cut, len(wire), c)
+			// The buffer grows with what arrived, not with the length prefix.
+			if c := cap(conn.rd.buf); c > 2*tc.cut+frameBufInit {
+				t.Errorf("%d of %d bytes arrived but the buffer holds %d", tc.cut, len(wire), c)
 			}
 			if _, err := raw.Write(wire[tc.cut:]); err != nil {
 				t.Fatal(err)
@@ -390,11 +392,13 @@ func TestTCPInternAllocs(t *testing.T) {
 		t.Errorf("intern = %q", s)
 	}
 	// A steady-state timed receive allocates only the message's copy of
-	// Data: no timer, no channel hop.
+	// Data: no timer, no channel hop, and no read buffer, also once one
+	// large frame has grown the buffer.
 	raw, conn := socketPair(t)
 	const runs = 100
 	wire := rawFrame("shard-3/leader", "node", "hier.token", []byte{1, 2, 3})
-	if _, err := raw.Write(bytes.Repeat(wire, runs+2)); err != nil {
+	large := rawFrame("shard-3/leader", "node", "hier.rows", make([]byte, 4*frameBufInit))
+	if _, err := raw.Write(append(large, bytes.Repeat(wire, 2*runs+4)...)); err != nil {
 		t.Fatal(err)
 	}
 	recv := func() {
@@ -402,9 +406,48 @@ func TestTCPInternAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	recv() // the large frame grows the buffer
 	recv() // interns the names
 	if n := testing.AllocsPerRun(runs, recv); n != 1 {
 		t.Errorf("a steady-state RecvTimeout allocates %.1f, want 1 (its Data)", n)
+	}
+	if c := cap(conn.rd.buf); c <= frameBufInit {
+		t.Fatalf("the large frame left the buffer at %d bytes; it should have grown", c)
+	}
+}
+
+// TestTCPConnAllocs bounds the bytes one TCP node costs to Join and
+// Close, counting its own side and the broker's: the dial, the hello
+// handshake and one frame reader on each side, sized to the frames the
+// handshake carries rather than to the largest frame a protocol might
+// send. Not parallel, so no other test's allocations land in the count.
+func TestTCPConnAllocs(t *testing.T) {
+	// About 3.2 KiB per node measured; two 8 KiB read buffers per node
+	// came to 19 KiB.
+	const nodes, budget = 64, 4 << 10
+	names := make([]string, nodes)
+	for i := range names {
+		names[i] = fmt.Sprintf("user-%d", i)
+	}
+	netw, _, closeFn, err := NewTCPNetwork("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	conns := make([]Conn, 0, nodes)
+	for _, name := range names {
+		conns = append(conns, mustJoin(t, netw, name))
+	}
+	for _, c := range conns {
+		_ = c.Close()
+	}
+	if err := closeFn(); err != nil { // joins every broker serve loop
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / nodes; per > budget {
+		t.Errorf("Join+Close allocate %d B per node, node and broker side together, want <= %d", per, budget)
 	}
 }
 
@@ -450,7 +493,15 @@ func FuzzTCPFrame(f *testing.F) {
 	f.Add(rawFrame("user-1", "", helloKind, versionData), []byte(nil))
 	f.Add(rawFrame("user-1", "user-2", tok.Kind, tok.Data), []byte{0})
 	f.Add(append(rawFrame("", "", "", nil), rawFrame("a", "b", "c", []byte{1, 2, 3})...), []byte{2, 0, 6})
-	f.Add(rawFrame("a", "b", "big", make([]byte, tcpBufSize)), []byte{200, 3}) // too large to parse in place
+	// One byte past the initial buffer, so the reader must grow it.
+	f.Add(rawFrame("a", "b", "big", make([]byte, frameBufInit+1-frameSize("a", "b", "big", nil))), []byte{200, 3})
+	// Small frames, a large one, small ones again: compaction after growth.
+	var mixed []byte
+	for _, n := range []int{3, 40, 3 * frameBufInit, 5, 60, 7} {
+		mixed = append(mixed, rawFrame("a", "b", "c", bytes.Repeat([]byte{byte(n)}, n))...)
+	}
+	f.Add(mixed, []byte(nil))
+	f.Add(mixed, []byte{90, 7, 250, 31})
 	f.Add(binary.LittleEndian.AppendUint32(nil, maxFrame+1), []byte{1})
 	f.Add(binary.LittleEndian.AppendUint32(nil, maxFrame), []byte{0})
 	f.Add([]byte{3, 0, 0, 0, 0x80, 0x00, 0x00}, []byte{4}) // non-minimal varint

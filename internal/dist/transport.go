@@ -31,18 +31,32 @@ type Message struct {
 }
 
 // Encode serializes a payload value into the message's Data with one
-// allocation. v must implement WireEncoder; anything else is refused
-// with an error wrapping ErrUnsupportedPayload.
+// allocation: the payload is appended into a pooled scratch buffer and
+// copied once into a Data slice of exactly its length. v must implement
+// WireEncoder; anything else is refused with an error wrapping
+// ErrUnsupportedPayload.
 func (m *Message) Encode(v any) error {
 	p, ok := v.(WireEncoder)
 	if !ok {
 		return fmt.Errorf("dist: encode %s payload %T: %w", m.Kind, v, ErrUnsupportedPayload)
 	}
-	b := make([]byte, 0, 2+p.WireSize())
-	b = append(b, codecMagic, p.WireID())
-	m.Data = p.AppendWire(b)
+	scratch := wireEncPool.Get().(*[]byte)
+	b := p.AppendWire(append((*scratch)[:0], codecMagic, p.WireID()))
+	m.Data = make([]byte, len(b))
+	copy(m.Data, b)
+	*scratch = b
+	wireEncPool.Put(scratch)
 	return nil
 }
+
+// wireEncPool recycles Encode's scratch buffers, keeping the capacity
+// they grew to; a buffer stored as a pointer goes in and out of the
+// pool without an allocation. A fresh one has room for a typical
+// payload, so it does not grow while it is first filled.
+var wireEncPool = sync.Pool{New: func() any {
+	b := make([]byte, 0, 256)
+	return &b
+}}
 
 // wireDecPool recycles decoder states: the *WireDec handed to the
 // payload's DecodeWire escapes through the interface call, so a fresh

@@ -1,8 +1,8 @@
 // Package metrics implements the performance metrics used throughout the
 // evaluation: the Jain fairness index (from the jobs' perspective,
 // eq. 3.25, and from the users' perspective, eq. 4.10), summary statistics
-// with standard errors for replicated simulation runs, and the convergence
-// norms used by the iterative equilibrium algorithms.
+// with standard errors for replicated simulation runs, and the L∞ norm
+// between two load vectors.
 package metrics
 
 import "math"
@@ -34,38 +34,6 @@ func FairnessIndex(x []float64) float64 {
 		return 1
 	}
 	return sum * sum / (float64(n) * sumSq)
-}
-
-// FairnessIndexAll computes the Jain index over every entry of x,
-// including zeros. This is the literal eq. 3.25 without the participation
-// filter; the two agree whenever all entries are positive.
-func FairnessIndexAll(x []float64) float64 {
-	if len(x) == 0 {
-		return 1
-	}
-	var sum, sumSq float64
-	for _, v := range x {
-		sum += v
-		sumSq += v * v
-	}
-	if sumSq == 0 {
-		return 1
-	}
-	return sum * sum / (float64(len(x)) * sumSq)
-}
-
-// L1Norm returns Σ|a_i - b_i|, the norm used by the NASH distributed
-// algorithm's termination test (Figure 4.2 plots this quantity per
-// iteration). The slices must have equal length.
-func L1Norm(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("metrics: L1Norm length mismatch")
-	}
-	var s float64
-	for i := range a {
-		s += math.Abs(a[i] - b[i])
-	}
-	return s
 }
 
 // LInfNorm returns max|a_i - b_i|.

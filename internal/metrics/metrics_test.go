@@ -37,13 +37,6 @@ func TestFairnessIndexEmpty(t *testing.T) {
 	}
 }
 
-func TestFairnessIndexAllCountsZeros(t *testing.T) {
-	got := FairnessIndexAll([]float64{5, 5, 0, 0})
-	if math.Abs(got-0.5) > 1e-15 {
-		t.Errorf("FairnessIndexAll = %v, want 0.5", got)
-	}
-}
-
 // TestFairnessPaperPROP checks the constant quoted in §3.4.2: the PROP
 // scheme on the Table 3.1 configuration has fairness index 0.731
 // regardless of load, because execution times are proportional to 1/μ_i.
@@ -115,13 +108,6 @@ func TestFairnessScaleInvariant(t *testing.T) {
 	}
 }
 
-func TestL1Norm(t *testing.T) {
-	got := L1Norm([]float64{1, 2, 3}, []float64{2, 0, 3})
-	if got != 3 {
-		t.Errorf("L1Norm = %v, want 3", got)
-	}
-}
-
 func TestLInfNorm(t *testing.T) {
 	got := LInfNorm([]float64{1, 2, 3}, []float64{2, 0, 3})
 	if got != 2 {
@@ -132,10 +118,10 @@ func TestLInfNorm(t *testing.T) {
 func TestNormMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("L1Norm with mismatched lengths did not panic")
+			t.Error("LInfNorm with mismatched lengths did not panic")
 		}
 	}()
-	L1Norm([]float64{1}, []float64{1, 2})
+	LInfNorm([]float64{1}, []float64{1, 2})
 }
 
 func TestSummarize(t *testing.T) {
