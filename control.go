@@ -12,7 +12,9 @@ import (
 // deadband, sheds or queues infeasible demand, and survives both
 // computer churn and its own crashes via checkpoints.
 
-// Conn is one endpoint of a transport network (Network.Join).
+// Conn is one endpoint of a transport network (Network.Join). A
+// received message's Data is valid only until the next Recv or
+// RecvTimeout on the same Conn; a caller that keeps it longer copies it.
 type Conn = dist.Conn
 
 // LoadEstimate is one observation of the system: per-user arrival

@@ -1,6 +1,7 @@
 package ctrl
 
 import (
+	"bytes"
 	"math"
 	"reflect"
 	"testing"
@@ -11,7 +12,8 @@ import (
 // FuzzLoadEstimate hammers the wire-decoding surface: arbitrary bytes
 // must never panic, and whatever decodes successfully must satisfy the
 // Estimate validity contract (so a malicious or corrupted peer cannot
-// smuggle NaN rates into the controller). Valid estimates round-trip.
+// smuggle NaN rates into the controller). Valid estimates round-trip,
+// and re-encode the same after their input is overwritten.
 func FuzzLoadEstimate(f *testing.F) {
 	// Seed with a well-formed binary wire encoding and a few mutations
 	// of it.
@@ -32,7 +34,8 @@ func FuzzLoadEstimate(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		e, err := DecodeEstimateBytes(data)
+		in := bytes.Clone(data) // overwritten once decoded
+		e, err := DecodeEstimateBytes(in)
 		if err != nil {
 			return
 		}
@@ -60,6 +63,14 @@ func FuzzLoadEstimate(f *testing.F) {
 		}
 		if cap(m.Data) != len(m.Data) {
 			t.Fatalf("re-encoded estimate has cap %d for %d bytes", cap(m.Data), len(m.Data))
+		}
+		// The decoder keeps no sub-slice of its input: a TCP receive's
+		// Data is overwritten by the next receive (the Conn rule).
+		for i := range in {
+			in[i] = 0xA5
+		}
+		if after, err := EncodeMessage("x", e); err != nil || !bytes.Equal(after.Data, m.Data) {
+			t.Fatalf("decoded estimate changed when its input was overwritten (err %v): %x, was %x", err, after.Data, m.Data)
 		}
 		e2, err := DecodeEstimate(m)
 		if err != nil {

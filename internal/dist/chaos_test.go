@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -9,8 +10,9 @@ import (
 	"gtlb/internal/obs"
 )
 
-// scriptMessages sends count messages a→b on the given network's conns
-// and returns everything b received (draining until quiet).
+// drainConn returns everything c receives until it has been quiet for
+// quiet. It keeps the messages past the next receive, so it keeps a
+// copy of each Data (the Conn receive rule).
 func drainConn(t *testing.T, c Conn, quiet time.Duration) []Message {
 	t.Helper()
 	var got []Message
@@ -22,6 +24,7 @@ func drainConn(t *testing.T, c Conn, quiet time.Duration) []Message {
 			}
 			t.Fatalf("drain: %v", err)
 		}
+		m.Data = bytes.Clone(m.Data)
 		got = append(got, m)
 	}
 }

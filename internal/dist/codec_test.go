@@ -2,6 +2,8 @@ package dist
 
 import (
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"testing"
 )
 
@@ -95,7 +97,7 @@ func TestWireIDs(t *testing.T) {
 func TestHierTokenAllocs(t *testing.T) {
 	tok := hierTokenPayload{Epoch: 1, Hop: 2, Round: 3, Sweep: 4, Norm: 0.5,
 		Loads: []float64{1, 2, 3, 4}}
-	encAllocs := testing.AllocsPerRun(200, func() {
+	allocGate(t, "token encode", 1, func() {
 		m := Message{Kind: hierKindToken}
 		// Pointer-shaped, like the protocol call sites: a struct value
 		// passed as `any` would box (a second allocation).
@@ -103,23 +105,17 @@ func TestHierTokenAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if encAllocs > 1 {
-		t.Errorf("token encode costs %.1f allocs/op, want <= 1", encAllocs)
-	}
 
 	m := Message{Kind: hierKindToken}
 	if err := m.Encode(&tok); err != nil {
 		t.Fatal(err)
 	}
 	reuse := hierTokenPayload{Loads: make([]float64, 0, 8)}
-	decAllocs := testing.AllocsPerRun(200, func() {
+	allocGate(t, "token decode into a reused payload", 0, func() {
 		if err := m.Decode(&reuse); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if decAllocs > 0 {
-		t.Errorf("token decode into reused payload costs %.1f allocs/op, want 0", decAllocs)
-	}
 }
 
 // TestHierDownAllocs gates the root's broadcast path the same way: the
@@ -128,27 +124,61 @@ func TestHierTokenAllocs(t *testing.T) {
 func TestHierDownAllocs(t *testing.T) {
 	down := hierDownPayload{Round: 7, MEpoch: 1, Norm: 0.25,
 		Active: []int32{0, 1, 2}, Loads: []float64{1, 2, 3, 4}, Seq: 9}
-	encAllocs := testing.AllocsPerRun(200, func() {
+	allocGate(t, "down encode", 1, func() {
 		m := Message{Kind: hierKindDown}
 		if err := m.Encode(&down); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if encAllocs > 1 {
-		t.Errorf("down encode costs %.1f allocs/op, want <= 1", encAllocs)
-	}
 
 	m := Message{Kind: hierKindDown}
 	if err := m.Encode(&down); err != nil {
 		t.Fatal(err)
 	}
 	reuse := hierDownPayload{Active: make([]int32, 0, 8), Loads: make([]float64, 0, 8)}
-	decAllocs := testing.AllocsPerRun(200, func() {
+	allocGate(t, "down decode into a reused payload", 0, func() {
 		if err := m.Decode(&reuse); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if decAllocs > 0 {
-		t.Errorf("down decode into reused payload costs %.1f allocs/op, want 0", decAllocs)
+}
+
+// allocGate fails the test if f costs more than limit allocations per
+// call. Encode and Decode draw their scratch state from a sync.Pool,
+// which in a -race build drops about a quarter of its Puts at random:
+// there an encode really averages about 1.5 allocations and a decode
+// about 0.25, and testing.AllocsPerRun's truncated count would pass or
+// fail by chance. So under -race the gate is off and the true mean is
+// logged instead.
+func allocGate(t *testing.T, what string, limit float64, f func()) {
+	t.Helper()
+	const runs = 1000
+	if !raceEnabled() {
+		if n := testing.AllocsPerRun(runs, f); n > limit {
+			t.Errorf("%s costs %.1f allocs/op, want <= %.0f", what, n, limit)
+		}
+		return
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	t.Logf("%s averages %.2f allocs/op under -race; the <= %.0f gate runs only without -race, since sync.Pool drops pooled items at random there",
+		what, float64(after.Mallocs-before.Mallocs)/runs, limit)
+}
+
+// raceEnabled reports a -race build.
+func raceEnabled() bool {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" {
+				return s.Value == "true"
+			}
+		}
+	}
+	return false
 }

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -83,9 +84,50 @@ func TestMemNetworkClose(t *testing.T) {
 	}
 }
 
+// recvKeepRecv holds a transport to the Conn receive rule: c receives
+// the three payloads in want, sent by from, in order. The first Data is
+// checked when its receive returns, the last moment the rule keeps it
+// valid, and must be capped at its length; the second and third must
+// arrive intact after it. It returns the first Data so a caller can see
+// what the later receives did to it.
+func recvKeepRecv(t *testing.T, c Conn, from string, want [3][]byte) []byte {
+	t.Helper()
+	recv := func(i int) Message {
+		t.Helper()
+		m, err := c.RecvTimeout(5 * time.Second)
+		if err != nil {
+			t.Fatalf("receive %d: %v", i, err)
+		}
+		if m.From != from || !bytes.Equal(m.Data, want[i]) {
+			t.Fatalf("receive %d: %d bytes from %q, want %d bytes from %q", i, len(m.Data), m.From, len(want[i]), from)
+		}
+		return m
+	}
+	first := recv(0) // intact up to the next receive
+	if cap(first.Data) != len(first.Data) {
+		t.Errorf("received Data has cap %d for %d bytes; an append could run into the next message", cap(first.Data), len(first.Data))
+	}
+	recv(1)
+	recv(2)
+	return first.Data
+}
+
+// recvRulePayloads are three distinct payloads for recvKeepRecv, each
+// filled with its own byte and together larger than a frame reader's
+// initial buffer, so receiving the second compacts that buffer over
+// the first frame.
+func recvRulePayloads() [3][]byte {
+	return [3][]byte{
+		bytes.Repeat([]byte{0x11}, 150),
+		bytes.Repeat([]byte{0x22}, 150),
+		bytes.Repeat([]byte{0x33}, 150),
+	}
+}
+
 // TestMemNetworkContract pins what the mem mailbox promises on top of
-// the Conn interface: per-sender FIFO under concurrent senders, queued
-// messages outlive Close, sends to departed nodes fail, an empty
+// the Conn interface: per-sender FIFO under concurrent senders, the
+// receive rule for Data (recvKeepRecv, which the TCP conn passes too),
+// queued messages outlive Close, sends to departed nodes fail, an empty
 // mailbox times out, and a send or Close mid-wait wakes the receiver.
 func TestMemNetworkContract(t *testing.T) {
 	t.Parallel()
@@ -151,6 +193,17 @@ func TestMemNetworkContract(t *testing.T) {
 		if _, err := b.RecvTimeout(time.Second); err != ErrClosed {
 			t.Errorf("drained RecvTimeout = %v, want ErrClosed", err)
 		}
+	})
+	t.Run("Data valid until the next receive", func(t *testing.T) {
+		n := NewMemNetwork()
+		a, _ := n.Join("a")
+		b, _ := n.Join("b")
+		for _, d := range recvRulePayloads() {
+			if err := a.Send(Message{To: "b", Kind: "ping", Data: d}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		recvKeepRecv(t, b, "a", recvRulePayloads())
 	})
 	t.Run("send to a departed node fails", func(t *testing.T) {
 		n := NewMemNetwork()

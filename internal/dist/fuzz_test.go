@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"slices"
 	"testing"
 )
@@ -14,7 +15,8 @@ var retiredWireIDs = []byte{1, 2, 3, 4, 5, 6, 7}
 // decoder the protocols use. Malformed input must surface as an error —
 // never a panic — because chaos-duplicated or truncated traffic reaches
 // these decoders in production paths. Every payload that decodes
-// re-encodes into a Data slice of exactly its length.
+// re-encodes into a Data slice of exactly its length, and to the same
+// bytes after the input it was decoded from is overwritten.
 func FuzzMessageRoundTrip(f *testing.F) {
 	// Seed with one valid encoding per payload type, one frame per
 	// retired wire type, plus degenerate data.
@@ -51,7 +53,8 @@ func FuzzMessageRoundTrip(f *testing.F) {
 			&hierReqPayload{}, &hierSyncPayload{}, &hierRowPayload{},
 			&hierRowsPayload{}, &hierJoinPayload{}, &hierJoinOKPayload{},
 		} {
-			if err := m.Decode(v); err != nil {
+			in := Message{Kind: "fuzz", Data: bytes.Clone(data)}
+			if err := in.Decode(v); err != nil {
 				continue
 			}
 			if retired {
@@ -63,6 +66,15 @@ func FuzzMessageRoundTrip(f *testing.F) {
 			}
 			if cap(again.Data) != len(again.Data) {
 				t.Fatalf("re-encoded %T has cap %d for %d bytes", v, cap(again.Data), len(again.Data))
+			}
+			// No decoder may keep a sub-slice of Data: a TCP receive's
+			// Data is overwritten by the next receive (the Conn rule).
+			for i := range in.Data {
+				in.Data[i] = 0xA5
+			}
+			after := Message{Kind: "fuzz"}
+			if err := after.Encode(v); err != nil || !bytes.Equal(after.Data, again.Data) {
+				t.Fatalf("decoded %T changed when its input was overwritten (err %v): %x, was %x", v, err, after.Data, again.Data)
 			}
 		}
 

@@ -219,13 +219,16 @@ func (t nameTable) intern(b []byte) string {
 	return s
 }
 
-// message reads one frame as a Message with its own copy of Data.
+// message reads one frame as a Message. Its Data aliases the reader's
+// buffer, like the frame it came from, and is valid only until the
+// following call; it is capped at its length, so an append by the
+// caller cannot run into the next frame.
 func (r *frameReader) message(names nameTable) (Message, error) {
 	f, err := r.next()
 	if err != nil {
 		return Message{}, err
 	}
-	return Message{From: names.intern(f.from), To: names.intern(f.to), Kind: names.intern(f.kind), Data: bytes.Clone(f.data)}, nil
+	return Message{From: names.intern(f.from), To: names.intern(f.to), Kind: names.intern(f.kind), Data: f.data[:len(f.data):len(f.data)]}, nil
 }
 
 // tcpNetwork is a hub-and-spoke TCP transport: a broker listens on a
@@ -425,7 +428,9 @@ func (n *tcpNetwork) join(name string, version byte) (Conn, error) {
 // tcpConn is one node's socket to the broker. Receives read frames on
 // the caller's goroutine — the Conn contract gives a connection a single
 // receiver — under a socket read deadline; the frame reader keeps a frame
-// cut short by the deadline for the next receive. The kernel socket
+// cut short by the deadline for the next receive. A received Data is
+// the frame in place in the reader's buffer, not a copy: the Conn
+// contract makes it valid only until the next receive. The kernel socket
 // buffer is the node's only receive queue.
 type tcpConn struct {
 	name   string

@@ -373,7 +373,8 @@ func TestTCPFramingAllocs(t *testing.T) {
 }
 
 // TestTCPInternAllocs: once a receiver has seen a name, later frames
-// carrying it cost no allocation for it; a whole read costs only Data.
+// carrying it cost no allocation for it, and a whole read costs none:
+// Data is the frame in place in the read buffer.
 func TestTCPInternAllocs(t *testing.T) {
 	names := nameTable{}
 	frames := [][]byte{[]byte("shard-3/leader"), []byte("hier.token"), []byte("")}
@@ -391,14 +392,18 @@ func TestTCPInternAllocs(t *testing.T) {
 	if s := names.intern([]byte("hier.token")); s != "hier.token" {
 		t.Errorf("intern = %q", s)
 	}
-	// A steady-state timed receive allocates only the message's copy of
-	// Data: no timer, no channel hop, and no read buffer, also once one
-	// large frame has grown the buffer.
+	// A steady-state timed receive allocates nothing: no timer, no
+	// channel hop, no read buffer and no copy of Data, both in the
+	// initial buffer and once one large frame has grown it.
+	// AllocsPerRun calls recv runs+1 times.
 	raw, conn := socketPair(t)
 	const runs = 100
 	wire := rawFrame("shard-3/leader", "node", "hier.token", []byte{1, 2, 3})
 	large := rawFrame("shard-3/leader", "node", "hier.rows", make([]byte, 4*frameBufInit))
-	if _, err := raw.Write(append(large, bytes.Repeat(wire, 2*runs+4)...)); err != nil {
+	stream := bytes.Repeat(wire, runs+2)
+	stream = append(stream, large...)
+	stream = append(stream, bytes.Repeat(wire, runs+2)...)
+	if _, err := raw.Write(stream); err != nil {
 		t.Fatal(err)
 	}
 	recv := func() {
@@ -406,13 +411,46 @@ func TestTCPInternAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	recv() // the large frame grows the buffer
 	recv() // interns the names
-	if n := testing.AllocsPerRun(runs, recv); n != 1 {
-		t.Errorf("a steady-state RecvTimeout allocates %.1f, want 1 (its Data)", n)
+	if n := testing.AllocsPerRun(runs, recv); n != 0 {
+		t.Errorf("a steady-state RecvTimeout allocates %.1f, want 0", n)
+	}
+	if c := cap(conn.rd.buf); c != frameBufInit {
+		t.Fatalf("small frames left the buffer at %d bytes, want %d", c, frameBufInit)
+	}
+	recv() // the large frame grows the buffer
+	recv()
+	if n := testing.AllocsPerRun(runs, recv); n != 0 {
+		t.Errorf("a RecvTimeout after the buffer grew allocates %.1f, want 0", n)
 	}
 	if c := cap(conn.rd.buf); c <= frameBufInit {
 		t.Fatalf("the large frame left the buffer at %d bytes; it should have grown", c)
+	}
+}
+
+// TestTCPRecvDataValidUntilNextRecv: a received Data is valid until the
+// next receive and no longer. Three frames written in one Write do not
+// fit the initial read buffer; the first is handed out in place and
+// stays intact until the next call, whose compaction then reuses its
+// bytes for the second and third, which read back correctly.
+func TestTCPRecvDataValidUntilNextRecv(t *testing.T) {
+	t.Parallel()
+	raw, conn := socketPair(t)
+	want := recvRulePayloads()
+	var stream []byte
+	for _, d := range want {
+		stream = append(stream, rawFrame("peer", "node", "ping", d)...)
+	}
+	if len(stream) <= frameBufInit {
+		t.Fatalf("the three frames take %d bytes; they must overflow the %d-byte initial buffer", len(stream), frameBufInit)
+	}
+	if _, err := raw.Write(stream); err != nil {
+		t.Fatal(err)
+	}
+	first := recvKeepRecv(t, conn, "peer", want)
+	// The receive copies nothing: the first frame's bytes were reused.
+	if bytes.Equal(first, want[0]) {
+		t.Error("the first Data survived two more receives; it should alias the read buffer, not be a copy")
 	}
 }
 

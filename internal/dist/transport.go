@@ -99,6 +99,12 @@ func (m *Message) Decode(v any) error {
 // and the mem conn parks it on a one-slot wake-up channel and reuses one
 // timer across receives, both relying on there being a single receiver.
 // Close may come from any goroutine.
+//
+// A received Message's Data is valid only until the next Recv or
+// RecvTimeout on the same Conn: the TCP conn hands out the frame in
+// place in its read buffer, which the next receive overwrites. A caller
+// decodes or compares Data before it receives again, or keeps a copy.
+// Data is read-only to the receiver. From, To and Kind stay valid.
 type Conn interface {
 	// Name returns the node name this endpoint joined as.
 	Name() string
