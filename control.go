@@ -15,6 +15,8 @@ import (
 // Conn is one endpoint of a transport network (Network.Join). A
 // received message's Data is valid only until the next Recv or
 // RecvTimeout on the same Conn; a caller that keeps it longer copies it.
+// Send keeps no reference to the sent Data, so the sender may overwrite
+// or re-encode into it as soon as Send returns.
 type Conn = dist.Conn
 
 // LoadEstimate is one observation of the system: per-user arrival

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -230,6 +231,7 @@ func (c *chaosConn) Send(m Message) error {
 	if uReorder < plan.Reorder {
 		// Hold until the next message on this link overtakes it.
 		obs.Emit(c.net.obs, obs.Event{Kind: obs.ChaosReorder, Node: m.From})
+		m.Data = bytes.Clone(m.Data) // outlives this Send (the send rule)
 		l.held = append(l.held, m)
 		return nil
 	}
@@ -266,6 +268,7 @@ func (c *chaosConn) deliver(m Message, delay time.Duration, dup bool) error {
 	}
 	if delay > 0 {
 		obs.Emit(c.net.obs, obs.Event{Kind: obs.ChaosDelay, Node: m.From})
+		m.Data = bytes.Clone(m.Data) // outlives this Send (the send rule)
 		//lint:ignore leakcheck delay-bounded fire-and-forget by design; a late delivery must be able to outlive the recipient
 		go func() {
 			time.Sleep(delay)

@@ -237,6 +237,46 @@ func TestChaosReorderFlushOnClose(t *testing.T) {
 	}
 }
 
+// TestChaosLateDeliveryKeepsSentBytes: the chaos wrapper meets the Conn
+// send rule. A message it holds back for reordering or delivers late
+// outlives the Send that carried it, so it must carry a copy of Data:
+// the bytes delivered are the ones sent, not the 0xEE the sender
+// scribbled over its buffer as soon as Send returned.
+func TestChaosLateDeliveryKeepsSentBytes(t *testing.T) {
+	t.Parallel()
+	t.Run("reorder", func(t *testing.T) {
+		t.Parallel()
+		n := NewChaosNetwork(NewMemNetwork(), FaultPlan{Reorder: 1}, nil)
+		a := mustJoin(t, n, "a")
+		b := mustJoin(t, n, "b")
+		sent := sendScribbled(t, a, "b", 0x11, 0x22, 0x33)
+		if err := a.Close(); err != nil { // flushes the held messages in order
+			t.Fatal(err)
+		}
+		recvSent(t, b, sent)
+	})
+	t.Run("delay", func(t *testing.T) {
+		t.Parallel()
+		n := NewChaosNetwork(NewMemNetwork(), FaultPlan{Delay: 1, MaxDelay: 3 * time.Millisecond}, nil)
+		a := mustJoin(t, n, "a")
+		b := mustJoin(t, n, "b")
+		sent := sendScribbled(t, a, "b", 0x11, 0x22, 0x33)
+		// Each delay is drawn on its own, so the three may overtake one
+		// another: match them as a set.
+		left := map[byte]bool{0x11: true, 0x22: true, 0x33: true}
+		for range sent {
+			m, err := b.RecvTimeout(5 * time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(m.Data) != 40 || !left[m.Data[0]] || !bytes.Equal(m.Data, bytes.Repeat(m.Data[:1], 40)) {
+				t.Fatalf("delivered %x; want one of the payloads as sent", m.Data)
+			}
+			delete(left, m.Data[0])
+		}
+	})
+}
+
 // TestLinkStreamSeedSeparatesLinks: the per-link stream derivation must
 // not collide on concatenation-ambiguous names or direction.
 func TestLinkStreamSeedSeparatesLinks(t *testing.T) {

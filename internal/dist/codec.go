@@ -4,10 +4,12 @@
 // through the exported WireEncoder/WireDecoder pair) has a hand-rolled
 // binary encoding: one magic byte (0xB1), one wire-type byte, then
 // varint integers, little-endian float64s and one-byte bools.
-// Encoding appends into a pooled scratch buffer and performs exactly
-// one allocation: the Data slice, copied out at exactly the encoded
-// length. Decoding into a reused payload struct performs none (slice
-// fields are decoded into the target's existing capacity). A value
+// Encoding appends into a pooled scratch buffer and copies the result
+// into the Message's Data: in place when its capacity suffices, so a
+// re-encode into a reused Message performs no allocation, and otherwise
+// into one new slice of exactly the encoded length. Decoding into a
+// reused payload struct performs none (slice fields are decoded into the
+// target's existing capacity). A value
 // without a wire encoding is refused with ErrUnsupportedPayload rather
 // than serialized some other way, so there is exactly one format on
 // the wire.

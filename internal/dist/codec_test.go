@@ -90,10 +90,12 @@ func TestWireIDs(t *testing.T) {
 	}
 }
 
-// TestHierTokenAllocs gates the shard hot path: encoding a token costs
-// exactly one allocation (the Data slice) and decoding into a reused
-// payload costs none. A regression here multiplies across every member
-// step of every sweep — one message per step at n=10,000 scale.
+// TestHierTokenAllocs gates the shard hot path: a fresh encode of a
+// token costs one allocation (the Data slice), a re-encode into a reused
+// Message costs none (the member and the leader keep their token
+// Message from step to step), and decoding into a reused payload costs
+// none. A regression here multiplies across every member step of every
+// sweep — one message per step at n=10,000 scale.
 func TestHierTokenAllocs(t *testing.T) {
 	tok := hierTokenPayload{Epoch: 1, Hop: 2, Round: 3, Sweep: 4, Norm: 0.5,
 		Loads: []float64{1, 2, 3, 4}}
@@ -110,6 +112,12 @@ func TestHierTokenAllocs(t *testing.T) {
 	if err := m.Encode(&tok); err != nil {
 		t.Fatal(err)
 	}
+	allocGate(t, "token re-encode into a reused Message", 0, func() {
+		tok.Sweep++
+		if err := m.Encode(&tok); err != nil {
+			t.Fatal(err)
+		}
+	})
 	reuse := hierTokenPayload{Loads: make([]float64, 0, 8)}
 	allocGate(t, "token decode into a reused payload", 0, func() {
 		if err := m.Decode(&reuse); err != nil {

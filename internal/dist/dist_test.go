@@ -124,11 +124,49 @@ func recvRulePayloads() [3][]byte {
 	}
 }
 
+// sendScribbled holds a transport to the Conn send rule: c sends the
+// returned payloads, one per fill byte, to to, all from one buffer that
+// is overwritten with 0xEE as soon as each Send returns, the way a node
+// re-encodes into its cached message. The receiver must still see the
+// payloads as they were sent.
+func sendScribbled(t *testing.T, c Conn, to string, fills ...byte) [][]byte {
+	t.Helper()
+	var sent [][]byte
+	buf := make([]byte, 0, 64)
+	for _, f := range fills {
+		buf = append(buf[:0], bytes.Repeat([]byte{f}, 40)...)
+		sent = append(sent, bytes.Clone(buf))
+		if err := c.Send(Message{To: to, Kind: "ping", Data: buf}); err != nil {
+			t.Fatal(err)
+		}
+		for i := range buf {
+			buf[i] = 0xEE
+		}
+	}
+	return sent
+}
+
+// recvSent receives len(sent) messages on c and checks they carry the
+// payloads sendScribbled returned, in order.
+func recvSent(t *testing.T, c Conn, sent [][]byte) {
+	t.Helper()
+	for i, want := range sent {
+		m, err := c.RecvTimeout(5 * time.Second)
+		if err != nil {
+			t.Fatalf("receive %d: %v", i, err)
+		}
+		if !bytes.Equal(m.Data, want) {
+			t.Fatalf("receive %d: Data %x, want %x as it was sent", i, m.Data, want)
+		}
+	}
+}
+
 // TestMemNetworkContract pins what the mem mailbox promises on top of
 // the Conn interface: per-sender FIFO under concurrent senders, the
-// receive rule for Data (recvKeepRecv, which the TCP conn passes too),
-// queued messages outlive Close, sends to departed nodes fail, an empty
-// mailbox times out, and a send or Close mid-wait wakes the receiver.
+// send rule (sendScribbled) and the receive rule for Data (recvKeepRecv),
+// both of which the TCP conn passes too, queued messages outlive Close,
+// sends to departed nodes fail, an empty mailbox times out, and a send
+// or Close mid-wait wakes the receiver.
 func TestMemNetworkContract(t *testing.T) {
 	t.Parallel()
 	t.Run("per-sender FIFO", func(t *testing.T) {
@@ -205,6 +243,79 @@ func TestMemNetworkContract(t *testing.T) {
 		}
 		recvKeepRecv(t, b, "a", recvRulePayloads())
 	})
+	t.Run("Send keeps no reference to Data", func(t *testing.T) {
+		n := NewMemNetwork()
+		a, _ := n.Join("a")
+		b, _ := n.Join("b")
+		recvSent(t, b, sendScribbled(t, a, "b", 0x11, 0x22, 0x33))
+	})
+	t.Run("sends leave the received Data intact", func(t *testing.T) {
+		// A Data stays valid until its receiver's next receive, however
+		// many sends land meanwhile: the third payload fills the arena,
+		// which must move the pending second one rather than slide it
+		// down over the first.
+		n := NewMemNetwork()
+		a, _ := n.Join("a")
+		b, _ := n.Join("b")
+		want := recvRulePayloads()
+		if err := a.Send(Message{To: "b", Kind: "ping", Data: want[0]}); err != nil {
+			t.Fatal(err)
+		}
+		m, err := b.RecvTimeout(5 * time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range want[1:] {
+			if err := a.Send(Message{To: "b", Kind: "ping", Data: d}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(m.Data, want[0]) {
+			t.Fatal("sends overwrote a received Data before its receiver received again")
+		}
+		for i := 1; i < 3; i++ {
+			m, err := b.RecvTimeout(5 * time.Second)
+			if err != nil || !bytes.Equal(m.Data, want[i]) {
+				t.Fatalf("receive %d: %d bytes, %v", i, len(m.Data), err)
+			}
+		}
+	})
+	t.Run("a drained arena is reused", func(t *testing.T) {
+		// The mailbox copies each payload into its arena and hands it
+		// out in place. A receive that finds the queue drained ends the
+		// previous Data's validity, so the arena starts over and the
+		// next payload lands on the first one's bytes.
+		n := NewMemNetwork()
+		a, _ := n.Join("a")
+		b, _ := n.Join("b")
+		want := recvRulePayloads()
+		send := func(d []byte) {
+			t.Helper()
+			if err := a.Send(Message{To: "b", Kind: "ping", Data: d}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		send(want[0])
+		m, err := b.RecvTimeout(5 * time.Second)
+		if err != nil || !bytes.Equal(m.Data, want[0]) {
+			t.Fatalf("first receive: %d bytes, %v", len(m.Data), err)
+		}
+		first := m.Data
+		if _, err := b.RecvTimeout(time.Millisecond); !errors.Is(err, ErrTimeout) {
+			t.Fatalf("receive on the drained queue = %v, want ErrTimeout", err)
+		}
+		send(want[1])
+		send(want[2])
+		for i := 1; i < 3; i++ {
+			m, err := b.RecvTimeout(5 * time.Second)
+			if err != nil || !bytes.Equal(m.Data, want[i]) {
+				t.Fatalf("receive %d: %d bytes, %v", i, len(m.Data), err)
+			}
+			if i == 1 && !bytes.Equal(first, want[1]) {
+				t.Error("the second payload did not reuse the first one's bytes; the arena did not start over")
+			}
+		}
+	})
 	t.Run("send to a departed node fails", func(t *testing.T) {
 		n := NewMemNetwork()
 		a, _ := n.Join("a")
@@ -277,40 +388,51 @@ func TestMemNetworkContract(t *testing.T) {
 }
 
 // TestMailboxBoundedBacking: a queue that never drains must not keep
-// its consumed prefix, so its backing array stays bounded however many
-// messages pass through. Single-goroutine and deterministic, so it is
-// named outside the 'TestMemNetwork' race shake-out CI repeats.
+// its consumed prefix, so its header array and its payload arena stay
+// bounded however many messages pass through, and every payload still
+// arrives intact and in order. Single-goroutine and deterministic, so it
+// is named outside the mem transport race shake-out CI repeats.
 func TestMailboxBoundedBacking(t *testing.T) {
 	t.Parallel()
 	const pairs = 1_000_000
 	n := NewMemNetwork()
 	a, _ := n.Join("a")
 	box := a.(*memConn).box
-	for i := 0; i < 3; i++ { // never lets the queue drain
-		if err := a.Send(Message{To: "a"}); err != nil {
+	data := make([]byte, 8)
+	send := func(k uint64) {
+		t.Helper()
+		binary.LittleEndian.PutUint64(data, k)
+		if err := a.Send(Message{To: "a", Data: data}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < pairs; i++ {
-		if err := a.Send(Message{To: "a"}); err != nil {
+	for k := uint64(0); k < 3; k++ { // never lets the queue drain
+		send(k)
+	}
+	for k := uint64(0); k < pairs; k++ {
+		send(k + 3)
+		m, err := a.Recv()
+		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := a.Recv(); err != nil {
-			t.Fatal(err)
+		if got := binary.LittleEndian.Uint64(m.Data); got != k {
+			t.Fatalf("receive %d carried payload %d", k, got)
 		}
 	}
 	box.mu.Lock()
-	c, pending := cap(box.q), len(box.q)-box.head
+	c, pending, arena := cap(box.q), len(box.q)-box.head, cap(box.data)
 	box.mu.Unlock()
-	if pending != 3 || c > 16 {
-		t.Errorf("after %d send/recv pairs: %d pending, cap %d; want 3 pending in cap <= 16", pairs, pending, c)
+	if pending != 3 || c > 16 || arena > 1024 {
+		t.Errorf("after %d send/recv pairs: %d pending, cap %d, arena cap %d B; want 3 pending in cap <= 16 and arena <= 1024 B",
+			pairs, pending, c, arena)
 	}
 }
 
 // TestMemConnAllocs gates the mem transport's cost: a node that joins
 // and leaves allocates at most 1 KiB, since a mailbox grows only when
-// messages queue, and a steady-state Send+Recv of a pre-encoded message
-// allocates nothing. An m=1000 solve joins about 1,040 nodes. Not
+// messages queue, and a steady-state Send and Recv allocate nothing:
+// on a queue that drains, on one that never does, and after a re-encode
+// into a reused Message. An m=1000 solve joins about 1,040 nodes. Not
 // parallel, so other tests' allocations stay out of the byte count.
 func TestMemConnAllocs(t *testing.T) {
 	const nodes = 1000
@@ -340,9 +462,11 @@ func TestMemConnAllocs(t *testing.T) {
 	a, _ := n.Join("a")
 	b, _ := n.Join("b")
 	m := Message{To: "b", Kind: hierKindToken}
-	if err := m.Encode(&hierTokenPayload{Epoch: 1, Loads: []float64{1, 2}}); err != nil {
+	tok := hierTokenPayload{Epoch: 1, Loads: []float64{1, 2}}
+	if err := m.Encode(&tok); err != nil {
 		t.Fatal(err)
 	}
+	// Send and Recv touch no pool, so this gate holds under -race too.
 	allocs := testing.AllocsPerRun(1000, func() {
 		if err := a.Send(m); err != nil {
 			t.Fatal(err)
@@ -354,6 +478,45 @@ func TestMemConnAllocs(t *testing.T) {
 	if allocs > 0 {
 		t.Errorf("steady-state Send+Recv costs %.1f allocs/op, want 0", allocs)
 	}
+	// A queue that never drains reuses its arena too: the consumed
+	// bytes are slid over rather than left for a new arena. A growth
+	// every few pairs would average under one allocation per pair,
+	// which AllocsPerRun truncates to 0, so each run makes 64 pairs.
+	for i := 0; i < 3; i++ {
+		if err := a.Send(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs = testing.AllocsPerRun(100, func() {
+		for i := 0; i < 64; i++ {
+			if err := a.Send(m); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := b.Recv(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs > 0 {
+		t.Errorf("64 Send+Recv pairs on a queue that never drains cost %.1f allocs, want 0", allocs)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := b.Recv(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocGate(t, "steady-state re-encode, Send and Recv", 0, func() {
+		tok.Norm++
+		if err := m.Encode(&tok); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Send(m); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.Recv(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func TestMessageDecodeError(t *testing.T) {

@@ -15,8 +15,9 @@ var retiredWireIDs = []byte{1, 2, 3, 4, 5, 6, 7}
 // decoder the protocols use. Malformed input must surface as an error —
 // never a panic — because chaos-duplicated or truncated traffic reaches
 // these decoders in production paths. Every payload that decodes
-// re-encodes into a Data slice of exactly its length, and to the same
-// bytes after the input it was decoded from is overwritten.
+// re-encodes into a Data slice of exactly its length, in place and to
+// the same bytes over a longer buffer of junk, and to the same bytes
+// after the input it was decoded from is overwritten.
 func FuzzMessageRoundTrip(f *testing.F) {
 	// Seed with one valid encoding per payload type, one frame per
 	// retired wire type, plus degenerate data.
@@ -66,6 +67,15 @@ func FuzzMessageRoundTrip(f *testing.F) {
 			}
 			if cap(again.Data) != len(again.Data) {
 				t.Fatalf("re-encoded %T has cap %d for %d bytes", v, cap(again.Data), len(again.Data))
+			}
+			// A re-encode into a reused Message writes in place over a
+			// longer buffer of junk and must leave no stale tail.
+			junk := Message{Kind: "fuzz", Data: bytes.Repeat([]byte{0x5A}, len(again.Data)+7)}
+			if err := junk.Encode(v); err != nil || !bytes.Equal(junk.Data, again.Data) {
+				t.Fatalf("re-encode of %T over junk (err %v): %x, want %x", v, err, junk.Data, again.Data)
+			}
+			if cap(junk.Data) != len(again.Data)+7 {
+				t.Fatalf("re-encode of %T into a large enough buffer reallocated it", v)
 			}
 			// No decoder may keep a sub-slice of Data: a TCP receive's
 			// Data is overwritten by the next receive (the Conn rule).

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"time"
@@ -373,6 +374,7 @@ func (c *holdTokenConn) Send(m Message) error {
 		return c.Conn.Send(m)
 	}
 	if c.seen++; c.seen == c.n {
+		m.Data = bytes.Clone(m.Data) // kept past Send, which the sender may re-encode into
 		c.held = append(c.held, m)
 		return nil
 	}

@@ -30,7 +30,8 @@ import (
 //     the token loads, updates them in place and forwards the token to
 //     its successor; the last member returns it to the leader. A sweep
 //     over k members is k+1 messages with no timers on the members and
-//     one allocation per step (the encoded forward).
+//     no allocation per step (each forward is re-encoded into the
+//     member's cached forward).
 //   - A root node owns the cross-shard iteration. It is down-driven:
 //     every activation is a hier.down message carrying the reconciled
 //     global load vector and the shard that must sweep against it; the
@@ -334,8 +335,9 @@ type NashShardedResult struct {
 // --- member ----------------------------------------------------------
 
 // shardUser is one selfish user on its shard's ring. Its receive loop
-// is the protocol's hot path: no timers, one best reply and one
-// allocation (the encoded forward to its successor) per step.
+// is the protocol's hot path: no timers, one best reply and no
+// allocation per step, since the forward to its successor is re-encoded
+// into ret's buffer (Send keeps no reference to it).
 type shardUser struct {
 	conn   Conn
 	id     int
@@ -356,7 +358,7 @@ type shardUser struct {
 	newRow  []float64
 	ord     []int
 	tok     hierTokenPayload // decode-reuse
-	ret     Message          // cached forward, re-sent on exact-duplicate tokens
+	ret     Message          // cached forward, re-sent on exact-duplicate tokens; its Data is re-encoded every step
 	haveRet bool
 
 	deadline time.Time // zero: block forever (driver-owned users)
@@ -458,12 +460,12 @@ func (u *shardUser) serve() error {
 				return err
 			}
 			tok.Hop++
-			fwd := Message{To: u.next, Kind: hierKindToken}
-			if err := fwd.Encode(tok); err != nil {
+			u.ret.To, u.ret.Kind = u.next, hierKindToken
+			if err := u.ret.Encode(tok); err != nil {
 				return err
 			}
-			u.ret, u.haveRet = fwd, true
-			if err := u.conn.Send(fwd); err != nil {
+			u.haveRet = true
+			if err := u.conn.Send(u.ret); err != nil {
 				return err
 			}
 			obs.Emit(u.obs, obs.Event{Kind: obs.NashSend, A: int32(u.id), Node: u.conn.Name()})
@@ -523,6 +525,7 @@ type shardLeader struct {
 	ext   []float64
 
 	tok      hierTokenPayload // working token (Loads reused across sweeps)
+	tokMsg   Message          // tok encoded; its Data is re-encoded every sweep
 	ret      hierTokenPayload // return decode scratch
 	down     hierDownPayload  // down decode scratch
 	epoch    int
@@ -681,12 +684,13 @@ func (l *shardLeader) circulate(sweep int) (float64, error) {
 	back := start + len(l.ids) // every member bumps Hop as it forwards
 	l.tok.Epoch, l.tok.Hop = l.epoch, start
 	l.tok.Round, l.tok.Sweep, l.tok.Norm = l.curRound, sweep, 0
-	m := Message{To: l.names[0], Kind: hierKindToken}
+	m := &l.tokMsg
+	m.To, m.Kind = l.names[0], hierKindToken
 	if err := m.Encode(&l.tok); err != nil {
 		return 0, err
 	}
 	for a := 0; a < l.attempts; a++ {
-		if err := l.conn.Send(m); err != nil {
+		if err := l.conn.Send(*m); err != nil {
 			return 0, err
 		}
 		obs.Emit(l.obs, obs.Event{Kind: obs.NashSend, A: int32(l.g), Node: l.conn.Name()})

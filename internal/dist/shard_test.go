@@ -489,6 +489,66 @@ func TestShardUserTakesSyncsOnlyFromLeader(t *testing.T) {
 	}
 }
 
+// TestShardUserStepAllocs gates the member hot path end to end: one
+// shardUser on the mem transport takes a token, plays its best reply and
+// forwards the token, re-encoded into its cached forward, with no
+// allocation per step. The count covers the test's leader side too: its
+// re-encode, Send, receive and decode. Hop starts where its varint is
+// three bytes wide and stays so, so the token never outgrows a buffer.
+// Not parallel, so no other test's allocations land in the count.
+func TestShardUserStepAllocs(t *testing.T) {
+	netw := NewMemNetwork()
+	leader := mustJoin(t, netw, shardName(0))
+	uc := mustJoin(t, netw, userName(0))
+	errCh := make(chan error, 1)
+	u := &shardUser{
+		conn: uc, id: 0, phi: 2, mu: []float64{30, 20, 10}, mDiv: 1,
+		leader: shardName(0), next: shardName(0),
+		row:       []float64{0.5, 0.3, 0.2},
+		lastEpoch: -1, lastHop: -1,
+		avail: make([]float64, 3), newRow: make([]float64, 3), ord: make([]int, 3),
+		errCh: errCh,
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		u.run()
+	}()
+	tok := hierTokenPayload{Hop: 10_000, Loads: []float64{1, 0.6, 0.4}}
+	msg := Message{To: userName(0), Kind: hierKindToken}
+	steps := 0
+	allocGate(t, "member step", 0, func() {
+		tok.Hop++ // the member forwarded Hop+1; this is newer still
+		tok.Norm = 0
+		if err := msg.Encode(&tok); err != nil {
+			t.Fatal(err)
+		}
+		if err := leader.Send(msg); err != nil {
+			t.Fatal(err)
+		}
+		r, err := leader.RecvTimeout(5 * time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Decode(&tok); err != nil {
+			t.Fatal(err)
+		}
+		steps++
+	})
+	if err := leader.Send(Message{To: userName(0), Kind: hierKindStop}); err != nil {
+		t.Fatal(err)
+	}
+	<-done
+	select {
+	case err := <-errCh:
+		t.Fatalf("member failed: %v", err)
+	default:
+	}
+	if want := 10_000 + 2*steps; tok.Hop != want || u.lastHop != want-1 {
+		t.Errorf("after %d steps: token Hop %d, member lastHop %d; want %d and %d", steps, tok.Hop, u.lastHop, want, want-1)
+	}
+}
+
 // TestNashShardedCrashedLeaderEjectsShard: a crashed shard leader takes
 // its whole shard out — the root's failure detector ejects the shard,
 // and the surviving shards converge.

@@ -454,6 +454,16 @@ func TestTCPRecvDataValidUntilNextRecv(t *testing.T) {
 	}
 }
 
+// TestTCPSendDoesNotRetainData: the TCP conn meets the Conn send rule,
+// since Send frames Data into the conn's own send buffer before it
+// returns; a sender that overwrites its buffer straight away changes
+// nothing on the wire.
+func TestTCPSendDoesNotRetainData(t *testing.T) {
+	t.Parallel()
+	_, a, b := tcpPair(t)
+	recvSent(t, b, sendScribbled(t, a, "b", 0x11, 0x22, 0x33))
+}
+
 // TestTCPConnAllocs bounds the bytes one TCP node costs to Join and
 // Close, counting its own side and the broker's: the dial, the hello
 // handshake and one frame reader on each side, sized to the frames the

@@ -30,9 +30,12 @@ type Message struct {
 	Data []byte // encoded payload (the binary wire codec; see codec.go)
 }
 
-// Encode serializes a payload value into the message's Data with one
-// allocation: the payload is appended into a pooled scratch buffer and
-// copied once into a Data slice of exactly its length. v must implement
+// Encode serializes a payload value into the message's Data: the
+// payload is appended into a pooled scratch buffer and copied into m.Data
+// in place when its capacity is large enough (no allocation), otherwise
+// into one new slice of exactly its length. Whoever else holds the old
+// Data sees it overwritten, so a Message is re-encoded only by its owner;
+// Send keeps no reference to Data (the Conn send rule). v must implement
 // WireEncoder; anything else is refused with an error wrapping
 // ErrUnsupportedPayload.
 func (m *Message) Encode(v any) error {
@@ -42,7 +45,11 @@ func (m *Message) Encode(v any) error {
 	}
 	scratch := wireEncPool.Get().(*[]byte)
 	b := p.AppendWire(append((*scratch)[:0], codecMagic, p.WireID()))
-	m.Data = make([]byte, len(b))
+	if cap(m.Data) >= len(b) {
+		m.Data = m.Data[:len(b)]
+	} else {
+		m.Data = make([]byte, len(b))
+	}
 	copy(m.Data, b)
 	*scratch = b
 	wireEncPool.Put(scratch)
@@ -102,14 +109,21 @@ func (m *Message) Decode(v any) error {
 //
 // A received Message's Data is valid only until the next Recv or
 // RecvTimeout on the same Conn: the TCP conn hands out the frame in
-// place in its read buffer, which the next receive overwrites. A caller
-// decodes or compares Data before it receives again, or keeps a copy.
-// Data is read-only to the receiver. From, To and Kind stay valid.
+// place in its read buffer, and the mem conn in place in its mailbox's
+// byte arena, both of which the next receive reuses. A caller decodes or
+// compares Data before it receives again, or keeps a copy. Data is
+// read-only to the receiver. From, To and Kind stay valid.
+//
+// Send keeps no reference to the sent Data once it returns: the TCP conn
+// frames it into its send buffer, the mem conn copies it into the
+// recipient's arena, and a fault-injecting wrapper that delivers late
+// sends a copy. The sender may overwrite Data or re-encode into it
+// straight away.
 type Conn interface {
 	// Name returns the node name this endpoint joined as.
 	Name() string
 	// Send delivers the message to its recipient. It is safe for
-	// concurrent use.
+	// concurrent use and keeps no reference to m.Data after it returns.
 	Send(m Message) error
 	// Recv blocks until a message addressed to this node arrives. It
 	// returns an error once the connection is closed and drained.
@@ -137,7 +151,7 @@ type Network interface {
 // implement it, so every message still receives its own fault draw.
 type BatchSender interface {
 	// SendBatch delivers the messages in order. It stops at the first
-	// send error.
+	// send error. Like Send, it keeps no reference to any Data.
 	SendBatch(ms []Message) error
 }
 
@@ -171,34 +185,78 @@ type memNetwork struct {
 	boxes map[string]*mailbox
 }
 
-// mailbox is one node's message queue: a FIFO slice that grows on
-// demand, so a node costs a few hundred bytes until messages actually
-// queue up. The queue is unbounded — Send never blocks — which is what
-// keeps protocol fan-out (a dispatcher messaging n computers) from
-// deadlocking. The single receiver (the Conn contract) parks on wake,
-// a one-slot channel that every put and the close signal. A token left
-// by a put that raced the receiver's empty check keeps that wake-up
-// from being lost; a stale token costs one empty re-check.
+// mailbox is one node's message queue: a FIFO slice of message headers
+// and a byte arena holding their payloads, both grown on demand, so a
+// node costs a few hundred bytes until messages actually queue up. The
+// queue is unbounded — Send never blocks — which is what keeps protocol
+// fan-out (a dispatcher messaging n computers) from deadlocking. The
+// single receiver (the Conn contract) parks on wake, a one-slot channel
+// that every put and the close signal. A token left by a put that raced
+// the receiver's empty check keeps that wake-up from being lost; a stale
+// token costs one empty re-check.
+//
+// put copies Data into the arena, so the sender may reuse its buffer
+// (the send rule), and take hands Data out in place (the receive rule).
+// The Data the previous take handed out is dead at the next take, so a
+// take that finds the queue empty starts the arena over from the front.
+// put never writes over that Data: it appends past the pending payloads,
+// and when the arena is full it slides them into a new one.
 type mailbox struct {
 	mu     sync.Mutex
-	q      []Message // q[head:] is pending; q[:head] is consumed and zeroed
+	q      []queued // q[head:] is pending; q[:head] is consumed and zeroed
 	head   int
+	data   []byte // the arena; q[i]'s payload is data[q[i].off:][:q[i].n]
 	closed bool
 	wake   chan struct{}
 }
 
-// put appends m and wakes the receiver. It fails once the mailbox is
-// closed.
+// queued is one pending message: its header, with Data nil, and where
+// its payload lies in the arena.
+type queued struct {
+	m      Message
+	off, n int
+}
+
+// put copies m's payload into the arena, queues m and wakes the
+// receiver. It fails once the mailbox is closed.
 func (b *mailbox) put(m Message) bool {
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
 		return false
 	}
-	b.q = append(b.q, m)
+	n := len(m.Data)
+	if len(b.data)+n > cap(b.data) {
+		// A new arena: the old one may still hold the Data the last take
+		// handed out.
+		b.slide(make([]byte, 0, max(2*(len(b.data)-b.pendingOff()+n), 64)))
+	}
+	e := queued{m: m, off: len(b.data), n: n}
+	e.m.Data = nil
+	b.data = append(b.data, m.Data...)
+	b.q = append(b.q, e)
 	b.mu.Unlock()
 	b.signal()
 	return true
+}
+
+// pendingOff is where the pending payloads start in the arena.
+func (b *mailbox) pendingOff() int {
+	if b.head < len(b.q) {
+		return b.q[b.head].off
+	}
+	return len(b.data)
+}
+
+// slide moves the pending payloads to the front of dst, which has room
+// for them and may be the arena itself, and makes dst the arena.
+func (b *mailbox) slide(dst []byte) {
+	off := b.pendingOff()
+	n := copy(dst[:cap(dst)], b.data[off:])
+	for i := b.head; i < len(b.q); i++ {
+		b.q[i].off -= off
+	}
+	b.data = dst[:n]
 }
 
 // close refuses further puts and wakes the receiver, which drains what
@@ -218,28 +276,43 @@ func (b *mailbox) signal() {
 	}
 }
 
-// take pops the oldest message (ok). With the queue empty it returns
-// ErrClosed once the mailbox is closed, and neither while the receiver
-// must wait. Messages queued before the close are returned first.
+// take pops the oldest message (ok), its Data in place in the arena.
+// With the queue empty it returns ErrClosed once the mailbox is closed,
+// and neither while the receiver must wait. Messages queued before the
+// close are returned first.
 func (b *mailbox) take() (m Message, ok bool, err error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	// From here on the Data the previous take handed out is dead, so the
+	// arena's consumed prefix may be written over.
 	if b.head == len(b.q) {
+		b.data = b.data[:0]
 		if b.closed {
 			return Message{}, false, ErrClosed
 		}
 		return Message{}, false, nil
 	}
-	m = b.q[b.head]
-	b.q[b.head] = Message{} // drop the payload reference
+	if off := b.q[b.head].off; off > 0 && 2*off >= len(b.data) {
+		// A queue that never drains must not keep its consumed bytes:
+		// slide the pending payloads down once they are no more than
+		// half. A put grows the arena to twice the pending bytes, so a
+		// steady flow slides here just before it would fill the arena.
+		b.slide(b.data)
+	}
+	e := b.q[b.head]
+	m = e.m
+	if e.n > 0 {
+		m.Data = b.data[e.off : e.off+e.n : e.off+e.n]
+	}
+	b.q[b.head] = queued{}
 	b.head++
 	switch {
 	case b.head == len(b.q):
 		// Drained: start over at the front of the same array.
 		b.q, b.head = b.q[:0], 0
 	case 2*b.head > len(b.q):
-		// A queue that never drains must not keep its consumed prefix:
-		// slide the pending tail down once it is the smaller half.
+		// Likewise for the headers: slide the pending tail down once it
+		// is the smaller half.
 		n := copy(b.q, b.q[b.head:])
 		clear(b.q[n:])
 		b.q, b.head = b.q[:n], 0
