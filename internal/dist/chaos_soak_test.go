@@ -34,6 +34,33 @@ func typedFaultErr(err error) bool {
 		errors.Is(err, ErrClosed)
 }
 
+// soakTally counts one transport's NASH soak outcomes: converged with
+// every user, converged after ejections, ended in a typed fault error,
+// or failed the oracle.
+type soakTally struct{ ok, ejected, typed, failed int }
+
+func (c *soakTally) add(res NashShardedResult, runErr, oErr error) {
+	switch {
+	case oErr != nil:
+		c.failed++
+	case runErr != nil:
+		c.typed++
+	case len(res.Ejected) > 0:
+		c.ejected++
+	default:
+		c.ok++
+	}
+}
+
+// logTallies prints each transport's tally (go test -v shows them).
+func logTallies(t *testing.T, soak string, tallies map[string]*soakTally) {
+	t.Helper()
+	for _, transport := range []string{"mem", "tcp"} {
+		c := tallies[transport]
+		t.Logf("%s %s: ok %d, ejected %d, typed %d, oracle failures %d", soak, transport, c.ok, c.ejected, c.typed, c.failed)
+	}
+}
+
 // soakPlan derives one fault schedule from a seed. Everything comes from
 // the seeded stream, so a seed fully identifies its schedule.
 func soakPlan(seed uint64) FaultPlan {
@@ -234,6 +261,7 @@ func TestChaosSoak(t *testing.T) {
 		}
 	}
 
+	tallies := map[string]*soakTally{"mem": {}, "tcp": {}}
 	for s := 0; s < seeds; s++ {
 		seed := uint64(1000 + s)
 		plan := soakPlan(seed)
@@ -244,7 +272,9 @@ func TestChaosSoak(t *testing.T) {
 				netw, cleanup := soakNetwork(t, transport, plan, ctr)
 				defer cleanup()
 				res, runErr := RunNashShardedWith(netw, nashSys, nil, 1e-9, 0, nashOpts(seed, ctr))
-				if oErr := nashOracle(nashSys, nashRef, res, runErr); oErr != nil {
+				oErr := nashOracle(nashSys, nashRef, res, runErr)
+				tallies[transport].add(res, runErr, oErr)
+				if oErr != nil {
 					writeChaosArtifact(t, label, plan, ctr, runErr)
 					t.Errorf("seed %d %s: %v (run err: %v, counters %s)", seed, label, oErr, runErr, ctr)
 				}
@@ -263,4 +293,5 @@ func TestChaosSoak(t *testing.T) {
 			}()
 		}
 	}
+	logTallies(t, "nash", tallies)
 }

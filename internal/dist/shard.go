@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -43,8 +43,16 @@ import (
 //
 // With one shard and one local sweep per activation (ShardOptions{
 // Shards: 1, LocalSweeps: 1}) this is the §4.3 ring itself: users are
-// visited in ring order, each best-replies once per round, and the
-// root stops on the round's Σ|ΔD_j| ≤ eps.
+// visited in ring order, each best-replies once per round, and a
+// round's Σ|ΔD_j| ≤ eps ends the run once the certificate below holds.
+//
+// One rule ends a run: a cycle whose norm reaches eps triggers the
+// final gather, and the gathered profile must pass the certificate
+// noncoop.Gap ≤ game.GapFactor·eps over the survivors' system. A cycle
+// norm sums each shard's last sweep, which cannot see what its first
+// sweep moved, nor an ejection or a join; the certificate sees all of
+// them. A profile that fails it becomes the root's view and the cycles
+// resume.
 //
 // The math is exactly game.ShardedBestReply's, and a fault-free
 // distributed run performs the identical float operations in the
@@ -74,8 +82,8 @@ import (
 //     (hier.downreq) forever; the driver deadline is the backstop.
 //   - The run ends with a final gather: a resync of every shard whose
 //     rows go to the root. A member ejected there leaves the survivors
-//     at best replies to loads that still held it, so the root resumes
-//     reconciliation from the gathered rows instead of finishing.
+//     at best replies to loads that still held it; the certificate
+//     fails on such rows, and the root resumes reconciliation from them.
 //
 // Users can also join a running computation (hier.join to the root):
 // the root checks feasibility, assigns the joiner to the smallest live
@@ -367,15 +375,6 @@ type shardUser struct {
 	errCh chan<- error
 }
 
-func memberOf(members []int32, id int) bool {
-	for _, m := range members {
-		if int(m) == id {
-			return true
-		}
-	}
-	return false
-}
-
 func (u *shardUser) run() {
 	if err := u.serve(); err != nil {
 		// A node whose own endpoint crashed or closed dies silently,
@@ -584,7 +583,7 @@ func (l *shardLeader) protocol() error {
 		if err != nil || down == nil {
 			return err
 		}
-		if !activeHas(down.Active, l.g) {
+		if !slices.Contains(down.Active, int32(l.g)) {
 			continue // another shard's activation
 		}
 		if len(down.Loads) != l.n {
@@ -604,15 +603,6 @@ func (l *shardLeader) protocol() error {
 			return err
 		}
 	}
-}
-
-func activeHas(active []int32, g int) bool {
-	for _, a := range active {
-		if int(a) == g {
-			return true
-		}
-	}
-	return false
 }
 
 // resendUp replays the cached partial (direct to the root) if round
@@ -898,7 +888,7 @@ func (l *shardLeader) applyDown(p *hierDownPayload) {
 			continue
 		}
 		id := int(p.JoinUsers[i])
-		if memberOfInts(l.ids, id) || memberOf(l.ejected, id) {
+		if slices.Contains(l.ids, id) || slices.Contains(l.ejected, int32(id)) {
 			continue // duplicate announcement
 		}
 		l.ids = append(l.ids, id)
@@ -910,20 +900,11 @@ func (l *shardLeader) applyDown(p *hierDownPayload) {
 	}
 }
 
-func memberOfInts(ids []int, id int) bool {
-	for _, v := range ids {
-		if v == id {
-			return true
-		}
-	}
-	return false
-}
-
 // finalGather resyncs the surviving members' rows under a fresh epoch,
 // reports them to the root, and waits for the shutdown (re-reporting on
 // every timeout), which ends it with a nil down. A newer down means the
-// root resumed reconciliation — the gather ejected someone — and is
-// returned for the protocol loop to serve.
+// root resumed reconciliation — the rows failed the stop certificate —
+// and is returned for the protocol loop to serve.
 func (l *shardLeader) finalGather() (*hierDownPayload, error) {
 	if err := l.resync(); err != nil {
 		return nil, err
@@ -1017,7 +998,7 @@ type pendingJoin struct {
 }
 
 // rootNode reconciles shard partials, detects shard failures, admits
-// joiners, and assembles the final profile.
+// joiners, certifies the gathered rows and assembles the final profile.
 type rootNode struct {
 	conn      Conn
 	numShards int
@@ -1025,6 +1006,7 @@ type rootNode struct {
 	mInit     int
 	eps       float64
 	maxRounds int
+	mu        []float64
 	totalMu   float64
 
 	phis        []float64 // per user id, grows with joins
@@ -1043,16 +1025,6 @@ type rootNode struct {
 	round   int // completed reconciliation cycles
 	downSeq int // monotone wire round of downs
 	mEpoch  int
-	changed bool // membership changed this cycle; forces another cycle
-	// settle is set once the membership has changed. From then on a
-	// cycle ends the run only if every shard it activated met its eps
-	// share in its first sweep (resweep is false). The last-sweep norms
-	// the stop test sums cannot see a shard that settles locally
-	// against a view a later shard then moves, and after an ejection or
-	// a join the views move far. Fault-free runs never set it, so they
-	// stop exactly where the oracle does.
-	settle  bool
-	resweep bool // some shard activated this cycle swept more than once
 
 	// Active-set skipping state, mirroring the oracle (game.shard.go):
 	// a shard whose last activation met its eps share is not activated
@@ -1109,11 +1081,11 @@ func (rt *rootNode) liveCount() int {
 	return c
 }
 
-// protocol runs reconciliation cycles until the global norm reaches eps
-// on a cycle with stable membership, then gathers the final rows.
+// protocol runs reconciliation cycles until a cycle's norm reaches eps
+// and the gathered rows pass the stop certificate (package comment);
+// rows that fail it become the root's view and the cycles resume.
 func (rt *rootNode) protocol() error {
 	for cycle := 1; ; cycle++ {
-		rt.changed, rt.resweep = false, false
 		cycleNorm, err := rt.sequentialCycle()
 		if err != nil {
 			return err
@@ -1124,40 +1096,77 @@ func (rt *rootNode) protocol() error {
 		rt.round = cycle
 		rt.lastNorm = cycleNorm
 		obs.Emit(rt.obs, obs.Event{Kind: obs.HierRound, Time: float64(cycle), V: cycleNorm, Node: rootName})
-		// A cycle that ejected or admitted someone must not be the last:
-		// the survivors' replies to the changed system are still unseen.
-		stop := cycleNorm <= rt.eps && !rt.changed && !(rt.settle && rt.resweep)
-		rt.settle = rt.settle || rt.changed
-		if !stop && cycle >= rt.maxRounds {
-			stop = true
-			rt.runErr = fmt.Errorf("dist: sharded NASH exceeded %d rounds (norm=%g)", rt.maxRounds, cycleNorm)
+		if cycleNorm > rt.eps && cycle < rt.maxRounds {
+			continue
 		}
-		if stop {
-			if err := rt.broadcastStop(cycleNorm); err != nil {
-				return err
+		if err := rt.broadcastStop(cycleNorm); err != nil {
+			return err
+		}
+		if err := rt.gatherRows(); err != nil {
+			return err
+		}
+		rows := rt.gatheredRows()
+		gap, err := rt.survivorGap(rows)
+		if err != nil {
+			return err
+		}
+		certified := cycleNorm <= rt.eps && gap <= game.GapFactor*rt.eps
+		if certified || cycle == rt.maxRounds {
+			if !certified {
+				rt.runErr = fmt.Errorf("dist: sharded NASH exceeded %d rounds (norm=%g, gap=%g)", rt.maxRounds, cycleNorm, gap)
 			}
-			if err := rt.gatherRows(); err != nil {
-				return err
-			}
-			if rt.changed && rt.runErr == nil {
-				// The gather ejected someone: the survivors' rows are
-				// best replies to loads that still held them. Reconcile
-				// again from the gathered rows.
-				rt.settle = true
-				rt.adoptRows()
-				continue
-			}
-			rt.assemble()
+			rt.assemble(rows)
 			rt.shutdown()
 			return nil
 		}
+		rt.adoptRows()
 	}
 }
 
+// gatheredRows indexes the last gather's rows by user id: the members of
+// every live shard that reported, nil for everyone else (ejected users,
+// joiners whose admission was never confirmed).
+func (rt *rootNode) gatheredRows() [][]float64 {
+	rows := make([][]float64, len(rt.phis))
+	for g := 0; g < rt.numShards; g++ {
+		if !rt.live[g] || !rt.rowsHave[g] {
+			continue
+		}
+		for k, id := range rt.rowsUsers[g] {
+			rows[id] = rt.rowsRows[g][k]
+		}
+	}
+	return rows
+}
+
+// survivorGap is the stop certificate over the gathered rows:
+// noncoop.Gap of the survivors' system, users in id order. With no one
+// gone, that is the whole system and, fault-free, the oracle's profile,
+// so the oracle's certificate reads the same float.
+func (rt *rootNode) survivorGap(rows [][]float64) (float64, error) {
+	sys := noncoop.System{Mu: rt.mu, Phi: rt.phis}
+	prof := noncoop.Profile{S: rows}
+	if slices.ContainsFunc(rows, func(row []float64) bool { return row == nil }) {
+		sys.Phi, prof.S = nil, nil
+		for id, row := range rows {
+			if row != nil {
+				sys.Phi = append(sys.Phi, rt.phis[id])
+				prof.S = append(prof.S, row)
+			}
+		}
+	}
+	gap, err := noncoop.Gap(sys, prof)
+	if err != nil {
+		return 0, fmt.Errorf("dist: stop certificate: %w", err)
+	}
+	return gap, nil
+}
+
 // adoptRows makes the gathered rows the root's view after a gather that
-// ejected someone: each live shard's loads are rebuilt from its rows (the
-// leader's own resync arithmetic, so the leader's external view comes
-// out exact) and every live shard is due for activation again.
+// failed the certificate: each live shard's loads are rebuilt from its
+// rows (the leader's own resync arithmetic, so the leader's external
+// view comes out exact) and every live shard is due for activation
+// again.
 func (rt *rootNode) adoptRows() {
 	for g := 0; g < rt.numShards; g++ {
 		if !rt.live[g] {
@@ -1228,7 +1237,6 @@ func (rt *rootNode) sequentialCycle() (float64, error) {
 		copy(rt.shardView[g], rt.global)
 		norm = satNorm(norm, rt.norms[g])
 		rt.sweepsTotal += rt.sweeps[g]
-		rt.resweep = rt.resweep || rt.sweeps[g] > 1
 	}
 	return norm, nil
 }
@@ -1267,7 +1275,7 @@ func (rt *rootNode) flushJoins(p *hierDownPayload) {
 		p.JoinShards = append(p.JoinShards, int32(j.shard))
 		p.JoinNames = append(p.JoinNames, j.name)
 		p.JoinPhis = append(p.JoinPhis, j.phi)
-		if activeHas(p.Active, j.shard) {
+		if slices.Contains(p.Active, int32(j.shard)) {
 			j.sentRound = p.Round
 		}
 	}
@@ -1280,7 +1288,6 @@ func (rt *rootNode) retireJoins(g, round int) {
 	for _, j := range rt.pendingJoins {
 		if j.shard == g && j.sentRound == round && round != 0 {
 			rt.joined = append(rt.joined, JoinedUser{Name: j.name, User: j.user, Shard: j.shard, Phi: j.phi})
-			rt.changed = true
 			continue
 		}
 		kept = append(kept, j)
@@ -1395,7 +1402,6 @@ func (rt *rootNode) ejectUser(id int) {
 		return
 	}
 	rt.userEjected[id] = true
-	rt.changed = true
 	rt.livePhi -= rt.phis[id]
 	for g := range rt.members {
 		for i, v := range rt.members[g] {
@@ -1412,7 +1418,6 @@ func (rt *rootNode) ejectUser(id int) {
 // membership epoch bumps.
 func (rt *rootNode) ejectShard(g int) {
 	rt.live[g] = false
-	rt.changed = true
 	rt.mEpoch++
 	for _, id := range append([]int(nil), rt.members[g]...) {
 		rt.ejectUser(id)
@@ -1600,26 +1605,19 @@ func (rt *rootNode) validRows(p hierRowsPayload) bool {
 	return true
 }
 
-// assemble publishes the final result: one profile row per user id,
-// zero for ejected users.
-func (rt *rootNode) assemble() {
-	mFinal := len(rt.phis)
-	prof := noncoop.NewProfile(mFinal, rt.n)
-	for g := 0; g < rt.numShards; g++ {
-		if !rt.live[g] || !rt.rowsHave[g] {
-			continue
-		}
-		for i, id := range rt.rowsUsers[g] {
-			copy(prof.S[int(id)], rt.rowsRows[g][i])
-		}
+// assemble publishes the final result from the gathered rows: one
+// profile row per user id, zero for ejected users.
+func (rt *rootNode) assemble(rows [][]float64) {
+	prof := noncoop.NewProfile(len(rows), rt.n)
+	for id, row := range rows {
+		copy(prof.S[id], row)
 	}
-	var ejected []int
+	var ejected []int // ascending, as the ids are walked
 	for id, e := range rt.userEjected {
 		if e {
 			ejected = append(ejected, id)
 		}
 	}
-	sort.Ints(ejected)
 	var ejectedShards []int
 	for g := 0; g < rt.numShards; g++ {
 		if !rt.live[g] {
@@ -1664,7 +1662,10 @@ func (rt *rootNode) shutdown() {
 // the given network with default options. Each user starts from the
 // NASH_P proportional initialization; eps is the acceptance tolerance
 // on the per-round global norm and maxRounds bounds the reconciliation
-// rounds. A fault-free run returns a profile bit-identical to
+// rounds. A nil error means the final round norm is at most eps and
+// one more flat best-reply round over the survivors' profile moves
+// their response times by at most game.GapFactor·eps in total
+// (noncoop.Gap). A fault-free run returns a profile bit-identical to
 // game.ShardedBestReply on the same system and shard plan.
 func RunNashSharded(netw Network, sys noncoop.System, eps float64, maxRounds int) (NashShardedResult, error) {
 	return RunNashShardedWith(netw, sys, nil, eps, maxRounds, ShardOptions{})
@@ -1792,10 +1793,10 @@ func RunNashShardedWith(netw Network, sys noncoop.System, initial *noncoop.Profi
 	}
 	rt := &rootNode{
 		conn: rootConn, numShards: numShards, n: n, mInit: m,
-		eps: eps, maxRounds: maxRounds, totalMu: total,
+		eps: eps, maxRounds: maxRounds, mu: sys.Mu, totalMu: total,
 		phis:        append([]float64(nil), sys.Phi...),
 		userEjected: make([]bool, m),
-		livePhi:     sumFloats(sys.Phi),
+		livePhi:     sys.TotalPhi(),
 		live:        make([]bool, numShards),
 		members:     rootMembers,
 		leaderG:     leaderG,
@@ -1897,14 +1898,6 @@ func RunNashShardedWith(netw Network, sys noncoop.System, initial *noncoop.Profi
 		result.Profile = prof
 	}
 	return *result, runErr
-}
-
-func sumFloats(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s
 }
 
 // RunShardJoiner joins a running sharded computation as a new user

@@ -103,6 +103,7 @@ func TestShardedChaosSoak(t *testing.T) {
 		}
 	}
 
+	tallies := map[string]*soakTally{"mem": {}, "tcp": {}}
 	for s := 0; s < seeds; s++ {
 		seed := uint64(5000 + s)
 		plan := shardSoakPlan(seed, m, shards)
@@ -117,11 +118,14 @@ func TestShardedChaosSoak(t *testing.T) {
 				netw, cleanup := soakNetwork(t, transport, plan, ctr)
 				defer cleanup()
 				res, runErr := RunNashShardedWith(netw, sys, nil, 1e-9, 0, opts(seed, ctr))
-				if oErr := shardedOracle(sys, res, runErr); oErr != nil {
+				oErr := shardedOracle(sys, res, runErr)
+				tallies[transport].add(res, runErr, oErr)
+				if oErr != nil {
 					writeChaosArtifact(t, label, plan, ctr, runErr)
 					t.Errorf("seed %d %s: %v (run err: %v, counters %s)", seed, label, oErr, runErr, ctr)
 				}
 			}()
 		}
 	}
+	logTallies(t, "sharded", tallies)
 }

@@ -79,14 +79,18 @@ func survivorsAtBestReply(sys noncoop.System, res NashShardedResult, tol float64
 // TestNashShardedMatchesOracle: a fault-free distributed run performs
 // the identical float operations in the identical order as the
 // in-process game.ShardedBestReply, so profile, rounds, sweeps and norm
-// are all bit-identical — for a multi-shard hierarchy and for the §4.3
-// ring (one shard, one sweep per round).
+// are all bit-identical — for a multi-shard hierarchy, for the §4.3
+// ring (one shard, one sweep per round), and for one member per shard,
+// where every shard's second sweep reports a zero norm and only the
+// stop certificate keeps the run going. Every profile passes the
+// certificate: one more flat round moves response times by at most
+// game.GapFactor·eps.
 func TestNashShardedMatchesOracle(t *testing.T) {
 	t.Parallel()
-	const m = 12
+	const m, eps = 12, 1e-9
 	sys := shardTestSystem(t, m)
-	for _, c := range []struct{ shards, localSweeps int }{{3, 2}, {1, 1}} {
-		want, err := game.ShardedBestReply(sys, game.PlanShards(m, c.shards), 1e-9, 0, game.ShardedOpts{LocalSweeps: c.localSweeps})
+	for _, c := range []struct{ shards, localSweeps int }{{3, 2}, {1, 1}, {12, 4}} {
+		want, err := game.ShardedBestReply(sys, game.PlanShards(m, c.shards), eps, 0, game.ShardedOpts{LocalSweeps: c.localSweeps})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,11 +98,14 @@ func TestNashShardedMatchesOracle(t *testing.T) {
 		opts := fastShardOptions(1)
 		opts.Shards = c.shards
 		opts.LocalSweeps = c.localSweeps
-		got, err := RunNashShardedWith(NewMemNetwork(), sys, nil, 1e-9, 0, opts)
+		got, err := RunNashShardedWith(NewMemNetwork(), sys, nil, eps, 0, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 
+		if gap, err := noncoop.Gap(sys, got.Profile); err != nil || gap > game.GapFactor*eps {
+			t.Errorf("%+v: best-reply gap %g, %v; want <= %g", c, gap, err, game.GapFactor*eps)
+		}
 		if got.Rounds != want.Rounds || got.Sweeps != want.Sweeps || got.Norm != want.Norm {
 			t.Errorf("%+v: rounds/sweeps/norm = %d/%d/%g, oracle %d/%d/%g",
 				c, got.Rounds, got.Sweeps, got.Norm, want.Rounds, want.Sweeps, want.Norm)

@@ -27,6 +27,13 @@ import (
 	"gtlb/internal/noncoop"
 )
 
+// GapFactor bounds the stop certificate: a sharded solve ends without
+// error only when its round norm is at most eps and one more flat
+// best-reply round over its profile (noncoop.Gap) moves response times
+// by at most GapFactor·eps. The active-set skip rule leaves ~2·eps of
+// slack on top of the norm; EXPERIMENTS.md X8 has the measured spread.
+const GapFactor = 4
+
 // DefaultShardCount returns the default shard count for m users:
 // shards of ~32 members (one token circulation stays short), capped at
 // 512 shards so the reduction fan-in stays manageable.
@@ -113,8 +120,12 @@ type ShardedOpts struct {
 // against the global loads the shards before it already updated (block
 // Gauss–Seidel, which inherits the flat ring's convergence), running up
 // to LocalSweeps best-reply sweeps over its members against the
-// external load view, until the global per-round norm reaches eps or
-// maxRounds is exceeded.
+// external load view, until the global per-round norm reaches eps and
+// the profile passes the stop certificate (noncoop.Gap ≤ GapFactor·eps),
+// or maxRounds is exceeded. A round whose norm reaches eps but whose
+// profile fails the certificate rebuilds the shard loads from the rows
+// and activates every shard again. A nil error therefore means the
+// profile's flat best-reply gap is at most GapFactor·eps.
 //
 // This function is the in-process oracle for the distributed runtime
 // (internal/dist.RunNashSharded): it performs the identical
@@ -155,20 +166,10 @@ func ShardedBestReply(sys noncoop.System, shards [][]int, eps float64, maxRounds
 
 	// Per-shard local loads and the reconciled global loads.
 	local := make([][]float64, len(shards))
-	for g, members := range shards {
+	for g := range shards {
 		local[g] = make([]float64, n)
-		for _, j := range members {
-			for i, f := range prof.S[j] {
-				local[g][i] += f * sys.Phi[j]
-			}
-		}
 	}
 	global := make([]float64, n)
-	for i := 0; i < n; i++ {
-		for g := range shards {
-			global[i] += local[g][i]
-		}
-	}
 
 	prevTime := make([]float64, m)
 	played := make([]bool, m)
@@ -187,7 +188,6 @@ func ShardedBestReply(sys noncoop.System, shards [][]int, eps float64, maxRounds
 	lastNorm := make([]float64, len(shards))
 	for g := range shards {
 		view[g] = make([]float64, n)
-		lastNorm[g] = math.Inf(1)
 	}
 
 	// reconcile recomputes the global view from the shard locals, summed
@@ -201,6 +201,26 @@ func ShardedBestReply(sys noncoop.System, shards [][]int, eps float64, maxRounds
 			global[i] = sum
 		}
 	}
+
+	// rebuild derives every shard's loads from the rows (the distributed
+	// leader's resync arithmetic) and the global view from them, and
+	// forces every shard's next activation: the start of the run, and
+	// the restart after a profile fails the stop certificate.
+	rebuild := func() {
+		for g, members := range shards {
+			for i := range local[g] {
+				local[g][i] = 0
+			}
+			for _, j := range members {
+				for i, f := range prof.S[j] {
+					local[g][i] += f * sys.Phi[j]
+				}
+			}
+			lastNorm[g] = math.Inf(1)
+		}
+		reconcile()
+	}
+	rebuild()
 
 	// shouldSkip reports whether shard g can sit this round out: its
 	// last activation was already within its eps share, and the global
@@ -222,7 +242,7 @@ func ShardedBestReply(sys noncoop.System, shards [][]int, eps float64, maxRounds
 	}
 
 	res := ShardedResult{Profile: prof}
-	for round := 1; round <= maxRounds; round++ {
+	for round := 1; ; round++ {
 		var roundNorm float64
 		for g, members := range shards {
 			k := len(members)
@@ -286,9 +306,22 @@ func ShardedBestReply(sys noncoop.System, shards [][]int, eps float64, maxRounds
 		}
 		res.Rounds = round
 		res.Norm = roundNorm
-		if roundNorm <= eps {
+		if roundNorm > eps && round < maxRounds {
+			continue
+		}
+		// The stop certificate: a round norm sums each shard's last
+		// sweep, which cannot see what its first sweep moved, so the
+		// profile must also pass one more flat best-reply round.
+		gap, err := noncoop.Gap(sys, prof)
+		if err != nil {
+			return res, fmt.Errorf("game: stop certificate: %w", err)
+		}
+		if roundNorm <= eps && gap <= GapFactor*eps {
 			return res, nil
 		}
+		if round == maxRounds {
+			return res, fmt.Errorf("game: sharded best reply exceeded %d rounds (norm=%g, gap=%g)", maxRounds, roundNorm, gap)
+		}
+		rebuild()
 	}
-	return res, fmt.Errorf("game: sharded best reply exceeded %d rounds (norm=%g)", maxRounds, res.Norm)
 }

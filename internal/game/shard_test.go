@@ -97,7 +97,7 @@ func TestShardedMatchesFlatNash(t *testing.T) {
 		{"sequential-1sweep", ShardedOpts{LocalSweeps: 1}},
 		{"sequential-default", ShardedOpts{}},
 	} {
-		for _, g := range []int{4, 8, 16} {
+		for _, g := range []int{4, 8, 16, 24} {
 			res, err := ShardedBestReply(sys, PlanShards(m, g), eps, 100000, c.opt)
 			if err != nil {
 				t.Fatalf("%s G=%d: %v", c.name, g, err)

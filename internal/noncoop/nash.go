@@ -178,6 +178,61 @@ func Nash(sys System, opt NashOptions) (NashResult, error) {
 	return res, fmt.Errorf("%w after %d iterations (norm=%g)", ErrNoConvergence, maxIter, res.Norms[len(res.Norms)-1])
 }
 
+// Gap is the distance of p from equilibrium in the units of the NASH
+// stop rule: the norm Σ_j |D_j(p') − D_j(p)| that one more round of the
+// iteration would report, where the round lets every user in index
+// order best-reply against the loads the users before it already moved
+// and p' is the profile it ends at. An exact Nash equilibrium scores 0;
+// a user whose response time is not finite scores +Inf. p is only read:
+// the round is played twice, once to find the loads p' ends at and once
+// more (bit-identically) to time each user against them, so the scratch
+// is O(n).
+func Gap(sys System, p Profile) (float64, error) {
+	m, n := sys.NumUsers(), sys.NumComputers()
+	if len(p.S) != m {
+		return 0, fmt.Errorf("noncoop: profile has %d rows, want %d", len(p.S), m)
+	}
+	start := make([]float64, n)
+	for j, row := range p.S {
+		if len(row) != n {
+			return 0, fmt.Errorf("noncoop: user %d strategy has %d entries, want %d", j, len(row), n)
+		}
+		for i, f := range row {
+			start[i] += f * sys.Phi[j]
+		}
+	}
+	end := make([]float64, n)
+	loads := make([]float64, n)
+	avail := make([]float64, n)
+	next := make([]float64, n)
+	ord := make([]int, n)
+	var gap float64
+	for pass := 0; pass < 2; pass++ {
+		copy(loads, start)
+		for j, row := range p.S {
+			phi := sys.Phi[j]
+			for i := range avail {
+				avail[i] = sys.Mu[i] - loads[i] + row[i]*phi
+			}
+			if err := BestReplyInto(avail, phi, next, ord); err != nil {
+				return 0, fmt.Errorf("noncoop: user %d best reply: %w", j, err)
+			}
+			for i := range loads {
+				loads[i] += (next[i] - row[i]) * phi
+			}
+			if pass == 1 {
+				d := math.Abs(timeAt(sys.Mu, end, next) - timeAt(sys.Mu, start, row))
+				if math.IsNaN(d) {
+					d = math.Inf(1)
+				}
+				gap += d
+			}
+		}
+		copy(end, loads)
+	}
+	return gap, nil
+}
+
 // IsNashEquilibrium reports whether no user can lower its expected
 // response time by more than tol by unilaterally switching to its best
 // reply (Definition 4.1).

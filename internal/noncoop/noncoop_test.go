@@ -250,6 +250,49 @@ func TestNashConvergesPaperSystem(t *testing.T) {
 	}
 }
 
+// TestGap: the flat best-reply gap is ~0 at an equilibrium, positive
+// away from one, leaves its input untouched and rejects a profile of
+// the wrong shape.
+func TestGap(t *testing.T) {
+	sys := paperSystem(t, 0.6)
+	res, err := Nash(sys, NashOptions{Init: InitProportional, Eps: 1e-12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gap, err := Gap(sys, res.Profile); err != nil || gap > 1e-9 {
+		t.Errorf("gap at the equilibrium = %g, %v; want <= 1e-9", gap, err)
+	}
+
+	start := NewProfile(sys.NumUsers(), sys.NumComputers())
+	for j := range start.S {
+		for i, mu := range sys.Mu {
+			start.S[j][i] = mu / sys.TotalMu()
+		}
+	}
+	before := start.Clone()
+	gap, err := Gap(sys, start)
+	if err != nil || !(gap > 0) {
+		t.Errorf("gap at the NASH_P start = %g, %v; want > 0", gap, err)
+	}
+	for j := range start.S {
+		for i := range start.S[j] {
+			if math.Float64bits(start.S[j][i]) != math.Float64bits(before.S[j][i]) {
+				t.Fatalf("Gap wrote profile[%d][%d]: %v, was %v", j, i, start.S[j][i], before.S[j][i])
+			}
+		}
+	}
+
+	short := Profile{S: start.S[1:]}
+	if _, err := Gap(sys, short); err == nil {
+		t.Error("Gap accepted a profile with a missing row")
+	}
+	ragged := start.Clone()
+	ragged.S[3] = ragged.S[3][1:]
+	if _, err := Gap(sys, ragged); err == nil {
+		t.Error("Gap accepted a row of the wrong length")
+	}
+}
+
 // TestNashPFasterThanNash0 reproduces Figure 4.2's headline: the
 // proportional initialization reduces the iterations to reach the
 // equilibrium by more than half.

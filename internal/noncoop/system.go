@@ -153,13 +153,19 @@ func (s System) Available(p Profile, j int) []float64 {
 // UserTime returns user j's expected response time D_j(s) under the
 // profile (eq. 4.2); +Inf if any computer the user touches is unstable.
 func (s System) UserTime(p Profile, j int) float64 {
-	lam := s.Loads(p)
+	return timeAt(s.Mu, s.Loads(p), p.S[j])
+}
+
+// timeAt is the expected response time Σ_i s_i/(μ_i − λ_i) of a user
+// playing s under the per-computer loads lam; +Inf if a computer the
+// user touches is unstable.
+func timeAt(mu, lam, s []float64) float64 {
 	var t float64
-	for i, f := range p.S[j] {
+	for i, f := range s {
 		if f == 0 {
 			continue
 		}
-		r := queueing.ResponseTime(s.Mu[i], lam[i])
+		r := queueing.ResponseTime(mu[i], lam[i])
 		if math.IsInf(r, 1) {
 			return r
 		}
