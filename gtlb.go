@@ -165,12 +165,8 @@ type ShardOptions = dist.ShardOptions
 
 // NashShardedResult is the outcome of a NASH protocol run, including
 // reconciliation rounds, total shard-local sweeps, and any users
-// ejected or admitted while it ran.
+// ejected while it ran.
 type NashShardedResult = dist.NashShardedResult
-
-// JoinedUser describes a user admitted to a running sharded
-// computation.
-type JoinedUser = dist.JoinedUser
 
 // RunNashSharded runs the §4.3 NASH protocol over a network of user
 // nodes, organised as a two-level hierarchy: users are partitioned into

@@ -42,7 +42,7 @@ func sendKinds(t *testing.T, c Conn, to string, kinds []string) {
 	t.Helper()
 	for k, kind := range kinds {
 		m := Message{To: to, Kind: kind}
-		if err := m.Encode(hierReqPayload{Seq: k}); err != nil {
+		if err := m.Encode(hierReqPayload{Round: k}); err != nil {
 			t.Fatal(err)
 		}
 		if err := c.Send(m); err != nil {

@@ -31,7 +31,8 @@ const codecMagic = 0xB1
 
 // Wire type ids. These are wire-format constants: never renumber,
 // append only. Ids 1–7 belonged to the retired state-node NASH ring
-// (token, query, rates, strategy, ping, eject, ack); they stay
+// (token, query, rates, strategy, ping, eject, ack) and ids 18–19 to
+// the retired mid-run join (hier.join, hier.join.ok); they stay
 // unassigned, so no live decoder accepts a frame of that era.
 const (
 	wireReqBid byte = iota + 8
@@ -44,12 +45,11 @@ const (
 	wireHierSync
 	wireHierRow
 	wireHierRows
-	wireHierJoin
-	wireHierJoinOK
-	// WireEstimate is reserved for ctrl.Estimate, whose codec lives in
-	// internal/ctrl (dist must not import it).
-	WireEstimate
 )
+
+// WireEstimate is reserved for ctrl.Estimate, whose codec lives in
+// internal/ctrl (dist must not import it).
+const WireEstimate byte = 20
 
 // ErrUnsupportedPayload is returned (wrapped) by Message.Encode and
 // Message.Decode for a value that does not implement the wire codec.
@@ -110,14 +110,6 @@ func appendI32s(b []byte, s []int32) []byte {
 func AppendStr(b []byte, s string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s)))
 	return append(b, s...)
-}
-
-func appendStrs(b []byte, s []string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	for _, v := range s {
-		b = AppendStr(b, v)
-	}
-	return b
 }
 
 func appendRows(b []byte, rows [][]float64) []byte {
@@ -264,24 +256,6 @@ func (d *WireDec) Str() string {
 	return s
 }
 
-func (d *WireDec) strs(dst []string) []string {
-	n := d.sliceLen(1)
-	if d.err != nil {
-		return dst
-	}
-	if cap(dst) < n {
-		dst = make([]string, n)
-	}
-	dst = dst[:n]
-	for i := range dst {
-		dst[i] = d.Str()
-	}
-	if d.err != nil {
-		return dst[:0]
-	}
-	return dst
-}
-
 func (d *WireDec) rows(dst [][]float64) [][]float64 {
 	n := d.sliceLen(1)
 	if d.err != nil {
@@ -338,16 +312,12 @@ func (hierTokenPayload) WireID() byte { return wireHierToken }
 func (p hierTokenPayload) AppendWire(b []byte) []byte {
 	b = AppendInt(b, p.Epoch)
 	b = AppendInt(b, p.Hop)
-	b = AppendInt(b, p.Round)
-	b = AppendInt(b, p.Sweep)
 	b = AppendF64(b, p.Norm)
 	return AppendF64s(b, p.Loads)
 }
 func (p *hierTokenPayload) DecodeWire(d *WireDec) {
 	p.Epoch = d.Int()
 	p.Hop = d.Int()
-	p.Round = d.Int()
-	p.Sweep = d.Int()
 	p.Norm = d.F64()
 	p.Loads = d.F64s(p.Loads)
 }
@@ -355,74 +325,50 @@ func (p *hierTokenPayload) DecodeWire(d *WireDec) {
 func (hierPartialPayload) WireID() byte { return wireHierPartial }
 func (p hierPartialPayload) AppendWire(b []byte) []byte {
 	b = AppendInt(b, p.Round)
-	b = AppendInt(b, p.MEpoch)
 	b = AppendInt(b, p.Shard)
 	b = AppendF64(b, p.Norm)
 	b = AppendInt(b, p.Sweeps)
 	b = AppendF64s(b, p.Loads)
-	b = appendI32s(b, p.Ejected)
-	return AppendInt(b, p.Seq)
+	return appendI32s(b, p.Ejected)
 }
 func (p *hierPartialPayload) DecodeWire(d *WireDec) {
 	p.Round = d.Int()
-	p.MEpoch = d.Int()
 	p.Shard = d.Int()
 	p.Norm = d.F64()
 	p.Sweeps = d.Int()
 	p.Loads = d.F64s(p.Loads)
 	p.Ejected = d.i32s(p.Ejected)
-	p.Seq = d.Int()
 }
 
 func (hierDownPayload) WireID() byte { return wireHierDown }
 func (p hierDownPayload) AppendWire(b []byte) []byte {
 	b = AppendInt(b, p.Round)
-	b = AppendInt(b, p.MEpoch)
 	b = appendBool(b, p.Stop)
-	b = AppendF64(b, p.Norm)
-	b = appendI32s(b, p.Active)
-	b = AppendF64s(b, p.Loads)
-	b = appendI32s(b, p.EjectedShards)
-	b = appendI32s(b, p.JoinUsers)
-	b = appendI32s(b, p.JoinShards)
-	b = appendStrs(b, p.JoinNames)
-	b = AppendF64s(b, p.JoinPhis)
-	return AppendInt(b, p.Seq)
+	b = AppendInt(b, p.Shard)
+	return AppendF64s(b, p.Loads)
 }
 func (p *hierDownPayload) DecodeWire(d *WireDec) {
 	p.Round = d.Int()
-	p.MEpoch = d.Int()
 	p.Stop = d.bool_()
-	p.Norm = d.F64()
-	p.Active = d.i32s(p.Active)
+	p.Shard = d.Int()
 	p.Loads = d.F64s(p.Loads)
-	p.EjectedShards = d.i32s(p.EjectedShards)
-	p.JoinUsers = d.i32s(p.JoinUsers)
-	p.JoinShards = d.i32s(p.JoinShards)
-	p.JoinNames = d.strs(p.JoinNames)
-	p.JoinPhis = d.F64s(p.JoinPhis)
-	p.Seq = d.Int()
 }
 
 func (hierReqPayload) WireID() byte { return wireHierReq }
 func (p hierReqPayload) AppendWire(b []byte) []byte {
-	b = AppendInt(b, p.Round)
-	return AppendInt(b, p.Seq)
+	return AppendInt(b, p.Round)
 }
 func (p *hierReqPayload) DecodeWire(d *WireDec) {
 	p.Round = d.Int()
-	p.Seq = d.Int()
 }
 
 func (hierSyncPayload) WireID() byte { return wireHierSync }
 func (p hierSyncPayload) AppendWire(b []byte) []byte {
 	b = AppendInt(b, p.Epoch)
-	b = AppendInt(b, p.Seq)
 	return AppendStr(b, p.Next)
 }
 func (p *hierSyncPayload) DecodeWire(d *WireDec) {
 	p.Epoch = d.Int()
-	p.Seq = d.Int()
 	p.Next = d.Str()
 }
 
@@ -430,15 +376,11 @@ func (hierRowPayload) WireID() byte { return wireHierRow }
 func (p hierRowPayload) AppendWire(b []byte) []byte {
 	b = AppendInt(b, p.User)
 	b = AppendInt(b, p.Epoch)
-	b = AppendInt(b, p.Seq)
-	b = AppendF64(b, p.PrevTime)
 	return AppendF64s(b, p.S)
 }
 func (p *hierRowPayload) DecodeWire(d *WireDec) {
 	p.User = d.Int()
 	p.Epoch = d.Int()
-	p.Seq = d.Int()
-	p.PrevTime = d.F64()
 	p.S = d.F64s(p.S)
 }
 
@@ -446,7 +388,6 @@ func (hierRowsPayload) WireID() byte { return wireHierRows }
 func (p hierRowsPayload) AppendWire(b []byte) []byte {
 	b = AppendInt(b, p.Round)
 	b = AppendInt(b, p.Shard)
-	b = AppendInt(b, p.Seq)
 	b = appendI32s(b, p.Users)
 	b = appendI32s(b, p.Ejected)
 	return appendRows(b, p.Rows)
@@ -454,38 +395,7 @@ func (p hierRowsPayload) AppendWire(b []byte) []byte {
 func (p *hierRowsPayload) DecodeWire(d *WireDec) {
 	p.Round = d.Int()
 	p.Shard = d.Int()
-	p.Seq = d.Int()
 	p.Users = d.i32s(p.Users)
 	p.Ejected = d.i32s(p.Ejected)
 	p.Rows = d.rows(p.Rows)
-}
-
-func (hierJoinPayload) WireID() byte { return wireHierJoin }
-func (p hierJoinPayload) AppendWire(b []byte) []byte {
-	b = AppendStr(b, p.Name)
-	b = AppendF64(b, p.Phi)
-	return AppendInt(b, p.Seq)
-}
-func (p *hierJoinPayload) DecodeWire(d *WireDec) {
-	p.Name = d.Str()
-	p.Phi = d.F64()
-	p.Seq = d.Int()
-}
-
-func (hierJoinOKPayload) WireID() byte { return wireHierJoinOK }
-func (p hierJoinOKPayload) AppendWire(b []byte) []byte {
-	b = AppendStr(b, p.Name)
-	b = AppendInt(b, p.User)
-	b = AppendInt(b, p.Shard)
-	b = appendBool(b, p.Reject)
-	b = AppendStr(b, p.Reason)
-	return AppendInt(b, p.Seq)
-}
-func (p *hierJoinOKPayload) DecodeWire(d *WireDec) {
-	p.Name = d.Str()
-	p.User = d.Int()
-	p.Shard = d.Int()
-	p.Reject = d.bool_()
-	p.Reason = d.Str()
-	p.Seq = d.Int()
 }

@@ -13,24 +13,17 @@ import (
 // degenerate shapes).
 func hierCodecSamples() []any {
 	return []any{
-		hierTokenPayload{Epoch: 3, Hop: 17, Round: 9, Sweep: 2, Norm: 0.125,
+		hierTokenPayload{Epoch: 3, Hop: 17, Norm: 0.125,
 			Loads: []float64{1.5, 2.25, 0, 3}},
-		hierPartialPayload{Round: 5, MEpoch: 2, Seq: 11,
-			Shard: 3, Norm: 0.25, Sweeps: 4,
+		hierPartialPayload{Round: 5, Shard: 3, Norm: 0.25, Sweeps: 4,
 			Loads:   []float64{1, 2, 3, 4},
 			Ejected: []int32{7}},
-		hierDownPayload{Round: 6, MEpoch: 1, Stop: true, Norm: 2.5,
-			Active: []int32{0, 2, 5}, Loads: []float64{5, 6, 7},
-			EjectedShards: []int32{1},
-			JoinUsers:     []int32{12}, JoinShards: []int32{2},
-			JoinNames: []string{"late-joiner"}, JoinPhis: []float64{0.375}, Seq: 13},
-		hierReqPayload{Round: 4, Seq: 21},
-		hierSyncPayload{Epoch: 8, Seq: 22, Next: "user-3"},
-		hierRowPayload{User: 3, Epoch: 8, Seq: 23, PrevTime: 1.75, S: []float64{0.5, 0.5}},
-		hierRowsPayload{Round: 9, Shard: 2, Seq: 24, Users: []int32{4, 5}, Ejected: []int32{6},
+		hierDownPayload{Round: 6, Stop: true, Shard: 5, Loads: []float64{5, 6, 7}},
+		hierReqPayload{Round: 4},
+		hierSyncPayload{Epoch: 8, Next: "user-3"},
+		hierRowPayload{User: 3, Epoch: 8, S: []float64{0.5, 0.5}},
+		hierRowsPayload{Round: 9, Shard: 2, Users: []int32{4, 5}, Ejected: []int32{6},
 			Rows: [][]float64{{0.25, 0.75}, {1, 0}}},
-		hierJoinPayload{Name: "u-99", Phi: 0.625, Seq: 25},
-		hierJoinOKPayload{Name: "u-99", User: 99, Shard: 3, Reject: true, Reason: "stopping", Seq: 26},
 	}
 }
 
@@ -61,8 +54,9 @@ func TestHierCodecRoundTrip(t *testing.T) {
 }
 
 // TestWireIDs pins every live payload's wire-type byte. The ids are
-// wire-format constants: ids 1–7 stay retired (FuzzMessageRoundTrip
-// checks no decoder accepts them) and nothing is renumbered.
+// wire-format constants: ids 1–7 and 18–19 stay retired
+// (FuzzMessageRoundTrip checks no decoder accepts them) and nothing is
+// renumbered.
 func TestWireIDs(t *testing.T) {
 	for _, c := range []struct {
 		p  WireEncoder
@@ -78,8 +72,6 @@ func TestWireIDs(t *testing.T) {
 		{hierSyncPayload{}, 15},
 		{hierRowPayload{}, 16},
 		{hierRowsPayload{}, 17},
-		{hierJoinPayload{}, 18},
-		{hierJoinOKPayload{}, 19},
 	} {
 		if got := c.p.WireID(); got != c.id {
 			t.Errorf("%T: wire id %d, want %d", c.p, got, c.id)
@@ -87,6 +79,11 @@ func TestWireIDs(t *testing.T) {
 	}
 	if WireEstimate != 20 {
 		t.Errorf("WireEstimate = %d, want 20", WireEstimate)
+	}
+	for _, id := range retiredWireIDs {
+		if id >= wireReqBid && id <= wireHierRows || id == WireEstimate {
+			t.Errorf("retired wire id %d is live", id)
+		}
 	}
 }
 
@@ -97,7 +94,7 @@ func TestWireIDs(t *testing.T) {
 // none. A regression here multiplies across every member step of every
 // sweep — one message per step at n=10,000 scale.
 func TestHierTokenAllocs(t *testing.T) {
-	tok := hierTokenPayload{Epoch: 1, Hop: 2, Round: 3, Sweep: 4, Norm: 0.5,
+	tok := hierTokenPayload{Epoch: 1, Hop: 2, Norm: 0.5,
 		Loads: []float64{1, 2, 3, 4}}
 	allocGate(t, "token encode", 1, func() {
 		m := Message{Kind: hierKindToken}
@@ -113,7 +110,7 @@ func TestHierTokenAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	allocGate(t, "token re-encode into a reused Message", 0, func() {
-		tok.Sweep++
+		tok.Norm += 0.5
 		if err := m.Encode(&tok); err != nil {
 			t.Fatal(err)
 		}
@@ -126,12 +123,11 @@ func TestHierTokenAllocs(t *testing.T) {
 	})
 }
 
-// TestHierDownAllocs gates the root's broadcast path the same way: the
-// steady-state down (no joins) must be one allocation to encode and
-// alloc-free to decode into a reused payload.
+// TestHierDownAllocs gates the root's activation path the same way: a
+// down must be one allocation to encode and alloc-free to decode into a
+// reused payload.
 func TestHierDownAllocs(t *testing.T) {
-	down := hierDownPayload{Round: 7, MEpoch: 1, Norm: 0.25,
-		Active: []int32{0, 1, 2}, Loads: []float64{1, 2, 3, 4}, Seq: 9}
+	down := hierDownPayload{Round: 7, Shard: 2, Loads: []float64{1, 2, 3, 4}}
 	allocGate(t, "down encode", 1, func() {
 		m := Message{Kind: hierKindDown}
 		if err := m.Encode(&down); err != nil {
@@ -143,7 +139,7 @@ func TestHierDownAllocs(t *testing.T) {
 	if err := m.Encode(&down); err != nil {
 		t.Fatal(err)
 	}
-	reuse := hierDownPayload{Active: make([]int32, 0, 8), Loads: make([]float64, 0, 8)}
+	reuse := hierDownPayload{Loads: make([]float64, 0, 8)}
 	allocGate(t, "down decode into a reused payload", 0, func() {
 		if err := m.Decode(&reuse); err != nil {
 			t.Fatal(err)

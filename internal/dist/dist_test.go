@@ -26,7 +26,7 @@ func TestMemNetworkBasic(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := Message{To: "b", Kind: "ping"}
-	if err := m.Encode(hierJoinPayload{Name: "hello"}); err != nil {
+	if err := m.Encode(hierSyncPayload{Next: "hello"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Send(m); err != nil {
@@ -39,8 +39,8 @@ func TestMemNetworkBasic(t *testing.T) {
 	if got.From != "a" || got.Kind != "ping" {
 		t.Errorf("got %+v", got)
 	}
-	var p hierJoinPayload
-	if err := got.Decode(&p); err != nil || p.Name != "hello" {
+	var p hierSyncPayload
+	if err := got.Decode(&p); err != nil || p.Next != "hello" {
 		t.Errorf("payload = %+v, err=%v", p, err)
 	}
 }
@@ -537,7 +537,7 @@ func TestMessageUnsupportedPayload(t *testing.T) {
 	if err := m.Encode("hello"); !errors.Is(err, ErrUnsupportedPayload) {
 		t.Errorf("Encode(string) = %v, want ErrUnsupportedPayload", err)
 	}
-	if err := m.Encode(hierReqPayload{Seq: 1}); err != nil {
+	if err := m.Encode(hierReqPayload{Round: 1}); err != nil {
 		t.Fatal(err)
 	}
 	var n int
@@ -564,7 +564,7 @@ func TestTCPNetworkRoundTrip(t *testing.T) {
 	}
 	defer b.Close()
 	m := Message{To: "b", Kind: "ping"}
-	if err := m.Encode(hierReqPayload{Seq: 42}); err != nil {
+	if err := m.Encode(hierReqPayload{Round: 42}); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Send(m); err != nil {
@@ -575,8 +575,8 @@ func TestTCPNetworkRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var v hierReqPayload
-	if err := got.Decode(&v); err != nil || v.Seq != 42 || got.From != "a" {
-		t.Errorf("got %+v payload %d err %v", got, v.Seq, err)
+	if err := got.Decode(&v); err != nil || v.Round != 42 || got.From != "a" {
+		t.Errorf("got %+v payload %d err %v", got, v.Round, err)
 	}
 }
 

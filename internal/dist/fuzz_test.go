@@ -7,9 +7,10 @@ import (
 )
 
 // retiredWireIDs are the wire types of the retired state-node NASH ring
-// (token, query, rates, strategy, ping, eject, ack). No live payload
-// may claim them.
-var retiredWireIDs = []byte{1, 2, 3, 4, 5, 6, 7}
+// (token, query, rates, strategy, ping, eject, ack) and of the retired
+// mid-run join (hier.join, hier.join.ok). No live payload may claim
+// them.
+var retiredWireIDs = []byte{1, 2, 3, 4, 5, 6, 7, 18, 19}
 
 // FuzzMessageRoundTrip feeds arbitrary bytes through every payload
 // decoder the protocols use. Malformed input must surface as an error —
@@ -52,7 +53,7 @@ func FuzzMessageRoundTrip(f *testing.F) {
 			&reqBidPayload{}, &bidPayload{}, &awardPayload{},
 			&hierTokenPayload{}, &hierPartialPayload{}, &hierDownPayload{},
 			&hierReqPayload{}, &hierSyncPayload{}, &hierRowPayload{},
-			&hierRowsPayload{}, &hierJoinPayload{}, &hierJoinOKPayload{},
+			&hierRowsPayload{},
 		} {
 			in := Message{Kind: "fuzz", Data: bytes.Clone(data)}
 			if err := in.Decode(v); err != nil {
@@ -100,7 +101,7 @@ func FuzzMessageRoundTrip(f *testing.F) {
 			if err := again.Decode(&tok2); err != nil {
 				t.Fatalf("round trip decode failed: %v", err)
 			}
-			if tok2.Epoch != tok.Epoch || tok2.Hop != tok.Hop || tok2.Round != tok.Round || tok2.Sweep != tok.Sweep {
+			if tok2.Epoch != tok.Epoch || tok2.Hop != tok.Hop {
 				t.Fatalf("token fencing fields changed in round trip: %+v vs %+v", tok, tok2)
 			}
 		}

@@ -50,16 +50,16 @@ import (
 // final gather, and the gathered profile must pass the certificate
 // noncoop.Gap ≤ game.GapFactor·eps over the survivors' system. A cycle
 // norm sums each shard's last sweep, which cannot see what its first
-// sweep moved, nor an ejection or a join; the certificate sees all of
-// them. A profile that fails it becomes the root's view and the cycles
-// resume.
+// sweep moved, nor an ejection; the certificate sees both. A profile
+// that fails it becomes the root's view and the cycles resume.
 //
 // The math is exactly game.ShardedBestReply's, and a fault-free
 // distributed run performs the identical float operations in the
 // identical order, so the resulting profile is bit-identical to that
 // oracle (tests pin this).
 //
-// Fault tolerance fences stale traffic by epoch at both levels:
+// Fault tolerance fences stale traffic at both levels, by (Epoch, Hop)
+// within a shard and by wire round at the root:
 //
 //   - Shard level: the token carries an (Epoch, Hop) pair; every member
 //     bumps Hop as it forwards. A circulation that does not come back
@@ -70,25 +70,19 @@ import (
 //     epoch, gathers the members' rows (hier.sync / hier.row — the
 //     sync's new epoch fences any zombie token still in flight and
 //     names the member's successor), ejects the members that stay
-//     silent, rebuilds its local loads and restarts the sweep. A join
-//     resyncs the same way, since it changes the ring.
+//     silent, rebuilds its local loads and restarts the sweep.
 //   - Root level: partials are re-requested (hier.partreq) with bounded
 //     attempts — the request doubles as a liveness probe — after which
-//     the shard is ejected and the membership epoch bumps. A leader still
-//     working on the requested round (retrying its token, resyncing a
-//     silent member) answers the probe with hier.alive, which restarts
-//     the root's count, so a member's failure never reads as its
-//     leader's. Leaders that miss the downward broadcast re-request it
-//     (hier.downreq) forever; the driver deadline is the backstop.
+//     the shard is ejected. A leader still working on the requested
+//     round (retrying its token, resyncing a silent member) answers the
+//     probe with hier.alive, which restarts the root's count, so a
+//     member's failure never reads as its leader's. Leaders that miss a
+//     down re-request it (hier.downreq) forever; the driver deadline is
+//     the backstop.
 //   - The run ends with a final gather: a resync of every shard whose
 //     rows go to the root. A member ejected there leaves the survivors
 //     at best replies to loads that still held it; the certificate
 //     fails on such rows, and the root resumes reconciliation from them.
-//
-// Users can also join a running computation (hier.join to the root):
-// the root checks feasibility, assigns the joiner to the smallest live
-// shard, and announces it in the next downward broadcast; the joiner's
-// strategy row starts at zero and it participates from the next sweep.
 
 // Message kinds used by the hierarchical protocol.
 const (
@@ -102,8 +96,6 @@ const (
 	hierKindRows    = "hier.rows"    // leader → root: final strategy rows
 	hierKindRowsReq = "hier.rowsreq" // root → leader: rows re-request
 	hierKindAlive   = "hier.alive"   // leader → root: still working on the probed round
-	hierKindJoin    = "hier.join"    // joiner → root: admission request
-	hierKindJoinOK  = "hier.join.ok" // root → joiner: assignment / rejection
 	hierKindStop    = "hier.stop"    // root → leaders → members: run over
 )
 
@@ -119,8 +111,6 @@ const (
 type hierTokenPayload struct {
 	Epoch int
 	Hop   int
-	Round int
-	Sweep int
 	Norm  float64
 	Loads []float64
 }
@@ -131,31 +121,22 @@ type hierTokenPayload struct {
 // far.
 type hierPartialPayload struct {
 	Round   int
-	MEpoch  int
 	Shard   int
 	Norm    float64
 	Sweeps  int
 	Loads   []float64
 	Ejected []int32
-	Seq     int
 }
 
-// hierDownPayload is the root's downward broadcast closing a round:
-// the reconciled global loads, the round norm, membership changes
-// (ejected shards, admitted joiners) and the Stop switch.
+// hierDownPayload is the root's downward message: an activation of one
+// shard against the reconciled global loads, or (Stop) the end of the
+// cycles, which opens the final gather. Round is the wire round, the
+// leaders' dedup fence.
 type hierDownPayload struct {
-	Round         int
-	MEpoch        int
-	Stop          bool
-	Norm          float64
-	Active        []int32
-	Loads         []float64
-	EjectedShards []int32
-	JoinUsers     []int32
-	JoinShards    []int32
-	JoinNames     []string
-	JoinPhis      []float64
-	Seq           int
+	Round int
+	Stop  bool
+	Shard int
+	Loads []float64
 }
 
 // hierReqPayload re-requests a lost partial (root → leader), downward
@@ -163,7 +144,6 @@ type hierDownPayload struct {
 // a busy leader's liveness answer to such a probe (leader → root).
 type hierReqPayload struct {
 	Round int
-	Seq   int
 }
 
 // hierSyncPayload asks a member for its current strategy row and
@@ -173,17 +153,14 @@ type hierReqPayload struct {
 // next live member, or the leader for the last one.
 type hierSyncPayload struct {
 	Epoch int
-	Seq   int
 	Next  string
 }
 
 // hierRowPayload is a member's sync answer.
 type hierRowPayload struct {
-	User     int
-	Epoch    int
-	Seq      int
-	PrevTime float64
-	S        []float64
+	User  int
+	Epoch int
+	S     []float64
 }
 
 // hierRowsPayload is a leader's final gather report: the surviving
@@ -192,28 +169,9 @@ type hierRowPayload struct {
 type hierRowsPayload struct {
 	Round   int
 	Shard   int
-	Seq     int
 	Users   []int32
 	Ejected []int32
 	Rows    [][]float64
-}
-
-// hierJoinPayload asks the root to admit a new user to the running
-// computation.
-type hierJoinPayload struct {
-	Name string
-	Phi  float64
-	Seq  int
-}
-
-// hierJoinOKPayload is the root's (idempotent) admission answer.
-type hierJoinOKPayload struct {
-	Name   string
-	User   int
-	Shard  int
-	Reject bool
-	Reason string
-	Seq    int
 }
 
 // ErrStalled is returned when the protocol makes no progress within the
@@ -259,10 +217,10 @@ type ShardOptions struct {
 	// LocalSweeps is the number of best-reply sweeps each shard runs
 	// per reconciliation round (default 4). Shards early-exit their
 	// sweep budget once the local norm falls below the shard's eps
-	// share. Higher values let each activation extract more progress
-	// from one round trip to the root: at m=1000 moving from 1 to 4
-	// cuts total sweeps ~12× (40k → 3.2k) at identical equilibrium
-	// quality. With Shards 1, LocalSweeps 1 is the §4.3 ring: each user
+	// share, and a one-member shard sweeps once. Higher values let
+	// each activation extract more progress from one round trip to the
+	// root: at m=1000 moving from 1 to 4 cuts total sweeps ~12×
+	// (40k → 3.2k) at identical equilibrium quality. With Shards 1, LocalSweeps 1 is the §4.3 ring: each user
 	// best-replies once per round, in ring order.
 	LocalSweeps int
 	// Watchdog is the root's per-wait partial/rows collection timeout
@@ -283,8 +241,8 @@ type ShardOptions struct {
 	Seed uint64
 	// Observer, when non-nil, receives hier.* events (one HierRound per
 	// reconciliation round carrying the norm, HierShardEjected,
-	// HierJoin, HierSync) plus the nash.* token/retry/ejection kinds
-	// for shard-internal traffic.
+	// HierSync) plus the nash.* token/retry/ejection kinds for
+	// shard-internal traffic.
 	Observer obs.Observer
 }
 
@@ -307,23 +265,9 @@ func (o ShardOptions) withDefaults() ShardOptions {
 	return o
 }
 
-// JoinedUser describes a user admitted to a running sharded
-// computation.
-type JoinedUser struct {
-	Name  string
-	User  int
-	Shard int
-	Phi   float64
-	// S is the user's strategy row at the end of the run (nil until
-	// then).
-	S []float64
-}
-
 // NashShardedResult is the outcome of a hierarchical run.
 type NashShardedResult struct {
-	// Profile holds one row per user id: the initial m users first,
-	// then any admitted joiners in assignment order. Ejected users'
-	// rows are zero.
+	// Profile holds one row per user id. Ejected users' rows are zero.
 	Profile noncoop.Profile
 	// Rounds is the number of completed reconciliation rounds.
 	Rounds int
@@ -336,8 +280,6 @@ type NashShardedResult struct {
 	// ejected shard ids (ascending).
 	Ejected       []int
 	EjectedShards []int
-	// Joined lists admitted joiners in assignment order.
-	Joined []JoinedUser
 }
 
 // --- member ----------------------------------------------------------
@@ -369,8 +311,6 @@ type shardUser struct {
 	ret     Message          // cached forward, re-sent on exact-duplicate tokens; its Data is re-encoded every step
 	haveRet bool
 
-	deadline time.Time // zero: block forever (driver-owned users)
-
 	obs   obs.Observer
 	errCh chan<- error
 }
@@ -391,20 +331,7 @@ func (u *shardUser) run() {
 // returns nil on a clean stop.
 func (u *shardUser) serve() error {
 	for {
-		var m Message
-		var err error
-		if u.deadline.IsZero() {
-			m, err = u.conn.Recv()
-		} else {
-			left := time.Until(u.deadline)
-			if left <= 0 {
-				return fmt.Errorf("dist: user %s: no stop within deadline: %w", u.conn.Name(), ErrStalled)
-			}
-			m, err = u.conn.RecvTimeout(left)
-			if err != nil && errors.Is(err, ErrTimeout) {
-				return fmt.Errorf("dist: user %s: no stop within deadline: %w", u.conn.Name(), ErrStalled)
-			}
-		}
+		m, err := u.conn.Recv()
 		if err != nil {
 			return err
 		}
@@ -426,7 +353,7 @@ func (u *shardUser) serve() error {
 				u.next = p.Next
 			}
 			reply := Message{To: m.From, Kind: hierKindRow}
-			if reply.Encode(hierRowPayload{User: u.id, Epoch: p.Epoch, Seq: p.Seq, PrevTime: u.prevTime, S: u.row}) != nil {
+			if reply.Encode(hierRowPayload{User: u.id, Epoch: p.Epoch, S: u.row}) != nil {
 				continue
 			}
 			_ = u.conn.Send(reply) // best-effort: the leader retries the sync
@@ -533,7 +460,6 @@ type shardLeader struct {
 
 	curRound      int // wire round of the down being served
 	lastDownRound int // newest down round seen (dedup fence)
-	mEpoch        int
 
 	cachedUp    []byte // last encoded partial, replayed on re-requests
 	cachedUpRnd int
@@ -541,7 +467,6 @@ type shardLeader struct {
 	watchdog time.Duration
 	probeTO  time.Duration
 	attempts int
-	seq      int
 	rng      *queueing.RNG
 	obs      obs.Observer
 	errCh    chan<- error
@@ -572,7 +497,7 @@ func (l *shardLeader) stopMembers() {
 }
 
 // protocol is the leader's down-driven main loop: wait for the root's
-// next activation, sweep if this shard is in its Active set, report the
+// next activation, sweep if it activates this shard, report the
 // partial, repeat. The root owns all cross-shard control flow.
 func (l *shardLeader) protocol() error {
 	for {
@@ -583,7 +508,7 @@ func (l *shardLeader) protocol() error {
 		if err != nil || down == nil {
 			return err
 		}
-		if !slices.Contains(down.Active, int32(l.g)) {
+		if down.Shard != l.g {
 			continue // another shard's activation
 		}
 		if len(down.Loads) != l.n {
@@ -616,8 +541,9 @@ func (l *shardLeader) resendUp(round int) {
 }
 
 // sweepRound runs up to sweepsMax best-reply sweeps over the members,
-// restarting after a resync. It returns the last sweep's norm and the
-// number of completed sweeps.
+// restarting after a resync. A lone member sweeps once: its second
+// sweep would reply to its own move and always read a norm of 0. It
+// returns the last sweep's norm and the number of completed sweeps.
 func (l *shardLeader) sweepRound() (float64, int, error) {
 restart:
 	for {
@@ -637,11 +563,15 @@ restart:
 		for i := 0; i < l.n; i++ {
 			l.tok.Loads[i] = l.ext[i] + l.local[i]
 		}
+		budget := l.sweepsMax
+		if len(l.ids) == 1 {
+			budget = 1
+		}
 		var norm float64
 		sweeps := 0
-		for s := 1; s <= l.sweepsMax; s++ {
+		for sweeps < budget {
 			var err error
-			norm, err = l.circulate(s)
+			norm, err = l.circulate()
 			if errors.Is(err, errTokenLost) {
 				// The resync opens a fresh epoch: the leader regenerates
 				// the token from the members' rows.
@@ -669,11 +599,10 @@ restart:
 // the sweep's norm. An attempt that does not come back in time re-sends
 // the same (Epoch, Hop) token to the first member; exhausted attempts
 // report errTokenLost.
-func (l *shardLeader) circulate(sweep int) (float64, error) {
+func (l *shardLeader) circulate() (float64, error) {
 	start := l.hop + 1
 	back := start + len(l.ids) // every member bumps Hop as it forwards
-	l.tok.Epoch, l.tok.Hop = l.epoch, start
-	l.tok.Round, l.tok.Sweep, l.tok.Norm = l.curRound, sweep, 0
+	l.tok.Epoch, l.tok.Hop, l.tok.Norm = l.epoch, start, 0
 	m := &l.tokMsg
 	m.To, m.Kind = l.names[0], hierKindToken
 	if err := m.Encode(&l.tok); err != nil {
@@ -773,9 +702,8 @@ func (l *shardLeader) resync() error {
 // names next as its successor.
 func (l *shardLeader) syncMember(idx int, next string) ([]float64, error) {
 	for a := 0; a < l.attempts; a++ {
-		l.seq++
 		m := Message{To: l.names[idx], Kind: hierKindSync}
-		if err := m.Encode(hierSyncPayload{Epoch: l.epoch, Seq: l.seq, Next: next}); err != nil {
+		if err := m.Encode(hierSyncPayload{Epoch: l.epoch, Next: next}); err != nil {
 			return nil, err
 		}
 		if err := l.conn.Send(m); err != nil {
@@ -818,14 +746,12 @@ func (l *shardLeader) syncMember(idx int, next string) ([]float64, error) {
 // sendUp reports this activation to the root and caches the encoded
 // report for replay on re-requests.
 func (l *shardLeader) sendUp(norm float64, sweeps int) error {
-	l.seq++
 	up := Message{To: rootName, Kind: hierKindPartial}
 	if err := up.Encode(&hierPartialPayload{
-		Round: l.curRound, MEpoch: l.mEpoch, Shard: l.g,
+		Round: l.curRound, Shard: l.g,
 		Norm: norm, Sweeps: sweeps,
 		Loads:   l.local,
 		Ejected: l.ejected,
-		Seq:     l.seq,
 	}); err != nil {
 		return err
 	}
@@ -844,9 +770,8 @@ func (l *shardLeader) awaitDown() (*hierDownPayload, error) {
 		if err != nil {
 			if errors.Is(err, ErrTimeout) {
 				obs.Count(l.obs, obs.NashTimeout)
-				l.seq++
 				req := Message{To: rootName, Kind: hierKindDownReq}
-				if err := req.Encode(hierReqPayload{Round: l.lastDownRound, Seq: l.seq}); err != nil {
+				if err := req.Encode(hierReqPayload{Round: l.lastDownRound}); err != nil {
 					return nil, err
 				}
 				_ = l.conn.Send(req) // best-effort re-request; the next timeout retries
@@ -865,38 +790,12 @@ func (l *shardLeader) awaitDown() (*hierDownPayload, error) {
 			}
 			l.lastDownRound = l.down.Round
 			l.curRound = l.down.Round
-			l.applyDown(&l.down)
 			return &l.down, nil
 		case hierKindStop:
 			return nil, errStopped
 		default:
 			l.handleOOB(r)
 		}
-	}
-}
-
-// applyDown ingests a round-closing broadcast: the membership epoch and
-// joiners assigned to this shard.
-func (l *shardLeader) applyDown(p *hierDownPayload) {
-	l.mEpoch = p.MEpoch
-	k := len(p.JoinUsers)
-	if len(p.JoinShards) != k || len(p.JoinNames) != k || len(p.JoinPhis) != k {
-		return // malformed join block; ignore
-	}
-	for i := 0; i < k; i++ {
-		if int(p.JoinShards[i]) != l.g {
-			continue
-		}
-		id := int(p.JoinUsers[i])
-		if slices.Contains(l.ids, id) || slices.Contains(l.ejected, int32(id)) {
-			continue // duplicate announcement
-		}
-		l.ids = append(l.ids, id)
-		l.names = append(l.names, p.JoinNames[i])
-		l.phis = append(l.phis, p.JoinPhis[i])
-		l.rows = append(l.rows, make([]float64, l.n))
-		l.needSync = true
-		obs.Count(l.obs, obs.HierJoin)
 	}
 }
 
@@ -909,14 +808,13 @@ func (l *shardLeader) finalGather() (*hierDownPayload, error) {
 	if err := l.resync(); err != nil {
 		return nil, err
 	}
-	l.seq++
 	users := make([]int32, len(l.ids))
 	for i, id := range l.ids {
 		users[i] = int32(id)
 	}
 	rows := Message{To: rootName, Kind: hierKindRows}
 	if err := rows.Encode(hierRowsPayload{
-		Round: l.curRound, Shard: l.g, Seq: l.seq,
+		Round: l.curRound, Shard: l.g,
 		Users:   users,
 		Ejected: append([]int32(nil), l.ejected...),
 		Rows:    l.rows,
@@ -941,7 +839,6 @@ func (l *shardLeader) finalGather() (*hierDownPayload, error) {
 			if r.Decode(&l.down) == nil && l.down.Round > l.lastDownRound {
 				l.lastDownRound = l.down.Round
 				l.curRound = l.down.Round
-				l.applyDown(&l.down)
 				return &l.down, nil
 			}
 			_ = l.conn.Send(rows) // a re-sent stop: the root missed our report
@@ -975,7 +872,7 @@ func (l *shardLeader) handleOOB(r Message) {
 			return // a round this leader has not seen yet
 		}
 		alive := Message{To: rootName, Kind: hierKindAlive}
-		if alive.Encode(hierReqPayload{Round: p.Round, Seq: p.Seq}) == nil {
+		if alive.Encode(hierReqPayload{Round: p.Round}) == nil {
 			_ = l.conn.Send(alive) // best-effort; the root probes again
 		}
 	default:
@@ -986,19 +883,8 @@ func (l *shardLeader) handleOOB(r Message) {
 
 // --- root ------------------------------------------------------------
 
-type pendingJoin struct {
-	name  string
-	user  int
-	shard int
-	phi   float64
-	// sentRound is the wire round of the last down that both announced
-	// this join and activated its shard; a partial from that shard for
-	// that round confirms the leader applied the announcement.
-	sentRound int
-}
-
-// rootNode reconciles shard partials, detects shard failures, admits
-// joiners, certifies the gathered rows and assembles the final profile.
+// rootNode reconciles shard partials, detects shard failures, certifies
+// the gathered rows and assembles the final profile.
 type rootNode struct {
 	conn      Conn
 	numShards int
@@ -1007,11 +893,9 @@ type rootNode struct {
 	eps       float64
 	maxRounds int
 	mu        []float64
-	totalMu   float64
 
-	phis        []float64 // per user id, grows with joins
+	phis        []float64 // per user id
 	userEjected []bool
-	livePhi     float64
 
 	live    []bool
 	members [][]int // root's view of shard membership
@@ -1021,10 +905,9 @@ type rootNode struct {
 	sweeps  []int
 	locals  [][]float64
 
-	global  []float64
-	round   int // completed reconciliation cycles
-	downSeq int // monotone wire round of downs
-	mEpoch  int
+	global    []float64
+	round     int // completed reconciliation cycles
+	downRound int // monotone wire round of downs
 
 	// Active-set skipping state, mirroring the oracle (game.shard.go):
 	// a shard whose last activation met its eps share is not activated
@@ -1035,10 +918,6 @@ type rootNode struct {
 	shardNorm []float64
 
 	cachedDown []byte
-
-	pendingJoins []pendingJoin
-	joinAnswers  map[string]hierJoinOKPayload
-	joined       []JoinedUser
 
 	rowsHave  []bool
 	rowsUsers [][]int32
@@ -1051,7 +930,6 @@ type rootNode struct {
 	watchdog  time.Duration
 	probeTO   time.Duration
 	attemptsN int
-	seq       int
 	rng       *queueing.RNG
 	obs       obs.Observer
 	errCh     chan<- error
@@ -1099,7 +977,7 @@ func (rt *rootNode) protocol() error {
 		if cycleNorm > rt.eps && cycle < rt.maxRounds {
 			continue
 		}
-		if err := rt.broadcastStop(cycleNorm); err != nil {
+		if err := rt.broadcastStop(); err != nil {
 			return err
 		}
 		if err := rt.gatherRows(); err != nil {
@@ -1124,8 +1002,8 @@ func (rt *rootNode) protocol() error {
 }
 
 // gatheredRows indexes the last gather's rows by user id: the members of
-// every live shard that reported, nil for everyone else (ejected users,
-// joiners whose admission was never confirmed).
+// every live shard that reported, nil for everyone else (ejected
+// users).
 func (rt *rootNode) gatheredRows() [][]float64 {
 	rows := make([][]float64, len(rt.phis))
 	for g := 0; g < rt.numShards; g++ {
@@ -1190,15 +1068,9 @@ func (rt *rootNode) adoptRows() {
 // last activation was already within its eps share, and the global view
 // has drifted by less than that share since (re-sweeping could displace
 // at most ~2·locEps, so the slack summed over shards stays within
-// ~2·eps). Pending joins force activation — the join rides a down
-// addressed to its shard. The float logic is identical to the oracle's
-// shouldSkip, keeping fault-free runs bit-exact.
+// ~2·eps). The float logic is identical to the oracle's shouldSkip,
+// keeping fault-free runs bit-exact.
 func (rt *rootNode) shouldSkipShard(g int) bool {
-	for i := range rt.pendingJoins {
-		if rt.pendingJoins[i].shard == g {
-			return false
-		}
-	}
 	locEps := rt.eps * float64(len(rt.members[g])) / float64(rt.mInit)
 	if rt.shardNorm[g] > locEps {
 		return false
@@ -1216,7 +1088,8 @@ func (rt *rootNode) shouldSkipShard(g int) bool {
 // exactly: reconcile after every shard, norm accumulated in ascending
 // shard order, quiescent shards skipped. A skipped shard's leader sits
 // parked in awaitDown; its watchdog downreqs are answered with the
-// cached down, whose Active set tells it to keep waiting.
+// cached down, which activates another shard and so tells it to keep
+// waiting.
 func (rt *rootNode) sequentialCycle() (float64, error) {
 	var norm float64
 	for g := 0; g < rt.numShards; g++ {
@@ -1255,63 +1128,13 @@ func (rt *rootNode) recomputeGlobal() {
 	}
 }
 
-func (rt *rootNode) ejectedShardIDs() []int32 {
-	var ids []int32
-	for g := 0; g < rt.numShards; g++ {
-		if !rt.live[g] {
-			ids = append(ids, int32(g))
-		}
-	}
-	return ids
-}
-
-// flushJoins announces every pending join in the down (leaders filter
-// by shard and deduplicate), recording which joins the activated
-// shard(s) will see so their partials can confirm them.
-func (rt *rootNode) flushJoins(p *hierDownPayload) {
-	for i := range rt.pendingJoins {
-		j := &rt.pendingJoins[i]
-		p.JoinUsers = append(p.JoinUsers, int32(j.user))
-		p.JoinShards = append(p.JoinShards, int32(j.shard))
-		p.JoinNames = append(p.JoinNames, j.name)
-		p.JoinPhis = append(p.JoinPhis, j.phi)
-		if slices.Contains(p.Active, int32(j.shard)) {
-			j.sentRound = p.Round
-		}
-	}
-}
-
-// retireJoins confirms pending joins assigned to shard g: a partial
-// from g for round means g applied the down that announced them.
-func (rt *rootNode) retireJoins(g, round int) {
-	kept := rt.pendingJoins[:0]
-	for _, j := range rt.pendingJoins {
-		if j.shard == g && j.sentRound == round && round != 0 {
-			rt.joined = append(rt.joined, JoinedUser{Name: j.name, User: j.user, Shard: j.shard, Phi: j.phi})
-			continue
-		}
-		kept = append(kept, j)
-	}
-	rt.pendingJoins = kept
-}
-
 // sendDown activates shard g for the next wire round with the current
 // global view. The encoded down is cached for replays.
 func (rt *rootNode) sendDown(g int) error {
-	rt.downSeq++
+	rt.downRound++
 	rt.have[g] = false
-	p := hierDownPayload{
-		Round: rt.downSeq, MEpoch: rt.mEpoch,
-		Norm:          rt.lastNorm,
-		Active:        []int32{int32(g)},
-		Loads:         rt.global,
-		EjectedShards: rt.ejectedShardIDs(),
-	}
-	rt.flushJoins(&p)
-	rt.seq++
-	p.Seq = rt.seq
 	m := Message{To: shardName(g), Kind: hierKindDown}
-	if err := m.Encode(&p); err != nil {
+	if err := m.Encode(&hierDownPayload{Round: rt.downRound, Shard: g, Loads: rt.global}); err != nil {
 		return err
 	}
 	rt.cachedDown = m.Data
@@ -1339,9 +1162,8 @@ func (rt *rootNode) awaitPartial(g int) error {
 			}
 			obs.Count(rt.obs, obs.NashRetry)
 			_ = rt.conn.Send(Message{To: shardName(g), Kind: hierKindDown, Data: rt.cachedDown}) // best-effort re-activation
-			rt.seq++
 			req := Message{To: shardName(g), Kind: hierKindPartReq}
-			if req.Encode(hierReqPayload{Round: rt.downSeq, Seq: rt.seq}) == nil {
+			if req.Encode(hierReqPayload{Round: rt.downRound}) == nil {
 				_ = rt.conn.Send(req) // best-effort probe; the next timeout retries
 			}
 			continue
@@ -1353,8 +1175,6 @@ func (rt *rootNode) awaitPartial(g int) error {
 			if rt.isAlive(m, g) {
 				attempts = 0 // the leader is still working on this round
 			}
-		case hierKindJoin:
-			rt.onJoin(m, false)
 		case hierKindDownReq:
 			rt.onDownReq(m)
 		default:
@@ -1372,7 +1192,7 @@ func (rt *rootNode) isAlive(m Message, g int) bool {
 		return false
 	}
 	lg, known := rt.leaderG[m.From]
-	return known && lg == g && p.Round == rt.downSeq
+	return known && lg == g && p.Round == rt.downRound
 }
 
 func (rt *rootNode) onPartial(m Message) {
@@ -1380,7 +1200,7 @@ func (rt *rootNode) onPartial(m Message) {
 	if m.Decode(&p) != nil {
 		return
 	}
-	if p.Round != rt.downSeq {
+	if p.Round != rt.downRound {
 		return // stale round
 	}
 	if g := p.Shard; g >= 0 && g < rt.numShards && rt.live[g] && !rt.have[g] && len(p.Loads) == rt.n {
@@ -1388,21 +1208,19 @@ func (rt *rootNode) onPartial(m Message) {
 		rt.norms[g] = p.Norm
 		rt.sweeps[g] = p.Sweeps
 		rt.have[g] = true
-		rt.retireJoins(g, p.Round)
 	}
 	for _, id := range p.Ejected {
 		rt.ejectUser(int(id))
 	}
 }
 
-// ejectUser marks a user id ejected (idempotently), updating the
-// feasibility budget and the shard membership view.
+// ejectUser marks a user id ejected (idempotently), updating the shard
+// membership view.
 func (rt *rootNode) ejectUser(id int) {
 	if id < 0 || id >= len(rt.userEjected) || rt.userEjected[id] {
 		return
 	}
 	rt.userEjected[id] = true
-	rt.livePhi -= rt.phis[id]
 	for g := range rt.members {
 		for i, v := range rt.members[g] {
 			if v == id {
@@ -1414,61 +1232,13 @@ func (rt *rootNode) ejectUser(id int) {
 	obs.Count(rt.obs, obs.NashEjected)
 }
 
-// ejectShard removes a silent shard: its members are ejected and the
-// membership epoch bumps.
+// ejectShard removes a silent shard and ejects its members.
 func (rt *rootNode) ejectShard(g int) {
 	rt.live[g] = false
-	rt.mEpoch++
 	for _, id := range append([]int(nil), rt.members[g]...) {
 		rt.ejectUser(id)
 	}
 	obs.Emit(rt.obs, obs.Event{Kind: obs.HierShardEjected, A: int32(g), Node: rootName})
-}
-
-// onJoin admits (or rejects) a joiner. Answers are cached so retries
-// are idempotent; stopping rejects new joiners.
-func (rt *rootNode) onJoin(m Message, stopping bool) {
-	var p hierJoinPayload
-	if m.Decode(&p) != nil {
-		return
-	}
-	ans, seen := rt.joinAnswers[p.Name]
-	if !seen {
-		switch {
-		case stopping:
-			ans = hierJoinOKPayload{Name: p.Name, Reject: true, Reason: "run stopping"}
-		case p.Phi <= 0 || math.IsNaN(p.Phi) || rt.livePhi+p.Phi >= rt.totalMu:
-			ans = hierJoinOKPayload{Name: p.Name, Reject: true, Reason: "infeasible arrival rate"}
-		case rt.liveCount() == 0:
-			ans = hierJoinOKPayload{Name: p.Name, Reject: true, Reason: "no live shards"}
-		default:
-			// Assign to the smallest live shard (lowest id breaks ties).
-			best := -1
-			for g := 0; g < rt.numShards; g++ {
-				if !rt.live[g] {
-					continue
-				}
-				if best < 0 || len(rt.members[g]) < len(rt.members[best]) {
-					best = g
-				}
-			}
-			id := len(rt.phis)
-			rt.phis = append(rt.phis, p.Phi)
-			rt.userEjected = append(rt.userEjected, false)
-			rt.livePhi += p.Phi
-			rt.members[best] = append(rt.members[best], id)
-			rt.pendingJoins = append(rt.pendingJoins, pendingJoin{name: p.Name, user: id, shard: best, phi: p.Phi})
-			ans = hierJoinOKPayload{Name: p.Name, User: id, Shard: best}
-			obs.Emit(rt.obs, obs.Event{Kind: obs.HierJoin, A: int32(id), B: int32(best), Node: rootName})
-		}
-		rt.joinAnswers[p.Name] = ans
-	}
-	ans.Seq = p.Seq
-	reply := Message{To: m.From, Kind: hierKindJoinOK}
-	if reply.Encode(ans) != nil {
-		return
-	}
-	_ = rt.conn.Send(reply) // best-effort: the joiner retries
 }
 
 // onDownReq re-sends the latest down to a lagging leader (the leader's
@@ -1488,20 +1258,12 @@ func (rt *rootNode) onDownReq(m Message) {
 	}
 }
 
-// broadcastStop announces the end of the run to every live leader.
-// Unconfirmed pending joins are deliberately excluded — their joiners
-// are released by shutdown instead.
-func (rt *rootNode) broadcastStop(norm float64) error {
-	rt.downSeq++
-	p := hierDownPayload{
-		Round: rt.downSeq, MEpoch: rt.mEpoch,
-		Stop: true, Norm: norm,
-		EjectedShards: rt.ejectedShardIDs(),
-	}
-	rt.seq++
-	p.Seq = rt.seq
+// broadcastStop ends the cycles at every live leader, which opens the
+// final gather.
+func (rt *rootNode) broadcastStop() error {
+	rt.downRound++
 	m := Message{Kind: hierKindDown}
-	if err := m.Encode(p); err != nil {
+	if err := m.Encode(hierDownPayload{Round: rt.downRound, Stop: true}); err != nil {
 		return err
 	}
 	rt.cachedDown = m.Data
@@ -1543,9 +1305,8 @@ func (rt *rootNode) gatherRows() error {
 						continue
 					}
 					_ = rt.conn.Send(Message{To: shardName(g), Kind: hierKindDown, Data: rt.cachedDown}) // re-send the stop down
-					rt.seq++
 					req := Message{To: shardName(g), Kind: hierKindRowsReq}
-					if req.Encode(hierReqPayload{Round: rt.downSeq, Seq: rt.seq}) != nil {
+					if req.Encode(hierReqPayload{Round: rt.downRound}) != nil {
 						continue
 					}
 					_ = rt.conn.Send(req) // best-effort probe; the next timeout retries
@@ -1561,7 +1322,7 @@ func (rt *rootNode) gatherRows() error {
 				continue
 			}
 			g := p.Shard
-			if p.Round != rt.downSeq || g < 0 || g >= rt.numShards || !rt.live[g] || rt.rowsHave[g] {
+			if p.Round != rt.downRound || g < 0 || g >= rt.numShards || !rt.live[g] || rt.rowsHave[g] {
 				continue // a late report from an earlier gather, or not a live shard's
 			}
 			if !rt.validRows(p) {
@@ -1580,8 +1341,6 @@ func (rt *rootNode) gatherRows() error {
 			if lg, known := rt.leaderG[m.From]; known && rt.isAlive(m, lg) {
 				attempts[lg] = 0 // the leader is still resyncing its members
 			}
-		case hierKindJoin:
-			rt.onJoin(m, true)
 		case hierKindDownReq:
 			rt.onDownReq(m)
 		default:
@@ -1624,11 +1383,6 @@ func (rt *rootNode) assemble(rows [][]float64) {
 			ejectedShards = append(ejectedShards, g)
 		}
 	}
-	joined := make([]JoinedUser, len(rt.joined))
-	copy(joined, rt.joined)
-	for i := range joined {
-		joined[i].S = prof.S[joined[i].User]
-	}
 	rt.resMu.Lock()
 	rt.result.Profile = prof
 	rt.result.Rounds = rt.round
@@ -1636,23 +1390,14 @@ func (rt *rootNode) assemble(rows [][]float64) {
 	rt.result.Norm = rt.lastNorm
 	rt.result.Ejected = ejected
 	rt.result.EjectedShards = ejectedShards
-	rt.result.Joined = joined
 	rt.resMu.Unlock()
 }
 
-// shutdown broadcasts the stop: every leader (ejected ones included —
-// they may be alive behind a partition), every confirmed joiner (its
-// leader may have died before relaying the stop), and any joiner whose
-// admission was never confirmed.
+// shutdown broadcasts the stop to every leader, ejected ones included:
+// they may be alive behind a partition.
 func (rt *rootNode) shutdown() {
 	for g := 0; g < rt.numShards; g++ {
 		_ = rt.conn.Send(Message{To: shardName(g), Kind: hierKindStop}) // best-effort shutdown signal
-	}
-	for _, j := range rt.joined {
-		_ = rt.conn.Send(Message{To: j.Name, Kind: hierKindStop}) // best-effort; the leader usually got there first
-	}
-	for _, j := range rt.pendingJoins {
-		_ = rt.conn.Send(Message{To: j.name, Kind: hierKindStop}) // admission never confirmed; release the joiner
 	}
 }
 
@@ -1699,7 +1444,6 @@ func RunNashShardedWith(netw Network, sys noncoop.System, initial *noncoop.Profi
 
 	// The checkpoint, or the NASH_P proportional initialization
 	// identical to the oracle's.
-	total := sys.TotalMu()
 	var prof noncoop.Profile
 	if initial != nil {
 		if err := sys.ValidateProfile(*initial); err != nil {
@@ -1707,12 +1451,7 @@ func RunNashShardedWith(netw Network, sys noncoop.System, initial *noncoop.Profi
 		}
 		prof = initial.Clone()
 	} else {
-		prof = noncoop.NewProfile(m, n)
-		for j := 0; j < m; j++ {
-			for i, mu := range sys.Mu {
-				prof.S[j][i] = mu / total
-			}
-		}
+		prof, _ = noncoop.PS{}.Profile(sys) // sys was validated above
 	}
 	// Per-shard initial locals and the initial global view, accumulated
 	// in the oracle's order (members ascending within a shard, shards
@@ -1793,10 +1532,9 @@ func RunNashShardedWith(netw Network, sys noncoop.System, initial *noncoop.Profi
 	}
 	rt := &rootNode{
 		conn: rootConn, numShards: numShards, n: n, mInit: m,
-		eps: eps, maxRounds: maxRounds, mu: sys.Mu, totalMu: total,
-		phis:        append([]float64(nil), sys.Phi...),
+		eps: eps, maxRounds: maxRounds, mu: sys.Mu,
+		phis:        sys.Phi,
 		userEjected: make([]bool, m),
-		livePhi:     sys.TotalPhi(),
 		live:        make([]bool, numShards),
 		members:     rootMembers,
 		leaderG:     leaderG,
@@ -1807,7 +1545,6 @@ func RunNashShardedWith(netw Network, sys noncoop.System, initial *noncoop.Profi
 		global:      append([]float64(nil), initGlobal...),
 		shardView:   make([][]float64, numShards),
 		shardNorm:   make([]float64, numShards),
-		joinAnswers: make(map[string]hierJoinOKPayload),
 		rowsHave:    make([]bool, numShards),
 		rowsUsers:   make([][]int32, numShards),
 		rowsRows:    make([][][]float64, numShards),
@@ -1898,89 +1635,4 @@ func RunNashShardedWith(netw Network, sys noncoop.System, initial *noncoop.Profi
 		result.Profile = prof
 	}
 	return *result, runErr
-}
-
-// RunShardJoiner joins a running sharded computation as a new user
-// named name with arrival rate phi, participates until the run stops,
-// and returns the assignment plus the user's final strategy row. mu is
-// the system's processing-rate vector (the joiner must agree with the
-// running system). A joiner admitted under a rejected or stopped run
-// returns an error; a joiner orphaned by teardown returns its last
-// state with a nil error.
-func RunShardJoiner(netw Network, name string, phi float64, mu []float64, opts ShardOptions) (JoinedUser, error) {
-	opts = opts.withDefaults()
-	conn, err := netw.Join(name)
-	if err != nil {
-		return JoinedUser{}, err
-	}
-	defer func() {
-		_ = conn.Close() // teardown; release the endpoint
-	}()
-	rng := queueing.NewRNG(linkStreamSeed(opts.Seed, name, rootName))
-	dl := time.Now().Add(opts.Deadline)
-	var ok hierJoinOKPayload
-	seq := 0
-	admitted := false
-	for a := 0; !admitted; a++ {
-		if time.Now().After(dl) {
-			return JoinedUser{}, fmt.Errorf("dist: joiner %s: no admission within %v: %w", name, opts.Deadline, ErrStalled)
-		}
-		seq++
-		req := Message{To: rootName, Kind: hierKindJoin}
-		if err := req.Encode(hierJoinPayload{Name: name, Phi: phi, Seq: seq}); err != nil {
-			return JoinedUser{}, err
-		}
-		if err := conn.Send(req); err != nil {
-			return JoinedUser{}, err
-		}
-		wait := backoffDelay(opts.ProbeTimeout, 8*opts.ProbeTimeout, a, rng)
-		for !admitted {
-			r, err := conn.RecvTimeout(wait)
-			if err != nil {
-				if errors.Is(err, ErrTimeout) {
-					break
-				}
-				return JoinedUser{}, err
-			}
-			switch r.Kind {
-			case hierKindJoinOK:
-				var p hierJoinOKPayload
-				if r.Decode(&p) != nil {
-					continue
-				}
-				if p.Name != name {
-					continue
-				}
-				if p.Reject {
-					return JoinedUser{}, fmt.Errorf("dist: joiner %s rejected: %s", name, p.Reason)
-				}
-				ok = p
-				admitted = true
-			case hierKindStop:
-				return JoinedUser{}, fmt.Errorf("dist: joiner %s: run ended before admission", name)
-			default:
-				// Not ours; drop.
-			}
-		}
-	}
-	ju := JoinedUser{Name: name, User: ok.User, Shard: ok.Shard, Phi: phi}
-	// The joiner learns its successor from its leader's first sync.
-	u := &shardUser{
-		conn: conn, id: ok.User, phi: phi,
-		mu: mu, mDiv: 1,
-		leader:    shardName(ok.Shard),
-		row:       make([]float64, len(mu)),
-		lastEpoch: -1, lastHop: -1,
-		avail: make([]float64, len(mu)), newRow: make([]float64, len(mu)), ord: make([]int, len(mu)),
-		deadline: dl,
-		obs:      opts.Observer,
-	}
-	err = u.serve()
-	ju.S = u.row
-	if err == nil || errors.Is(err, ErrClosed) || errors.Is(err, ErrCrashed) {
-		// Clean stop, or the run tore down around us: report what we
-		// have.
-		return ju, nil
-	}
-	return ju, err
 }

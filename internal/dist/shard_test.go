@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"sync"
 	"testing"
@@ -81,10 +82,9 @@ func survivorsAtBestReply(sys noncoop.System, res NashShardedResult, tol float64
 // in-process game.ShardedBestReply, so profile, rounds, sweeps and norm
 // are all bit-identical — for a multi-shard hierarchy, for the §4.3
 // ring (one shard, one sweep per round), and for one member per shard,
-// where every shard's second sweep reports a zero norm and only the
-// stop certificate keeps the run going. Every profile passes the
-// certificate: one more flat round moves response times by at most
-// game.GapFactor·eps.
+// where each shard sweeps once per activation whatever its budget.
+// Every profile passes the certificate: one more flat round moves
+// response times by at most game.GapFactor·eps.
 func TestNashShardedMatchesOracle(t *testing.T) {
 	t.Parallel()
 	const m, eps = 12, 1e-9
@@ -231,19 +231,21 @@ func TestNashShardedCrashedMemberEjected(t *testing.T) {
 	}
 }
 
-// tapNetwork counts the messages its endpoints send, by kind, keeps
-// the hier.partial payloads, and swallows the messages drop accepts.
+// tapNetwork counts the messages and payload bytes its endpoints send,
+// by kind, keeps the hier.partial payloads, and swallows the messages
+// drop accepts.
 type tapNetwork struct {
 	Network
 	drop func(from string, m Message) bool // nil: deliver everything
 
 	mu       sync.Mutex
 	kinds    map[string]int
+	bytes    map[string]int
 	partials []hierPartialPayload
 }
 
 func newTapNetwork(inner Network) *tapNetwork {
-	return &tapNetwork{Network: inner, kinds: make(map[string]int)}
+	return &tapNetwork{Network: inner, kinds: make(map[string]int), bytes: make(map[string]int)}
 }
 
 func (n *tapNetwork) Join(name string) (Conn, error) {
@@ -262,6 +264,7 @@ type tapConn struct {
 func (c *tapConn) Send(m Message) error {
 	c.n.mu.Lock()
 	c.n.kinds[m.Kind]++
+	c.n.bytes[m.Kind] += len(m.Data)
 	if m.Kind == hierKindPartial {
 		var p hierPartialPayload
 		if err := m.Decode(&p); err == nil {
@@ -338,8 +341,9 @@ func TestNashShardedReplaysLostToken(t *testing.T) {
 // over k members costs k+1 hier.token messages (leader to the first
 // member, member to member, the last back to the leader), and every
 // other kind keeps the count the leader↔member star sent for the same
-// fault-free run. The timeouts are far above a run's length, so no
-// retry or re-request adds traffic.
+// fault-free run. It also pins the payload bytes per kind, so a field
+// added to a payload or a change of its layout shows. The timeouts are
+// far above a run's length, so no retry or re-request adds traffic.
 func TestNashShardedMessagePattern(t *testing.T) {
 	t.Parallel()
 	const m, shards, localSweeps = 12, 3, 2
@@ -386,6 +390,80 @@ func TestNashShardedMessagePattern(t *testing.T) {
 		if _, ok := want[kind]; !ok {
 			t.Errorf("%s: %d unexpected messages", kind, n)
 		}
+	}
+	wantBytes := map[string]int{
+		hierKindToken:   62831,
+		hierKindDown:    5340,
+		hierKindPartial: 6561,
+		hierKindSync:    125,
+		hierKindRow:     444,
+		hierKindRows:    432,
+		hierKindStop:    0,
+	}
+	for kind, n := range wantBytes {
+		if netw.bytes[kind] != n {
+			t.Errorf("%s: %d payload bytes, want %d", kind, netw.bytes[kind], n)
+		}
+	}
+}
+
+// TestNashShardedOneMemberSweepsOnce: a one-member shard sweeps once
+// per activation whatever its budget, since a lone member's second
+// sweep replies to its own move and reads a norm of 0. With every shard
+// a single member, a LocalSweeps: 4 run is therefore the LocalSweeps: 1
+// run message for message, bit-identical to the oracle at either
+// budget, and it certifies on its first final gather (one hier.rows
+// per shard). A second sweep would make every cycle norm read about 0
+// and end each cycle in a gather that fails the certificate.
+func TestNashShardedOneMemberSweepsOnce(t *testing.T) {
+	t.Parallel()
+	const m, eps = 12, 1e-9
+	sys := shardTestSystem(t, m)
+	plan := game.PlanShards(m, m)
+	run := func(localSweeps int) (NashShardedResult, map[string]int) {
+		want, err := game.ShardedBestReply(sys, plan, eps, 0, game.ShardedOpts{LocalSweeps: localSweeps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		netw := newTapNetwork(NewMemNetwork())
+		got, err := RunNashShardedWith(netw, sys, nil, eps, 0, ShardOptions{
+			Shards:       m,
+			LocalSweeps:  localSweeps,
+			Watchdog:     10 * time.Second,
+			ProbeTimeout: 5 * time.Second,
+			Deadline:     30 * time.Second,
+			Seed:         1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Rounds != want.Rounds || got.Sweeps != want.Sweeps || got.Norm != want.Norm {
+			t.Errorf("LocalSweeps %d: rounds/sweeps/norm = %d/%d/%g, oracle %d/%d/%g",
+				localSweeps, got.Rounds, got.Sweeps, got.Norm, want.Rounds, want.Sweeps, want.Norm)
+		}
+		for j := range want.Profile.S {
+			for i := range want.Profile.S[j] {
+				if got.Profile.S[j][i] != want.Profile.S[j][i] {
+					t.Fatalf("LocalSweeps %d: profile[%d][%d] = %v, oracle %v (not bit-identical)",
+						localSweeps, j, i, got.Profile.S[j][i], want.Profile.S[j][i])
+				}
+			}
+		}
+		netw.mu.Lock()
+		defer netw.mu.Unlock()
+		return got, netw.kinds
+	}
+	four, fourKinds := run(4)
+	one, oneKinds := run(1)
+	if four.Rounds != one.Rounds || four.Sweeps != one.Sweeps || four.Norm != one.Norm {
+		t.Errorf("rounds/sweeps/norm = %d/%d/%g at LocalSweeps 4, %d/%d/%g at 1",
+			four.Rounds, four.Sweeps, four.Norm, one.Rounds, one.Sweeps, one.Norm)
+	}
+	if !maps.Equal(fourKinds, oneKinds) {
+		t.Errorf("messages by kind: %v at LocalSweeps 4, %v at 1", fourKinds, oneKinds)
+	}
+	if n := fourKinds[hierKindRows]; n != m {
+		t.Errorf("%d hier.rows messages, want %d (one final gather)", n, m)
 	}
 }
 
@@ -463,7 +541,7 @@ func TestShardUserTakesSyncsOnlyFromLeader(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			send(mallory, hierKindSync, hierSyncPayload{Epoch: 7, Seq: 1, Next: "mallory"})
+			send(mallory, hierKindSync, hierSyncPayload{Epoch: 7, Next: "mallory"})
 			if kind := <-uc.got; kind != hierKindSync {
 				t.Fatalf("member received %q first, want the forged sync", kind)
 			}
@@ -582,118 +660,6 @@ func TestNashShardedCrashedLeaderEjectsShard(t *testing.T) {
 	}
 	if ctr.Get("hier.shard.ejected") != 1 {
 		t.Errorf("hier.shard.ejected = %d, want 1", ctr.Get("hier.shard.ejected"))
-	}
-	if err := survivorsAtBestReply(sys, res, 1e-6); err != nil {
-		t.Error(err)
-	}
-}
-
-// signalObserver closes ch on the first event matching kind.
-type signalObserver struct {
-	kind obs.Kind
-	once sync.Once
-	ch   chan struct{}
-}
-
-func (s *signalObserver) Observe(e obs.Event) {
-	if e.Kind == s.kind {
-		s.once.Do(func() { close(s.ch) })
-	}
-}
-
-// TestNashShardedJoin: a user joining mid-run is admitted by the root,
-// assigned to the smallest shard, announced in the next downward
-// broadcast, and the extended system converges to the extended
-// equilibrium — with the joiner's own returned row matching the root's
-// assembled profile.
-func TestNashShardedJoin(t *testing.T) {
-	t.Parallel()
-	const m = 9
-	sys := shardTestSystem(t, m)
-	// Per-message delays slow the run so the joiner reliably arrives
-	// while it is still iterating (an undelayed in-memory run converges
-	// in well under a millisecond).
-	netw := NewChaosNetwork(NewMemNetwork(), FaultPlan{Seed: 11, Delay: 0.8, MaxDelay: 2 * time.Millisecond}, nil)
-	sig := &signalObserver{kind: obs.HierRound, ch: make(chan struct{})}
-	opts := fastShardOptions(11)
-	opts.Shards = 3
-	opts.Observer = sig
-
-	type joinOut struct {
-		ju  JoinedUser
-		err error
-	}
-	joinCh := make(chan joinOut, 1)
-	go func() {
-		<-sig.ch // first reconciliation round done: the run is live
-		jopts := fastShardOptions(11)
-		ju, err := RunShardJoiner(netw, "late-user", 2.5, sys.Mu, jopts)
-		joinCh <- joinOut{ju, err}
-	}()
-
-	res, err := RunNashShardedWith(netw, sys, nil, 1e-9, 0, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jo := <-joinCh
-	if jo.err != nil {
-		t.Fatalf("joiner: %v", jo.err)
-	}
-	if len(res.Joined) != 1 || res.Joined[0].Name != "late-user" || res.Joined[0].User != m {
-		t.Fatalf("Joined = %+v, want late-user as user %d", res.Joined, m)
-	}
-	if jo.ju.User != m || jo.ju.Shard != res.Joined[0].Shard {
-		t.Errorf("joiner saw assignment %d/%d, root recorded %d/%d",
-			jo.ju.User, jo.ju.Shard, res.Joined[0].User, res.Joined[0].Shard)
-	}
-	if len(res.Profile.S) != m+1 {
-		t.Fatalf("profile has %d rows, want %d", len(res.Profile.S), m+1)
-	}
-	for i := range jo.ju.S {
-		if jo.ju.S[i] != res.Profile.S[m][i] {
-			t.Fatalf("joiner row diverges from assembled profile at computer %d", i)
-		}
-	}
-
-	// The extended system (original users + joiner) is at equilibrium.
-	extPhi := append(append([]float64(nil), sys.Phi...), 2.5)
-	extSys, err := noncoop.NewSystem(sys.Mu, extPhi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := survivorsAtBestReply(extSys, res, 1e-6); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestNashShardedJoinInfeasible: a joiner whose arrival rate would
-// overload the system is rejected, and the run converges undisturbed.
-func TestNashShardedJoinInfeasible(t *testing.T) {
-	t.Parallel()
-	const m = 6
-	sys := shardTestSystem(t, m)
-	netw := NewChaosNetwork(NewMemNetwork(), FaultPlan{Seed: 13, Delay: 0.8, MaxDelay: 2 * time.Millisecond}, nil)
-	sig := &signalObserver{kind: obs.HierRound, ch: make(chan struct{})}
-	opts := fastShardOptions(13)
-	opts.Shards = 2
-	opts.Observer = sig
-
-	joinErr := make(chan error, 1)
-	go func() {
-		<-sig.ch
-		_, err := RunShardJoiner(netw, "greedy", 1e6, sys.Mu, fastShardOptions(13))
-		joinErr <- err
-	}()
-
-	res, err := RunNashShardedWith(netw, sys, nil, 1e-9, 0, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := <-joinErr; err == nil {
-		t.Error("infeasible joiner admitted")
-	}
-	if len(res.Joined) != 0 {
-		t.Errorf("Joined = %+v, want none", res.Joined)
 	}
 	if err := survivorsAtBestReply(sys, res, 1e-6); err != nil {
 		t.Error(err)

@@ -90,15 +90,15 @@ func expectPing(t *testing.T, c Conn, from string, seq int) {
 		t.Fatalf("recv seq %d: %v", seq, err)
 	}
 	var p hierReqPayload
-	if err := m.Decode(&p); err != nil || m.From != from || p.Seq != seq {
-		t.Fatalf("got %+v (seq %d, err %v), want ping %d from %q", m, p.Seq, err, seq, from)
+	if err := m.Decode(&p); err != nil || m.From != from || p.Round != seq {
+		t.Fatalf("got %+v (seq %d, err %v), want ping %d from %q", m, p.Round, err, seq, from)
 	}
 }
 
 func sendPing(t *testing.T, c Conn, to string, seq int) {
 	t.Helper()
 	m := Message{To: to, Kind: "ping"}
-	if err := m.Encode(hierReqPayload{Seq: seq}); err != nil {
+	if err := m.Encode(hierReqPayload{Round: seq}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Send(m); err != nil {
@@ -143,7 +143,7 @@ func TestTCPBrokerRelaysSplitFrames(t *testing.T) {
 	ends := make([]int, frames)
 	for i := range ends {
 		m := Message{Kind: "ping"}
-		if err := m.Encode(hierReqPayload{Seq: i}); err != nil {
+		if err := m.Encode(hierReqPayload{Round: i}); err != nil {
 			t.Fatal(err)
 		}
 		stream = append(stream, rawFrame("streamer", "b", m.Kind, m.Data)...)
@@ -170,7 +170,7 @@ func TestTCPBrokerRewritesFrom(t *testing.T) {
 	c, _ := rawJoin(t, addr, "mallory")
 	defer c.Close()
 	m := Message{Kind: "ping"}
-	if err := m.Encode(hierReqPayload{Seq: 7}); err != nil {
+	if err := m.Encode(hierReqPayload{Round: 7}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Write(rawFrame("a", "b", m.Kind, m.Data)); err != nil {
@@ -322,7 +322,7 @@ func TestTCPSendBatchOrder(t *testing.T) {
 			ms := make([]Message, per)
 			for j := range ms {
 				ms[j] = Message{To: "b", Kind: "ping"}
-				_ = ms[j].Encode(hierReqPayload{Seq: seq})
+				_ = ms[j].Encode(hierReqPayload{Round: seq})
 				seq++
 			}
 			if err := SendAll(a, ms); err != nil {

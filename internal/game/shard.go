@@ -107,10 +107,10 @@ type ShardedOpts struct {
 	// LocalSweeps is the number of best-reply sweeps a shard runs per
 	// activation (default 4, matching dist.ShardOptions). Sweeps
 	// early-exit once the shard-local norm falls below the shard's eps
-	// share, so a larger budget costs nothing once a shard quiesces;
-	// spending it while loads are moving extracts far more progress per
-	// reconciliation round (at m=1000, 4 sweeps cut total work ~12×
-	// versus 1). Set 1 to reproduce the flat ring's exact user visit
+	// share (a one-member shard sweeps once), so a larger budget costs
+	// nothing once a shard quiesces; spending it while loads are moving
+	// extracts far more progress per reconciliation round (at m=1000,
+	// 4 sweeps cut total work ~12× versus 1). Set 1 to reproduce the flat ring's exact user visit
 	// order.
 	LocalSweeps int
 }
@@ -156,13 +156,7 @@ func ShardedBestReply(sys noncoop.System, shards [][]int, eps float64, maxRounds
 	}
 
 	// NASH_P proportional initialization, as in the flat ring.
-	prof := noncoop.NewProfile(m, n)
-	total := sys.TotalMu()
-	for j := 0; j < m; j++ {
-		for i, mu := range sys.Mu {
-			prof.S[j][i] = mu / total
-		}
-	}
+	prof, _ := noncoop.PS{}.Profile(sys) // sys was validated above
 
 	// Per-shard local loads and the reconciled global loads.
 	local := make([][]float64, len(shards))
@@ -262,8 +256,14 @@ func ShardedBestReply(sys noncoop.System, shards [][]int, eps float64, maxRounds
 			for i := 0; i < n; i++ {
 				tok[i] = ext[i] + local[g][i]
 			}
+			// A lone member sweeps once: its second sweep would reply
+			// to its own move and always read a norm of 0.
+			budget := localSweeps
+			if k == 1 {
+				budget = 1
+			}
 			var norm float64
-			for sweep := 1; sweep <= localSweeps; sweep++ {
+			for sweep := 1; sweep <= budget; sweep++ {
 				norm = 0
 				for _, j := range members {
 					row := prof.S[j]

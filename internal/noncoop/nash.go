@@ -110,14 +110,11 @@ func Nash(sys System, opt NashOptions) (NashResult, error) {
 	}
 
 	m, n := sys.NumUsers(), sys.NumComputers()
-	p := NewProfile(m, n)
+	var p Profile
 	if opt.Init == InitProportional {
-		total := sys.TotalMu()
-		for j := 0; j < m; j++ {
-			for i, mu := range sys.Mu {
-				p.S[j][i] = mu / total
-			}
-		}
+		p, _ = PS{}.Profile(sys) // sys was validated above
+	} else {
+		p = NewProfile(m, n)
 	}
 
 	// The norm baseline: zero response times for the empty NASH_0 start

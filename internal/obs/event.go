@@ -94,7 +94,7 @@ const (
 	// Shard-internal token traffic reuses the nash.* kinds above.
 	HierRound        // one global reconciliation round; Time = round, V = norm
 	HierShardEjected // shard A ejected by the root failure detector
-	HierJoin         // a user joined the running computation: A = user id
+	HierJoin         // emitted by nothing; kept so the binary tracer's kind-name table (and its goldens) stay unchanged
 	HierSync         // a leader row-sync answered by user A
 
 	kindCount // sentinel; keep last
