@@ -313,13 +313,17 @@ func (p hierTokenPayload) AppendWire(b []byte) []byte {
 	b = AppendInt(b, p.Epoch)
 	b = AppendInt(b, p.Hop)
 	b = AppendF64(b, p.Norm)
-	return AppendF64s(b, p.Loads)
+	b = AppendF64(b, p.EndNorm)
+	b = AppendF64s(b, p.Loads)
+	return AppendF64s(b, p.End)
 }
 func (p *hierTokenPayload) DecodeWire(d *WireDec) {
 	p.Epoch = d.Int()
 	p.Hop = d.Int()
 	p.Norm = d.F64()
+	p.EndNorm = d.F64()
 	p.Loads = d.F64s(p.Loads)
+	p.End = d.F64s(p.End)
 }
 
 func (hierPartialPayload) WireID() byte { return wireHierPartial }
@@ -327,6 +331,7 @@ func (p hierPartialPayload) AppendWire(b []byte) []byte {
 	b = AppendInt(b, p.Round)
 	b = AppendInt(b, p.Shard)
 	b = AppendF64(b, p.Norm)
+	b = AppendF64(b, p.EndNorm)
 	b = AppendInt(b, p.Sweeps)
 	b = AppendF64s(b, p.Loads)
 	return appendI32s(b, p.Ejected)
@@ -335,6 +340,7 @@ func (p *hierPartialPayload) DecodeWire(d *WireDec) {
 	p.Round = d.Int()
 	p.Shard = d.Int()
 	p.Norm = d.F64()
+	p.EndNorm = d.F64()
 	p.Sweeps = d.Int()
 	p.Loads = d.F64s(p.Loads)
 	p.Ejected = d.i32s(p.Ejected)
@@ -345,13 +351,15 @@ func (p hierDownPayload) AppendWire(b []byte) []byte {
 	b = AppendInt(b, p.Round)
 	b = appendBool(b, p.Stop)
 	b = AppendInt(b, p.Shard)
-	return AppendF64s(b, p.Loads)
+	b = AppendF64s(b, p.Loads)
+	return AppendF64s(b, p.End)
 }
 func (p *hierDownPayload) DecodeWire(d *WireDec) {
 	p.Round = d.Int()
 	p.Stop = d.bool_()
 	p.Shard = d.Int()
 	p.Loads = d.F64s(p.Loads)
+	p.End = d.F64s(p.End)
 }
 
 func (hierReqPayload) WireID() byte { return wireHierReq }

@@ -13,12 +13,16 @@ import (
 // degenerate shapes).
 func hierCodecSamples() []any {
 	return []any{
-		hierTokenPayload{Epoch: 3, Hop: 17, Norm: 0.125,
-			Loads: []float64{1.5, 2.25, 0, 3}},
-		hierPartialPayload{Round: 5, Shard: 3, Norm: 0.25, Sweeps: 4,
+		hierTokenPayload{Epoch: 3, Hop: 17, Norm: 0.125, EndNorm: 0.0625,
+			Loads: []float64{1.5, 2.25, 0, 3},
+			End:   []float64{1.25, 2.5, 0.5, 2.75}},
+		hierTokenPayload{Epoch: 3, Hop: 22, Norm: 0.5,
+			Loads: []float64{1.5, 2.25, 0, 3}}, // a later sweep's token: no End
+		hierPartialPayload{Round: 5, Shard: 3, Norm: 0.25, EndNorm: 0.375, Sweeps: 4,
 			Loads:   []float64{1, 2, 3, 4},
 			Ejected: []int32{7}},
-		hierDownPayload{Round: 6, Stop: true, Shard: 5, Loads: []float64{5, 6, 7}},
+		hierDownPayload{Round: 6, Shard: 5, Loads: []float64{5, 6, 7}, End: []float64{4.5, 6.5, 7.25}},
+		hierDownPayload{Round: 7, Stop: true},
 		hierReqPayload{Round: 4},
 		hierSyncPayload{Epoch: 8, Next: "user-3"},
 		hierRowPayload{User: 3, Epoch: 8, S: []float64{0.5, 0.5}},
@@ -95,7 +99,7 @@ func TestWireIDs(t *testing.T) {
 // sweep — one message per step at n=10,000 scale.
 func TestHierTokenAllocs(t *testing.T) {
 	tok := hierTokenPayload{Epoch: 1, Hop: 2, Norm: 0.5,
-		Loads: []float64{1, 2, 3, 4}}
+		Loads: []float64{1, 2, 3, 4}, End: []float64{0.5, 1.5, 2.5, 3.5}}
 	allocGate(t, "token encode", 1, func() {
 		m := Message{Kind: hierKindToken}
 		// Pointer-shaped, like the protocol call sites: a struct value
@@ -111,11 +115,12 @@ func TestHierTokenAllocs(t *testing.T) {
 	}
 	allocGate(t, "token re-encode into a reused Message", 0, func() {
 		tok.Norm += 0.5
+		tok.EndNorm += 0.25
 		if err := m.Encode(&tok); err != nil {
 			t.Fatal(err)
 		}
 	})
-	reuse := hierTokenPayload{Loads: make([]float64, 0, 8)}
+	reuse := hierTokenPayload{Loads: make([]float64, 0, 8), End: make([]float64, 0, 8)}
 	allocGate(t, "token decode into a reused payload", 0, func() {
 		if err := m.Decode(&reuse); err != nil {
 			t.Fatal(err)
@@ -127,7 +132,7 @@ func TestHierTokenAllocs(t *testing.T) {
 // down must be one allocation to encode and alloc-free to decode into a
 // reused payload.
 func TestHierDownAllocs(t *testing.T) {
-	down := hierDownPayload{Round: 7, Shard: 2, Loads: []float64{1, 2, 3, 4}}
+	down := hierDownPayload{Round: 7, Shard: 2, Loads: []float64{1, 2, 3, 4}, End: []float64{0.5, 1.5, 2.5, 3.5}}
 	allocGate(t, "down encode", 1, func() {
 		m := Message{Kind: hierKindDown}
 		if err := m.Encode(&down); err != nil {
@@ -139,7 +144,7 @@ func TestHierDownAllocs(t *testing.T) {
 	if err := m.Encode(&down); err != nil {
 		t.Fatal(err)
 	}
-	reuse := hierDownPayload{Loads: make([]float64, 0, 8)}
+	reuse := hierDownPayload{Loads: make([]float64, 0, 8), End: make([]float64, 0, 8)}
 	allocGate(t, "down decode into a reused payload", 0, func() {
 		if err := m.Decode(&reuse); err != nil {
 			t.Fatal(err)

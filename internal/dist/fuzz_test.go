@@ -2,6 +2,7 @@ package dist
 
 import (
 	"bytes"
+	"math"
 	"slices"
 	"testing"
 )
@@ -90,7 +91,8 @@ func FuzzMessageRoundTrip(f *testing.F) {
 		}
 
 		// A payload that decodes as a token must survive a re-encode
-		// round trip unchanged in the fields the protocol fences on.
+		// round trip unchanged in the fields the protocol fences on and
+		// in the end-of-round fields a member reads and adds to.
 		var tok hierTokenPayload
 		if err := m.Decode(&tok); err == nil {
 			again := Message{Kind: "fuzz"}
@@ -104,6 +106,19 @@ func FuzzMessageRoundTrip(f *testing.F) {
 			if tok2.Epoch != tok.Epoch || tok2.Hop != tok.Hop {
 				t.Fatalf("token fencing fields changed in round trip: %+v vs %+v", tok, tok2)
 			}
+			if math.Float64bits(tok2.EndNorm) != math.Float64bits(tok.EndNorm) || !slices.Equal(f64bits(tok2.End), f64bits(tok.End)) {
+				t.Fatalf("token end-of-round fields changed in round trip: %+v vs %+v", tok, tok2)
+			}
 		}
 	})
+}
+
+// f64bits returns the bit patterns of fs, so NaNs compare equal to
+// themselves.
+func f64bits(fs []float64) []uint64 {
+	out := make([]uint64, len(fs))
+	for i, f := range fs {
+		out[i] = math.Float64bits(f)
+	}
+	return out
 }

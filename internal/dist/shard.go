@@ -44,14 +44,25 @@ import (
 // With one shard and one local sweep per activation (ShardOptions{
 // Shards: 1, LocalSweeps: 1}) this is the §4.3 ring itself: users are
 // visited in ring order, each best-replies once per round, and a
-// round's Σ|ΔD_j| ≤ eps ends the run once the certificate below holds.
+// round's §4.3 norm ≤ eps ends the run once the certificate below
+// holds.
 //
-// One rule ends a run: a cycle whose norm reaches eps triggers the
-// final gather, and the gathered profile must pass the certificate
-// noncoop.Gap ≤ game.GapFactor·eps over the survivors' system. A cycle
-// norm sums each shard's last sweep, which cannot see what its first
-// sweep moved, nor an ejection; the certificate sees both. A profile
-// that fails it becomes the root's view and the cycles resume.
+// A cycle has two norms. The token norm adds each user's |ΔD_j| at its
+// own turn, against loads still moving. The end-of-round norm is the
+// §4.3 norm Σ_j |D_j^(l) − D_j^(l−1)| that noncoop.Nash stops on, one
+// cycle late: every down carries End, the global loads at the start of
+// the cycle, the leader puts them on its first token of the
+// activation, and each member times its row against them before it
+// replies, adding the change since the last End it was timed against.
+// On many small users the token norm needs far more cycles to reach
+// eps (EXPERIMENTS.md X8). One rule ends a run: a cycle where either
+// norm reaches eps triggers the final gather, and the gathered profile
+// must pass the certificate noncoop.Gap ≤ game.GapFactor·eps over the
+// survivors' system. The token norm sums each shard's last sweep,
+// which cannot see what its first sweep moved, the end-of-round norm
+// leaves out skipped shards, and neither sees an ejection; the
+// certificate sees all three. A profile that fails it becomes the
+// root's view and the cycles resume.
 //
 // The math is exactly game.ShardedBestReply's, and a fault-free
 // distributed run performs the identical float operations in the
@@ -101,28 +112,34 @@ const (
 
 // hierTokenPayload is the shard-internal working token: the global
 // per-computer load vector the member plays against plus the fencing
-// metadata. The token deliberately carries no membership list: each
-// member forwards it to the successor its leader's last sync named, the
-// epoch/hop fence kills zombie duplicates for every member that
-// answered the last resync, and a member ejected while a token was in
-// flight may play it harmlessly — its row is excluded from the
-// leader's resync rebuild and zeroed in the final profile, so a stale
-// play never reaches the global state.
+// metadata. On the first sweep of an activation it also carries End,
+// the loads the previous cycle ended at, which each member times its
+// row against before it replies, adding the change to EndNorm (End is
+// empty on the other sweeps). The token deliberately carries no
+// membership list: each member forwards it to the successor its
+// leader's last sync named, the epoch/hop fence kills zombie duplicates
+// for every member that answered the last resync, and a member ejected
+// while a token was in flight may play it harmlessly — its row is
+// excluded from the leader's resync rebuild and zeroed in the final
+// profile, so a stale play never reaches the global state.
 type hierTokenPayload struct {
-	Epoch int
-	Hop   int
-	Norm  float64
-	Loads []float64
+	Epoch   int
+	Hop     int
+	Norm    float64
+	EndNorm float64
+	Loads   []float64
+	End     []float64
 }
 
 // hierPartialPayload is a leader's report on one activation: the
-// shard's new aggregate load, the norm of its last sweep and how many
-// sweeps it ran. Ejected lists every user id the shard has ejected so
-// far.
+// shard's new aggregate load, the norm of its last sweep, the
+// end-of-round norm its first sweep summed and how many sweeps it ran.
+// Ejected lists every user id the shard has ejected so far.
 type hierPartialPayload struct {
 	Round   int
 	Shard   int
 	Norm    float64
+	EndNorm float64
 	Sweeps  int
 	Loads   []float64
 	Ejected []int32
@@ -130,13 +147,15 @@ type hierPartialPayload struct {
 
 // hierDownPayload is the root's downward message: an activation of one
 // shard against the reconciled global loads, or (Stop) the end of the
-// cycles, which opens the final gather. Round is the wire round, the
-// leaders' dedup fence.
+// cycles, which opens the final gather. End is the global loads the
+// previous cycle ended at, for the members' end-of-round norm. Round is
+// the wire round, the leaders' dedup fence.
 type hierDownPayload struct {
 	Round int
 	Stop  bool
 	Shard int
 	Loads []float64
+	End   []float64
 }
 
 // hierReqPayload re-requests a lost partial (root → leader), downward
@@ -219,8 +238,11 @@ type ShardOptions struct {
 	// sweep budget once the local norm falls below the shard's eps
 	// share, and a one-member shard sweeps once. Higher values let
 	// each activation extract more progress from one round trip to the
-	// root: at m=1000 moving from 1 to 4 cuts total sweeps ~12×
-	// (40k → 3.2k) at identical equilibrium quality. With Shards 1, LocalSweeps 1 is the §4.3 ring: each user
+	// root, which pays while the stop takes many rounds (at m=64 and
+	// eps=1e-9 on 4 shards, 4,295 sweeps instead of 7,704) and not when
+	// the end-of-round norm stops within a dozen (at m=1000 and
+	// eps=1e-3 on 32 shards, 773 instead of 359; EXPERIMENTS.md X8).
+	// With Shards 1, LocalSweeps 1 is the §4.3 ring: each user
 	// best-replies once per round, in ring order.
 	LocalSweeps int
 	// Watchdog is the root's per-wait partial/rows collection timeout
@@ -274,7 +296,9 @@ type NashShardedResult struct {
 	// Sweeps is the total number of shard-local sweeps, summed over
 	// shards and rounds.
 	Sweeps int
-	// Norm is the final round's global convergence norm.
+	// Norm is the norm that ended the run: the last round's
+	// end-of-round norm when that reached eps, otherwise its token norm
+	// (package comment).
 	Norm float64
 	// Ejected lists ejected user ids (ascending), Ejectedshards the
 	// ejected shard ids (ascending).
@@ -292,21 +316,16 @@ type shardUser struct {
 	conn   Conn
 	id     int
 	phi    float64
-	mu     []float64
-	mDiv   float64 // norm-fallback divisor (the initial m)
-	leader string  // the only node whose syncs this member takes
-	next   string  // ring successor: the next member, or the leader
+	leader string // the only node whose syncs this member takes
+	next   string // ring successor: the next member, or the leader
 
-	row      []float64
-	prevTime float64
-	played   bool
+	row     []float64
+	stepper *noncoop.Stepper // over the computers' rates, in a game of the initial m users
+	st      noncoop.StepState
 
 	lastEpoch int // fencing; starts at -1
 	lastHop   int
 
-	avail   []float64
-	newRow  []float64
-	ord     []int
 	tok     hierTokenPayload // decode-reuse
 	ret     Message          // cached forward, re-sent on exact-duplicate tokens; its Data is re-encoded every step
 	haveRet bool
@@ -379,7 +398,7 @@ func (u *shardUser) serve() error {
 			// No membership check: a member ejected while this token was
 			// in flight plays harmlessly — its row is excluded from the
 			// leader's resync rebuild and zeroed in the final profile.
-			if len(tok.Loads) != len(u.mu) {
+			if len(tok.Loads) != len(u.row) || len(tok.End) != 0 && len(tok.End) != len(u.row) {
 				continue // malformed token; the leader retries
 			}
 			if err := u.step(tok); err != nil {
@@ -401,31 +420,16 @@ func (u *shardUser) serve() error {
 	}
 }
 
-// step plays one best reply against the token loads, mirroring
-// game.ShardedBestReply's arithmetic exactly (same operations, same
-// order) so fault-free runs are bit-identical to the oracle.
+// step plays one best reply against the token loads with the kernel
+// game.ShardedBestReply runs, accumulating both norms in the oracle's
+// order, so fault-free runs are bit-identical to the oracle.
 func (u *shardUser) step(tok *hierTokenPayload) error {
-	for i := range u.avail {
-		u.avail[i] = u.mu[i] - tok.Loads[i] + u.row[i]*u.phi
-	}
-	if !u.played {
-		u.prevTime = noncoop.BestReplyTime(u.avail, u.row, u.phi)
-		u.played = true
-	}
-	if err := noncoop.BestReplyInto(u.avail, u.phi, u.newRow, u.ord); err != nil {
+	d, dEnd, err := u.stepper.Step(tok.Loads, tok.End, u.row, u.phi, &u.st)
+	if err != nil {
 		return fmt.Errorf("dist: user %d best reply: %w", u.id, err)
 	}
-	t := noncoop.BestReplyTime(u.avail, u.newRow, u.phi)
-	d := math.Abs(t - u.prevTime)
-	if math.IsInf(d, 1) || math.IsNaN(d) {
-		d = math.MaxFloat64 / u.mDiv
-	}
 	tok.Norm = satNorm(tok.Norm, d)
-	for i := range u.row {
-		tok.Loads[i] += (u.newRow[i] - u.row[i]) * u.phi
-	}
-	copy(u.row, u.newRow)
-	u.prevTime = t
+	tok.EndNorm = satNorm(tok.EndNorm, dEnd)
 	return nil
 }
 
@@ -450,10 +454,11 @@ type shardLeader struct {
 	local []float64
 	ext   []float64
 
-	tok      hierTokenPayload // working token (Loads reused across sweeps)
-	tokMsg   Message          // tok encoded; its Data is re-encoded every sweep
-	ret      hierTokenPayload // return decode scratch
-	down     hierDownPayload  // down decode scratch
+	tok      hierTokenPayload   // working token (Loads reused across sweeps)
+	tokMsg   Message            // tok encoded; its Data is re-encoded every sweep
+	ret      hierTokenPayload   // return decode scratch
+	down     hierDownPayload    // down decode scratch
+	up       hierPartialPayload // the partial sendUp encodes
 	epoch    int
 	hop      int
 	needSync bool // the ring changed or lost the token; resync before the next sweep
@@ -461,7 +466,7 @@ type shardLeader struct {
 	curRound      int // wire round of the down being served
 	lastDownRound int // newest down round seen (dedup fence)
 
-	cachedUp    []byte // last encoded partial, replayed on re-requests
+	cachedUp    []byte // the one partial buffer: the last partial, replayed on re-requests
 	cachedUpRnd int
 
 	watchdog time.Duration
@@ -511,8 +516,8 @@ func (l *shardLeader) protocol() error {
 		if down.Shard != l.g {
 			continue // another shard's activation
 		}
-		if len(down.Loads) != l.n {
-			return fmt.Errorf("dist: shard %d: malformed down loads (len %d, want %d)", l.g, len(down.Loads), l.n)
+		if len(down.Loads) != l.n || len(down.End) != l.n {
+			return fmt.Errorf("dist: shard %d: malformed down loads (len %d and %d, want %d)", l.g, len(down.Loads), len(down.End), l.n)
 		}
 		// This activation's frozen external view: the reconciled global
 		// loads minus our own contribution (same operation and order as
@@ -520,11 +525,11 @@ func (l *shardLeader) protocol() error {
 		for i := 0; i < l.n; i++ {
 			l.ext[i] = down.Loads[i] - l.local[i]
 		}
-		norm, sweeps, err := l.sweepRound()
+		norm, endNorm, sweeps, err := l.sweepRound(down.End)
 		if err != nil {
 			return err
 		}
-		if err := l.sendUp(norm, sweeps); err != nil {
+		if err := l.sendUp(norm, endNorm, sweeps); err != nil {
 			return err
 		}
 	}
@@ -542,18 +547,20 @@ func (l *shardLeader) resendUp(round int) {
 
 // sweepRound runs up to sweepsMax best-reply sweeps over the members,
 // restarting after a resync. A lone member sweeps once: its second
-// sweep would reply to its own move and always read a norm of 0. It
-// returns the last sweep's norm and the number of completed sweeps.
-func (l *shardLeader) sweepRound() (float64, int, error) {
+// sweep would reply to its own move and always read a norm of 0. The
+// first sweep carries end, the loads the previous cycle ended at. It
+// returns the last sweep's norm, the first sweep's end-of-round norm
+// and the number of completed sweeps.
+func (l *shardLeader) sweepRound(end []float64) (float64, float64, int, error) {
 restart:
 	for {
 		if l.needSync {
 			if err := l.resync(); err != nil {
-				return 0, 0, err
+				return 0, 0, 0, err
 			}
 		}
 		if len(l.ids) == 0 {
-			return 0, 0, nil // fully ejected shard: zero contribution
+			return 0, 0, 0, nil // fully ejected shard: zero contribution
 		}
 		locEps := l.eps * float64(len(l.ids)) / float64(l.mInit)
 		if cap(l.tok.Loads) < l.n {
@@ -567,11 +574,14 @@ restart:
 		if len(l.ids) == 1 {
 			budget = 1
 		}
-		var norm float64
+		var norm, endNorm float64
 		sweeps := 0
 		for sweeps < budget {
-			var err error
-			norm, err = l.circulate()
+			l.tok.End = l.tok.End[:0]
+			if sweeps == 0 {
+				l.tok.End = append(l.tok.End, end...)
+			}
+			sweepNorm, sweepEnd, err := l.circulate()
 			if errors.Is(err, errTokenLost) {
 				// The resync opens a fresh epoch: the leader regenerates
 				// the token from the members' rows.
@@ -580,8 +590,12 @@ restart:
 				continue restart
 			}
 			if err != nil {
-				return 0, 0, err
+				return 0, 0, 0, err
 			}
+			if sweeps == 0 {
+				endNorm = sweepEnd
+			}
+			norm = sweepNorm
 			sweeps++
 			if norm <= locEps {
 				break
@@ -590,27 +604,27 @@ restart:
 		for i := 0; i < l.n; i++ {
 			l.local[i] = l.tok.Loads[i] - l.ext[i]
 		}
-		return norm, sweeps, nil
+		return norm, endNorm, sweeps, nil
 	}
 }
 
 // circulate sends the working token once around the ring — to the
 // first member, member to member, and back from the last — and returns
-// the sweep's norm. An attempt that does not come back in time re-sends
-// the same (Epoch, Hop) token to the first member; exhausted attempts
-// report errTokenLost.
-func (l *shardLeader) circulate() (float64, error) {
+// the sweep's norm and end-of-round norm. An attempt that does not come
+// back in time re-sends the same (Epoch, Hop) token to the first
+// member; exhausted attempts report errTokenLost.
+func (l *shardLeader) circulate() (float64, float64, error) {
 	start := l.hop + 1
 	back := start + len(l.ids) // every member bumps Hop as it forwards
-	l.tok.Epoch, l.tok.Hop, l.tok.Norm = l.epoch, start, 0
+	l.tok.Epoch, l.tok.Hop, l.tok.Norm, l.tok.EndNorm = l.epoch, start, 0, 0
 	m := &l.tokMsg
 	m.To, m.Kind = l.names[0], hierKindToken
 	if err := m.Encode(&l.tok); err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	for a := 0; a < l.attempts; a++ {
 		if err := l.conn.Send(*m); err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		obs.Emit(l.obs, obs.Event{Kind: obs.NashSend, A: int32(l.g), Node: l.conn.Name()})
 		wait := backoffDelay(l.probeTO, 4*l.probeTO, a, l.rng)
@@ -624,7 +638,7 @@ func (l *shardLeader) circulate() (float64, error) {
 					}
 					break
 				}
-				return 0, err
+				return 0, 0, err
 			}
 			switch r.Kind {
 			case hierKindToken:
@@ -633,21 +647,21 @@ func (l *shardLeader) circulate() (float64, error) {
 				}
 				if l.ret.Epoch == l.epoch && l.ret.Hop == back {
 					if len(l.ret.Loads) != l.n {
-						return 0, fmt.Errorf("dist: shard %d: malformed token return from %s", l.g, r.From)
+						return 0, 0, fmt.Errorf("dist: shard %d: malformed token return from %s", l.g, r.From)
 					}
 					copy(l.tok.Loads, l.ret.Loads)
 					l.hop = back
-					return l.ret.Norm, nil
+					return l.ret.Norm, l.ret.EndNorm, nil
 				}
 				obs.Count(l.obs, obs.NashTokenStale)
 			case hierKindStop:
-				return 0, errStopped
+				return 0, 0, errStopped
 			default:
 				l.handleOOB(r)
 			}
 		}
 	}
-	return 0, errTokenLost
+	return 0, 0, errTokenLost
 }
 
 func (l *shardLeader) ejectMember(idx int) {
@@ -743,16 +757,18 @@ func (l *shardLeader) syncMember(idx int, next string) ([]float64, error) {
 	return nil, fmt.Errorf("dist: shard %d: member %s: %w", l.g, l.names[idx], errMemberLost)
 }
 
-// sendUp reports this activation to the root and caches the encoded
-// report for replay on re-requests.
-func (l *shardLeader) sendUp(norm float64, sweeps int) error {
-	up := Message{To: rootName, Kind: hierKindPartial}
-	if err := up.Encode(&hierPartialPayload{
+// sendUp reports this activation to the root. The report is
+// re-encoded into cachedUp, kept for replay on re-requests: only the
+// latest partial is ever replayed, and Send keeps no reference to it.
+func (l *shardLeader) sendUp(norm, endNorm float64, sweeps int) error {
+	l.up = hierPartialPayload{
 		Round: l.curRound, Shard: l.g,
-		Norm: norm, Sweeps: sweeps,
+		Norm: norm, EndNorm: endNorm, Sweeps: sweeps,
 		Loads:   l.local,
 		Ejected: l.ejected,
-	}); err != nil {
+	}
+	up := Message{To: rootName, Kind: hierKindPartial, Data: l.cachedUp}
+	if err := up.Encode(&l.up); err != nil {
 		return err
 	}
 	l.cachedUp, l.cachedUpRnd = up.Data, l.curRound
@@ -897,17 +913,20 @@ type rootNode struct {
 	phis        []float64 // per user id
 	userEjected []bool
 
-	live    []bool
-	members [][]int // root's view of shard membership
-	leaderG map[string]int
-	have    []bool
-	norms   []float64
-	sweeps  []int
-	locals  [][]float64
+	live     []bool
+	members  [][]int // root's view of shard membership
+	leaders  []string
+	leaderG  map[string]int
+	have     []bool
+	norms    []float64
+	endNorms []float64
+	sweeps   []int
+	locals   [][]float64
 
 	global    []float64
-	round     int // completed reconciliation cycles
-	downRound int // monotone wire round of downs
+	end       []float64 // the global view at the start of the cycle
+	round     int       // completed reconciliation cycles
+	downRound int       // monotone wire round of downs
 
 	// Active-set skipping state, mirroring the oracle (game.shard.go):
 	// a shard whose last activation met its eps share is not activated
@@ -917,7 +936,9 @@ type rootNode struct {
 	shardView [][]float64
 	shardNorm []float64
 
-	cachedDown []byte
+	down       hierDownPayload    // the down encodeDown encodes
+	part       hierPartialPayload // partial decode scratch
+	cachedDown []byte             // the root's one down buffer: the latest down, replayed on re-requests
 
 	rowsHave  []bool
 	rowsUsers [][]int32
@@ -959,12 +980,13 @@ func (rt *rootNode) liveCount() int {
 	return c
 }
 
-// protocol runs reconciliation cycles until a cycle's norm reaches eps
-// and the gathered rows pass the stop certificate (package comment);
-// rows that fail it become the root's view and the cycles resume.
+// protocol runs reconciliation cycles until a cycle's token norm or
+// end-of-round norm reaches eps and the gathered rows pass the stop
+// certificate (package comment); rows that fail it become the root's
+// view and the cycles resume.
 func (rt *rootNode) protocol() error {
 	for cycle := 1; ; cycle++ {
-		cycleNorm, err := rt.sequentialCycle()
+		cycleNorm, endNorm, err := rt.sequentialCycle()
 		if err != nil {
 			return err
 		}
@@ -972,9 +994,14 @@ func (rt *rootNode) protocol() error {
 			return fmt.Errorf("dist: all %d shards ejected: %w", rt.numShards, ErrStalled)
 		}
 		rt.round = cycle
-		rt.lastNorm = cycleNorm
 		obs.Emit(rt.obs, obs.Event{Kind: obs.HierRound, Time: float64(cycle), V: cycleNorm, Node: rootName})
-		if cycleNorm > rt.eps && cycle < rt.maxRounds {
+		// The norm that ends the run: the end-of-round norm when it
+		// reaches eps, otherwise the token norm.
+		rt.lastNorm = cycleNorm
+		if endNorm <= rt.eps {
+			rt.lastNorm = endNorm
+		}
+		if rt.lastNorm > rt.eps && cycle < rt.maxRounds {
 			continue
 		}
 		if err := rt.broadcastStop(); err != nil {
@@ -988,10 +1015,10 @@ func (rt *rootNode) protocol() error {
 		if err != nil {
 			return err
 		}
-		certified := cycleNorm <= rt.eps && gap <= game.GapFactor*rt.eps
+		certified := rt.lastNorm <= rt.eps && gap <= game.GapFactor*rt.eps
 		if certified || cycle == rt.maxRounds {
 			if !certified {
-				rt.runErr = fmt.Errorf("dist: sharded NASH exceeded %d rounds (norm=%g, gap=%g)", rt.maxRounds, cycleNorm, gap)
+				rt.runErr = fmt.Errorf("dist: sharded NASH exceeded %d rounds (norm=%g, gap=%g)", rt.maxRounds, rt.lastNorm, gap)
 			}
 			rt.assemble(rows)
 			rt.shutdown()
@@ -1085,22 +1112,24 @@ func (rt *rootNode) shouldSkipShard(g int) bool {
 // sequentialCycle activates each live shard in turn: targeted down,
 // await its partial (probing and ultimately ejecting a silent shard),
 // refresh the global view. Mirrors the oracle's sequential round
-// exactly: reconcile after every shard, norm accumulated in ascending
-// shard order, quiescent shards skipped. A skipped shard's leader sits
-// parked in awaitDown; its watchdog downreqs are answered with the
-// cached down, which activates another shard and so tells it to keep
-// waiting.
-func (rt *rootNode) sequentialCycle() (float64, error) {
-	var norm float64
+// exactly: reconcile after every shard, both norms accumulated in
+// ascending shard order, quiescent shards skipped. It returns the
+// cycle's token norm and its end-of-round norm. A skipped shard's
+// leader sits parked in awaitDown; its watchdog downreqs are answered
+// with the cached down, which activates another shard and so tells it
+// to keep waiting.
+func (rt *rootNode) sequentialCycle() (float64, float64, error) {
+	copy(rt.end, rt.global)
+	var norm, endNorm float64
 	for g := 0; g < rt.numShards; g++ {
 		if !rt.live[g] || rt.shouldSkipShard(g) {
 			continue
 		}
 		if err := rt.sendDown(g); err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		if err := rt.awaitPartial(g); err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		rt.recomputeGlobal()
 		if !rt.live[g] {
@@ -1109,9 +1138,10 @@ func (rt *rootNode) sequentialCycle() (float64, error) {
 		rt.shardNorm[g] = rt.norms[g]
 		copy(rt.shardView[g], rt.global)
 		norm = satNorm(norm, rt.norms[g])
+		endNorm = satNorm(endNorm, rt.endNorms[g])
 		rt.sweepsTotal += rt.sweeps[g]
 	}
-	return norm, nil
+	return norm, endNorm, nil
 }
 
 // recomputeGlobal rebuilds the global view as the sum of the live
@@ -1129,16 +1159,27 @@ func (rt *rootNode) recomputeGlobal() {
 }
 
 // sendDown activates shard g for the next wire round with the current
-// global view. The encoded down is cached for replays.
+// global view and the loads the previous cycle ended at.
 func (rt *rootNode) sendDown(g int) error {
 	rt.downRound++
 	rt.have[g] = false
-	m := Message{To: shardName(g), Kind: hierKindDown}
-	if err := m.Encode(&hierDownPayload{Round: rt.downRound, Shard: g, Loads: rt.global}); err != nil {
+	rt.down = hierDownPayload{Round: rt.downRound, Shard: g, Loads: rt.global, End: rt.end}
+	if err := rt.encodeDown(); err != nil {
+		return err
+	}
+	_ = rt.conn.Send(Message{To: rt.leaders[g], Kind: hierKindDown, Data: rt.cachedDown}) // best-effort: awaitPartial re-sends on timeout
+	return nil
+}
+
+// encodeDown re-encodes rt.down into cachedDown. One buffer serves every
+// down: only the latest is ever replayed, and Send keeps no reference to
+// it.
+func (rt *rootNode) encodeDown() error {
+	m := Message{Kind: hierKindDown, Data: rt.cachedDown}
+	if err := m.Encode(&rt.down); err != nil {
 		return err
 	}
 	rt.cachedDown = m.Data
-	_ = rt.conn.Send(m) // best-effort: awaitPartial re-sends on timeout
 	return nil
 }
 
@@ -1161,8 +1202,8 @@ func (rt *rootNode) awaitPartial(g int) error {
 				return nil
 			}
 			obs.Count(rt.obs, obs.NashRetry)
-			_ = rt.conn.Send(Message{To: shardName(g), Kind: hierKindDown, Data: rt.cachedDown}) // best-effort re-activation
-			req := Message{To: shardName(g), Kind: hierKindPartReq}
+			_ = rt.conn.Send(Message{To: rt.leaders[g], Kind: hierKindDown, Data: rt.cachedDown}) // best-effort re-activation
+			req := Message{To: rt.leaders[g], Kind: hierKindPartReq}
 			if req.Encode(hierReqPayload{Round: rt.downRound}) == nil {
 				_ = rt.conn.Send(req) // best-effort probe; the next timeout retries
 			}
@@ -1196,8 +1237,8 @@ func (rt *rootNode) isAlive(m Message, g int) bool {
 }
 
 func (rt *rootNode) onPartial(m Message) {
-	var p hierPartialPayload
-	if m.Decode(&p) != nil {
+	p := &rt.part
+	if m.Decode(p) != nil {
 		return
 	}
 	if p.Round != rt.downRound {
@@ -1206,6 +1247,7 @@ func (rt *rootNode) onPartial(m Message) {
 	if g := p.Shard; g >= 0 && g < rt.numShards && rt.live[g] && !rt.have[g] && len(p.Loads) == rt.n {
 		copy(rt.locals[g], p.Loads)
 		rt.norms[g] = p.Norm
+		rt.endNorms[g] = p.EndNorm
 		rt.sweeps[g] = p.Sweeps
 		rt.have[g] = true
 	}
@@ -1262,14 +1304,13 @@ func (rt *rootNode) onDownReq(m Message) {
 // final gather.
 func (rt *rootNode) broadcastStop() error {
 	rt.downRound++
-	m := Message{Kind: hierKindDown}
-	if err := m.Encode(hierDownPayload{Round: rt.downRound, Stop: true}); err != nil {
+	rt.down = hierDownPayload{Round: rt.downRound, Stop: true}
+	if err := rt.encodeDown(); err != nil {
 		return err
 	}
-	rt.cachedDown = m.Data
 	for g := 0; g < rt.numShards; g++ {
 		if rt.live[g] {
-			_ = rt.conn.Send(Message{To: shardName(g), Kind: hierKindDown, Data: rt.cachedDown}) // best-effort; leaders re-request
+			_ = rt.conn.Send(Message{To: rt.leaders[g], Kind: hierKindDown, Data: rt.cachedDown}) // best-effort; leaders re-request
 		}
 	}
 	return nil
@@ -1304,8 +1345,8 @@ func (rt *rootNode) gatherRows() error {
 						rt.ejectShard(g)
 						continue
 					}
-					_ = rt.conn.Send(Message{To: shardName(g), Kind: hierKindDown, Data: rt.cachedDown}) // re-send the stop down
-					req := Message{To: shardName(g), Kind: hierKindRowsReq}
+					_ = rt.conn.Send(Message{To: rt.leaders[g], Kind: hierKindDown, Data: rt.cachedDown}) // re-send the stop down
+					req := Message{To: rt.leaders[g], Kind: hierKindRowsReq}
 					if req.Encode(hierReqPayload{Round: rt.downRound}) != nil {
 						continue
 					}
@@ -1397,7 +1438,7 @@ func (rt *rootNode) assemble(rows [][]float64) {
 // they may be alive behind a partition.
 func (rt *rootNode) shutdown() {
 	for g := 0; g < rt.numShards; g++ {
-		_ = rt.conn.Send(Message{To: shardName(g), Kind: hierKindStop}) // best-effort shutdown signal
+		_ = rt.conn.Send(Message{To: rt.leaders[g], Kind: hierKindStop}) // best-effort shutdown signal
 	}
 }
 
@@ -1406,9 +1447,9 @@ func (rt *rootNode) shutdown() {
 // RunNashSharded executes the §4.3 NASH protocol as a hierarchy over
 // the given network with default options. Each user starts from the
 // NASH_P proportional initialization; eps is the acceptance tolerance
-// on the per-round global norm and maxRounds bounds the reconciliation
-// rounds. A nil error means the final round norm is at most eps and
-// one more flat best-reply round over the survivors' profile moves
+// on the per-round global norms and maxRounds bounds the reconciliation
+// rounds. A nil error means the final round's token norm or
+// end-of-round norm is at most eps and one more flat best-reply round over the survivors' profile moves
 // their response times by at most game.GapFactor·eps in total
 // (noncoop.Gap). A fault-free run returns a profile bit-identical to
 // game.ShardedBestReply on the same system and shard plan.
@@ -1515,9 +1556,11 @@ func RunNashShardedWith(netw Network, sys noncoop.System, initial *noncoop.Profi
 		userConns[j] = c
 	}
 
+	leaders := make([]string, numShards)
 	leaderG := make(map[string]int, numShards)
-	for g := 0; g < numShards; g++ {
-		leaderG[shardName(g)] = g
+	for g := range leaders {
+		leaders[g] = shardName(g)
+		leaderG[leaders[g]] = g
 	}
 	rootMembers := make([][]int, numShards)
 	for g, members := range plan {
@@ -1537,12 +1580,15 @@ func RunNashShardedWith(netw Network, sys noncoop.System, initial *noncoop.Profi
 		userEjected: make([]bool, m),
 		live:        make([]bool, numShards),
 		members:     rootMembers,
+		leaders:     leaders,
 		leaderG:     leaderG,
 		have:        make([]bool, numShards),
 		norms:       make([]float64, numShards),
+		endNorms:    make([]float64, numShards),
 		sweeps:      make([]int, numShards),
 		locals:      rootLocals,
 		global:      append([]float64(nil), initGlobal...),
+		end:         make([]float64, n),
 		shardView:   make([][]float64, numShards),
 		shardNorm:   make([]float64, numShards),
 		rowsHave:    make([]bool, numShards),
@@ -1600,11 +1646,10 @@ func RunNashShardedWith(netw Network, sys noncoop.System, initial *noncoop.Profi
 			}
 			u := &shardUser{
 				conn: userConns[j], id: j, phi: sys.Phi[j],
-				mu: sys.Mu, mDiv: float64(m),
 				leader: shardName(g), next: next,
 				row:       prof.S[j],
+				stepper:   noncoop.NewStepper(sys.Mu, m),
 				lastEpoch: -1, lastHop: -1,
-				avail: make([]float64, n), newRow: make([]float64, n), ord: make([]int, n),
 				obs:   opts.Observer,
 				errCh: errCh,
 			}

@@ -392,9 +392,9 @@ func TestNashShardedMessagePattern(t *testing.T) {
 		}
 	}
 	wantBytes := map[string]int{
-		hierKindToken:   62831,
-		hierKindDown:    5340,
-		hierKindPartial: 6561,
+		hierKindToken:   97241,
+		hierKindDown:    9897,
+		hierKindPartial: 7665,
 		hierKindSync:    125,
 		hierKindRow:     444,
 		hierKindRows:    432,
@@ -519,11 +519,11 @@ func TestShardUserTakesSyncsOnlyFromLeader(t *testing.T) {
 			mu := []float64{30, 20}
 			errCh := make(chan error, 1)
 			u := &shardUser{
-				conn: uc, id: 0, phi: 2, mu: mu, mDiv: 1,
+				conn: uc, id: 0, phi: 2,
 				leader: shardName(0), next: shardName(0),
 				row:       []float64{0.6, 0.4},
+				stepper:   noncoop.NewStepper(mu, 1),
 				lastEpoch: -1, lastHop: -1,
-				avail: make([]float64, 2), newRow: make([]float64, 2), ord: make([]int, 2),
 				errCh: errCh,
 			}
 			done := make(chan struct{})
@@ -587,11 +587,11 @@ func TestShardUserStepAllocs(t *testing.T) {
 	uc := mustJoin(t, netw, userName(0))
 	errCh := make(chan error, 1)
 	u := &shardUser{
-		conn: uc, id: 0, phi: 2, mu: []float64{30, 20, 10}, mDiv: 1,
+		conn: uc, id: 0, phi: 2,
 		leader: shardName(0), next: shardName(0),
 		row:       []float64{0.5, 0.3, 0.2},
+		stepper:   noncoop.NewStepper([]float64{30, 20, 10}, 1),
 		lastEpoch: -1, lastHop: -1,
-		avail: make([]float64, 3), newRow: make([]float64, 3), ord: make([]int, 3),
 		errCh: errCh,
 	}
 	done := make(chan struct{})
@@ -631,6 +631,78 @@ func TestShardUserStepAllocs(t *testing.T) {
 	}
 	if want := 10_000 + 2*steps; tok.Hop != want || u.lastHop != want-1 {
 		t.Errorf("after %d steps: token Hop %d, member lastHop %d; want %d and %d", steps, tok.Hop, u.lastHop, want, want-1)
+	}
+}
+
+// TestHierDownPartialAllocs gates the activation round trip the way
+// TestShardUserStepAllocs gates the member step: the root re-encodes
+// each down into its one down buffer and the leader each partial into
+// its one partial buffer, so neither allocates per activation, and the
+// receive and decode on the other side allocate nothing either. The
+// buffers hold only the latest down and partial, which is all a replay
+// ever needs: a stop down re-requested after the cycles end comes back
+// as the stop. Not parallel, so no other test's allocations land in the
+// count.
+func TestHierDownPartialAllocs(t *testing.T) {
+	netw := NewMemNetwork()
+	rt := &rootNode{
+		conn: mustJoin(t, netw, rootName), numShards: 1, n: 4,
+		live: []bool{true}, leaders: []string{shardName(0)}, leaderG: map[string]int{shardName(0): 0},
+		have: make([]bool, 1), norms: make([]float64, 1), endNorms: make([]float64, 1), sweeps: make([]int, 1),
+		locals: [][]float64{make([]float64, 4)},
+		global: []float64{1, 2, 3, 4}, end: []float64{0.5, 1.5, 2.5, 3.5},
+		watchdog: 5 * time.Second, attemptsN: 1,
+	}
+	l := &shardLeader{
+		conn: mustJoin(t, netw, shardName(0)), g: 0, n: 4,
+		local: []float64{0.25, 0.5, 0.75, 1}, ejected: []int32{},
+		watchdog: 5 * time.Second,
+	}
+	allocGate(t, "down and partial", 0, func() {
+		if err := rt.sendDown(0); err != nil {
+			t.Fatal(err)
+		}
+		down, err := l.awaitDown()
+		if err != nil || down.Shard != 0 || len(down.End) != 4 {
+			t.Fatalf("leader got %+v, %v; want an activation of shard 0 with End", down, err)
+		}
+		if err := l.sendUp(0.5, 0.25, 2); err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.awaitPartial(0); err != nil || !rt.have[0] {
+			t.Fatalf("root got no partial: %v", err)
+		}
+	})
+	if rt.endNorms[0] != 0.25 || rt.norms[0] != 0.5 || rt.sweeps[0] != 2 {
+		t.Errorf("root read norm %g, end norm %g, %d sweeps; want 0.5, 0.25, 2", rt.norms[0], rt.endNorms[0], rt.sweeps[0])
+	}
+
+	if err := rt.broadcastStop(); err != nil {
+		t.Fatal(err)
+	}
+	stop, err := l.awaitDown()
+	if err != nil || !stop.Stop {
+		t.Fatalf("leader got %+v, %v; want the stop", stop, err)
+	}
+	req := Message{To: rootName, Kind: hierKindDownReq}
+	if err := req.Encode(hierReqPayload{Round: stop.Round}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.conn.Send(req); err != nil {
+		t.Fatal(err)
+	}
+	r, err := rt.conn.RecvTimeout(5 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.onDownReq(r)
+	r, err = l.conn.RecvTimeout(5 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var replay hierDownPayload
+	if err := r.Decode(&replay); err != nil || !replay.Stop || replay.Round != stop.Round {
+		t.Errorf("replayed down %+v, %v; want the stop of round %d", replay, err, stop.Round)
 	}
 }
 

@@ -15,9 +15,9 @@
 // ShardedBestReply is the in-process oracle for the distributed
 // runtime: it performs the identical floating-point operations in the
 // identical order as a fault-free distributed run (the shard loads are
-// reconciled in ascending shard order, each user step mirrors the
-// token arithmetic), so the two produce bit-identical profiles — the
-// property the dist tests pin.
+// reconciled in ascending shard order, and each user step is the
+// noncoop.Stepper kernel every distributed member runs), so the two
+// produce bit-identical profiles — the property the dist tests pin.
 package game
 
 import (
@@ -28,7 +28,7 @@ import (
 )
 
 // GapFactor bounds the stop certificate: a sharded solve ends without
-// error only when its round norm is at most eps and one more flat
+// error only when its stop norm is at most eps and one more flat
 // best-reply round over its profile (noncoop.Gap) moves response times
 // by at most GapFactor·eps. The active-set skip rule leaves ~2·eps of
 // slack on top of the norm; EXPERIMENTS.md X8 has the measured spread.
@@ -85,8 +85,10 @@ type ShardedResult struct {
 	// Sweeps is the total number of shard-local best-reply sweeps,
 	// summed over shards.
 	Sweeps int
-	// Norm is the final global convergence norm Σ_j |ΔD_j| of the last
-	// round.
+	// Norm is the norm that ended the run: the last round's
+	// end-of-round norm (the §4.3 norm Σ_j |D_j^(l) − D_j^(l−1)| of the
+	// round before it) when that reached eps, otherwise the last
+	// round's token norm, which sums each user's |ΔD_j| at its own turn.
 	Norm float64
 }
 
@@ -108,10 +110,13 @@ type ShardedOpts struct {
 	// activation (default 4, matching dist.ShardOptions). Sweeps
 	// early-exit once the shard-local norm falls below the shard's eps
 	// share (a one-member shard sweeps once), so a larger budget costs
-	// nothing once a shard quiesces; spending it while loads are moving
-	// extracts far more progress per reconciliation round (at m=1000,
-	// 4 sweeps cut total work ~12× versus 1). Set 1 to reproduce the flat ring's exact user visit
-	// order.
+	// nothing once a shard quiesces. Whether spending it while loads
+	// move pays depends on the stop: at m=64 and eps=1e-9 (4 shards),
+	// 4 sweeps take 4,295 sweeps where 1 takes 7,704, but at m=1000
+	// and eps=1e-3 (32 shards) 4 sweeps take 773 where 1 takes 359,
+	// since the end-of-round norm stops either within a dozen rounds
+	// (EXPERIMENTS.md X8). Set 1 to reproduce the flat ring's exact
+	// user visit order.
 	LocalSweeps int
 }
 
@@ -120,12 +125,16 @@ type ShardedOpts struct {
 // against the global loads the shards before it already updated (block
 // Gauss–Seidel, which inherits the flat ring's convergence), running up
 // to LocalSweeps best-reply sweeps over its members against the
-// external load view, until the global per-round norm reaches eps and
-// the profile passes the stop certificate (noncoop.Gap ≤ GapFactor·eps),
-// or maxRounds is exceeded. A round whose norm reaches eps but whose
-// profile fails the certificate rebuilds the shard loads from the rows
-// and activates every shard again. A nil error therefore means the
-// profile's flat best-reply gap is at most GapFactor·eps.
+// external load view, until a round's token norm or end-of-round norm
+// reaches eps and the profile passes the stop certificate
+// (noncoop.Gap ≤ GapFactor·eps), or maxRounds is exceeded. The
+// end-of-round norm times every activated user, on its shard's first
+// sweep, against the loads the previous round ended at: with one shard
+// and one sweep it is noncoop.Nash's norm of the round before. A round
+// whose norm reaches eps but whose profile fails the certificate
+// rebuilds the shard loads from the rows and activates every shard
+// again. A nil error therefore means the profile's flat best-reply gap
+// is at most GapFactor·eps.
 //
 // This function is the in-process oracle for the distributed runtime
 // (internal/dist.RunNashSharded): it performs the identical
@@ -165,13 +174,11 @@ func ShardedBestReply(sys noncoop.System, shards [][]int, eps float64, maxRounds
 	}
 	global := make([]float64, n)
 
-	prevTime := make([]float64, m)
-	played := make([]bool, m)
-	avail := make([]float64, n)
-	newRow := make([]float64, n)
-	ord := make([]int, n)
+	step := noncoop.NewStepper(sys.Mu, m)
+	states := make([]noncoop.StepState, m)
 	ext := make([]float64, n)
 	tok := make([]float64, n) // the "token" load vector: ext + local
+	end := make([]float64, n)
 
 	// Active-set skipping state: a shard whose last activation already
 	// met its eps share is skipped while the external view has moved
@@ -237,7 +244,11 @@ func ShardedBestReply(sys noncoop.System, shards [][]int, eps float64, maxRounds
 
 	res := ShardedResult{Profile: prof}
 	for round := 1; ; round++ {
-		var roundNorm float64
+		// The loads the previous round ended at, which every shard's
+		// first sweep times its members against (the distributed root
+		// sends them on each down).
+		copy(end, global)
+		var roundNorm, endNorm float64
 		for g, members := range shards {
 			k := len(members)
 			if k == 0 {
@@ -262,33 +273,23 @@ func ShardedBestReply(sys noncoop.System, shards [][]int, eps float64, maxRounds
 			if k == 1 {
 				budget = 1
 			}
-			var norm float64
+			var norm, shardEnd float64
 			for sweep := 1; sweep <= budget; sweep++ {
+				// Only the first sweep carries the end loads, as the
+				// leader puts them on its first token only; the other
+				// sweeps' end terms are 0.
+				sweepEnd := end
+				if sweep > 1 {
+					sweepEnd = nil
+				}
 				norm = 0
 				for _, j := range members {
-					row := prof.S[j]
-					phi := sys.Phi[j]
-					for i := 0; i < n; i++ {
-						avail[i] = sys.Mu[i] - tok[i] + row[i]*phi
-					}
-					if !played[j] {
-						prevTime[j] = noncoop.BestReplyTime(avail, row, phi)
-						played[j] = true
-					}
-					if err := noncoop.BestReplyInto(avail, phi, newRow, ord); err != nil {
+					d, dEnd, err := step.Step(tok, sweepEnd, prof.S[j], sys.Phi[j], &states[j])
+					if err != nil {
 						return res, fmt.Errorf("game: user %d best reply: %w", j, err)
 					}
-					t := noncoop.BestReplyTime(avail, newRow, phi)
-					d := math.Abs(t - prevTime[j])
-					if math.IsInf(d, 1) || math.IsNaN(d) {
-						d = math.MaxFloat64 / float64(m)
-					}
 					norm = satAdd(norm, d)
-					for i := 0; i < n; i++ {
-						tok[i] += (newRow[i] - row[i]) * phi
-					}
-					copy(row, newRow)
-					prevTime[j] = t
+					shardEnd = satAdd(shardEnd, dEnd)
 				}
 				res.Sweeps++
 				if norm <= locEps {
@@ -303,24 +304,31 @@ func ShardedBestReply(sys noncoop.System, shards [][]int, eps float64, maxRounds
 			reconcile()
 			copy(view[g], global)
 			roundNorm = satAdd(roundNorm, norm)
+			endNorm = satAdd(endNorm, shardEnd)
 		}
 		res.Rounds = round
+		// The run stops on whichever norm reaches eps first: the round
+		// norm, or the end-of-round norm of the round before.
 		res.Norm = roundNorm
-		if roundNorm > eps && round < maxRounds {
+		if endNorm <= eps {
+			res.Norm = endNorm
+		}
+		if res.Norm > eps && round < maxRounds {
 			continue
 		}
-		// The stop certificate: a round norm sums each shard's last
-		// sweep, which cannot see what its first sweep moved, so the
+		// The stop certificate: the token norm sums each shard's last
+		// sweep, which cannot see what its first sweep moved, and the
+		// end-of-round norm leaves out the skipped shards, so the
 		// profile must also pass one more flat best-reply round.
 		gap, err := noncoop.Gap(sys, prof)
 		if err != nil {
 			return res, fmt.Errorf("game: stop certificate: %w", err)
 		}
-		if roundNorm <= eps && gap <= GapFactor*eps {
+		if res.Norm <= eps && gap <= GapFactor*eps {
 			return res, nil
 		}
 		if round == maxRounds {
-			return res, fmt.Errorf("game: sharded best reply exceeded %d rounds (norm=%g, gap=%g)", maxRounds, roundNorm, gap)
+			return res, fmt.Errorf("game: sharded best reply exceeded %d rounds (norm=%g, gap=%g)", maxRounds, res.Norm, gap)
 		}
 		rebuild()
 	}

@@ -152,9 +152,12 @@ func TestShardedSkipKeepsEquilibrium(t *testing.T) {
 }
 
 // TestShardedSweepBudgetTradeoff documents the LocalSweeps=4 default:
-// a larger per-activation budget must not need more total sweeps than
-// budget 1 on a system at this scale (it needs roughly 12× fewer at
-// m=1000), while reaching the same equilibrium class.
+// on a system whose stop takes hundreds of rounds, a larger
+// per-activation budget must not need more total sweeps than budget 1
+// (4,295 against 7,704 here), while reaching the same equilibrium
+// class. Where the end-of-round norm stops within a dozen rounds it no
+// longer pays: at m=1000 and eps=1e-3 on 32 shards, budget 4 takes 773
+// sweeps and budget 1 takes 359.
 func TestShardedSweepBudgetTradeoff(t *testing.T) {
 	t.Parallel()
 	const m, eps = 64, 1e-9
@@ -172,5 +175,53 @@ func TestShardedSweepBudgetTradeoff(t *testing.T) {
 	}
 	if four.Rounds >= one.Rounds {
 		t.Errorf("LocalSweeps=4 used %d rounds, want fewer than LocalSweeps=1's %d", four.Rounds, one.Rounds)
+	}
+}
+
+// TestShardedStopsOnEndOfRoundNorm: on the m=1000 system of the
+// repository's NASH benchmarks (ε = 1e-6·m) the token norm, which adds
+// each user's |ΔD_j| against loads still moving, needs 51 rounds on the
+// default plan and 1,263 on the §4.3 ring, while the end-of-round norm
+// reaches ε within a dozen. Both plans must stop on it with a profile
+// that passes the certificate. On the ring the end-of-round norm is
+// noncoop.Nash's norm one round late, so the ring stops one round after
+// the flat iteration.
+func TestShardedStopsOnEndOfRoundNorm(t *testing.T) {
+	t.Parallel()
+	const m, eps = 1000, 1e-3
+	sys := shardOracleSystem(t, m)
+	for _, c := range []struct {
+		name      string
+		shards    int
+		opt       ShardedOpts
+		maxRounds int
+	}{
+		{"default", DefaultShardCount(m), ShardedOpts{}, 13},
+		{"ring", 1, ShardedOpts{LocalSweeps: 1}, 15},
+	} {
+		res, err := ShardedBestReply(sys, PlanShards(m, c.shards), eps, 0, c.opt)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		gap, err := noncoop.Gap(sys, res.Profile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%s: %d rounds, %d sweeps, norm %.3g, gap %.3g", c.name, res.Rounds, res.Sweeps, res.Norm, gap)
+		if res.Rounds > c.maxRounds {
+			t.Errorf("%s: %d rounds, want <= %d", c.name, res.Rounds, c.maxRounds)
+		}
+		if res.Norm > eps || gap > GapFactor*eps {
+			t.Errorf("%s: norm %g, gap %g; want <= %g and <= %g", c.name, res.Norm, gap, eps, GapFactor*eps)
+		}
+		if c.shards == 1 {
+			flat, err := noncoop.Nash(sys, noncoop.NashOptions{Init: noncoop.InitProportional, Eps: eps})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Rounds != flat.Iterations+1 {
+				t.Errorf("ring: %d rounds, want one more than noncoop.Nash's %d", res.Rounds, flat.Iterations)
+			}
+		}
 	}
 }
