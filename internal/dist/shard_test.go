@@ -11,6 +11,7 @@ import (
 	"gtlb/internal/game"
 	"gtlb/internal/noncoop"
 	"gtlb/internal/obs"
+	"gtlb/internal/queueing"
 )
 
 // shardTestSystem builds an m-user, 4-computer system with distinct
@@ -77,20 +78,53 @@ func survivorsAtBestReply(sys noncoop.System, res NashShardedResult, tol float64
 	return nil
 }
 
+// jitteredSystem is the m-user, 4-computer system of the repository's
+// NASH benchmark: seven rate classes, φ_j = (1+0.3·(j mod 7))·30/m,
+// each rate scaled by a factor within 1 ± 1e-3 drawn from seed. Its
+// many small users let shards quiesce while others still move, so the
+// active-set skip fires on it.
+func jitteredSystem(t *testing.T, m int, seed uint64) noncoop.System {
+	t.Helper()
+	rng := queueing.NewRNG(seed)
+	phi := make([]float64, m)
+	for j := range phi {
+		phi[j] = (1 + 0.3*float64(j%7)) * 30 / float64(m) * (1 + 1e-3*(2*rng.Float64()-1))
+	}
+	sys, err := noncoop.NewSystem([]float64{30, 20, 15, 10}, phi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
+
 // TestNashShardedMatchesOracle: a fault-free distributed run performs
 // the identical float operations in the identical order as the
 // in-process game.ShardedBestReply, so profile, rounds, sweeps and norm
 // are all bit-identical — for a multi-shard hierarchy, for the §4.3
-// ring (one shard, one sweep per round), and for one member per shard,
-// where each shard sweeps once per activation whatever its budget.
-// Every profile passes the certificate: one more flat round moves
-// response times by at most game.GapFactor·eps.
+// ring (one shard, one sweep per round), for one member per shard,
+// where each shard sweeps once per activation whatever its budget, and
+// for a system on which the root skips quiescent shards (at one sweep
+// per activation a round with no skip runs exactly one sweep per
+// shard, so fewer sweeps than rounds·shards means a skip fired). Every
+// profile passes the certificate: one more flat round moves response
+// times by at most game.GapFactor·eps.
 func TestNashShardedMatchesOracle(t *testing.T) {
 	t.Parallel()
-	const m, eps = 12, 1e-9
-	sys := shardTestSystem(t, m)
-	for _, c := range []struct{ shards, localSweeps int }{{3, 2}, {1, 1}, {12, 4}} {
-		want, err := game.ShardedBestReply(sys, game.PlanShards(m, c.shards), eps, 0, game.ShardedOpts{LocalSweeps: c.localSweeps})
+	small, jittered := shardTestSystem(t, 12), jitteredSystem(t, 160, 1)
+	for _, c := range []struct {
+		name                string
+		sys                 noncoop.System
+		eps                 float64
+		shards, localSweeps int
+		skips               bool
+	}{
+		{"3 shards", small, 1e-9, 3, 2, false},
+		{"ring", small, 1e-9, 1, 1, false},
+		{"one member per shard", small, 1e-9, 12, 4, false},
+		{"skip, 1 sweep", jittered, 1.6e-3, 8, 1, true},
+		{"skip, default sweeps", jittered, 1.6e-3, 8, 0, false},
+	} {
+		want, err := game.ShardedBestReply(c.sys, game.PlanShards(c.sys.NumUsers(), c.shards), c.eps, 0, game.ShardedOpts{LocalSweeps: c.localSweeps})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,23 +132,26 @@ func TestNashShardedMatchesOracle(t *testing.T) {
 		opts := fastShardOptions(1)
 		opts.Shards = c.shards
 		opts.LocalSweeps = c.localSweeps
-		got, err := RunNashShardedWith(NewMemNetwork(), sys, nil, eps, 0, opts)
+		got, err := RunNashShardedWith(NewMemNetwork(), c.sys, nil, c.eps, 0, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 
-		if gap, err := noncoop.Gap(sys, got.Profile); err != nil || gap > game.GapFactor*eps {
-			t.Errorf("%+v: best-reply gap %g, %v; want <= %g", c, gap, err, game.GapFactor*eps)
+		if gap, err := noncoop.Gap(c.sys, got.Profile); err != nil || gap > game.GapFactor*c.eps {
+			t.Errorf("%s: best-reply gap %g, %v; want <= %g", c.name, gap, err, game.GapFactor*c.eps)
 		}
 		if got.Rounds != want.Rounds || got.Sweeps != want.Sweeps || got.Norm != want.Norm {
-			t.Errorf("%+v: rounds/sweeps/norm = %d/%d/%g, oracle %d/%d/%g",
-				c, got.Rounds, got.Sweeps, got.Norm, want.Rounds, want.Sweeps, want.Norm)
+			t.Errorf("%s: rounds/sweeps/norm = %d/%d/%g, oracle %d/%d/%g",
+				c.name, got.Rounds, got.Sweeps, got.Norm, want.Rounds, want.Sweeps, want.Norm)
+		}
+		if c.skips && got.Sweeps >= got.Rounds*c.shards {
+			t.Errorf("%s: %d sweeps in %d rounds of %d shards; want a skipped activation", c.name, got.Sweeps, got.Rounds, c.shards)
 		}
 		for j := range want.Profile.S {
 			for i := range want.Profile.S[j] {
 				if got.Profile.S[j][i] != want.Profile.S[j][i] {
-					t.Fatalf("%+v: profile[%d][%d] = %v, oracle %v (not bit-identical)",
-						c, j, i, got.Profile.S[j][i], want.Profile.S[j][i])
+					t.Fatalf("%s: profile[%d][%d] = %v, oracle %v (not bit-identical)",
+						c.name, j, i, got.Profile.S[j][i], want.Profile.S[j][i])
 				}
 			}
 		}

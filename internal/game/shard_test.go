@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gtlb/internal/noncoop"
+	"gtlb/internal/queueing"
 )
 
 // shardOracleSystem builds an m-user, 4-computer system with distinct
@@ -120,29 +121,30 @@ func TestShardedMatchesFlatNash(t *testing.T) {
 // shard whose view of the global loads has barely moved is not
 // activated) must not degrade the fixed point — the skip tolerance is
 // the shard's population share of eps, so the answer stays an
-// eps-class equilibrium. A system whose shards converge at very
-// different rates (heavy users concentrated in shard 0) exercises the
-// skip path: the light shards quiesce rounds before the heavy one.
+// eps-class equilibrium. The 160 small users of the repository's NASH
+// benchmark system on 8 shards exercise the skip path: at one sweep per
+// activation a round with no skip runs one sweep per shard, so fewer
+// sweeps than rounds·shards means a shard sat a round out.
 func TestShardedSkipKeepsEquilibrium(t *testing.T) {
 	t.Parallel()
-	const m, eps = 24, 1e-9
-	mu := []float64{30, 20, 15, 10}
+	const m, shards, eps = 160, 8, 1.6e-3
+	rng := queueing.NewRNG(1)
 	phi := make([]float64, m)
 	for j := range phi {
-		phi[j] = 0.05
-		if j < 6 {
-			phi[j] = 2.0 // shard 0 carries nearly all the load
-		}
+		phi[j] = (1 + 0.3*float64(j%7)) * 30 / float64(m) * (1 + 1e-3*(2*rng.Float64()-1))
 	}
-	sys, err := noncoop.NewSystem(mu, phi)
+	sys, err := noncoop.NewSystem([]float64{30, 20, 15, 10}, phi)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ShardedBestReply(sys, PlanShards(m, 4), eps, 100000, ShardedOpts{})
+	res, err := ShardedBestReply(sys, PlanShards(m, shards), eps, 0, ShardedOpts{LocalSweeps: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, err := noncoop.IsNashEquilibrium(sys, res.Profile, 1e-6)
+	if res.Sweeps >= res.Rounds*shards {
+		t.Errorf("%d sweeps in %d rounds of %d shards; want a skipped activation", res.Sweeps, res.Rounds, shards)
+	}
+	ok, err := noncoop.IsNashEquilibrium(sys, res.Profile, eps)
 	if err != nil {
 		t.Fatal(err)
 	}
