@@ -3,7 +3,6 @@ package dist
 import (
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 	"time"
@@ -64,10 +63,19 @@ import (
 // certificate sees all three. A profile that fails it becomes the
 // root's view and the cycles resume.
 //
-// The math is exactly game.ShardedBestReply's, and a fault-free
-// distributed run performs the identical float operations in the
-// identical order, so the resulting profile is bit-identical to that
-// oracle (tests pin this).
+// The schedule exists once, in package game, and the in-process oracle
+// game.ShardedBestReply drives it too. The root drives game.Schedule:
+// the shard loads and their ascending-order reconcile, the active-set
+// skip, the rebuild from rows, the choice of stop norm and the stop
+// certificate. Each leader drives a game.Shard: the shard's loads and
+// the per-activation sweep budget (a lone member sweeps once, End
+// rides the first sweep only, sweeping stops early at the shard's eps
+// share). Each member plays noncoop.Stepper. A fault-free run therefore
+// performs the oracle's float operations in the oracle's order, and its
+// profile is bit-identical to the oracle's (tests pin this). This file
+// owns only what a network adds: the messages, fencing, retries, the
+// resync that restarts an activation, ejection (a member or shard
+// drops out of the schedule) and the final gather.
 //
 // Fault tolerance fences stale traffic at both levels, by (Epoch, Hop)
 // within a shard and by wire round at the root:
@@ -217,16 +225,6 @@ func shardName(g int) string { return fmt.Sprintf("shard-%d", g) }
 
 func userName(j int) string { return fmt.Sprintf("user-%d", j) }
 
-// satNorm accumulates a norm contribution, saturating at MaxFloat64 so
-// several divergent users cannot overflow the sum to +Inf. Identical to
-// the in-process oracle's arithmetic.
-func satNorm(norm, d float64) float64 {
-	if sum := norm + d; !math.IsInf(sum, 1) {
-		return sum
-	}
-	return math.MaxFloat64
-}
-
 // ShardOptions tunes the hierarchical runtime. The zero value gets
 // production-safe defaults.
 type ShardOptions struct {
@@ -234,16 +232,18 @@ type ShardOptions struct {
 	// game.DefaultShardCount(m). Clamped to [1, m].
 	Shards int
 	// LocalSweeps is the number of best-reply sweeps each shard runs
-	// per reconciliation round (default 4). Shards early-exit their
-	// sweep budget once the local norm falls below the shard's eps
-	// share, and a one-member shard sweeps once. Higher values let
-	// each activation extract more progress from one round trip to the
-	// root, which pays while the stop takes many rounds (at m=64 and
-	// eps=1e-9 on 4 shards, 4,295 sweeps instead of 7,704) and not when
-	// the end-of-round norm stops within a dozen (at m=1000 and
-	// eps=1e-3 on 32 shards, 773 instead of 359; EXPERIMENTS.md X8).
-	// With Shards 1, LocalSweeps 1 is the §4.3 ring: each user
-	// best-replies once per round, in ring order.
+	// per reconciliation round (default 4, game.ShardedOpts's default).
+	// Shards early-exit their sweep budget once the local norm falls
+	// below the shard's eps share, and a one-member shard sweeps once.
+	// Higher values let each activation extract more progress from one
+	// round trip to the root, which pays on some systems and not on
+	// others (rounds/sweeps/messages, EXPERIMENTS.md X8): at m=1000 and
+	// eps=1e-3 on 32 shards 4 take 11/773/28,748 where 1 takes
+	// 12/360/15,431, but on the 64-user warm-up of the repository's TCP
+	// benchmark 4 take 51/407/13,833 where 1 takes 434/868/30,578, and at
+	// m=10,000 4 take 1/490/47,719 where 1 takes 3/939/63,756. With
+	// Shards 1, LocalSweeps 1 is the §4.3 ring: each user best-replies
+	// once per round, in ring order.
 	LocalSweeps int
 	// Watchdog is the root's per-wait partial/rows collection timeout
 	// and the leaders' down wait (default 2s). It must comfortably
@@ -269,9 +269,6 @@ type ShardOptions struct {
 }
 
 func (o ShardOptions) withDefaults() ShardOptions {
-	if o.LocalSweeps <= 0 {
-		o.LocalSweeps = 4
-	}
 	if o.Watchdog <= 0 {
 		o.Watchdog = 2 * time.Second
 	}
@@ -422,14 +419,14 @@ func (u *shardUser) serve() error {
 
 // step plays one best reply against the token loads with the kernel
 // game.ShardedBestReply runs, accumulating both norms in the oracle's
-// order, so fault-free runs are bit-identical to the oracle.
+// order.
 func (u *shardUser) step(tok *hierTokenPayload) error {
 	d, dEnd, err := u.stepper.Step(tok.Loads, tok.End, u.row, u.phi, &u.st)
 	if err != nil {
 		return fmt.Errorf("dist: user %d best reply: %w", u.id, err)
 	}
-	tok.Norm = satNorm(tok.Norm, d)
-	tok.EndNorm = satNorm(tok.EndNorm, dEnd)
+	tok.Norm = game.SatAdd(tok.Norm, d)
+	tok.EndNorm = game.SatAdd(tok.EndNorm, dEnd)
 	return nil
 }
 
@@ -437,12 +434,9 @@ func (u *shardUser) step(tok *hierTokenPayload) error {
 
 // shardLeader drives one shard's sweeps and reports them to the root.
 type shardLeader struct {
-	conn      Conn
-	g         int
-	n         int
-	mInit     int
-	eps       float64
-	sweepsMax int
+	conn Conn
+	g    int
+	n    int
 
 	ids          []int // live members, token order
 	names        []string
@@ -451,10 +445,9 @@ type shardLeader struct {
 	ejected      []int32     // cumulative ejected member ids
 	ejectedNames []string
 
-	local []float64
-	ext   []float64
+	sh *game.Shard // the shard's loads and its per-activation sweep budget
 
-	tok      hierTokenPayload   // working token (Loads reused across sweeps)
+	tok      hierTokenPayload   // working token; Loads is sh.Loads
 	tokMsg   Message            // tok encoded; its Data is re-encoded every sweep
 	ret      hierTokenPayload   // return decode scratch
 	down     hierDownPayload    // down decode scratch
@@ -519,17 +512,11 @@ func (l *shardLeader) protocol() error {
 		if len(down.Loads) != l.n || len(down.End) != l.n {
 			return fmt.Errorf("dist: shard %d: malformed down loads (len %d and %d, want %d)", l.g, len(down.Loads), len(down.End), l.n)
 		}
-		// This activation's frozen external view: the reconciled global
-		// loads minus our own contribution (same operation and order as
-		// the oracle).
-		for i := 0; i < l.n; i++ {
-			l.ext[i] = down.Loads[i] - l.local[i]
-		}
-		norm, endNorm, sweeps, err := l.sweepRound(down.End)
-		if err != nil {
+		l.sh.Activate(down.Loads, down.End)
+		if err := l.sweepRound(); err != nil {
 			return err
 		}
-		if err := l.sendUp(norm, endNorm, sweeps); err != nil {
+		if err := l.sendUp(); err != nil {
 			return err
 		}
 	}
@@ -545,78 +532,36 @@ func (l *shardLeader) resendUp(round int) {
 	_ = l.conn.Send(Message{To: rootName, Kind: hierKindPartial, Data: l.cachedUp}) // best-effort replay; the root re-asks
 }
 
-// sweepRound runs up to sweepsMax best-reply sweeps over the members,
-// restarting after a resync. A lone member sweeps once: its second
-// sweep would reply to its own move and always read a norm of 0. The
-// first sweep carries end, the loads the previous cycle ended at. It
-// returns the last sweep's norm, the first sweep's end-of-round norm
-// and the number of completed sweeps.
-func (l *shardLeader) sweepRound(end []float64) (float64, float64, int, error) {
-restart:
+// sweepRound plays the activation (game.Shard.Run), circulating each
+// sweep through the members, and restarts it after a resync when a
+// circulation is lost.
+func (l *shardLeader) sweepRound() error {
 	for {
 		if l.needSync {
 			if err := l.resync(); err != nil {
-				return 0, 0, 0, err
+				return err
 			}
 		}
-		if len(l.ids) == 0 {
-			return 0, 0, 0, nil // fully ejected shard: zero contribution
+		err := l.sh.Run(len(l.ids), l.circulate)
+		if !errors.Is(err, errTokenLost) {
+			return err
 		}
-		locEps := l.eps * float64(len(l.ids)) / float64(l.mInit)
-		if cap(l.tok.Loads) < l.n {
-			l.tok.Loads = make([]float64, l.n)
-		}
-		l.tok.Loads = l.tok.Loads[:l.n]
-		for i := 0; i < l.n; i++ {
-			l.tok.Loads[i] = l.ext[i] + l.local[i]
-		}
-		budget := l.sweepsMax
-		if len(l.ids) == 1 {
-			budget = 1
-		}
-		var norm, endNorm float64
-		sweeps := 0
-		for sweeps < budget {
-			l.tok.End = l.tok.End[:0]
-			if sweeps == 0 {
-				l.tok.End = append(l.tok.End, end...)
-			}
-			sweepNorm, sweepEnd, err := l.circulate()
-			if errors.Is(err, errTokenLost) {
-				// The resync opens a fresh epoch: the leader regenerates
-				// the token from the members' rows.
-				obs.Count(l.obs, obs.NashTokenRegenerated)
-				l.needSync = true
-				continue restart
-			}
-			if err != nil {
-				return 0, 0, 0, err
-			}
-			if sweeps == 0 {
-				endNorm = sweepEnd
-			}
-			norm = sweepNorm
-			sweeps++
-			if norm <= locEps {
-				break
-			}
-		}
-		for i := 0; i < l.n; i++ {
-			l.local[i] = l.tok.Loads[i] - l.ext[i]
-		}
-		return norm, endNorm, sweeps, nil
+		// The resync opens a fresh epoch: the leader regenerates the
+		// token from the members' rows.
+		obs.Count(l.obs, obs.NashTokenRegenerated)
+		l.needSync = true
 	}
 }
 
-// circulate sends the working token once around the ring — to the
-// first member, member to member, and back from the last — and returns
-// the sweep's norm and end-of-round norm. An attempt that does not come
-// back in time re-sends the same (Epoch, Hop) token to the first
-// member; exhausted attempts report errTokenLost.
-func (l *shardLeader) circulate() (float64, float64, error) {
+// circulate sends the working token, carrying end, once around the
+// ring — to the first member, member to member, and back from the last
+// — and returns the sweep's norm and end-of-round norm. An attempt that
+// does not come back in time re-sends the same (Epoch, Hop) token to
+// the first member; exhausted attempts report errTokenLost.
+func (l *shardLeader) circulate(end []float64) (float64, float64, error) {
 	start := l.hop + 1
 	back := start + len(l.ids) // every member bumps Hop as it forwards
-	l.tok.Epoch, l.tok.Hop, l.tok.Norm, l.tok.EndNorm = l.epoch, start, 0, 0
+	l.tok.Epoch, l.tok.Hop, l.tok.Norm, l.tok.EndNorm, l.tok.End = l.epoch, start, 0, 0, end
 	m := &l.tokMsg
 	m.To, m.Kind = l.names[0], hierKindToken
 	if err := m.Encode(&l.tok); err != nil {
@@ -701,14 +646,7 @@ func (l *shardLeader) resync() error {
 		copy(l.rows[idx], row)
 		next = l.names[idx]
 	}
-	for i := range l.local {
-		l.local[i] = 0
-	}
-	for idx := range l.ids {
-		for i, f := range l.rows[idx] {
-			l.local[i] += f * l.phis[idx]
-		}
-	}
+	l.sh.Rebuild(l.rows, l.phis)
 	return nil
 }
 
@@ -760,11 +698,11 @@ func (l *shardLeader) syncMember(idx int, next string) ([]float64, error) {
 // sendUp reports this activation to the root. The report is
 // re-encoded into cachedUp, kept for replay on re-requests: only the
 // latest partial is ever replayed, and Send keeps no reference to it.
-func (l *shardLeader) sendUp(norm, endNorm float64, sweeps int) error {
+func (l *shardLeader) sendUp() error {
 	l.up = hierPartialPayload{
 		Round: l.curRound, Shard: l.g,
-		Norm: norm, EndNorm: endNorm, Sweeps: sweeps,
-		Loads:   l.local,
+		Norm: l.sh.Norm, EndNorm: l.sh.EndNorm, Sweeps: l.sh.Sweeps,
+		Loads:   l.sh.Local,
 		Ejected: l.ejected,
 	}
 	up := Message{To: rootName, Kind: hierKindPartial, Data: l.cachedUp}
@@ -899,42 +837,24 @@ func (l *shardLeader) handleOOB(r Message) {
 
 // --- root ------------------------------------------------------------
 
-// rootNode reconciles shard partials, detects shard failures, certifies
+// rootNode drives the shared cross-shard schedule (game.Schedule) over
+// the network: it activates shards, detects shard failures, certifies
 // the gathered rows and assembles the final profile.
 type rootNode struct {
 	conn      Conn
 	numShards int
 	n         int
-	mInit     int
-	eps       float64
-	maxRounds int
 	mu        []float64
 
 	phis        []float64 // per user id
 	userEjected []bool
 
-	live     []bool
-	members  [][]int // root's view of shard membership
-	leaders  []string
-	leaderG  map[string]int
-	have     []bool
-	norms    []float64
-	endNorms []float64
-	sweeps   []int
-	locals   [][]float64
+	leaders []string
+	leaderG map[string]int
+	sched   *game.Schedule
+	have    bool // the current activation's partial arrived
 
-	global    []float64
-	end       []float64 // the global view at the start of the cycle
-	round     int       // completed reconciliation cycles
-	downRound int       // monotone wire round of downs
-
-	// Active-set skipping state, mirroring the oracle (game.shard.go):
-	// a shard whose last activation met its eps share is not activated
-	// again until the global view drifts past that share. shardView[g]
-	// is the reconciled global shard g last swept into; shardNorm[g] its
-	// last activation norm (+Inf until the first).
-	shardView [][]float64
-	shardNorm []float64
+	downRound int // monotone wire round of downs
 
 	down       hierDownPayload    // the down encodeDown encodes
 	part       hierPartialPayload // partial decode scratch
@@ -944,9 +864,7 @@ type rootNode struct {
 	rowsUsers [][]int32
 	rowsRows  [][][]float64
 
-	sweepsTotal int
-	lastNorm    float64
-	runErr      error
+	runErr error
 
 	watchdog  time.Duration
 	probeTO   time.Duration
@@ -972,8 +890,8 @@ func (rt *rootNode) run() {
 
 func (rt *rootNode) liveCount() int {
 	c := 0
-	for _, v := range rt.live {
-		if v {
+	for g := 0; g < rt.numShards; g++ {
+		if rt.sched.Live(g) {
 			c++
 		}
 	}
@@ -985,23 +903,16 @@ func (rt *rootNode) liveCount() int {
 // certificate (package comment); rows that fail it become the root's
 // view and the cycles resume.
 func (rt *rootNode) protocol() error {
-	for cycle := 1; ; cycle++ {
-		cycleNorm, endNorm, err := rt.sequentialCycle()
-		if err != nil {
+	for {
+		if err := rt.sequentialCycle(); err != nil {
 			return err
 		}
 		if rt.liveCount() == 0 {
 			return fmt.Errorf("dist: all %d shards ejected: %w", rt.numShards, ErrStalled)
 		}
-		rt.round = cycle
-		obs.Emit(rt.obs, obs.Event{Kind: obs.HierRound, Time: float64(cycle), V: cycleNorm, Node: rootName})
-		// The norm that ends the run: the end-of-round norm when it
-		// reaches eps, otherwise the token norm.
-		rt.lastNorm = cycleNorm
-		if endNorm <= rt.eps {
-			rt.lastNorm = endNorm
-		}
-		if rt.lastNorm > rt.eps && cycle < rt.maxRounds {
+		gather := rt.sched.EndRound()
+		obs.Emit(rt.obs, obs.Event{Kind: obs.HierRound, Time: float64(rt.sched.Rounds), V: rt.sched.Norm, Node: rootName})
+		if !gather {
 			continue
 		}
 		if err := rt.broadcastStop(); err != nil {
@@ -1015,16 +926,17 @@ func (rt *rootNode) protocol() error {
 		if err != nil {
 			return err
 		}
-		certified := rt.lastNorm <= rt.eps && gap <= game.GapFactor*rt.eps
-		if certified || cycle == rt.maxRounds {
-			if !certified {
-				rt.runErr = fmt.Errorf("dist: sharded NASH exceeded %d rounds (norm=%g, gap=%g)", rt.maxRounds, rt.lastNorm, gap)
-			}
-			rt.assemble(rows)
-			rt.shutdown()
-			return nil
+		done, err := rt.sched.Settle(gap)
+		if !done {
+			rt.sched.Rebuild(rows, rt.phis)
+			continue
 		}
-		rt.adoptRows()
+		if err != nil {
+			rt.runErr = fmt.Errorf("dist: sharded NASH %w", err)
+		}
+		rt.assemble(rows)
+		rt.shutdown()
+		return nil
 	}
 }
 
@@ -1034,7 +946,7 @@ func (rt *rootNode) protocol() error {
 func (rt *rootNode) gatheredRows() [][]float64 {
 	rows := make([][]float64, len(rt.phis))
 	for g := 0; g < rt.numShards; g++ {
-		if !rt.live[g] || !rt.rowsHave[g] {
+		if !rt.sched.Live(g) || !rt.rowsHave[g] {
 			continue
 		}
 		for k, id := range rt.rowsUsers[g] {
@@ -1067,103 +979,34 @@ func (rt *rootNode) survivorGap(rows [][]float64) (float64, error) {
 	return gap, nil
 }
 
-// adoptRows makes the gathered rows the root's view after a gather that
-// failed the certificate: each live shard's loads are rebuilt from its
-// rows (the leader's own resync arithmetic, so the leader's external
-// view comes out exact) and every live shard is due for activation
-// again.
-func (rt *rootNode) adoptRows() {
+// sequentialCycle activates each shard the schedule does not skip in
+// turn: targeted down, await its partial (probing and ultimately
+// ejecting a silent shard), which the schedule reconciles at once. A
+// skipped shard's leader sits parked in awaitDown; its watchdog
+// downreqs are answered with the cached down, which activates another
+// shard and so tells it to keep waiting.
+func (rt *rootNode) sequentialCycle() error {
+	rt.sched.BeginRound()
 	for g := 0; g < rt.numShards; g++ {
-		if !rt.live[g] {
-			continue
-		}
-		loc := rt.locals[g]
-		for i := range loc {
-			loc[i] = 0
-		}
-		for k, id := range rt.rowsUsers[g] {
-			for i, f := range rt.rowsRows[g][k] {
-				loc[i] += f * rt.phis[id]
-			}
-		}
-		rt.shardNorm[g] = math.Inf(1)
-	}
-	rt.recomputeGlobal()
-}
-
-// shouldSkipShard reports whether shard g can sit this cycle out: its
-// last activation was already within its eps share, and the global view
-// has drifted by less than that share since (re-sweeping could displace
-// at most ~2·locEps, so the slack summed over shards stays within
-// ~2·eps). The float logic is identical to the oracle's shouldSkip,
-// keeping fault-free runs bit-exact.
-func (rt *rootNode) shouldSkipShard(g int) bool {
-	locEps := rt.eps * float64(len(rt.members[g])) / float64(rt.mInit)
-	if rt.shardNorm[g] > locEps {
-		return false
-	}
-	var delta float64
-	for i := 0; i < rt.n; i++ {
-		delta = satNorm(delta, math.Abs(rt.global[i]-rt.shardView[g][i]))
-	}
-	return delta <= locEps
-}
-
-// sequentialCycle activates each live shard in turn: targeted down,
-// await its partial (probing and ultimately ejecting a silent shard),
-// refresh the global view. Mirrors the oracle's sequential round
-// exactly: reconcile after every shard, both norms accumulated in
-// ascending shard order, quiescent shards skipped. It returns the
-// cycle's token norm and its end-of-round norm. A skipped shard's
-// leader sits parked in awaitDown; its watchdog downreqs are answered
-// with the cached down, which activates another shard and so tells it
-// to keep waiting.
-func (rt *rootNode) sequentialCycle() (float64, float64, error) {
-	copy(rt.end, rt.global)
-	var norm, endNorm float64
-	for g := 0; g < rt.numShards; g++ {
-		if !rt.live[g] || rt.shouldSkipShard(g) {
+		if rt.sched.Skip(g) {
 			continue
 		}
 		if err := rt.sendDown(g); err != nil {
-			return 0, 0, err
+			return err
 		}
 		if err := rt.awaitPartial(g); err != nil {
-			return 0, 0, err
+			return err
 		}
-		rt.recomputeGlobal()
-		if !rt.live[g] {
-			continue // ejected while waiting; its load is gone from the view
-		}
-		rt.shardNorm[g] = rt.norms[g]
-		copy(rt.shardView[g], rt.global)
-		norm = satNorm(norm, rt.norms[g])
-		endNorm = satNorm(endNorm, rt.endNorms[g])
-		rt.sweepsTotal += rt.sweeps[g]
 	}
-	return norm, endNorm, nil
-}
-
-// recomputeGlobal rebuilds the global view as the sum of the live
-// shards' loads in ascending shard order — the oracle's reconcile.
-func (rt *rootNode) recomputeGlobal() {
-	for i := range rt.global {
-		var sum float64
-		for g := 0; g < rt.numShards; g++ {
-			if rt.live[g] {
-				sum += rt.locals[g][i]
-			}
-		}
-		rt.global[i] = sum
-	}
+	return nil
 }
 
 // sendDown activates shard g for the next wire round with the current
 // global view and the loads the previous cycle ended at.
 func (rt *rootNode) sendDown(g int) error {
 	rt.downRound++
-	rt.have[g] = false
-	rt.down = hierDownPayload{Round: rt.downRound, Shard: g, Loads: rt.global, End: rt.end}
+	rt.have = false
+	rt.down = hierDownPayload{Round: rt.downRound, Shard: g, Loads: rt.sched.Global(), End: rt.sched.End()}
 	if err := rt.encodeDown(); err != nil {
 		return err
 	}
@@ -1188,7 +1031,7 @@ func (rt *rootNode) encodeDown() error {
 // probe budget is exhausted.
 func (rt *rootNode) awaitPartial(g int) error {
 	attempts := 0
-	for rt.live[g] && !rt.have[g] {
+	for rt.sched.Live(g) && !rt.have {
 		wait := backoffDelay(rt.watchdog, 2*rt.watchdog, 0, rt.rng)
 		m, err := rt.conn.RecvTimeout(wait)
 		if err != nil {
@@ -1244,40 +1087,30 @@ func (rt *rootNode) onPartial(m Message) {
 	if p.Round != rt.downRound {
 		return // stale round
 	}
-	if g := p.Shard; g >= 0 && g < rt.numShards && rt.live[g] && !rt.have[g] && len(p.Loads) == rt.n {
-		copy(rt.locals[g], p.Loads)
-		rt.norms[g] = p.Norm
-		rt.endNorms[g] = p.EndNorm
-		rt.sweeps[g] = p.Sweeps
-		rt.have[g] = true
+	if g := p.Shard; g == rt.down.Shard && rt.sched.Live(g) && !rt.have && len(p.Loads) == rt.n {
+		rt.sched.Report(g, p.Loads, p.Norm, p.EndNorm, p.Sweeps)
+		rt.have = true
 	}
 	for _, id := range p.Ejected {
 		rt.ejectUser(int(id))
 	}
 }
 
-// ejectUser marks a user id ejected (idempotently), updating the shard
-// membership view.
+// ejectUser marks a user id ejected (idempotently) and takes it out of
+// its shard in the schedule.
 func (rt *rootNode) ejectUser(id int) {
 	if id < 0 || id >= len(rt.userEjected) || rt.userEjected[id] {
 		return
 	}
 	rt.userEjected[id] = true
-	for g := range rt.members {
-		for i, v := range rt.members[g] {
-			if v == id {
-				rt.members[g] = append(rt.members[g][:i], rt.members[g][i+1:]...)
-				break
-			}
-		}
-	}
+	rt.sched.EjectUser(id)
 	obs.Count(rt.obs, obs.NashEjected)
 }
 
-// ejectShard removes a silent shard and ejects its members.
+// ejectShard takes a silent shard out of the reconcile and ejects its
+// members.
 func (rt *rootNode) ejectShard(g int) {
-	rt.live[g] = false
-	for _, id := range append([]int(nil), rt.members[g]...) {
+	for _, id := range rt.sched.EjectShard(g) {
 		rt.ejectUser(id)
 	}
 	obs.Emit(rt.obs, obs.Event{Kind: obs.HierShardEjected, A: int32(g), Node: rootName})
@@ -1291,7 +1124,7 @@ func (rt *rootNode) onDownReq(m Message) {
 		return
 	}
 	g, known := rt.leaderG[m.From]
-	if known && !rt.live[g] {
+	if known && !rt.sched.Live(g) {
 		_ = rt.conn.Send(Message{To: m.From, Kind: hierKindStop}) // ejected shard: tell it to quit
 		return
 	}
@@ -1309,7 +1142,7 @@ func (rt *rootNode) broadcastStop() error {
 		return err
 	}
 	for g := 0; g < rt.numShards; g++ {
-		if rt.live[g] {
+		if rt.sched.Live(g) {
 			_ = rt.conn.Send(Message{To: rt.leaders[g], Kind: hierKindDown, Data: rt.cachedDown}) // best-effort; leaders re-request
 		}
 	}
@@ -1325,7 +1158,7 @@ func (rt *rootNode) gatherRows() error {
 	attempts := make([]int, rt.numShards)
 	done := func() bool {
 		for g := range rt.rowsHave {
-			if rt.live[g] && !rt.rowsHave[g] {
+			if rt.sched.Live(g) && !rt.rowsHave[g] {
 				return false
 			}
 		}
@@ -1337,7 +1170,7 @@ func (rt *rootNode) gatherRows() error {
 		if err != nil {
 			if errors.Is(err, ErrTimeout) {
 				for g := 0; g < rt.numShards; g++ {
-					if !rt.live[g] || rt.rowsHave[g] {
+					if !rt.sched.Live(g) || rt.rowsHave[g] {
 						continue
 					}
 					attempts[g]++
@@ -1363,7 +1196,7 @@ func (rt *rootNode) gatherRows() error {
 				continue
 			}
 			g := p.Shard
-			if p.Round != rt.downRound || g < 0 || g >= rt.numShards || !rt.live[g] || rt.rowsHave[g] {
+			if p.Round != rt.downRound || g < 0 || g >= rt.numShards || !rt.sched.Live(g) || rt.rowsHave[g] {
 				continue // a late report from an earlier gather, or not a live shard's
 			}
 			if !rt.validRows(p) {
@@ -1420,15 +1253,15 @@ func (rt *rootNode) assemble(rows [][]float64) {
 	}
 	var ejectedShards []int
 	for g := 0; g < rt.numShards; g++ {
-		if !rt.live[g] {
+		if !rt.sched.Live(g) {
 			ejectedShards = append(ejectedShards, g)
 		}
 	}
 	rt.resMu.Lock()
 	rt.result.Profile = prof
-	rt.result.Rounds = rt.round
-	rt.result.Sweeps = rt.sweepsTotal
-	rt.result.Norm = rt.lastNorm
+	rt.result.Rounds = rt.sched.Rounds
+	rt.result.Sweeps = rt.sched.Sweeps
+	rt.result.Norm = rt.sched.Norm
 	rt.result.Ejected = ejected
 	rt.result.EjectedShards = ejectedShards
 	rt.resMu.Unlock()
@@ -1468,12 +1301,6 @@ func RunNashShardedWith(netw Network, sys noncoop.System, initial *noncoop.Profi
 	if err := sys.Validate(); err != nil {
 		return NashShardedResult{}, err
 	}
-	if eps <= 0 {
-		eps = 1e-9
-	}
-	if maxRounds <= 0 {
-		maxRounds = 10_000
-	}
 	opts = opts.withDefaults()
 	m, n := sys.NumUsers(), sys.NumComputers()
 	numShards := opts.Shards
@@ -1494,23 +1321,13 @@ func RunNashShardedWith(netw Network, sys noncoop.System, initial *noncoop.Profi
 	} else {
 		prof, _ = noncoop.PS{}.Profile(sys) // sys was validated above
 	}
-	// Per-shard initial locals and the initial global view, accumulated
-	// in the oracle's order (members ascending within a shard, shards
-	// ascending) so round 1 starts from bit-identical state.
-	locals := make([][]float64, numShards)
-	for g, members := range plan {
-		locals[g] = make([]float64, n)
-		for _, j := range members {
-			for i, f := range prof.S[j] {
-				locals[g][i] += f * sys.Phi[j]
-			}
-		}
-	}
-	initGlobal := make([]float64, n)
-	for i := 0; i < n; i++ {
-		for g := range plan {
-			initGlobal[i] += locals[g][i]
-		}
+	// The root and the leaders start from the oracle's shard loads and
+	// global view, so round 1 starts from bit-identical state.
+	sched := game.NewSchedule(m, n, plan, eps, maxRounds, opts.LocalSweeps)
+	sched.Rebuild(prof.S, sys.Phi)
+	shards := make([]*game.Shard, numShards)
+	for g := range shards {
+		shards[g] = sched.NewShard(g)
 	}
 
 	rootConn, err := netw.Join(rootName)
@@ -1562,35 +1379,13 @@ func RunNashShardedWith(netw Network, sys noncoop.System, initial *noncoop.Profi
 		leaders[g] = shardName(g)
 		leaderG[leaders[g]] = g
 	}
-	rootMembers := make([][]int, numShards)
-	for g, members := range plan {
-		rootMembers[g] = append([]int(nil), members...)
-	}
-	// The root starts from the same per-shard locals and global view as
-	// the oracle: round 1's first activation must see the initial
-	// proportional loads.
-	rootLocals := make([][]float64, numShards)
-	for g := range rootLocals {
-		rootLocals[g] = append([]float64(nil), locals[g]...)
-	}
 	rt := &rootNode{
-		conn: rootConn, numShards: numShards, n: n, mInit: m,
-		eps: eps, maxRounds: maxRounds, mu: sys.Mu,
+		conn: rootConn, numShards: numShards, n: n, mu: sys.Mu,
 		phis:        sys.Phi,
 		userEjected: make([]bool, m),
-		live:        make([]bool, numShards),
-		members:     rootMembers,
 		leaders:     leaders,
 		leaderG:     leaderG,
-		have:        make([]bool, numShards),
-		norms:       make([]float64, numShards),
-		endNorms:    make([]float64, numShards),
-		sweeps:      make([]int, numShards),
-		locals:      rootLocals,
-		global:      append([]float64(nil), initGlobal...),
-		end:         make([]float64, n),
-		shardView:   make([][]float64, numShards),
-		shardNorm:   make([]float64, numShards),
+		sched:       sched,
 		rowsHave:    make([]bool, numShards),
 		rowsUsers:   make([][]int32, numShards),
 		rowsRows:    make([][][]float64, numShards),
@@ -1599,11 +1394,6 @@ func RunNashShardedWith(netw Network, sys noncoop.System, initial *noncoop.Profi
 		rng:       queueing.NewRNG(opts.Seed).Split(1),
 		obs:       opts.Observer,
 		errCh:     errCh, result: result, resMu: &resMu,
-	}
-	for g := range rt.live {
-		rt.live[g] = true
-		rt.shardView[g] = make([]float64, n)
-		rt.shardNorm[g] = math.Inf(1)
 	}
 	wg.Add(1)
 	go func() {
@@ -1622,10 +1412,10 @@ func RunNashShardedWith(netw Network, sys noncoop.System, initial *noncoop.Profi
 			rows[i] = make([]float64, n)
 		}
 		l := &shardLeader{
-			conn: leaderConns[g], g: g, n: n, mInit: m,
-			eps: eps, sweepsMax: opts.LocalSweeps,
+			conn: leaderConns[g], g: g, n: n,
 			ids: append([]int(nil), members...), names: names, phis: phis, rows: rows,
-			local: append([]float64(nil), locals[g]...), ext: make([]float64, n),
+			sh:       shards[g],
+			tok:      hierTokenPayload{Loads: shards[g].Loads},
 			watchdog: opts.Watchdog, probeTO: opts.ProbeTimeout,
 			attempts: opts.MaxAttempts,
 			rng:      queueing.NewRNG(opts.Seed).Split(uint64(g) + 2),

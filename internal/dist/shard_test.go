@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -682,17 +683,19 @@ func TestShardUserStepAllocs(t *testing.T) {
 // count.
 func TestHierDownPartialAllocs(t *testing.T) {
 	netw := NewMemNetwork()
+	sched := game.NewSchedule(1, 4, [][]int{{0}}, 1e-9, 0, 0)
+	sched.Rebuild([][]float64{{0.1, 0.2, 0.3, 0.4}}, []float64{10})
+	sched.BeginRound()
 	rt := &rootNode{
 		conn: mustJoin(t, netw, rootName), numShards: 1, n: 4,
-		live: []bool{true}, leaders: []string{shardName(0)}, leaderG: map[string]int{shardName(0): 0},
-		have: make([]bool, 1), norms: make([]float64, 1), endNorms: make([]float64, 1), sweeps: make([]int, 1),
-		locals: [][]float64{make([]float64, 4)},
-		global: []float64{1, 2, 3, 4}, end: []float64{0.5, 1.5, 2.5, 3.5},
+		leaders: []string{shardName(0)}, leaderG: map[string]int{shardName(0): 0},
+		sched:    sched,
 		watchdog: 5 * time.Second, attemptsN: 1,
 	}
 	l := &shardLeader{
 		conn: mustJoin(t, netw, shardName(0)), g: 0, n: 4,
-		local: []float64{0.25, 0.5, 0.75, 1}, ejected: []int32{},
+		sh:       &game.Shard{Local: []float64{0.25, 0.5, 0.75, 1}, Norm: 0.5, EndNorm: 0.25, Sweeps: 2},
+		ejected:  []int32{},
 		watchdog: 5 * time.Second,
 	}
 	allocGate(t, "down and partial", 0, func() {
@@ -703,15 +706,16 @@ func TestHierDownPartialAllocs(t *testing.T) {
 		if err != nil || down.Shard != 0 || len(down.End) != 4 {
 			t.Fatalf("leader got %+v, %v; want an activation of shard 0 with End", down, err)
 		}
-		if err := l.sendUp(0.5, 0.25, 2); err != nil {
+		if err := l.sendUp(); err != nil {
 			t.Fatal(err)
 		}
-		if err := rt.awaitPartial(0); err != nil || !rt.have[0] {
+		if err := rt.awaitPartial(0); err != nil || !rt.have {
 			t.Fatalf("root got no partial: %v", err)
 		}
 	})
-	if rt.endNorms[0] != 0.25 || rt.norms[0] != 0.5 || rt.sweeps[0] != 2 {
-		t.Errorf("root read norm %g, end norm %g, %d sweeps; want 0.5, 0.25, 2", rt.norms[0], rt.endNorms[0], rt.sweeps[0])
+	if p := rt.part; p.EndNorm != 0.25 || p.Norm != 0.5 || p.Sweeps != 2 || !slices.Equal(rt.sched.Global(), l.sh.Local) {
+		t.Errorf("root read norm %g, end norm %g, %d sweeps, global %v; want 0.5, 0.25, 2 and the leader's loads %v",
+			p.Norm, p.EndNorm, p.Sweeps, rt.sched.Global(), l.sh.Local)
 	}
 
 	if err := rt.broadcastStop(); err != nil {
