@@ -171,9 +171,10 @@ type NashShardedResult = dist.NashShardedResult
 // RunNashSharded runs the §4.3 NASH protocol over a network of user
 // nodes, organised as a two-level hierarchy: users are partitioned into
 // shards that pass an epoch-fenced token around a ring, while a root
-// node activates shards and reconciles their aggregate loads —
-// O(m/G + log G) per global sweep instead of a single ring's O(m) (see
-// DESIGN.md "Hierarchical protocols"). With
+// node activates them one at a time and reconciles their aggregate
+// loads: a round visits the users in turn, O(m) as on a single ring,
+// but a quiescent shard sits it out (see DESIGN.md "Hierarchical
+// protocols"). With
 // WithShardOptions(ShardOptions{Shards: 1, LocalSweeps: 1}) it is the
 // paper's single ring. Options tune convergence (WithEpsilon,
 // WithMaxIter), resume from a checkpoint (WithCheckpoint), set the

@@ -1277,26 +1277,23 @@ func (rt *rootNode) shutdown() {
 
 // --- driver ----------------------------------------------------------
 
-// RunNashSharded executes the §4.3 NASH protocol as a hierarchy over
-// the given network with default options. Each user starts from the
-// NASH_P proportional initialization; eps is the acceptance tolerance
-// on the per-round global norms and maxRounds bounds the reconciliation
-// rounds. A nil error means the final round's token norm or
-// end-of-round norm is at most eps and one more flat best-reply round over the survivors' profile moves
-// their response times by at most game.GapFactor·eps in total
-// (noncoop.Gap). A fault-free run returns a profile bit-identical to
-// game.ShardedBestReply on the same system and shard plan.
-func RunNashSharded(netw Network, sys noncoop.System, eps float64, maxRounds int) (NashShardedResult, error) {
-	return RunNashShardedWith(netw, sys, nil, eps, maxRounds, ShardOptions{})
-}
-
-// RunNashShardedWith is RunNashSharded with explicit options and an
-// optional initial profile. A nil initial starts from NASH_P; otherwise
-// the users resume from that checkpoint — typically the Profile of a
-// result whose run was cut short (crash, round budget) — so a restarted
-// computation converges to the same equilibrium without redoing the
-// completed rounds. Even on error the returned result carries the
-// latest profile, usable as the next checkpoint.
+// RunNashShardedWith executes the §4.3 NASH protocol as a hierarchy
+// over the given network, tuned by opts. eps is the acceptance
+// tolerance on the per-round global norms and maxRounds bounds the
+// reconciliation rounds. A nil error means the final round's token norm
+// or end-of-round norm is at most eps and one more flat best-reply round
+// over the survivors' profile moves their response times by at most
+// game.GapFactor·eps in total (noncoop.Gap). A fault-free run returns a
+// profile bit-identical to game.ShardedBestReply on the same system and
+// shard plan.
+//
+// A nil initial starts every user from the NASH_P proportional
+// initialization; otherwise the users resume from that checkpoint —
+// typically the Profile of a result whose run was cut short (crash,
+// round budget) — so a restarted computation converges to the same
+// equilibrium without redoing the completed rounds. Even on error the
+// returned result carries the latest profile, usable as the next
+// checkpoint.
 func RunNashShardedWith(netw Network, sys noncoop.System, initial *noncoop.Profile, eps float64, maxRounds int, opts ShardOptions) (NashShardedResult, error) {
 	if err := sys.Validate(); err != nil {
 		return NashShardedResult{}, err

@@ -40,7 +40,8 @@ const GapFactor = 4
 
 // DefaultShardCount returns the default shard count for m users:
 // shards of ~32 members (one token circulation stays short), capped at
-// 512 shards so the reduction fan-in stays manageable.
+// 512 shards to bound the root's share of a round: a down, a partial
+// and a reconcile over all G shards' loads per shard, O(G²·n).
 func DefaultShardCount(m int) int {
 	g := (m + 31) / 32
 	if g < 1 {
@@ -464,7 +465,7 @@ func addLoad(dst, row []float64, phi float64) {
 // is at most GapFactor·eps.
 //
 // This function is the in-process oracle for the distributed runtime
-// (internal/dist.RunNashSharded): it drives the same Schedule and Shard
+// (internal/dist.RunNashShardedWith): it drives the same Schedule and Shard
 // calls, and each user step is the noncoop.Stepper kernel every
 // distributed member runs, so a fault-free distributed run with the
 // same shard plan and options produces a bit-identical profile.

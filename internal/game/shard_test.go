@@ -1,6 +1,7 @@
 package game
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -224,6 +225,70 @@ func TestShardedStopsOnEndOfRoundNorm(t *testing.T) {
 			if res.Rounds != flat.Iterations+1 {
 				t.Errorf("ring: %d rounds, want one more than noncoop.Nash's %d", res.Rounds, flat.Iterations)
 			}
+		}
+	}
+}
+
+// jitteredSystem is the m-user, 4-computer system of the repository's
+// NASH benchmark: seven rate classes, φ_j = (1+0.3·(j mod 7))·30/m,
+// each rate scaled by a factor within 1 ± 1e-3 drawn from seed.
+func jitteredSystem(t *testing.T, m int, seed uint64) noncoop.System {
+	t.Helper()
+	rng := queueing.NewRNG(seed)
+	phi := make([]float64, m)
+	for j := range phi {
+		phi[j] = (1 + 0.3*float64(j%7)) * 30 / float64(m) * (1 + 1e-3*(2*rng.Float64()-1))
+	}
+	sys, err := noncoop.NewSystem([]float64{30, 20, 15, 10}, phi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
+
+// TestFlatNashIsTheRing: flat noncoop.Nash is the §4.3 ring, the
+// one-shard, one-sweep sharded solve, bit for bit. After k rounds of an
+// eps neither can reach both hold the same profile; at the natural stop
+// the ring reads the flat iteration's last norm one round late, because
+// its end-of-round norm is the norm of the round before.
+func TestFlatNashIsTheRing(t *testing.T) {
+	t.Parallel()
+	const never, eps = math.SmallestNonzeroFloat64, 1e-3
+	for _, m := range []int{32, 1000} {
+		sys := jitteredSystem(t, m, 1)
+		ring := PlanShards(m, 1)
+		one := ShardedOpts{LocalSweeps: 1}
+		for _, k := range []int{1, 3, 7} {
+			flat, err := noncoop.Nash(sys, noncoop.NashOptions{Init: noncoop.InitProportional, Eps: never, MaxIter: k})
+			if !errors.Is(err, noncoop.ErrNoConvergence) || flat.Iterations != k {
+				t.Fatalf("m=%d k=%d: flat ran %d rounds, err %v", m, k, flat.Iterations, err)
+			}
+			res, err := ShardedBestReply(sys, ring, never, k, one)
+			if err == nil || res.Rounds != k {
+				t.Fatalf("m=%d k=%d: ring ran %d rounds, err %v", m, k, res.Rounds, err)
+			}
+			for j, row := range flat.Profile.S {
+				for i, f := range row {
+					if math.Float64bits(f) != math.Float64bits(res.Profile.S[j][i]) {
+						t.Fatalf("m=%d k=%d: profile[%d][%d] flat %v, ring %v", m, k, j, i, f, res.Profile.S[j][i])
+					}
+				}
+			}
+		}
+
+		flat, err := noncoop.Nash(sys, noncoop.NashOptions{Init: noncoop.InitProportional, Eps: eps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := ShardedBestReply(sys, ring, eps, 0, one)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := flat.Norms[len(flat.Norms)-1]
+		t.Logf("m=%d: flat stops at round %d, ring at %d, norm %.3g", m, flat.Iterations, res.Rounds, res.Norm)
+		if math.Float64bits(res.Norm) != math.Float64bits(last) || res.Rounds != flat.Iterations+1 {
+			t.Errorf("m=%d: ring stopped at round %d on norm %v; want round %d on flat's last norm %v",
+				m, res.Rounds, res.Norm, flat.Iterations+1, last)
 		}
 	}
 }

@@ -1,7 +1,7 @@
 package noncoop
 
 import (
-	"fmt"
+	"errors"
 	"math"
 )
 
@@ -29,23 +29,27 @@ func BestReply(avail []float64, phi float64) ([]float64, error) {
 	return out, nil
 }
 
+// The errors of BestReplyInto, preallocated; the caller adds who failed.
+var (
+	errScratch    = errors.New("noncoop: best reply scratch must match the computers")
+	errRate       = errors.New("noncoop: best reply needs a positive arrival rate")
+	errInfeasible = errors.New("noncoop: user rate exceeds the available capacity")
+)
+
 // BestReplyInto is BestReply writing the fractions into out (len n),
-// using ord (len n) as sorting scratch: it allocates nothing, which is
-// what lets a protocol node run one best reply per token hop without
-// GC pressure at m=10,000. The ordering uses a stable insertion sort —
-// identical output to the former sort.SliceStable, and fast in the
-// protocols because n is small and the available rates change little
-// between consecutive sweeps.
+// using ord (len n) as sorting scratch: it allocates nothing, not even
+// to fail, which is what lets a protocol node run one best reply per
+// token hop without GC pressure at m=10,000. The ordering uses a stable
+// insertion sort — identical output to the former sort.SliceStable, and
+// fast in the protocols because n is small and the available rates
+// change little between consecutive sweeps.
 func BestReplyInto(avail []float64, phi float64, out []float64, ord []int) error {
 	n := len(avail)
-	if n == 0 {
-		return fmt.Errorf("noncoop: best reply needs at least one computer")
-	}
 	if len(out) != n || len(ord) != n {
-		return fmt.Errorf("noncoop: best reply scratch sized %d/%d, want %d", len(out), len(ord), n)
+		return errScratch
 	}
 	if phi <= 0 || math.IsNaN(phi) {
-		return fmt.Errorf("noncoop: best reply needs a positive arrival rate, got %g", phi)
+		return errRate
 	}
 
 	// Usable computers sorted by decreasing available rate.
@@ -60,7 +64,7 @@ func BestReplyInto(avail []float64, phi float64, out []float64, ord []int) error
 		}
 	}
 	if sumAvail <= phi {
-		return fmt.Errorf("noncoop: user rate %g exceeds available capacity %g", phi, sumAvail)
+		return errInfeasible
 	}
 	order := ord[:cnt]
 	for i := 1; i < cnt; i++ {

@@ -91,6 +91,12 @@ type NashResult struct {
 // of all the others; the round's norm is Σ_j |D_j^(l) − D_j^(l−1)|, and
 // the iteration stops once the norm drops to Eps.
 //
+// Every best reply is a Stepper move over one running load vector, the
+// user step of the sharded solve, so a round costs O(mn), and from
+// NASH_P the Gauss–Seidel iteration is the one-shard, one-sweep ring of
+// game.ShardedBestReply bit for bit: after k rounds both hold the same
+// profile, and the ring's end-of-round norm is this norm one round late.
+//
 // Convergence of best-reply dynamics for M/M/1 costs and more than two
 // players is an open problem (§4.3), but as in the paper's experiments
 // the iteration converges on every configuration exercised here; the
@@ -116,62 +122,48 @@ func Nash(sys System, opt NashOptions) (NashResult, error) {
 	} else {
 		p = NewProfile(m, n)
 	}
+	jacobi := opt.Update == UpdateSimultaneous
+	loads, frozen := sys.Loads(p), make([]float64, n)
+	step := NewStepper(sys.Mu, m)
 
-	// The norm baseline: zero response times for the empty NASH_0 start
-	// (the first round's norm is then Σ_j D_j, a finite, meaningful
-	// distance), the initial profile's times for NASH_P.
-	prevTimes := make([]float64, m)
-	if opt.Init == InitProportional {
-		prevTimes = sys.UserTimes(p)
+	// The norm baseline: each user's time at the initial profile, which
+	// is zero for the empty NASH_0 start (the first round's norm is then
+	// Σ_j D_j, a finite, meaningful distance).
+	prev := make([]float64, m)
+	for j, row := range p.S {
+		prev[j] = timeAt(sys.Mu, loads, row)
 	}
 
-	res := NashResult{}
+	res := NashResult{Profile: p} // the rows are played in place
 	for iter := 1; iter <= maxIter; iter++ {
-		if opt.Update == UpdateSimultaneous {
-			// Jacobi: everyone replies to the frozen previous round.
-			next := make([][]float64, m)
-			for j := 0; j < m; j++ {
-				avail := sys.Available(p, j)
-				s, err := BestReply(avail, sys.Phi[j])
-				if err != nil {
-					return NashResult{}, fmt.Errorf("noncoop: user %d best reply failed at iteration %d: %w", j, iter, err)
-				}
-				next[j] = s
+		copy(frozen, loads)
+		for j, row := range p.S {
+			if jacobi {
+				copy(loads, frozen) // everyone replies to the round's start
 			}
-			p.S = next
-		} else {
-			for j := 0; j < m; j++ {
-				avail := sys.Available(p, j)
-				s, err := BestReply(avail, sys.Phi[j])
-				if err != nil {
-					return NashResult{}, fmt.Errorf("noncoop: user %d best reply failed at iteration %d: %w", j, iter, err)
-				}
-				p.S[j] = s
+			if err := step.move(loads, row, sys.Phi[j]); err != nil {
+				return NashResult{}, fmt.Errorf("noncoop: user %d best reply failed at iteration %d: %w", j, iter, err)
 			}
+			copy(row, step.next)
 		}
-		times := sys.UserTimes(p)
+		if jacobi {
+			loads = sys.Loads(p)
+		}
 		var norm float64
-		for j := range times {
-			d := math.Abs(times[j] - prevTimes[j])
-			// Inf−Inf (two consecutive saturated rounds) is NaN; both
-			// cases mean "far from equilibrium".
-			if math.IsInf(d, 1) || math.IsNaN(d) {
-				d = math.MaxFloat64 / float64(m)
-			}
-			norm += d
+		for j, row := range p.S {
+			t := timeAt(sys.Mu, loads, row)
+			norm += step.finite(math.Abs(t - prev[j]))
+			prev[j] = t
 		}
-		copy(prevTimes, times)
 		res.Norms = append(res.Norms, norm)
 		res.Iterations = iter
 		if opt.Observer != nil {
 			opt.Observer.Observe(obs.Event{Kind: obs.NashRound, Time: float64(iter), V: norm})
 		}
 		if norm <= eps {
-			res.Profile = p
 			return res, nil
 		}
 	}
-	res.Profile = p
 	return res, fmt.Errorf("%w after %d iterations (norm=%g)", ErrNoConvergence, maxIter, res.Norms[len(res.Norms)-1])
 }
 
@@ -181,44 +173,30 @@ func Nash(sys System, opt NashOptions) (NashResult, error) {
 // order best-reply against the loads the users before it already moved
 // and p' is the profile it ends at. An exact Nash equilibrium scores 0;
 // a user whose response time is not finite scores +Inf. p is only read:
-// the round is played twice, once to find the loads p' ends at and once
-// more (bit-identically) to time each user against them, so the scratch
-// is O(n).
+// the round is played twice as Stepper moves, once to find the loads p'
+// ends at and once more (bit-identically) to time each user against
+// them, so the scratch is O(n).
 func Gap(sys System, p Profile) (float64, error) {
 	m, n := sys.NumUsers(), sys.NumComputers()
 	if len(p.S) != m {
 		return 0, fmt.Errorf("noncoop: profile has %d rows, want %d", len(p.S), m)
 	}
-	start := make([]float64, n)
 	for j, row := range p.S {
 		if len(row) != n {
 			return 0, fmt.Errorf("noncoop: user %d strategy has %d entries, want %d", j, len(row), n)
 		}
-		for i, f := range row {
-			start[i] += f * sys.Phi[j]
-		}
 	}
-	end := make([]float64, n)
-	loads := make([]float64, n)
-	avail := make([]float64, n)
-	next := make([]float64, n)
-	ord := make([]int, n)
+	start, end, loads := sys.Loads(p), make([]float64, n), make([]float64, n)
+	step := NewStepper(sys.Mu, m)
 	var gap float64
 	for pass := 0; pass < 2; pass++ {
 		copy(loads, start)
 		for j, row := range p.S {
-			phi := sys.Phi[j]
-			for i := range avail {
-				avail[i] = sys.Mu[i] - loads[i] + row[i]*phi
-			}
-			if err := BestReplyInto(avail, phi, next, ord); err != nil {
+			if err := step.move(loads, row, sys.Phi[j]); err != nil {
 				return 0, fmt.Errorf("noncoop: user %d best reply: %w", j, err)
 			}
-			for i := range loads {
-				loads[i] += (next[i] - row[i]) * phi
-			}
 			if pass == 1 {
-				d := math.Abs(timeAt(sys.Mu, end, next) - timeAt(sys.Mu, start, row))
+				d := math.Abs(timeAt(sys.Mu, end, step.next) - timeAt(sys.Mu, start, row))
 				if math.IsNaN(d) {
 					d = math.Inf(1)
 				}

@@ -3,11 +3,12 @@ package noncoop
 import "math"
 
 // Stepper plays one user's turn of the §4.3 round-robin against a
-// shared per-computer load vector: the user step of the sharded solve,
-// which the in-process oracle (game.ShardedBestReply) and every
-// distributed member (internal/dist) run, so that their arithmetic
-// exists once and a fault-free distributed run stays bit-identical to
-// the oracle. It owns its O(n) scratch: a step allocates nothing.
+// shared per-computer load vector: the one user step of the module,
+// which Nash, Gap, the in-process sharded oracle (game.ShardedBestReply)
+// and every distributed member (internal/dist) run, so that their
+// arithmetic exists once: a fault-free distributed run stays
+// bit-identical to the oracle, and the one-shard, one-sweep oracle to
+// Nash. It owns its O(n) scratch: a step allocates nothing.
 type Stepper struct {
 	mu    []float64
 	users float64 // the divisor of a non-finite norm term
@@ -49,6 +50,8 @@ type StepState struct {
 // the §4.3 norm Σ_j |D_j^(l) − D_j^(l−1)| of the round before. A user's
 // first such term has nothing to compare with and counts as far from
 // equilibrium, like a non-finite one. With no end, dEnd is 0.
+//
+//lb:hotpath
 func (s *Stepper) Step(loads, end, row []float64, phi float64, st *StepState) (dt, dEnd float64, err error) {
 	if len(end) > 0 {
 		t := timeAt(s.mu, end, row)
@@ -59,24 +62,37 @@ func (s *Stepper) Step(loads, end, row []float64, phi float64, st *StepState) (d
 		dEnd = s.finite(dEnd)
 		st.end, st.timed = t, true
 	}
-	for i := range s.avail {
-		s.avail[i] = s.mu[i] - loads[i] + row[i]*phi
+	if err := s.move(loads, row, phi); err != nil {
+		return 0, 0, err
 	}
 	if !st.played {
 		st.prev = BestReplyTime(s.avail, row, phi)
 		st.played = true
 	}
-	if err := BestReplyInto(s.avail, phi, s.next, s.ord); err != nil {
-		return 0, 0, err
-	}
 	t := BestReplyTime(s.avail, s.next, phi)
 	dt = s.finite(math.Abs(t - st.prev))
-	for i := range row {
-		loads[i] += (s.next[i] - row[i]) * phi
-	}
 	copy(row, s.next)
 	st.prev = t
 	return dt, dEnd, nil
+}
+
+// move is the user step itself: it computes the rates available to the
+// user with arrival rate phi and strategy row against loads, puts the
+// best reply to them in s.next and moves loads by the change from row,
+// which it leaves as it is. On error the loads are unmoved.
+//
+//lb:hotpath
+func (s *Stepper) move(loads, row []float64, phi float64) error {
+	for i := range s.avail {
+		s.avail[i] = s.mu[i] - loads[i] + row[i]*phi
+	}
+	if err := BestReplyInto(s.avail, phi, s.next, s.ord); err != nil {
+		return err
+	}
+	for i := range row {
+		loads[i] += (s.next[i] - row[i]) * phi
+	}
+	return nil
 }
 
 // finite maps a non-finite norm term (Inf−Inf, two consecutive
