@@ -1,7 +1,7 @@
 package gtlb_test
 
 // Coverage for the facade entry points the doc examples do not reach:
-// the TCP transport constructor, the long-running LBM service, workload
+// the TCP transport constructor, the LBM bidding protocol, workload
 // traces, the theorem catalog, dynamic simulation, checkpoint resume and
 // the fault-tolerant mechanism.
 
@@ -48,23 +48,6 @@ func TestFacadeTCPNetwork(t *testing.T) {
 	if res.Rounds == 0 {
 		t.Error("no rounds over TCP")
 	}
-}
-
-func TestFacadeLBMService(t *testing.T) {
-	svc, err := gtlb.NewLBMService(gtlb.NewMemNetwork, table51TrueValues(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := svc.Start(0.4 * 0.663); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := svc.UpdateRate(0.6 * 0.663); err != nil {
-		t.Fatal(err)
-	}
-	if svc.Rounds() != 2 {
-		t.Errorf("rounds = %d", svc.Rounds())
-	}
-	svc.Stop()
 }
 
 func TestFacadeLBMWithLiar(t *testing.T) {
@@ -335,9 +318,8 @@ func TestFacadeTraceOption(t *testing.T) {
 }
 
 // TestFacadeBinaryTraceOption pins the format-agnostic trace surface:
-// the same seeded run recorded through WithBinaryTrace (and its
-// WithTrace+WithTraceFormat spelling) must decode to exactly the bytes
-// WithTrace writes as JSONL.
+// the same seeded run recorded through WithBinaryTrace must decode to
+// exactly the bytes WithTrace writes as JSONL.
 func TestFacadeBinaryTraceOption(t *testing.T) {
 	cfg := gtlb.SimConfig{
 		Mu:           []float64{200, 100},
@@ -348,21 +330,15 @@ func TestFacadeBinaryTraceOption(t *testing.T) {
 		Seed:         11,
 		Replications: 3,
 	}
-	var jsonlBuf, binBuf, fmtBuf bytes.Buffer
+	var jsonlBuf, binBuf bytes.Buffer
 	if _, err := gtlb.Simulate(cfg, gtlb.WithTrace(&jsonlBuf)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := gtlb.Simulate(cfg, gtlb.WithBinaryTrace(&binBuf)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := gtlb.Simulate(cfg, gtlb.WithTrace(&fmtBuf, gtlb.WithTraceFormat(gtlb.TraceBinary))); err != nil {
-		t.Fatal(err)
-	}
 	if jsonlBuf.Len() == 0 || binBuf.Len() == 0 {
 		t.Fatal("a trace option produced no output")
-	}
-	if !bytes.Equal(binBuf.Bytes(), fmtBuf.Bytes()) {
-		t.Error("WithBinaryTrace and WithTrace(WithTraceFormat(TraceBinary)) wrote different bytes")
 	}
 	if binBuf.Len() >= jsonlBuf.Len() {
 		t.Errorf("binary trace (%d bytes) not smaller than JSONL (%d bytes)", binBuf.Len(), jsonlBuf.Len())

@@ -352,16 +352,6 @@ type RoutingNetwork = routing.Network
 // RoutingLink is one affine-latency link.
 type RoutingLink = routing.Link
 
-// LBMService is the long-running §5.4 dispatcher: it holds the current
-// allocation and re-runs the bidding protocol when the arrival rate
-// changes.
-type LBMService = dist.LBMService
-
-// NewLBMService prepares the long-running bidding dispatcher.
-func NewLBMService(newNet func() Network, trueValues []float64, policies []BidPolicy) (*LBMService, error) {
-	return dist.NewLBMService(newNet, trueValues, policies)
-}
-
 // Trace is a recorded arrival workload; see internal/workload.
 type Trace = workload.Trace
 

@@ -476,7 +476,7 @@ func (b *cfgBuilder) resolveGotos() {
 // transfer maps a block's input state to its output state; join merges
 // an incoming output into a block's input and reports whether the input
 // changed. follow filters edges — pass DAGEdges to cut loop back edges
-// (the "one trip per loop" view) or AllEdges for the full graph.
+// (the "one trip per loop" view).
 func Forward[S any](g *CFG, bottom, init S, transfer func(*Block, S) S, join func(into S, from S) (S, bool), follow func(Edge) bool) []S {
 	in := make([]S, len(g.Blocks))
 	seen := make([]bool, len(g.Blocks))
@@ -505,8 +505,7 @@ func Forward[S any](g *CFG, bottom, init S, transfer func(*Block, S) S, join fun
 	return in
 }
 
-// AllEdges follows every edge; DAGEdges cuts loop back edges.
-func AllEdges(Edge) bool   { return true }
+// DAGEdges follows every edge but the loop back edges.
 func DAGEdges(e Edge) bool { return !e.Back }
 
 // EveryPathTo computes, for each block, whether every path from it to a

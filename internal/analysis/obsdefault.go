@@ -1,54 +1,32 @@
-// Analyzer obsdefault: the observability layer's contract has two
-// mechanically checkable halves. First, run paths must thread the
-// caller's observer down the call chain — a nil observer means
-// "disabled" and costs one branch — so module code outside internal/obs
-// must not reach for obs.Discard to fill an observer-shaped hole; the
-// sentinel exists for callers outside the module that need a non-nil
-// Observer value, not as a default inside it. Second, trace records are
-// stamped with simulated time and must be byte-identical for a given
-// seed, so internal/obs itself must never read the wall clock.
+// Analyzer obsdefault: trace records are stamped with simulated time
+// and must be byte-identical for a given seed, so internal/obs itself
+// must never read the wall clock.
 
 package analysis
 
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
-// ObsDefault flags obs.Discard used as an in-module observer default
-// and wall-clock reads inside the observability layer.
+// ObsDefault flags wall-clock reads inside the observability layer.
 var ObsDefault = &Analyzer{
 	Name:  "obsdefault",
-	Doc:   "flags obs.Discard as an in-module observer default and wall-clock reads in internal/obs",
+	Doc:   "flags wall-clock reads in internal/obs",
 	Files: FilesNonTest,
-	Match: func(u *Unit) bool { return inModulePackage(u, ".", "internal", "cmd", "examples") },
+	Match: func(u *Unit) bool { return inModulePackage(u, "internal/obs") },
 	Run:   runObsDefault,
 }
 
 func runObsDefault(p *Pass) error {
-	obsPath := p.Unit.Module + "/internal/obs"
-	path := strings.TrimSuffix(p.Unit.Path, " [xtest]")
-	inObs := path == obsPath
-	fixture := strings.HasPrefix(p.Unit.Path, "fixture/")
-	checkDiscard := !inObs || fixture
-	checkWallClock := inObs || fixture
-
 	for _, file := range p.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
 			if !ok {
 				return true
 			}
-			switch obj := p.Info.Uses[sel.Sel].(type) {
-			case *types.Var:
-				if checkDiscard && obj.Name() == "Discard" && obj.Pkg() != nil && obj.Pkg().Path() == obsPath {
-					p.Reportf(sel.Pos(), "obs.Discard hides the caller's observer; thread the observer parameter down (nil already means disabled)")
-				}
-			case *types.Func:
-				if checkWallClock && obj.Pkg() != nil && obj.Pkg().Path() == "time" && wallClockFuncs[obj.Name()] {
-					p.Reportf(sel.Pos(), "time.%s reads the wall clock in the observability layer; stamp events with simulated time so traces stay reproducible", obj.Name())
-				}
+			if obj, ok := p.Info.Uses[sel.Sel].(*types.Func); ok && obj.Pkg() != nil && obj.Pkg().Path() == "time" && wallClockFuncs[obj.Name()] {
+				p.Reportf(sel.Pos(), "time.%s reads the wall clock in the observability layer; stamp events with simulated time so traces stay reproducible", obj.Name())
 			}
 			return true
 		})

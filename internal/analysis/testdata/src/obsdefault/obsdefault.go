@@ -1,7 +1,7 @@
-// Fixture for the obsdefault analyzer: obs.Discard filling an
-// observer-shaped hole and wall-clock reads in the observability layer
-// must be flagged; threading the caller's observer (nil means disabled)
-// and stamping events with simulated time must not.
+// Fixture for the obsdefault analyzer: wall-clock reads in the
+// observability layer must be flagged; threading the caller's observer
+// (nil means disabled) and stamping events with simulated time must
+// not.
 package obsdefault
 
 import (
@@ -9,15 +9,6 @@ import (
 
 	"gtlb/internal/obs"
 )
-
-func runWithDefault() {
-	o := obs.Discard // want "obs.Discard hides the caller's observer"
-	o.Observe(obs.Event{Kind: obs.DESArrival})
-}
-
-func defaultInCall() {
-	runThreaded(obs.Discard) // want "obs.Discard hides the caller's observer"
-}
 
 func runThreaded(o obs.Observer) {
 	// The nil-safe helper with the threaded observer: fine.
@@ -40,8 +31,8 @@ func stampsSimTime(o obs.Observer, simNow float64) {
 	_ = time.Unix(0, 0)
 }
 
-func suppressed() {
+func suppressed(o obs.Observer) {
 	//lint:ignore obsdefault exercising the suppression path
-	o := obs.Discard
-	o.Observe(obs.Event{Kind: obs.DESArrival})
+	now := time.Now()
+	obs.Emit(o, obs.Event{Kind: obs.DESArrival, Time: float64(now.Unix())})
 }

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"gtlb/internal/ctrl"
-	"gtlb/internal/dist"
 	"gtlb/internal/obs"
 )
 
@@ -24,23 +23,6 @@ func WriteRegistry(w io.Writer, reg *obs.Registry) error {
 	}
 	_, err := fmt.Fprintf(w, "run metrics:\n%s\n", reg)
 	return err
-}
-
-// ExposeLBM writes a one-shot exposition of an LBM service: the
-// allocation in force, the round count, then the registry block.
-func ExposeLBM(w io.Writer, s *dist.LBMService, reg *obs.Registry) error {
-	res, phi, ok := s.Current()
-	if !ok {
-		if _, err := fmt.Fprintf(w, "lbm: no completed rounds\n"); err != nil {
-			return err
-		}
-	} else {
-		if _, err := fmt.Fprintf(w, "lbm: rounds=%d phi=%g loads=%.6g excluded=%d\n",
-			s.Rounds(), phi, res.Outcome.Loads, len(res.Excluded)); err != nil {
-			return err
-		}
-	}
-	return WriteRegistry(w, reg)
 }
 
 // ExposeCtrl writes a one-shot exposition of the control-plane daemon:

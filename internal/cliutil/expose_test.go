@@ -12,21 +12,6 @@ import (
 	"gtlb/internal/obs"
 )
 
-// table51Values is the Table 5.1 computer speed vector (1/μ).
-func table51Values() []float64 {
-	mus := []float64{
-		0.13, 0.13,
-		0.065, 0.065, 0.065,
-		0.026, 0.026, 0.026, 0.026, 0.026,
-		0.013, 0.013, 0.013, 0.013, 0.013, 0.013,
-	}
-	t := make([]float64, len(mus))
-	for i, m := range mus {
-		t[i] = 1 / m
-	}
-	return t
-}
-
 // syncWriter is a mutex-guarded buffer for the exposition goroutine.
 type syncWriter struct {
 	mu  sync.Mutex
@@ -45,44 +30,15 @@ func (w *syncWriter) String() string {
 	return w.buf.String()
 }
 
-func TestExposeLBM(t *testing.T) {
+// TestStartExposition: in periodic mode at least one tick lands, and
+// stop is idempotent.
+func TestStartExposition(t *testing.T) {
 	t.Parallel()
-	svc, err := dist.NewLBMService(dist.NewMemNetwork, table51Values(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	reg := obs.NewRegistry()
-	svc.SetOptions(dist.LBMOptions{Observer: reg})
-
-	var before strings.Builder
-	if err := ExposeLBM(&before, svc, reg); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(before.String(), "no completed rounds") {
-		t.Errorf("pre-round exposition = %q", before.String())
-	}
-
-	if _, err := svc.Start(0.3 * 0.663); err != nil {
-		t.Fatal(err)
-	}
-	var after strings.Builder
-	if err := ExposeLBM(&after, svc, reg); err != nil {
-		t.Fatal(err)
-	}
-	out := after.String()
-	if !strings.Contains(out, "rounds=1") {
-		t.Errorf("exposition lacks the round count: %q", out)
-	}
-	// The registry block rides along in the shared format, the
-	// protocol's bid counter among its metrics.
-	if !strings.Contains(out, "run metrics:") || !strings.Contains(out, "lbm.bid=") {
-		t.Errorf("exposition lacks the registry metrics: %q", out)
-	}
-
-	// Periodic mode: at least one tick lands, and stop is idempotent.
+	reg.Observe(obs.Event{Kind: obs.CtrlRealloc})
 	w := &syncWriter{}
 	stop := StartExposition(w, time.Millisecond, func(out io.Writer) error {
-		return ExposeLBM(out, svc, reg)
+		return WriteRegistry(out, reg)
 	})
 	deadline := time.Now().Add(5 * time.Second)
 	for w.String() == "" && time.Now().Before(deadline) {
@@ -90,7 +46,7 @@ func TestExposeLBM(t *testing.T) {
 	}
 	stop()
 	stop()
-	if !strings.Contains(w.String(), "rounds=1") {
+	if !strings.Contains(w.String(), "ctrl.realloc=1") {
 		t.Errorf("periodic exposition wrote %q", w.String())
 	}
 }

@@ -3,6 +3,7 @@ package cliutil
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"gtlb"
@@ -36,12 +37,12 @@ func (t *TraceFlags) Option() (gtlb.Option, error) {
 	if *t.path == "" {
 		return nil, nil
 	}
-	var format gtlb.TraceFormat
+	var record func(io.Writer) gtlb.Option
 	switch *t.format {
 	case "jsonl":
-		format = gtlb.TraceJSONL
+		record = gtlb.WithTrace
 	case "bin":
-		format = gtlb.TraceBinary
+		record = gtlb.WithBinaryTrace
 	default:
 		return nil, fmt.Errorf("cliutil: unknown -trace-format %q (want jsonl or bin)", *t.format)
 	}
@@ -50,7 +51,7 @@ func (t *TraceFlags) Option() (gtlb.Option, error) {
 		return nil, fmt.Errorf("cliutil: opening trace file: %w", err)
 	}
 	t.file = f
-	return gtlb.WithTrace(f, gtlb.WithTraceFormat(format)), nil
+	return record(f), nil
 }
 
 // Close closes the trace file when one was opened. The close error

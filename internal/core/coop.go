@@ -81,11 +81,6 @@ func (s System) TotalMu() float64 {
 	return t
 }
 
-// Utilization returns ρ = Φ/Σμ (eq. 3.30).
-func (s System) Utilization() float64 {
-	return s.Phi / s.TotalMu()
-}
-
 // Allocation is the result of solving the cooperative game: the load
 // vector (in the caller's computer order) together with the equalized
 // spare capacity of the computers that received load.

@@ -212,6 +212,3 @@ func (g *Generator) Next() (Estimate, bool) {
 	g.step++
 	return e, true
 }
-
-// Steps reports how many estimates have been emitted so far.
-func (g *Generator) Steps() int { return g.step }

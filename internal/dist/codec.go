@@ -9,10 +9,9 @@
 // re-encode into a reused Message performs no allocation, and otherwise
 // into one new slice of exactly the encoded length. Decoding into a
 // reused payload struct performs none (slice fields are decoded into the
-// target's existing capacity). A value
-// without a wire encoding is refused with ErrUnsupportedPayload rather
-// than serialized some other way, so there is exactly one format on
-// the wire.
+// target's existing capacity). Encode and Decode take only WireEncoder
+// and WireDecoder values, so a payload without a wire encoding does not
+// compile, and there is exactly one format on the wire.
 //
 // The TCP transport carries Data verbatim inside its frames (tcp.go);
 // both layers are documented in DESIGN.md §Wire format.
@@ -20,7 +19,6 @@ package dist
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 )
@@ -50,10 +48,6 @@ const (
 // WireEstimate is reserved for ctrl.Estimate, whose codec lives in
 // internal/ctrl (dist must not import it).
 const WireEstimate byte = 20
-
-// ErrUnsupportedPayload is returned (wrapped) by Message.Encode and
-// Message.Decode for a value that does not implement the wire codec.
-var ErrUnsupportedPayload = errors.New("dist: payload type has no wire encoding")
 
 // WireEncoder is implemented (with value receivers) by every payload
 // Message.Encode accepts.

@@ -11,8 +11,8 @@ import (
 // type, with every slice field populated (the wire format must survive
 // nil vs empty vs populated slices — the fuzz harness covers the
 // degenerate shapes).
-func hierCodecSamples() []any {
-	return []any{
+func hierCodecSamples() []WireEncoder {
+	return []WireEncoder{
 		hierTokenPayload{Epoch: 3, Hop: 17, Norm: 0.125, EndNorm: 0.0625,
 			Loads: []float64{1.5, 2.25, 0, 3},
 			End:   []float64{1.25, 2.5, 0.5, 2.75}},
@@ -48,7 +48,7 @@ func TestHierCodecRoundTrip(t *testing.T) {
 			t.Errorf("%T: Data has cap %d for %d bytes, want exact size", p, cap(m.Data), len(m.Data))
 		}
 		out := reflect.New(reflect.TypeOf(p)) // a *T zero value
-		if err := m.Decode(out.Interface()); err != nil {
+		if err := m.Decode(out.Interface().(WireDecoder)); err != nil {
 			t.Fatalf("%T: decode: %v", p, err)
 		}
 		if got := out.Elem().Interface(); !reflect.DeepEqual(got, p) {
@@ -103,7 +103,7 @@ func TestHierTokenAllocs(t *testing.T) {
 	allocGate(t, "token encode", 1, func() {
 		m := Message{Kind: hierKindToken}
 		// Pointer-shaped, like the protocol call sites: a struct value
-		// passed as `any` would box (a second allocation).
+		// passed as a WireEncoder would box (a second allocation).
 		if err := m.Encode(&tok); err != nil {
 			t.Fatal(err)
 		}

@@ -528,24 +528,6 @@ func TestMessageDecodeError(t *testing.T) {
 	}
 }
 
-// TestMessageUnsupportedPayload: values without a wire encoding are
-// refused with the typed error on both sides, never serialized some
-// other way.
-func TestMessageUnsupportedPayload(t *testing.T) {
-	t.Parallel()
-	m := Message{Kind: "x"}
-	if err := m.Encode("hello"); !errors.Is(err, ErrUnsupportedPayload) {
-		t.Errorf("Encode(string) = %v, want ErrUnsupportedPayload", err)
-	}
-	if err := m.Encode(hierReqPayload{Round: 1}); err != nil {
-		t.Fatal(err)
-	}
-	var n int
-	if err := m.Decode(&n); !errors.Is(err, ErrUnsupportedPayload) {
-		t.Errorf("Decode(*int) = %v, want ErrUnsupportedPayload", err)
-	}
-}
-
 func TestTCPNetworkRoundTrip(t *testing.T) {
 	t.Parallel()
 	netw, _, closeFn, err := NewTCPNetwork("127.0.0.1:0")
@@ -622,7 +604,7 @@ func TestLBMTruthfulRound(t *testing.T) {
 	t.Parallel()
 	trueVals := table51Values()
 	policies := make([]BidPolicy, len(trueVals))
-	res, err := RunLBM(NewMemNetwork(), trueVals, policies, 0.5*0.663)
+	res, err := RunLBMWith(NewMemNetwork(), trueVals, policies, 0.5*0.663, LBMOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -650,13 +632,13 @@ func TestLBMLyingAgentPenalized(t *testing.T) {
 	trueVals := table51Values()
 	phi := 0.5 * 0.663
 
-	truthRes, err := RunLBM(NewMemNetwork(), trueVals, make([]BidPolicy, len(trueVals)), phi)
+	truthRes, err := RunLBMWith(NewMemNetwork(), trueVals, make([]BidPolicy, len(trueVals)), phi, LBMOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	policies := make([]BidPolicy, len(trueVals))
 	policies[0] = ScaledBid(1.33)
-	liarRes, err := RunLBM(NewMemNetwork(), trueVals, policies, phi)
+	liarRes, err := RunLBMWith(NewMemNetwork(), trueVals, policies, phi, LBMOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -677,7 +659,7 @@ func TestLBMOverTCP(t *testing.T) {
 	}
 	defer closeFn()
 	trueVals := []float64{1, 2, 4}
-	res, err := RunLBM(netw, trueVals, make([]BidPolicy, 3), 1.0)
+	res, err := RunLBMWith(netw, trueVals, make([]BidPolicy, 3), 1.0, LBMOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -692,10 +674,10 @@ func TestLBMOverTCP(t *testing.T) {
 
 func TestLBMValidation(t *testing.T) {
 	t.Parallel()
-	if _, err := RunLBM(NewMemNetwork(), nil, nil, 1); err == nil {
+	if _, err := RunLBMWith(NewMemNetwork(), nil, nil, 1, LBMOptions{}); err == nil {
 		t.Error("empty system accepted")
 	}
-	if _, err := RunLBM(NewMemNetwork(), []float64{1}, make([]BidPolicy, 2), 0.5); err == nil {
+	if _, err := RunLBMWith(NewMemNetwork(), []float64{1}, make([]BidPolicy, 2), 0.5, LBMOptions{}); err == nil {
 		t.Error("policy length mismatch accepted")
 	}
 }
@@ -739,75 +721,5 @@ func TestConcurrentSends(t *testing.T) {
 	<-done
 	if got != workers*each {
 		t.Errorf("received %d messages, want %d", got, workers*each)
-	}
-}
-
-func TestLBMService(t *testing.T) {
-	t.Parallel()
-	trueVals := table51Values()
-	svc, err := NewLBMService(NewMemNetwork, trueVals, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := svc.Current(); ok {
-		t.Error("Current reported an allocation before any round")
-	}
-	res, err := svc.Start(0.3 * 0.663)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var total float64
-	for _, l := range res.Outcome.Loads {
-		total += l
-	}
-	if math.Abs(total-0.3*0.663) > 1e-9 {
-		t.Errorf("loads sum to %v", total)
-	}
-
-	// The arrival rate rises: the service re-runs the protocol and the
-	// installed allocation follows.
-	res2, err := svc.UpdateRate(0.7 * 0.663)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur, phi, ok := svc.Current()
-	if !ok || phi != 0.7*0.663 {
-		t.Errorf("current phi = %v ok=%v", phi, ok)
-	}
-	if cur.Outcome.Loads[0] != res2.Outcome.Loads[0] {
-		t.Error("Current does not reflect the latest round")
-	}
-	if svc.Rounds() != 2 {
-		t.Errorf("rounds = %d, want 2", svc.Rounds())
-	}
-
-	// A failing round (infeasible rate) keeps the previous allocation.
-	if _, err := svc.UpdateRate(10); err == nil {
-		t.Error("infeasible rate accepted")
-	}
-	_, phi, _ = svc.Current()
-	if phi != 0.7*0.663 {
-		t.Errorf("failed round replaced the allocation (phi=%v)", phi)
-	}
-
-	svc.Stop()
-	if _, err := svc.UpdateRate(0.1); err == nil {
-		t.Error("update accepted after Stop")
-	}
-}
-
-// The exposition tests moved to internal/cliutil with the Expose
-// helpers themselves (see cliutil/expose_test.go).
-
-func TestLBMServiceValidation(t *testing.T) {
-	t.Parallel()
-	if _, err := NewLBMService(nil, []float64{1}, nil); err == nil {
-		t.Error("nil factory accepted")
-	}
-	if _, err := NewLBMService(NewMemNetwork, nil, nil); err == nil {
-		t.Error("empty computers accepted")
-	}
-	if _, err := NewLBMService(NewMemNetwork, []float64{1}, make([]BidPolicy, 2)); err == nil {
-		t.Error("policy mismatch accepted")
 	}
 }

@@ -23,7 +23,7 @@ var retiredWireIDs = []byte{1, 2, 3, 4, 5, 6, 7, 18, 19}
 func FuzzMessageRoundTrip(f *testing.F) {
 	// Seed with one valid encoding per payload type, one frame per
 	// retired wire type, plus degenerate data.
-	seedPayloads := []any{
+	seedPayloads := []WireEncoder{
 		reqBidPayload{Computer: 4, Attempt: 1},
 		bidPayload{Computer: 4, Bid: 7.7},
 		awardPayload{Load: 0.3, Payment: 2.5},
@@ -50,7 +50,10 @@ func FuzzMessageRoundTrip(f *testing.F) {
 		retired := len(data) >= 2 && data[0] == codecMagic && slices.Contains(retiredWireIDs, data[1])
 		// Every decoder must reject or accept, never panic; none may
 		// accept a retired wire type.
-		for _, v := range []any{
+		for _, v := range []interface {
+			WireEncoder
+			WireDecoder
+		}{
 			&reqBidPayload{}, &bidPayload{}, &awardPayload{},
 			&hierTokenPayload{}, &hierPartialPayload{}, &hierDownPayload{},
 			&hierReqPayload{}, &hierSyncPayload{}, &hierRowPayload{},

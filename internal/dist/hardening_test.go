@@ -180,24 +180,3 @@ func TestTCPClosedErrorCarriesCause(t *testing.T) {
 		t.Errorf("err = %q does not mention the transport failure", err)
 	}
 }
-
-// TestLBMServiceWithOptions: the long-running service threads the
-// hardened options through its rounds.
-func TestLBMServiceWithOptions(t *testing.T) {
-	t.Parallel()
-	trueVals := table51Values()
-	svc, err := NewLBMService(func() Network { return NewMemNetwork() }, trueVals, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctr := obs.NewRegistry()
-	opts := fastLBMOptions()
-	opts.Observer = ctr
-	svc.SetOptions(opts)
-	if _, err := svc.Start(0.5 * 0.663); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := svc.Current(); !ok {
-		t.Error("service has no current allocation after Start")
-	}
-}

@@ -90,7 +90,7 @@ type LBMResult struct {
 }
 
 // LBMOptions tunes the hardened dispatcher runtime. The zero value gets
-// production-safe defaults; RunLBM uses them.
+// production-safe defaults.
 type LBMOptions struct {
 	// BidDeadline is how long the dispatcher waits on a quiet network
 	// for outstanding bids before re-requesting (default 2s).
@@ -192,16 +192,12 @@ func computerAgent(conn Conn, index int, trueValue float64, policy BidPolicy, ou
 	}
 }
 
-// RunLBM executes the LBM protocol over the network with default
-// runtime options: n computer agents with the given true values and bid
-// policies, one dispatcher running the mechanism with total arrival
-// rate phi. It returns the dispatcher's outcome evaluated against the
-// true values together with each agent's own report.
-func RunLBM(netw Network, trueValues []float64, policies []BidPolicy, phi float64) (LBMResult, error) {
-	return RunLBMWith(netw, trueValues, policies, phi, LBMOptions{})
-}
-
-// RunLBMWith is RunLBM with explicit fault-tolerance options.
+// RunLBMWith executes the LBM protocol over the network: n computer
+// agents with the given true values and bid policies, one dispatcher
+// running the mechanism with total arrival rate phi, hardened by the
+// fault-tolerance options (the zero value gets the defaults). It
+// returns the dispatcher's outcome evaluated against the true values
+// together with each agent's own report.
 func RunLBMWith(netw Network, trueValues []float64, policies []BidPolicy, phi float64, opts LBMOptions) (LBMResult, error) {
 	n := len(trueValues)
 	if n == 0 {

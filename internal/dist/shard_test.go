@@ -570,7 +570,7 @@ func TestShardUserTakesSyncsOnlyFromLeader(t *testing.T) {
 				u.run()
 			}()
 
-			send := func(from Conn, kind string, v any) {
+			send := func(from Conn, kind string, v WireEncoder) {
 				msg := Message{To: userName(0), Kind: kind}
 				if err := msg.Encode(v); err != nil {
 					t.Fatal(err)

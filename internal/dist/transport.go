@@ -35,14 +35,8 @@ type Message struct {
 // in place when its capacity is large enough (no allocation), otherwise
 // into one new slice of exactly its length. Whoever else holds the old
 // Data sees it overwritten, so a Message is re-encoded only by its owner;
-// Send keeps no reference to Data (the Conn send rule). v must implement
-// WireEncoder; anything else is refused with an error wrapping
-// ErrUnsupportedPayload.
-func (m *Message) Encode(v any) error {
-	p, ok := v.(WireEncoder)
-	if !ok {
-		return fmt.Errorf("dist: encode %s payload %T: %w", m.Kind, v, ErrUnsupportedPayload)
-	}
+// Send keeps no reference to Data (the Conn send rule).
+func (m *Message) Encode(p WireEncoder) error {
 	scratch := wireEncPool.Get().(*[]byte)
 	b := p.AppendWire(append((*scratch)[:0], codecMagic, p.WireID()))
 	if cap(m.Data) >= len(b) {
@@ -70,20 +64,15 @@ var wireEncPool = sync.Pool{New: func() any {
 // one per message would cost an allocation on every protocol receive.
 var wireDecPool = sync.Pool{New: func() any { return new(WireDec) }}
 
-// Decode deserializes the message's Data into v, reusing v's slice
-// capacity. v must implement WireDecoder (ErrUnsupportedPayload
-// otherwise); a payload of another wire type, or any malformed input,
-// is an error — never a panic.
-func (m *Message) Decode(v any) error {
-	p, ok := v.(WireDecoder)
-	if !ok {
-		return fmt.Errorf("dist: decode %s payload into %T: %w", m.Kind, v, ErrUnsupportedPayload)
-	}
+// Decode deserializes the message's Data into p, reusing p's slice
+// capacity. A payload of another wire type, or any malformed input, is
+// an error — never a panic.
+func (m *Message) Decode(p WireDecoder) error {
 	if len(m.Data) < 2 || m.Data[0] != codecMagic {
 		return fmt.Errorf("dist: decode %s payload: not a wire-codec payload", m.Kind)
 	}
 	if m.Data[1] != p.WireID() {
-		return fmt.Errorf("dist: decode %s payload: wire type %d does not match target %T", m.Kind, m.Data[1], v)
+		return fmt.Errorf("dist: decode %s payload: wire type %d does not match target %T", m.Kind, m.Data[1], p)
 	}
 	d := wireDecPool.Get().(*WireDec)
 	*d = WireDec{b: m.Data, off: 2}

@@ -206,20 +206,3 @@ func TrueResponseTime(loads, trueValues []float64) float64 {
 	}
 	return queueing.SystemResponseTime(mu, loads)
 }
-
-// PerformanceDegradation returns PD = (T_false − T_true)/T_true · 100
-// (§5.5) for an allocation computed from false bids, both evaluated on
-// the true rates.
-func (m Mechanism) PerformanceDegradation(bids, trueValues []float64) (float64, error) {
-	falseLoads, err := m.Allocate(bids)
-	if err != nil {
-		return 0, err
-	}
-	trueLoads, err := m.Allocate(trueValues)
-	if err != nil {
-		return 0, err
-	}
-	tFalse := TrueResponseTime(falseLoads, trueValues)
-	tTrue := TrueResponseTime(trueLoads, trueValues)
-	return (tFalse - tTrue) / tTrue * 100, nil
-}

@@ -254,56 +254,6 @@ func TestPaperProfitShape(t *testing.T) {
 	}
 }
 
-// TestPerformanceDegradation reproduces Figure 5.2's shape: negligible PD
-// at medium load for a 7% underbid, moderate PD for a 33% overbid, and a
-// blow-up (unstable C1) for the underbid at 90% utilization.
-func TestPerformanceDegradation(t *testing.T) {
-	trueVals := table51()
-
-	under := func(v []float64) []float64 {
-		out := append([]float64(nil), v...)
-		out[0] *= 0.93
-		return out
-	}
-	over := func(v []float64) []float64 {
-		out := append([]float64(nil), v...)
-		out[0] *= 1.33
-		return out
-	}
-
-	m := Mechanism{Phi: 0.5 * sumMu51}
-	pd, err := m.PerformanceDegradation(under(trueVals), trueVals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pd < 0 || pd > 10 {
-		t.Errorf("underbid PD at medium load = %.1f%%, paper reports ~2%%", pd)
-	}
-	pd, err = m.PerformanceDegradation(over(trueVals), trueVals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pd < 3 || pd > 40 {
-		t.Errorf("overbid PD at medium load = %.1f%%, paper reports ~15%%", pd)
-	}
-
-	mHigh := Mechanism{Phi: 0.9 * sumMu51}
-	pd, err = mHigh.PerformanceDegradation(over(trueVals), trueVals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pd < 40 {
-		t.Errorf("overbid PD at high load = %.1f%%, paper reports >80%%", pd)
-	}
-	pd, err = mHigh.PerformanceDegradation(under(trueVals), trueVals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !math.IsInf(pd, 1) && pd < 100 {
-		t.Errorf("underbid PD at high load = %v, want drastic (paper ~300%%; analytically the fast computer is overloaded)", pd)
-	}
-}
-
 // TestFrugality reproduces the §5.5 payment-structure observations: at
 // medium load the mechanism's total payment is at most ~3× the total
 // cost, and the cost share of the total payment grows as load falls.

@@ -45,13 +45,6 @@ func Summarize(xs []float64) Summary {
 	return s
 }
 
-// ConfidenceInterval95 returns the half-width of the 95% normal-theory
-// confidence interval for the mean. For the replication counts used here
-// (≥5 long runs) the normal approximation matches the paper's reporting.
-func (s Summary) ConfidenceInterval95() float64 {
-	return 1.96 * s.StdErr
-}
-
 // RelativeError returns StdErr/Mean, the figure of merit the paper keeps
 // below 5%; it returns 0 for a zero mean.
 func (s Summary) RelativeError() float64 {
@@ -94,9 +87,6 @@ func (a *Accumulator) N() int { return a.n }
 
 // Mean returns the running mean (0 if no observations).
 func (a *Accumulator) Mean() float64 { return a.mean }
-
-// Sum returns n·mean, the running total.
-func (a *Accumulator) Sum() float64 { return a.mean * float64(a.n) }
 
 // Summary converts the accumulated state into a Summary.
 func (a *Accumulator) Summary() Summary {

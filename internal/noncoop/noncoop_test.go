@@ -1,9 +1,7 @@
 package noncoop
 
 import (
-	"bytes"
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -67,7 +65,7 @@ func TestAccessors(t *testing.T) {
 	if sys.NumComputers() != 2 || sys.NumUsers() != 2 {
 		t.Error("dimension accessors wrong")
 	}
-	if sys.TotalPhi() != 5 || sys.TotalMu() != 10 || sys.Utilization() != 0.5 {
+	if sys.TotalPhi() != 5 || sys.TotalMu() != 10 {
 		t.Error("rate accessors wrong")
 	}
 }
@@ -538,54 +536,5 @@ func TestJacobiConvergesForFewUsers(t *testing.T) {
 	ok, err := IsNashEquilibrium(sys, res.Profile, 1e-6)
 	if err != nil || !ok {
 		t.Errorf("single-user jacobi not at equilibrium (ok=%v err=%v)", ok, err)
-	}
-}
-
-func TestProfileSaveLoadRoundTrip(t *testing.T) {
-	sys := paperSystem(t, 0.5)
-	res, err := Nash(sys, NashOptions{Init: InitProportional, Eps: 1e-8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := res.Profile.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadProfile(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.ValidateProfile(loaded); err != nil {
-		t.Fatalf("loaded profile infeasible: %v", err)
-	}
-	for j := range res.Profile.S {
-		for i := range res.Profile.S[j] {
-			if loaded.S[j][i] != res.Profile.S[j][i] {
-				t.Fatalf("mismatch at [%d][%d]", j, i)
-			}
-		}
-	}
-}
-
-func TestLoadProfileRejectsGarbage(t *testing.T) {
-	cases := []string{
-		"not json",
-		`{"version":2,"strategies":[[1]]}`,
-		`{"version":1,"strategies":[]}`,
-		`{"version":1,"strategies":[[0.5,0.5],[1]]}`,
-	}
-	for _, c := range cases {
-		if _, err := LoadProfile(strings.NewReader(c)); err == nil {
-			t.Errorf("LoadProfile(%q) accepted", c)
-		}
-	}
-}
-
-func TestSaveRejectsNonFinite(t *testing.T) {
-	p := NewProfile(1, 2)
-	p.S[0][0] = math.Inf(1)
-	var buf bytes.Buffer
-	if err := p.Save(&buf); err == nil {
-		t.Error("non-finite profile saved")
 	}
 }

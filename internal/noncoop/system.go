@@ -93,9 +93,6 @@ func (s System) TotalMu() float64 {
 	return t
 }
 
-// Utilization returns ρ = Σφ / Σμ (eq. 4.15).
-func (s System) Utilization() float64 { return s.TotalPhi() / s.TotalMu() }
-
 // Profile is a strategy profile: S[j][i] is the fraction of user j's jobs
 // routed to computer i. A feasible profile has non-negative rows summing
 // to 1 with all computers stable.

@@ -1,63 +1,17 @@
 // Package numeric provides the small numerical kernels shared by the
-// load-balancing solvers: root finding by bisection, one-dimensional
-// minimization by golden-section search, and adaptive Simpson quadrature.
+// load-balancing solvers: one-dimensional minimization by golden-section
+// search, adaptive Simpson quadrature and compensated summation.
 //
-// The kernels are deliberately dependency-free and deterministic; every
-// solver in this repository that needs "solve f(x)=0 on [a,b]" or
-// "integrate a smooth decreasing load curve" goes through this package so
-// that tolerances are applied uniformly.
+// The kernels are deliberately dependency-free and deterministic. The
+// line searches of the Bayesian, multi-class and bargaining solvers go
+// through GoldenMin, the mechanism payments integrate through Simpson,
+// and the conservation checks sum through Sum, so that tolerances are
+// applied uniformly. The root finders (WARDROP's level search, the LBM
+// mechanism's load curve) bisect in place on their own monotone
+// closed forms.
 package numeric
 
-import (
-	"errors"
-	"math"
-)
-
-// ErrNoBracket is returned by Bisect when f(a) and f(b) do not bracket a
-// root (same sign at both ends).
-var ErrNoBracket = errors.New("numeric: interval does not bracket a root")
-
-// ErrMaxIter is returned when an iterative kernel exceeds its iteration
-// budget before reaching the requested tolerance.
-var ErrMaxIter = errors.New("numeric: maximum iterations exceeded")
-
-// DefaultTol is the tolerance used by callers that do not have a more
-// specific accuracy requirement.
-const DefaultTol = 1e-12
-
-const maxBisectIter = 200
-
-// Bisect finds x in [a,b] with f(x) = 0 by bisection. f(a) and f(b) must
-// have opposite signs (an exact zero at either endpoint is accepted). The
-// returned x satisfies |b-a| <= tol at termination.
-func Bisect(f func(float64) float64, a, b, tol float64) (float64, error) {
-	if a > b {
-		a, b = b, a
-	}
-	fa, fb := f(a), f(b)
-	switch {
-	case fa == 0:
-		return a, nil
-	case fb == 0:
-		return b, nil
-	case fa*fb > 0:
-		return 0, ErrNoBracket
-	}
-	for i := 0; i < maxBisectIter; i++ {
-		mid := a + (b-a)/2
-		fm := f(mid)
-		if fm == 0 || b-a <= tol {
-			return mid, nil
-		}
-		if fa*fm < 0 {
-			b, fb = mid, fm
-		} else {
-			a, fa = mid, fm
-		}
-	}
-	_ = fb
-	return a + (b-a)/2, ErrMaxIter
-}
+import "math"
 
 // invPhi is 1/phi where phi is the golden ratio.
 var invPhi = (math.Sqrt(5) - 1) / 2
@@ -127,17 +81,6 @@ func adaptiveSimpson(f func(float64) float64, a, b, fa, fb, m, fm, whole, tol fl
 		adaptiveSimpson(f, m, b, fm, fb, rm, frm, right, tol/2, depth-1)
 }
 
-// Clamp limits x to the closed interval [lo, hi].
-func Clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
-}
-
 // Sum returns the compensated (Neumaier/Kahan–Babuška) sum of xs.
 // Allocation vectors mix magnitudes across several orders of magnitude
 // (fast vs slow computers), so the conservation checks use compensated
@@ -150,26 +93,6 @@ func Sum(xs []float64) float64 {
 			c += (sum - t) + x
 		} else {
 			c += (x - t) + sum
-		}
-		sum = t
-	}
-	return sum + c
-}
-
-// Dot returns the compensated dot product of a and b. The slices must
-// have equal length.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("numeric: Dot length mismatch")
-	}
-	var sum, c float64
-	for i, x := range a {
-		y := x * b[i]
-		t := sum + y
-		if math.Abs(sum) >= math.Abs(y) {
-			c += (sum - t) + y
-		} else {
-			c += (y - t) + sum
 		}
 		sum = t
 	}

@@ -6,42 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestBisectFindsRoot(t *testing.T) {
-	x, err := Bisect(func(x float64) float64 { return x*x - 2 }, 0, 2, 1e-12)
-	if err != nil {
-		t.Fatalf("Bisect: %v", err)
-	}
-	if math.Abs(x-math.Sqrt2) > 1e-10 {
-		t.Errorf("Bisect = %v, want sqrt(2)=%v", x, math.Sqrt2)
-	}
-}
-
-func TestBisectExactEndpoint(t *testing.T) {
-	x, err := Bisect(func(x float64) float64 { return x }, 0, 5, 1e-12)
-	if err != nil {
-		t.Fatalf("Bisect: %v", err)
-	}
-	if x != 0 {
-		t.Errorf("Bisect = %v, want 0", x)
-	}
-}
-
-func TestBisectReversedInterval(t *testing.T) {
-	x, err := Bisect(func(x float64) float64 { return x - 1 }, 3, 0, 1e-10)
-	if err != nil {
-		t.Fatalf("Bisect: %v", err)
-	}
-	if math.Abs(x-1) > 1e-9 {
-		t.Errorf("Bisect = %v, want 1", x)
-	}
-}
-
-func TestBisectNoBracket(t *testing.T) {
-	if _, err := Bisect(func(x float64) float64 { return x*x + 1 }, -1, 1, 1e-12); err != ErrNoBracket {
-		t.Errorf("err = %v, want ErrNoBracket", err)
-	}
-}
-
 func TestGoldenMin(t *testing.T) {
 	x := GoldenMin(func(x float64) float64 { return (x - 3) * (x - 3) }, 0, 10, 1e-9)
 	if math.Abs(x-3) > 1e-7 {
@@ -101,17 +65,6 @@ func TestSimpsonPiecewise(t *testing.T) {
 	}
 }
 
-func TestClamp(t *testing.T) {
-	cases := []struct{ x, lo, hi, want float64 }{
-		{-1, 0, 1, 0}, {2, 0, 1, 1}, {0.5, 0, 1, 0.5},
-	}
-	for _, c := range cases {
-		if got := Clamp(c.x, c.lo, c.hi); got != c.want {
-			t.Errorf("Clamp(%v,%v,%v) = %v, want %v", c.x, c.lo, c.hi, got, c.want)
-		}
-	}
-}
-
 func TestSumCompensated(t *testing.T) {
 	// A sum that plain accumulation gets wrong in the last bits.
 	xs := make([]float64, 0, 3000)
@@ -123,22 +76,6 @@ func TestSumCompensated(t *testing.T) {
 	}
 }
 
-func TestDot(t *testing.T) {
-	got := Dot([]float64{1, 2, 3}, []float64{4, 5, 6})
-	if got != 32 {
-		t.Errorf("Dot = %v, want 32", got)
-	}
-}
-
-func TestDotMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Dot with mismatched lengths did not panic")
-		}
-	}()
-	Dot([]float64{1}, []float64{1, 2})
-}
-
 func TestAlmostEqual(t *testing.T) {
 	if !AlmostEqual(1e9, 1e9+1, 1e-8) {
 		t.Error("relative comparison failed")
@@ -148,21 +85,6 @@ func TestAlmostEqual(t *testing.T) {
 	}
 	if !AlmostEqual(0, 1e-13, 1e-12) {
 		t.Error("absolute comparison near zero failed")
-	}
-}
-
-func TestBisectQuickLinear(t *testing.T) {
-	// Property: for any linear function with a root inside the interval,
-	// bisection recovers it.
-	prop := func(slope, root float64) bool {
-		s := math.Mod(math.Abs(slope), 10) + 0.1
-		r := math.Mod(root, 100)
-		f := func(x float64) float64 { return s * (x - r) }
-		x, err := Bisect(f, r-50, r+50, 1e-10)
-		return err == nil && math.Abs(x-r) < 1e-8
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Error(err)
 	}
 }
 

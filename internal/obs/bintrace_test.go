@@ -378,6 +378,33 @@ func TestJSONLObserveSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestDecodeTraceValueAllocs pins the decode path: reading an event's
+// value V costs no allocation, so a trace whose records all carry V
+// decodes in as many allocations as the same trace without V (the
+// fixed cost: buffers, the kind table, per-section state).
+func TestDecodeTraceValueAllocs(t *testing.T) {
+	decodeAllocs := func(v float64) float64 {
+		var bin bytes.Buffer
+		bt := NewBinaryTracer(&bin)
+		for i := 0; i < 2000; i++ {
+			bt.Observe(Event{Kind: DESDeparture, Time: float64(i), A: 3, V: v})
+		}
+		if err := bt.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		data := bin.Bytes()
+		return testing.AllocsPerRun(5, func() {
+			if err := DecodeTrace(bytes.NewReader(data), io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	without, with := decodeAllocs(0), decodeAllocs(0.25)
+	if with > without {
+		t.Errorf("decoding 2000 records with V allocates %.0f times, without V %.0f; reading V must not allocate", with, without)
+	}
+}
+
 // TestSinkInterface: both tracers satisfy Sink through the facade's
 // construction path, and a Sink used purely through the interface
 // behaves like the concrete type.

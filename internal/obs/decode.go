@@ -168,11 +168,11 @@ func decodeSection(br *bufio.Reader, bw *bufio.Writer, names []string, rep int, 
 			e.N = int64(v)
 		}
 		if flags&flagV != 0 {
-			var vb [8]byte
-			if err := sr.read(vb[:]); err != nil {
+			bits, err := sr.readUint64LE()
+			if err != nil {
 				return scratch, badTrace("reading value v: %v", err)
 			}
-			e.V = math.Float64frombits(binary.LittleEndian.Uint64(vb[:]))
+			e.V = math.Float64frombits(bits)
 		}
 		if flags&flagNode != 0 {
 			id, err := binary.ReadUvarint(sr)
@@ -211,6 +211,21 @@ func (s *sectionReader) ReadByte() (byte, error) {
 		err = io.ErrUnexpectedEOF
 	}
 	return b, err
+}
+
+// readUint64LE reads 8 little-endian bytes a byte at a time: a stack
+// array handed to read would escape through io.ReadFull and cost an
+// allocation per record.
+func (s *sectionReader) readUint64LE() (uint64, error) {
+	var v uint64
+	for i := 0; i < 8; i++ {
+		b, err := s.ReadByte()
+		if err != nil {
+			return 0, err
+		}
+		v |= uint64(b) << (8 * i)
+	}
+	return v, nil
 }
 
 func (s *sectionReader) read(p []byte) error {

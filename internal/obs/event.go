@@ -1,9 +1,9 @@
 // Package obs is the repository's deterministic observability layer: a
 // typed event vocabulary (Event/Kind), an Observer interface the DES
 // engine, the iterative solvers and the distributed protocols report
-// into, a metrics Registry (counters, gauges, mergeable fixed-bucket
-// histograms), and a structured JSONL Tracer whose output is
-// byte-identical for a fixed seed at any worker count.
+// into, a metrics Registry (counters, gauges, fixed-bucket histograms),
+// and a structured JSONL Tracer whose output is byte-identical for a
+// fixed seed at any worker count.
 //
 // Determinism contract: nothing in this package reads the wall clock or
 // draws randomness. Every Event carries the emitter's own notion of time

@@ -7,12 +7,9 @@ import (
 )
 
 // Histogram is a fixed-bucket latency histogram. The bucket layout is
-// immutable after construction, which is what makes snapshots mergeable:
-// two snapshots over the same bounds merge by adding counts, and every
-// quantile estimate depends only on counts and bounds, so the merge of
-// per-replication snapshots answers quantile queries identically to a
-// single-stream histogram fed the same observations (the property test
-// in histogram_test.go pins this down).
+// immutable after construction, and every quantile estimate depends
+// only on counts and bounds, so a histogram shared across replications
+// answers quantile queries the same at any worker count.
 //
 // Histogram is not safe for concurrent use on its own; the Registry
 // serializes access with its mutex.
@@ -94,34 +91,6 @@ type HistogramSnapshot struct {
 	Sum    float64
 }
 
-// Merge combines two snapshots taken over identical bounds. Counts and
-// N merge exactly; Sum is a float accumulation, so merged sums agree
-// with a single-stream histogram only up to rounding (quantiles, which
-// depend only on counts, agree exactly).
-func (s HistogramSnapshot) Merge(o HistogramSnapshot) (HistogramSnapshot, error) {
-	if len(s.Bounds) != len(o.Bounds) {
-		return HistogramSnapshot{}, fmt.Errorf("obs: merging histograms with %d and %d bounds", len(s.Bounds), len(o.Bounds))
-	}
-	for i := range s.Bounds {
-		// Bounds are copied verbatim from construction, never computed,
-		// so identity is the right check here.
-		//lint:ignore floatcmp bucket bounds are copied constants, not arithmetic results
-		if s.Bounds[i] != o.Bounds[i] {
-			return HistogramSnapshot{}, fmt.Errorf("obs: merging histograms with different bound %d", i)
-		}
-	}
-	out := HistogramSnapshot{
-		Bounds: append([]float64(nil), s.Bounds...),
-		Counts: make([]uint64, len(s.Counts)),
-		N:      s.N + o.N,
-		Sum:    s.Sum + o.Sum,
-	}
-	for i := range out.Counts {
-		out.Counts[i] = s.Counts[i] + o.Counts[i]
-	}
-	return out, nil
-}
-
 // Mean returns the mean of the observed values, or 0 with no
 // observations.
 func (s HistogramSnapshot) Mean() float64 {
@@ -133,10 +102,9 @@ func (s HistogramSnapshot) Mean() float64 {
 
 // Quantile estimates the q-quantile (0 <= q <= 1) by linear
 // interpolation inside the bucket holding the target rank. The estimate
-// is a pure function of bounds and counts, so it survives snapshot
-// merging exactly. With no observations it returns 0; ranks falling in
-// the overflow bucket return the last finite bound (the histogram
-// cannot resolve beyond it).
+// is a pure function of bounds and counts. With no observations it
+// returns 0; ranks falling in the overflow bucket return the last
+// finite bound (the histogram cannot resolve beyond it).
 func (s HistogramSnapshot) Quantile(q float64) float64 {
 	if s.N == 0 || math.IsNaN(q) {
 		return 0

@@ -45,83 +45,6 @@ func TestHistogramBucketing(t *testing.T) {
 	}
 }
 
-// TestHistogramMergeProperty is the mergeability contract: splitting an
-// observation stream across k histograms and merging their snapshots
-// answers every quantile query identically to one histogram fed the
-// whole stream, with counts and N exact and the sum within float
-// tolerance.
-func TestHistogramMergeProperty(t *testing.T) {
-	bounds := DefaultLatencyBounds()
-	rng := queueing.NewRNG(7)
-	for trial := 0; trial < 20; trial++ {
-		k := 2 + trial%4
-		single, err := NewHistogram(bounds)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parts := make([]*Histogram, k)
-		for i := range parts {
-			parts[i], err = NewHistogram(bounds)
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		nobs := 50 + int(rng.Float64()*500)
-		for i := 0; i < nobs; i++ {
-			v := rng.Exp(5) // response-time-like values around 0.2
-			single.Observe(v)
-			parts[i%k].Observe(v)
-		}
-		merged := parts[0].Snapshot()
-		for _, p := range parts[1:] {
-			merged, err = merged.Merge(p.Snapshot())
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		want := single.Snapshot()
-		if merged.N != want.N {
-			t.Fatalf("trial %d: merged N %d, single-stream N %d", trial, merged.N, want.N)
-		}
-		for b := range want.Counts {
-			if merged.Counts[b] != want.Counts[b] {
-				t.Fatalf("trial %d: bucket %d merged %d, single %d", trial, b, merged.Counts[b], want.Counts[b])
-			}
-		}
-		if diff := math.Abs(merged.Sum - want.Sum); diff > 1e-9*math.Abs(want.Sum) {
-			t.Errorf("trial %d: merged sum %g vs single %g", trial, merged.Sum, want.Sum)
-		}
-		for _, q := range []float64{0, 0.01, 0.25, 0.5, 0.9, 0.95, 0.99, 1} {
-			// Quantiles depend only on counts and bounds, so the merge
-			// must agree bit-for-bit.
-			if mq, sq := merged.Quantile(q), want.Quantile(q); mq != sq {
-				t.Errorf("trial %d: q%.2f merged %g, single %g", trial, q, mq, sq)
-			}
-		}
-	}
-}
-
-func TestHistogramMergeMismatch(t *testing.T) {
-	a, err := NewHistogram([]float64{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewHistogram([]float64{1, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.Snapshot().Merge(b.Snapshot()); err == nil {
-		t.Error("merge across different bounds accepted")
-	}
-	c, err := NewHistogram([]float64{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.Snapshot().Merge(c.Snapshot()); err == nil {
-		t.Error("merge across different bucket counts accepted")
-	}
-}
-
 func TestHistogramQuantileEdges(t *testing.T) {
 	var empty HistogramSnapshot
 	if got := empty.Quantile(0.5); got != 0 {

@@ -7,23 +7,10 @@ package obs
 // The disabled observer is a nil Observer, not a no-op value: emission
 // sites guard with `if o != nil` (or the Emit/Count helpers below), so
 // the off path is a single predicted branch with zero allocations. Code
-// outside this package should thread the caller's observer down and
-// pass nil when there is none — the lbvet obsdefault analyzer flags
-// module code that reaches for Discard instead.
+// threads the caller's observer down and passes nil when there is none.
 type Observer interface {
 	Observe(Event)
 }
-
-// discard is the no-op Observer behind Discard.
-type discard struct{}
-
-func (discard) Observe(Event) {}
-
-// Discard is an Observer that drops every event. It exists for API
-// boundaries that require a non-nil Observer (tests, option defaults
-// inside this package); hot paths should prefer a nil Observer, which
-// skips event construction entirely.
-var Discard Observer = discard{}
 
 // multi fans events out to several observers.
 type multi []Observer

@@ -85,49 +85,3 @@ func GIM1ResponseTime(arrival interface {
 	}
 	return 1 / (mu * (1 - sigma)), nil
 }
-
-// GIM1SystemResponseTime evaluates a parallel system of GI/M/1 stations
-// fed by probabilistic splitting of one renewal stream: station i
-// receives each arrival independently with probability p_i = λ_i/Φ.
-//
-// Caveat: splitting a renewal process by Bernoulli routing yields
-// exactly-renewal substreams only for Poisson arrivals; for H2 arrivals
-// the substream is approximated by an H2 with the same mean scaled by
-// 1/p_i and the parent's coefficient of variation, the standard renewal
-// approximation. The Figure 3.6 tests show it tracks the simulated
-// values closely.
-func GIM1SystemResponseTime(mu, lambda []float64, cv float64) (float64, error) {
-	if len(mu) != len(lambda) {
-		return 0, errors.New("queueing: GIM1SystemResponseTime length mismatch")
-	}
-	var phi float64
-	for _, l := range lambda {
-		phi += l
-	}
-	if phi <= 0 {
-		return 0, nil
-	}
-	var weighted float64
-	for i := range mu {
-		if lambda[i] <= 0 {
-			continue
-		}
-		var t float64
-		var err error
-		//lint:ignore floatcmp cv is configured, not computed; exactly 1 selects the M/M/1 closed form
-		if cv == 1 {
-			t = ResponseTime(mu[i], lambda[i])
-		} else {
-			sub, herr := NewHyperExponential(1/lambda[i], cv)
-			if herr != nil {
-				return 0, herr
-			}
-			t, err = GIM1ResponseTime(sub, mu[i])
-			if err != nil {
-				return 0, err
-			}
-		}
-		weighted += lambda[i] * t
-	}
-	return weighted / phi, nil
-}

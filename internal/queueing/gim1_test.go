@@ -131,34 +131,3 @@ func TestGIM1Unstable(t *testing.T) {
 		t.Error("zero service rate accepted")
 	}
 }
-
-func TestGIM1SystemResponseTime(t *testing.T) {
-	mu := []float64{4, 2}
-	lambda := []float64{2, 1}
-	// cv=1 path must agree with SystemResponseTime.
-	got, err := GIM1SystemResponseTime(mu, lambda, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := SystemResponseTime(mu, lambda)
-	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("cv=1 system response %v != %v", got, want)
-	}
-	// cv=1.6 must be strictly worse.
-	bursty, err := GIM1SystemResponseTime(mu, lambda, 1.6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bursty <= want {
-		t.Errorf("bursty system response %v not above Poisson %v", bursty, want)
-	}
-	// Zero load: zero response.
-	zero, err := GIM1SystemResponseTime(mu, []float64{0, 0}, 1.6)
-	if err != nil || zero != 0 {
-		t.Errorf("zero load: %v, %v", zero, err)
-	}
-	// Length mismatch rejected.
-	if _, err := GIM1SystemResponseTime(mu, []float64{1}, 1.6); err == nil {
-		t.Error("length mismatch accepted")
-	}
-}

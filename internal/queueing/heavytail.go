@@ -14,14 +14,13 @@ import (
 // its pre-split stream).
 //
 // Parameter validation happens once, in the constructors, mirroring
-// NewPicker/NewAliasSampler: an invalid shape (Pareto α ≤ 1 with an
+// NewAliasSampler: an invalid shape (Pareto α ≤ 1 with an
 // infinite mean, Weibull k ≤ 0, lognormal σ ≤ 0) fails at construction,
 // never mid-replication. The value types are immutable after
 // construction and therefore safe to share across the worker pool.
 //
-// Each distribution also exposes CDF (for the Kolmogorov–Smirnov
-// harness in validate.go) and SecondMoment (for the M/G/1
-// Pollaczek–Khinchine closed form in mg1.go).
+// Each distribution also exposes CDF, for the Kolmogorov–Smirnov
+// harness in validate.go.
 
 // CDFer is implemented by distributions whose cumulative distribution
 // function has a closed form; the KS harness tests samplers against it.
@@ -220,15 +219,6 @@ func (l Lognormal) Sample(r *RNG) float64 {
 // Mean returns exp(μ + σ²/2).
 func (l Lognormal) Mean() float64 { return math.Exp(l.Mu + l.Sigma*l.Sigma/2) }
 
-// SecondMoment returns E[X²] = exp(2μ + 2σ²).
-func (l Lognormal) SecondMoment() float64 { return math.Exp(2*l.Mu + 2*l.Sigma*l.Sigma) }
-
-// Variance returns (exp(σ²) − 1)·exp(2μ + σ²).
-func (l Lognormal) Variance() float64 {
-	m := l.Mean()
-	return l.SecondMoment() - m*m
-}
-
 // CV returns sqrt(exp(σ²) − 1).
 func (l Lognormal) CV() float64 { return math.Sqrt(math.Expm1(l.Sigma * l.Sigma)) }
 
@@ -255,12 +245,4 @@ func (h HyperExponential) CDF(x float64) float64 {
 		return 0
 	}
 	return -(h.P1*math.Expm1(-h.R1*x) + (1-h.P1)*math.Expm1(-h.R2*x))
-}
-
-// SecondMoment returns E[X²] = 2/rate².
-func (e Exponential) SecondMoment() float64 { return 2 / (e.Rate * e.Rate) }
-
-// SecondMoment returns 2·p1/r1² + 2·p2/r2².
-func (h HyperExponential) SecondMoment() float64 {
-	return 2*h.P1/(h.R1*h.R1) + 2*(1-h.P1)/(h.R2*h.R2)
 }

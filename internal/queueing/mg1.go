@@ -15,8 +15,8 @@ import (
 //
 // so under light load the waiting time is linear in the arrival rate
 // with coefficient E[S²]/2 — exactly a Chapter 6 computer with
-// t = E[S²]/2. MG1LightLoadCoefficient exposes that constant and the
-// tests verify the expansion against the exact formula.
+// t = E[S²]/2. The tests verify the expansion against the exact
+// formula.
 
 // MG1 is an M/G/1 station: Poisson arrivals at rate Lambda, service
 // times with the given first two moments.
@@ -55,11 +55,6 @@ func (q MG1) WaitingTime() float64 {
 
 // ResponseTime returns W + E[S].
 func (q MG1) ResponseTime() float64 { return q.WaitingTime() + q.MeanS }
-
-// LightLoadCoefficient returns E[S²]/2, the slope of the waiting time in
-// λ as λ → 0 — the Chapter 6 latency coefficient t this station
-// realizes under light load.
-func (q MG1) LightLoadCoefficient() float64 { return q.SecondS / 2 }
 
 // MG1FromService builds an M/G/1 station from a service-time
 // distribution with known mean and CV (moments derived as

@@ -65,7 +65,7 @@ func TestMG1DeterministicService(t *testing.T) {
 // t = E[S²]/2 — a Chapter 6 linear-latency computer.
 func TestChapter6LightLoadDerivation(t *testing.T) {
 	service := MustHyperExponential(0.1, 1.6)
-	tCoef := MG1FromService(0, service).LightLoadCoefficient()
+	tCoef := MG1FromService(0, service).SecondS / 2
 	for _, lambda := range []float64{0.01, 0.05, 0.1} {
 		q := MG1FromService(lambda, service)
 		linear := tCoef * lambda

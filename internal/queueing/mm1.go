@@ -1,62 +1,11 @@
 package queueing
 
-import (
-	"errors"
-	"fmt"
-	"math"
-)
-
-// ErrUnstable is returned when an arrival rate meets or exceeds the
-// service rate of an M/M/1 station, violating the stability condition
-// λ < μ (constraint 3.6 of the cooperative game).
-var ErrUnstable = errors.New("queueing: M/M/1 stability requires lambda < mu")
-
-// MM1 is an M/M/1 station: Poisson arrivals at rate Lambda served at rate
-// Mu in FCFS order. It is the model of every computer in Chapters 3-5.
-type MM1 struct {
-	Lambda float64 // arrival rate (jobs/sec)
-	Mu     float64 // service rate (jobs/sec)
-}
-
-// Validate checks the station parameters: positive service rate,
-// non-negative arrival rate, and stability.
-func (q MM1) Validate() error {
-	if q.Mu <= 0 {
-		return fmt.Errorf("queueing: service rate must be positive, got %g", q.Mu)
-	}
-	if q.Lambda < 0 {
-		return fmt.Errorf("queueing: arrival rate must be non-negative, got %g", q.Lambda)
-	}
-	if q.Lambda >= q.Mu {
-		return fmt.Errorf("%w (lambda=%g, mu=%g)", ErrUnstable, q.Lambda, q.Mu)
-	}
-	return nil
-}
-
-// Utilization returns ρ = λ/μ.
-func (q MM1) Utilization() float64 { return q.Lambda / q.Mu }
+import "math"
 
 // ResponseTime returns the expected response time (waiting plus service)
-// 1/(μ-λ), the F_i(β_i) of eq. 3.5. It is +Inf at the stability boundary.
-func (q MM1) ResponseTime() float64 {
-	return ResponseTime(q.Mu, q.Lambda)
-}
-
-// QueueLength returns the expected number of jobs in the station,
-// ρ/(1-ρ), by Little's law L = λ·T.
-func (q MM1) QueueLength() float64 {
-	return q.Lambda * q.ResponseTime()
-}
-
-// WaitingTime returns the expected time in queue (excluding service),
-// ρ/(μ-λ).
-func (q MM1) WaitingTime() float64 {
-	return q.ResponseTime() - 1/q.Mu
-}
-
-// ResponseTime is the bare 1/(mu-lambda) helper used pervasively by the
-// allocation algorithms; it avoids constructing an MM1 value in inner
-// loops. Returns +Inf when lambda >= mu.
+// of an M/M/1 station, 1/(mu-lambda): the F_i(β_i) of eq. 3.5 and the
+// model of every computer in Chapters 3-5. Returns +Inf when
+// lambda >= mu, at and beyond the stability boundary.
 func ResponseTime(mu, lambda float64) float64 {
 	d := mu - lambda
 	if d <= 0 {
@@ -91,17 +40,4 @@ func SystemResponseTime(mu, lambda []float64) float64 {
 		return 0
 	}
 	return weighted / total
-}
-
-// TotalUtilization returns ρ = Σλ / Σμ, the system utilization definition
-// of eq. 3.30.
-func TotalUtilization(mu []float64, totalLambda float64) float64 {
-	var sum float64
-	for _, m := range mu {
-		sum += m
-	}
-	if sum == 0 {
-		return 0
-	}
-	return totalLambda / sum
 }

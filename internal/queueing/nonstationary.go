@@ -149,9 +149,6 @@ func (d *Diurnal) CumulativeIntensity(t float64) float64 {
 // Period returns the profile's period in seconds.
 func (d *Diurnal) Period() float64 { return d.period }
 
-// PeakRate returns the thinning envelope rate rmax.
-func (d *Diurnal) PeakRate() float64 { return d.rmax }
-
 // Now returns the virtual time of the last generated arrival.
 func (d *Diurnal) Now() float64 { return d.now }
 
@@ -207,6 +204,3 @@ func (d *Diurnal) Fork() Distribution {
 	cp.rates = d.rates // immutable after construction; shared safely
 	return &cp
 }
-
-// Reset rewinds the process clock to virtual time 0.
-func (d *Diurnal) Reset() { d.now = 0 }

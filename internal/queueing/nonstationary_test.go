@@ -37,9 +37,6 @@ func TestDiurnalRateAndIntegral(t *testing.T) {
 	if got := d.Period(); math.Abs(got-30) > 1e-12 {
 		t.Errorf("period = %v, want 30", got)
 	}
-	if got := d.PeakRate(); math.Abs(got-6) > 1e-12 {
-		t.Errorf("peak = %v, want 6", got)
-	}
 	for _, tc := range []struct{ t, rate, integral float64 }{
 		{0, 2, 0},
 		{5, 2, 10},
@@ -183,23 +180,5 @@ func TestDiurnalForkQuick(t *testing.T) {
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestDiurnalReset(t *testing.T) {
-	d, err := NewDiurnal([]float64{2, 8}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := NewRNG(3)
-	first := d.Sample(rng)
-	d.Sample(rng)
-	d.Reset()
-	if d.Now() != 0 {
-		t.Fatal("reset did not rewind the clock")
-	}
-	rng2 := NewRNG(3)
-	if got := d.Sample(rng2); got != first {
-		t.Errorf("post-reset first gap %v, want %v", got, first)
 	}
 }

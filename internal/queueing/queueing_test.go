@@ -3,7 +3,6 @@ package queueing
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestRNGDeterminism(t *testing.T) {
@@ -219,39 +218,6 @@ func TestDeterministic(t *testing.T) {
 	}
 }
 
-func TestMM1ClosedForms(t *testing.T) {
-	q := MM1{Lambda: 3, Mu: 5}
-	if err := q.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if got := q.Utilization(); got != 0.6 {
-		t.Errorf("utilization = %v, want 0.6", got)
-	}
-	if got := q.ResponseTime(); got != 0.5 {
-		t.Errorf("response time = %v, want 0.5", got)
-	}
-	if got := q.QueueLength(); math.Abs(got-1.5) > 1e-12 {
-		t.Errorf("queue length = %v, want 1.5 (Little's law)", got)
-	}
-	if got := q.WaitingTime(); math.Abs(got-0.3) > 1e-12 {
-		t.Errorf("waiting time = %v, want 0.3", got)
-	}
-}
-
-func TestMM1Validate(t *testing.T) {
-	cases := []MM1{
-		{Lambda: 5, Mu: 5},  // boundary: unstable
-		{Lambda: 6, Mu: 5},  // overloaded
-		{Lambda: -1, Mu: 5}, // negative arrivals
-		{Lambda: 1, Mu: 0},  // no service
-	}
-	for _, q := range cases {
-		if q.Validate() == nil {
-			t.Errorf("Validate(%+v) accepted invalid station", q)
-		}
-	}
-}
-
 func TestResponseTimeUnstable(t *testing.T) {
 	if !math.IsInf(ResponseTime(2, 2), 1) {
 		t.Error("response time at boundary should be +Inf")
@@ -283,28 +249,5 @@ func TestSystemResponseTimeIgnoresIdle(t *testing.T) {
 	got := SystemResponseTime([]float64{1e-9, 4}, []float64{0, 2})
 	if math.Abs(got-0.5) > 1e-12 {
 		t.Errorf("got %v, want 0.5", got)
-	}
-}
-
-func TestTotalUtilization(t *testing.T) {
-	got := TotalUtilization([]float64{1, 2, 3}, 3)
-	if got != 0.5 {
-		t.Errorf("utilization = %v, want 0.5", got)
-	}
-	if TotalUtilization(nil, 1) != 0 {
-		t.Error("empty system utilization should be 0")
-	}
-}
-
-func TestMM1LittleLawQuick(t *testing.T) {
-	// Property: L = λ·T for every stable station.
-	prop := func(a, b float64) bool {
-		mu := math.Abs(math.Mod(a, 100)) + 0.1
-		lam := math.Abs(math.Mod(b, 1)) * mu * 0.99
-		q := MM1{Lambda: lam, Mu: mu}
-		return math.Abs(q.QueueLength()-lam*q.ResponseTime()) < 1e-9*(1+q.QueueLength())
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Error(err)
 	}
 }

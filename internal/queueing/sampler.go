@@ -4,24 +4,17 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // This file holds the precomputed categorical samplers the simulator's
 // hot path draws from. RNG.Pick re-validates and re-sums its weight
 // slice on every call — fine for one-off draws, O(n) waste when the same
-// distribution is sampled millions of times. Two replacements:
-//
-//   - AliasSampler: Walker's alias method (as popularized for discrete-
-//     event simulation by Sim++ and its successors). O(n) to build,
-//     O(1) per draw, exactly one Float64 consumed per draw.
-//   - Picker: the cumulative-sum form of Pick with validation hoisted
-//     into the constructor; O(log n) per draw via binary search. Used
-//     where the weight slice is sampled repeatedly but too short-lived
-//     to amortize an alias table.
-//
-// Both samplers are immutable after construction and therefore safe to
-// share across goroutines (each draw mutates only the caller's RNG).
+// distribution is sampled millions of times. The replacement is
+// AliasSampler: Walker's alias method (as popularized for discrete-event
+// simulation by Sim++ and its successors). O(n) to build, O(1) per draw,
+// exactly one Float64 consumed per draw. It is immutable after
+// construction and therefore safe to share across goroutines (each draw
+// mutates only the caller's RNG).
 
 func validateWeights(weights []float64) (total float64, err error) {
 	if len(weights) == 0 {
@@ -117,9 +110,6 @@ func NewAliasSampler(weights []float64) (*AliasSampler, error) {
 	return a, nil
 }
 
-// N returns the number of categories.
-func (a *AliasSampler) N() int { return len(a.prob) }
-
 // Sample draws one index, consuming exactly one Float64 from r: the
 // integer part of u·n selects the column, the fractional part runs the
 // column's biased coin. The fractional split costs at most one part in
@@ -137,52 +127,4 @@ func (a *AliasSampler) Sample(r *RNG) int {
 		return i
 	}
 	return int(a.alias[i])
-}
-
-// Picker draws an index i with probability weights[i]/Σweights using a
-// precomputed cumulative-sum table: validation and summing happen once
-// in NewPicker, each Pick is a binary search. It replaces repeated
-// RNG.Pick calls over the same weight slice.
-type Picker struct {
-	cum  []float64 // cum[i] = weights[0] + … + weights[i]
-	last int       // largest index with positive weight (rounding guard)
-}
-
-// NewPicker validates the weights once and builds the cumulative table.
-func NewPicker(weights []float64) (*Picker, error) {
-	if _, err := validateWeights(weights); err != nil {
-		return nil, err
-	}
-	p := &Picker{cum: make([]float64, len(weights))}
-	var run float64
-	for i, w := range weights {
-		run += w
-		p.cum[i] = run
-		if w > 0 {
-			p.last = i
-		}
-	}
-	return p, nil
-}
-
-// N returns the number of categories.
-func (p *Picker) N() int { return len(p.cum) }
-
-// Pick draws one index, consuming exactly one Float64 from r. Indices
-// with zero weight are never returned.
-//
-//lb:hotpath
-func (p *Picker) Pick(r *RNG) int {
-	total := p.cum[len(p.cum)-1]
-	u := r.Float64() * total
-	// The smallest i with cum[i] > u; a zero-weight index cannot satisfy
-	// it first because its cum equals its predecessor's.
-	i := sort.SearchFloat64s(p.cum, u)
-	for i < len(p.cum) && p.cum[i] <= u { // SearchFloat64s finds cum[i] >= u; skip the exact-hit edge
-		i++
-	}
-	if i > p.last {
-		i = p.last // u rounded up to the total
-	}
-	return i
 }

@@ -51,29 +51,7 @@ func TestAliasSamplerProportions(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewAliasSampler(%v): %v", weights, err)
 		}
-		if a.N() != len(weights) {
-			t.Fatalf("N() = %d, want %d", a.N(), len(weights))
-		}
 		checkProportions(t, "alias", weights, a.Sample)
-	}
-}
-
-func TestPickerProportions(t *testing.T) {
-	t.Parallel()
-	for _, weights := range [][]float64{
-		{1, 2, 0, 7},
-		{1},
-		{0, 3, 0},
-		{0.5, 0.5},
-	} {
-		p, err := NewPicker(weights)
-		if err != nil {
-			t.Fatalf("NewPicker(%v): %v", weights, err)
-		}
-		if p.N() != len(weights) {
-			t.Fatalf("N() = %d, want %d", p.N(), len(weights))
-		}
-		checkProportions(t, "picker", weights, p.Pick)
 	}
 }
 
@@ -89,9 +67,6 @@ func TestSamplerInvalidWeights(t *testing.T) {
 	for _, weights := range bad {
 		if _, err := NewAliasSampler(weights); err == nil {
 			t.Errorf("NewAliasSampler(%v) accepted invalid weights", weights)
-		}
-		if _, err := NewPicker(weights); err == nil {
-			t.Errorf("NewPicker(%v) accepted invalid weights", weights)
 		}
 	}
 }

@@ -24,10 +24,6 @@ type Link struct {
 // Latency evaluates ℓ(x).
 func (l Link) Latency(x float64) float64 { return l.Slope*x + l.Const }
 
-// MarginalCost evaluates d/dx [x·ℓ(x)] = 2a·x + b, the quantity the
-// social optimum equalizes across used links.
-func (l Link) MarginalCost(x float64) float64 { return 2*l.Slope*x + l.Const }
-
 // Network is a set of parallel links carrying a total rate.
 type Network struct {
 	Links []Link

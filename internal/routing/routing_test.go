@@ -35,9 +35,6 @@ func TestLinkEvaluations(t *testing.T) {
 	if l.Latency(4) != 11 {
 		t.Errorf("latency = %v, want 11", l.Latency(4))
 	}
-	if l.MarginalCost(4) != 19 {
-		t.Errorf("marginal cost = %v, want 19", l.MarginalCost(4))
-	}
 }
 
 // TestPigouEquilibrium: all selfish traffic takes the congestible link

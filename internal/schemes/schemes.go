@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync/atomic"
 
 	"gtlb/internal/core"
 	"gtlb/internal/numeric"
@@ -131,20 +130,10 @@ type Wardrop struct {
 	// Concurrent Allocate calls on a shared Wardrop report interleaved;
 	// the observer must be safe for concurrent use.
 	Obs obs.Observer
-	// iterations records how many bisection steps the last Allocate
-	// used, exposed for the complexity comparison with COOP. Stored
-	// atomically so concurrent Allocate calls on a shared Wardrop (the
-	// experiment grid fan-out) stay race-free.
-	iterations atomic.Int64
 }
 
 // Name returns "WARDROP".
 func (*Wardrop) Name() string { return "WARDROP" }
-
-// Iterations reports the bisection steps consumed by the last Allocate
-// call; the paper contrasts WARDROP's O(n log n · log(1/ε)) iterative
-// cost with COOP's direct O(n log n).
-func (w *Wardrop) Iterations() int { return int(w.iterations.Load()) }
 
 // Allocate computes the Wardrop equilibrium loads.
 func (w *Wardrop) Allocate(mu []float64, phi float64) ([]float64, error) {
@@ -158,7 +147,6 @@ func (w *Wardrop) Allocate(mu []float64, phi float64) ([]float64, error) {
 	}
 	out := make([]float64, len(mu))
 	if phi == 0 {
-		w.iterations.Store(0)
 		return out, nil
 	}
 
@@ -190,7 +178,6 @@ func (w *Wardrop) Allocate(mu []float64, phi float64) ([]float64, error) {
 		hi *= 2
 		iters++
 		if iters > 200 {
-			w.iterations.Store(int64(iters))
 			return nil, fmt.Errorf("schemes: wardrop failed to bracket equilibrium (phi=%g)", phi)
 		}
 	}
@@ -209,7 +196,6 @@ func (w *Wardrop) Allocate(mu []float64, phi float64) ([]float64, error) {
 			break
 		}
 	}
-	w.iterations.Store(int64(iters))
 	t := lo + (hi-lo)/2
 	if w.Obs != nil {
 		w.Obs.Observe(obs.Event{Kind: obs.WardropSolve, Time: float64(iters), V: t})

@@ -7,6 +7,7 @@ import (
 
 	"gtlb/internal/metrics"
 	"gtlb/internal/numeric"
+	"gtlb/internal/obs"
 	"gtlb/internal/queueing"
 )
 
@@ -154,7 +155,8 @@ func TestWardropMatchesCOOP(t *testing.T) {
 	mu := table31()
 	for _, rho := range []float64{0.1, 0.4, 0.6, 0.9} {
 		phi := rho * 0.663
-		w := &Wardrop{}
+		reg := obs.NewRegistry()
+		w := &Wardrop{Obs: reg}
 		wl, err := w.Allocate(mu, phi)
 		if err != nil {
 			t.Fatal(err)
@@ -166,7 +168,7 @@ func TestWardropMatchesCOOP(t *testing.T) {
 		if d := metrics.LInfNorm(wl, cl); d > 1e-6 {
 			t.Errorf("rho=%.1f: WARDROP and COOP differ by %v", rho, d)
 		}
-		if w.Iterations() == 0 {
+		if reg.Get(obs.WardropStep.Name()) == 0 {
 			t.Errorf("rho=%.1f: WARDROP reported zero iterations", rho)
 		}
 	}

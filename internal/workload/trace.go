@@ -90,29 +90,6 @@ func Generate(dist queueing.Distribution, n int, rng *queueing.RNG) (Trace, erro
 	return t, nil
 }
 
-// GenerateMultiUser records n arrivals with user tags drawn from the
-// given probability shares.
-func GenerateMultiUser(dist queueing.Distribution, shares []float64, n int, rng *queueing.RNG) (Trace, error) {
-	t, err := Generate(dist, n, rng)
-	if err != nil {
-		return Trace{}, err
-	}
-	if len(shares) == 0 {
-		return Trace{}, errors.New("workload: need at least one user share")
-	}
-	// Validate the shares once and reuse the cumulative table for every
-	// job instead of paying Pick's per-call O(n) validation.
-	picker, err := queueing.NewPicker(shares)
-	if err != nil {
-		return Trace{}, fmt.Errorf("workload: user shares: %w", err)
-	}
-	t.Users = make([]int, n)
-	for i := range t.Users {
-		t.Users[i] = picker.Pick(rng)
-	}
-	return t, nil
-}
-
 // Save writes the trace as JSON.
 func (t Trace) Save(w io.Writer) error {
 	if err := t.Validate(); err != nil {
@@ -173,9 +150,6 @@ func (r *Replay) CV() float64 { return r.trace.CV() }
 
 // Cycles reports how many times the replay wrapped around the trace.
 func (r *Replay) Cycles() int { return r.cycles }
-
-// Reset rewinds the replay to the start of the trace.
-func (r *Replay) Reset() { r.next, r.cycles = 0, 0 }
 
 // Fork returns an independent replay starting at r's current position.
 // The simulator forks the inter-arrival distribution once per

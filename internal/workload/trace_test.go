@@ -32,31 +32,17 @@ func TestGenerateValidation(t *testing.T) {
 	if _, err := Generate(queueing.NewExponential(1), 0, rng); err == nil {
 		t.Error("zero jobs accepted")
 	}
-	if _, err := GenerateMultiUser(queueing.NewExponential(1), nil, 5, rng); err == nil {
-		t.Error("empty shares accepted")
-	}
-}
-
-func TestMultiUserTags(t *testing.T) {
-	rng := queueing.NewRNG(3)
-	tr, err := GenerateMultiUser(queueing.NewExponential(1), []float64{0.7, 0.3}, 50_000, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := map[int]int{}
-	for _, u := range tr.Users {
-		counts[u]++
-	}
-	if f := float64(counts[0]) / 50_000; math.Abs(f-0.7) > 0.02 {
-		t.Errorf("user 0 share = %v, want 0.7", f)
-	}
 }
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	rng := queueing.NewRNG(5)
-	orig, err := GenerateMultiUser(queueing.MustHyperExponential(0.1, 1.6), []float64{0.5, 0.5}, 500, rng)
+	orig, err := Generate(queueing.MustHyperExponential(0.1, 1.6), 500, rng)
 	if err != nil {
 		t.Fatal(err)
+	}
+	orig.Users = make([]int, orig.Jobs())
+	for i := range orig.Users {
+		orig.Users[i] = rng.Pick([]float64{0.5, 0.5})
 	}
 	orig.Description = "test trace"
 	var buf bytes.Buffer
@@ -95,7 +81,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestReplayCyclesAndReset(t *testing.T) {
+func TestReplayCycles(t *testing.T) {
 	tr := Trace{InterArrivals: []float64{1, 2, 3}}
 	r, err := NewReplay(tr)
 	if err != nil {
@@ -113,10 +99,6 @@ func TestReplayCyclesAndReset(t *testing.T) {
 	}
 	if r.Cycles() != 2 {
 		t.Errorf("cycles = %d, want 2", r.Cycles())
-	}
-	r.Reset()
-	if r.Sample(nil) != 1 || r.Cycles() != 0 {
-		t.Error("reset did not rewind")
 	}
 }
 
@@ -165,5 +147,73 @@ func TestReplayDrivesSimulator(t *testing.T) {
 	// M/M/1 at rho=0.5: E[T] = 1.
 	if math.Abs(a.Overall.Mean-1.0) > 0.05 {
 		t.Errorf("replayed M/M/1 response = %v, want ~1", a.Overall.Mean)
+	}
+}
+
+// TestHeavyTailTraceRoundTrip is the satellite's generate → save →
+// load → replay loop over every new generator: the replayed stream
+// must reproduce the recorded summary statistics exactly (same gaps,
+// so identical mean and CV), and the recorded moments must sit near
+// the generating distribution's analytic values.
+func TestHeavyTailTraceRoundTrip(t *testing.T) {
+	mk := func(d queueing.Distribution, err error) queueing.Distribution {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	cases := []struct {
+		name string
+		dist queueing.Distribution
+	}{
+		{"pareto", mk(queueing.NewParetoFromMean(0.01, 2.5))},
+		{"weibull", mk(queueing.NewWeibullFromMean(0.01, 0.7))},
+		{"lognormal", mk(queueing.NewLognormalFromMeanCV(0.01, 2))},
+		{"diurnal", mk(queueing.NewDiurnalFromMultipliers(100, []float64{0.5, 1.5}, 10))},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			const n = 50_000
+			orig, err := Generate(tc.dist, n, queueing.NewRNG(11))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := orig.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := Load(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := NewReplay(loaded)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sum, sq float64
+			for i := 0; i < n; i++ {
+				g := rep.Sample(nil)
+				if g != orig.InterArrivals[i] {
+					t.Fatalf("replayed gap %d differs from recording", i)
+				}
+				sum += g
+				d := g - orig.Mean()
+				sq += d * d
+			}
+			mean := sum / n
+			cv := math.Sqrt(sq/(n-1)) / mean
+			if math.Abs(mean-orig.Mean()) > 1e-12*orig.Mean() {
+				t.Errorf("replayed mean %v, recorded %v", mean, orig.Mean())
+			}
+			if math.Abs(cv-orig.CV()) > 1e-9 {
+				t.Errorf("replayed CV %v, recorded %v", cv, orig.CV())
+			}
+			// The recording reflects its generator: mean within 5%.
+			if math.Abs(orig.Mean()-tc.dist.Mean())/tc.dist.Mean() > 0.05 {
+				t.Errorf("recorded mean %v far from generator mean %v", orig.Mean(), tc.dist.Mean())
+			}
+		})
 	}
 }

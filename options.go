@@ -25,7 +25,7 @@ type Event = obs.Event
 type EventKind = obs.Kind
 
 // Registry is a metrics observer: it folds events into named counters,
-// gauges and mergeable latency histograms, and renders them with
+// gauges and latency histograms, and renders them with
 // String(). The chaos.*, nash.* and lbm.* counter keys keep their
 // historical names.
 type Registry = obs.Registry
@@ -94,62 +94,25 @@ func WithObserver(o Observer) Option {
 	return func(ro *runOptions) { ro.observers = append(ro.observers, o) }
 }
 
-// TraceFormat selects the wire encoding of a recorded event trace.
-type TraceFormat int
-
-const (
-	// TraceJSONL is the human-readable default: one JSON object per
-	// line, the format the goldens and downstream tools consume.
-	TraceJSONL TraceFormat = iota
-	// TraceBinary is the compact production-rate encoding
-	// (varint-delta timestamps, interned names, pooled pages); convert
-	// to JSONL with DecodeTrace or `lbtrace -decode`.
-	TraceBinary
-)
-
-// TraceOption refines a WithTrace recording (today: the format).
-type TraceOption func(*traceConfig)
-
-type traceConfig struct {
-	format TraceFormat
+// WithTrace records the run's events on w as JSON Lines, flushed
+// (buffered, in deterministic order) before the entry point returns.
+// Flush errors surface through the entry point's error result.
+func WithTrace(w io.Writer) Option {
+	return func(ro *runOptions) { ro.addSink(obs.NewTracer(w)) }
 }
 
-// WithTraceFormat selects the trace encoding; the zero value
-// (TraceJSONL) is the default, so existing WithTrace(w) call sites are
-// unchanged.
-func WithTraceFormat(f TraceFormat) TraceOption {
-	return func(tc *traceConfig) { tc.format = f }
-}
-
-// WithTrace records the run's events on w, flushed (buffered, in
-// deterministic order) before the entry point returns. With no trace
-// options it records JSON Lines — the historical behavior, unchanged —
-// and WithTraceFormat picks another encoding. Flush errors surface
-// through the entry point's error result.
-func WithTrace(w io.Writer, topts ...TraceOption) Option {
-	return func(ro *runOptions) {
-		var tc traceConfig
-		for _, to := range topts {
-			if to != nil {
-				to(&tc)
-			}
-		}
-		var s obs.Sink
-		switch tc.format {
-		case TraceBinary:
-			s = obs.NewBinaryTracer(w)
-		default:
-			s = obs.NewTracer(w)
-		}
-		ro.observers = append(ro.observers, s)
-		ro.sinks = append(ro.sinks, s)
-	}
-}
-
-// WithBinaryTrace records the run's events on w in the compact binary
-// trace format: shorthand for WithTrace(w, WithTraceFormat(TraceBinary)).
+// WithBinaryTrace is WithTrace in the compact production-rate binary
+// trace format (varint-delta timestamps, interned names, pooled pages);
+// convert it to the JSONL bytes with DecodeTrace or `lbtrace -decode`.
 func WithBinaryTrace(w io.Writer) Option {
-	return WithTrace(w, WithTraceFormat(TraceBinary))
+	return func(ro *runOptions) { ro.addSink(obs.NewBinaryTracer(w)) }
+}
+
+// addSink attaches a trace sink as an observer and marks it for the
+// entry point's flush.
+func (ro *runOptions) addSink(s obs.Sink) {
+	ro.observers = append(ro.observers, s)
+	ro.sinks = append(ro.sinks, s)
 }
 
 // WithFaultPlan wraps the entry point's network in the seeded chaos
