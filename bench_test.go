@@ -479,18 +479,32 @@ func BenchmarkDESWorkerSpeedup(b *testing.B) {
 // the summed wall clocks at 2.5x. Wall clock is noisy on shared hosts,
 // so the bound is a generous ceiling over the 1.5x target.
 func BenchmarkBinaryTracerOverhead(b *testing.B) {
+	if slowdown := tracerSlowdown(b, gtlb.WithBinaryTrace(io.Discard)); slowdown > 2.5 {
+		b.Errorf("binary tracer slowdown %.2fx vs an untraced run exceeds the 2.5x ceiling", slowdown)
+	}
+}
+
+// BenchmarkJSONLTracerOverhead is BenchmarkBinaryTracerOverhead under
+// the JSONL tracer, which records the same binary records and formats
+// them as JSON at Flush. It reports the slowdown and asserts no bound.
+func BenchmarkJSONLTracerOverhead(b *testing.B) {
+	tracerSlowdown(b, gtlb.WithTrace(io.Discard))
+}
+
+// tracerSlowdown times des.Run untraced and with the trace option, one
+// run of each per iteration, and reports and returns the ratio of the
+// summed wall clocks.
+func tracerSlowdown(b *testing.B, trace gtlb.Option) float64 {
 	cfg := desSpeedupConfig(b, 1)
 	var bareWall, tracedWall time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		bareWall += timeSimulate(b, cfg)
-		tracedWall += timeSimulate(b, cfg, gtlb.WithBinaryTrace(io.Discard))
+		tracedWall += timeSimulate(b, cfg, trace)
 	}
 	slowdown := float64(tracedWall) / float64(bareWall)
 	b.ReportMetric(slowdown, "slowdown-x")
-	if slowdown > 2.5 {
-		b.Errorf("binary tracer slowdown %.2fx vs an untraced run exceeds the 2.5x ceiling", slowdown)
-	}
+	return slowdown
 }
 
 // BenchmarkNashRingProtocol times the distributed §4.3 ring (one

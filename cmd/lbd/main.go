@@ -17,11 +17,14 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"sync/atomic"
 	"time"
 
 	"gtlb"
@@ -92,41 +95,23 @@ func main() {
 	}
 
 	// Graceful shutdown: the first SIGINT/SIGTERM closes stdin, which
-	// ends the pump loop below; the normal drain path then runs and the
+	// ends the pump below; the normal drain path then runs and the
 	// process exits 0 with the checkpoint flushed.
 	sigCh, stopSig := cliutil.ShutdownSignal()
 	defer stopSig()
+	var draining atomic.Bool
 	go func() {
 		s := <-sigCh
 		stopSig()
 		fmt.Fprintf(os.Stderr, "lbd: caught %v, draining\n", s)
+		draining.Store(true)
 		//lint:ignore errcheck closing stdin only to unblock the pump
 		os.Stdin.Close()
 	}()
 
-	// Pump: stdin JSONL -> transport. Malformed lines are counted and
-	// skipped; the daemon itself fences stale and invalid estimates.
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	badLines := 0
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var e gtlb.LoadEstimate
-		if err := json.Unmarshal(line, &e); err != nil {
-			badLines++
-			continue
-		}
-		m, err := ctrl.EncodeMessage("lbd", e)
-		if err != nil {
-			badLines++
-			continue
-		}
-		if err := src.Send(m); err != nil {
-			break // daemon side gone; drain what was delivered
-		}
+	badLines, readErr := pump(os.Stdin, src)
+	if draining.Load() && errors.Is(readErr, os.ErrClosed) {
+		readErr = nil // our own signal handler closed stdin
 	}
 	if err := src.Close(); err != nil {
 		fatal(err)
@@ -140,10 +125,64 @@ func main() {
 	if err := out.Flush(); err != nil {
 		fatal(err)
 	}
+	if readErr != nil {
+		fatal(fmt.Errorf("reading stdin: %w", readErr))
+	}
 	fmt.Printf("lbd: %d epochs committed, backlog %g\n", d.Epoch(), d.Backlog())
 	if *showMetrics {
 		//lint:ignore errcheck stdout exposition as the run exits
 		cliutil.WriteRegistry(os.Stdout, reg)
+	}
+}
+
+// maxLine bounds one input line; a longer line is malformed.
+const maxLine = 4 << 20
+
+// pump forwards stdin's JSONL estimates to the daemon over src until
+// the input ends or the daemon side is gone. Malformed lines — bad
+// JSON, an estimate that does not encode, a line longer than maxLine —
+// are counted, skipped and reading goes on; the daemon itself fences
+// stale and invalid estimates. It returns the malformed count and the
+// read error that ended the input (nil at end of input).
+func pump(r io.Reader, src gtlb.Conn) (bad int, err error) {
+	br := bufio.NewReader(r)
+	var line []byte
+	tooLong := false
+	for {
+		frag, rerr := br.ReadSlice('\n')
+		if !tooLong { // stop buffering a line once it is too long
+			line = append(line, frag...)
+			tooLong = len(line) > maxLine+2 // room for a trailing \r\n
+		}
+		if rerr == bufio.ErrBufferFull {
+			continue // the line goes on
+		}
+		if rerr != nil && rerr != io.EOF {
+			return bad, rerr
+		}
+		line = bytes.TrimSuffix(bytes.TrimSuffix(line, []byte("\n")), []byte("\r"))
+		switch {
+		case len(line) > maxLine:
+			bad++
+		case len(line) > 0:
+			var e gtlb.LoadEstimate
+			if err := json.Unmarshal(line, &e); err != nil {
+				bad++
+				break
+			}
+			m, err := ctrl.EncodeMessage("lbd", e)
+			if err != nil {
+				bad++
+				break
+			}
+			if err := src.Send(m); err != nil {
+				return bad, nil // daemon side gone; drain what was delivered
+			}
+		}
+		if rerr == io.EOF {
+			return bad, nil
+		}
+		line, tooLong = line[:0], false
 	}
 }
 

@@ -6,8 +6,9 @@
 // simulator's inter-arrival process. Event traces (-decode) are the
 // structured observation streams the run drivers record with
 // -trace/-trace-format; -decode converts the compact binary encoding
-// back to the JSONL form, byte-identical to what -trace-format jsonl
-// would have written for the same run.
+// back to the JSONL form with the decoder -trace-format jsonl flushes
+// through, so the output is byte-identical to what it would have
+// written for the same run.
 //
 // Usage:
 //

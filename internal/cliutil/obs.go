@@ -10,9 +10,10 @@ import (
 )
 
 // TraceFlags bundles the event-trace flags shared by every run driver:
-// -trace names the output file and -trace-format picks the wire
-// encoding (jsonl, the golden-testable default, or bin — the compact
-// production-rate format decoded with `lbtrace -decode`). One helper so
+// -trace names the output file and -trace-format picks the encoding the
+// tracer flushes (jsonl, the golden-testable default, or bin — the
+// compact binary records it buffers, decoded with `lbtrace -decode`).
+// One helper so
 // lbsim, lbdyn and lbnode cannot drift apart in flag names, defaults or
 // supported formats.
 type TraceFlags struct {

@@ -71,10 +71,11 @@ type Config struct {
 	// departures, requeues, reroutes, failures, repairs) with virtual
 	// timestamps. nil disables observation at the cost of one predicted
 	// branch per event — the steady-state loop stays allocation-free
-	// either way. Observers implementing obs.RepForker (the Tracer)
-	// get one fork per replication so event streams stay deterministic
-	// at any worker count; other observers are shared across the pool
-	// and must be safe for concurrent use.
+	// either way. Observers implementing obs.RepForker (the obs
+	// Tracer, in either flush encoding) get one fork per replication so
+	// event streams stay deterministic at any worker count; other
+	// observers are shared across the pool and must be safe for
+	// concurrent use.
 	Observer obs.Observer
 
 	// Breakdowns optionally injects failures: computer i alternates

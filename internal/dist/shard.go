@@ -297,7 +297,7 @@ type NashShardedResult struct {
 	// end-of-round norm when that reached eps, otherwise its token norm
 	// (package comment).
 	Norm float64
-	// Ejected lists ejected user ids (ascending), Ejectedshards the
+	// Ejected lists ejected user ids (ascending), EjectedShards the
 	// ejected shard ids (ascending).
 	Ejected       []int
 	EjectedShards []int

@@ -2,22 +2,15 @@ package obs
 
 import (
 	"encoding/binary"
-	"io"
 	"math"
-	"sort"
-	"sync"
 )
 
-// BinaryTracer is the compact binary implementation of Sink: the same
-// buffering, forking and flush-order semantics as the JSONL Tracer, at
-// production rate. The JSONL encoding spends most of its time in
-// strconv float formatting and most of its bytes on repeated field
-// names; the binary encoding replaces both with a fixed-layout record —
-// one kind byte, one presence-flag byte, varint-delta virtual
-// timestamps, zigzag-varint operands, fixed-width little-endian floats
-// and per-stream interned node labels — for roughly an order of
-// magnitude fewer bytes and a hot path that is a handful of integer
-// stores plus one page copy.
+// binStream is one ordered record stream (the root or one replication)
+// with its per-section encoder state; a fork is its own Observer. Every
+// trace records in this compact binary format, whichever encoding Flush
+// writes: a fixed layout instead of JSON's repeated field names and
+// float formatting, for a hot path of a few integer stores and one page
+// copy.
 //
 // Wire layout (stable; bump the version byte to evolve it):
 //
@@ -33,29 +26,23 @@ import (
 //	           [8-byte little-endian v] [uvarint node id]
 //	flags    = bit0 a≠0, bit1 b≠0, bit2 n>1, bit3 v≠0, bit4 node≠""
 //
-// The header's kind table records every kind name once per trace, and
-// event records carry a one-byte index into it — so the decoder reads
-// names from the file, never from the compiled-in enum, and a trace
-// outlives reorderings of the Kind constants. Node labels intern
-// per section (defnode on first use, ids reset each flush), keeping
-// every section self-contained. The timestamp delta is taken on the
-// IEEE-754 bit pattern: monotone virtual clocks produce monotone bit
-// patterns, so nearby times yield small varints, equal times yield one
-// zero byte, and decoding reconstructs the float64 exactly.
-//
-// Determinism is inherited from the stream mechanism shared with the
-// JSONL tracer: per-replication sections encode from per-replication
-// state (delta baseline, intern table) and flush in ascending
-// replication order, so for a fixed seed the bytes are identical at any
-// worker count. Sections are framed with their byte length, which lets
-// the decoder stream without lookahead.
-type BinaryTracer struct {
-	mu         sync.Mutex
-	w          io.Writer
-	root       binStream
-	reps       map[int]*binRepTracer
-	err        error
-	headerDone bool
+// A stream's pages hold exactly the records of one section; the
+// header and the section frame are added only when Flush writes the
+// binary encoding. The header's kind table records every kind name
+// once per trace, and event records carry a one-byte index into it — so
+// the decoder reads names from the file, never from the compiled-in
+// enum, and a trace outlives reorderings of the Kind constants. Node
+// labels intern per section (defnode on first use, ids reset each
+// flush), keeping every section self-contained. The timestamp delta is
+// taken on the IEEE-754 bit pattern: monotone virtual clocks produce
+// monotone bit patterns, so nearby times yield small varints, equal
+// times yield one zero byte, and decoding reconstructs the float64
+// exactly. Sections are framed with their byte length, which lets the
+// decoder stream without lookahead.
+type binStream struct {
+	pages    pageBuf
+	prevBits uint64            // previous timestamp's IEEE-754 bits
+	nodes    map[string]uint64 // interned node labels, 1-based
 }
 
 // traceMagic opens every binary trace: "LBT" plus the format version.
@@ -77,24 +64,8 @@ const (
 // 8-byte float + a 10-byte node id.
 const maxEventRecord = 2 + 10 + 10 + 10 + 10 + 8 + 10
 
-// NewBinaryTracer returns a Sink recording events in the compact binary
-// trace format, written to w on Flush. Decode with DecodeTrace (or
-// `lbtrace -decode`), which reproduces the JSONL Tracer's output
-// byte-for-byte.
-func NewBinaryTracer(w io.Writer) *BinaryTracer {
-	return &BinaryTracer{w: w, reps: map[int]*binRepTracer{}}
-}
-
-// binStream is one ordered binary record stream (the root or one
-// replication) with its per-section encoder state.
-type binStream struct {
-	pages    pageBuf
-	prevBits uint64            // previous timestamp's IEEE-754 bits
-	nodes    map[string]uint64 // interned node labels, 1-based
-}
-
-// observe appends one encoded event record to the stream.
-func (s *binStream) observe(e Event) {
+// Observe appends one encoded event record to the stream.
+func (s *binStream) Observe(e Event) {
 	var nodeID uint64
 	if e.Node != "" {
 		nodeID = s.internNode(e.Node)
@@ -160,114 +131,6 @@ func (s *binStream) reset() {
 	s.pages.free()
 	s.prevBits = 0
 	clear(s.nodes)
-}
-
-// Observe implements Observer: append one record to the root stream.
-func (t *BinaryTracer) Observe(e Event) {
-	t.mu.Lock()
-	t.root.observe(e)
-	t.mu.Unlock()
-}
-
-// ForkRep implements RepForker: return the replication's private sink,
-// creating it on first use. Forks are handed out before the simulator's
-// worker pool starts and each is then driven by one goroutine only, so
-// their appends need no lock — each fork owns its page chain and
-// encoder state until Flush collects them.
-func (t *BinaryTracer) ForkRep(rep int) Observer {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	rt, ok := t.reps[rep]
-	if !ok {
-		rt = &binRepTracer{rep: rep}
-		t.reps[rep] = rt
-	}
-	return rt
-}
-
-// binRepTracer is one replication's stream.
-type binRepTracer struct {
-	rep    int
-	stream binStream
-}
-
-func (rt *binRepTracer) Observe(e Event) {
-	rt.stream.observe(e)
-}
-
-// Flush writes the buffered trace — the header once per tracer, then
-// the root section followed by each replication's section in ascending
-// replication order — and returns the buffered pages to the pool. Empty
-// streams write no section (and a fully empty trace writes nothing, not
-// even the header, matching the JSONL tracer's empty output). It
-// returns the first write error encountered (also sticky in Err).
-func (t *BinaryTracer) Flush() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.writeSection(-1, &t.root)
-	order := make([]int, 0, len(t.reps))
-	for rep := range t.reps {
-		order = append(order, rep)
-	}
-	sort.Ints(order)
-	for _, rep := range order {
-		t.writeSection(rep, &t.reps[rep].stream)
-	}
-	return t.err
-}
-
-// Err returns the first write error encountered by Flush.
-func (t *BinaryTracer) Err() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.err
-}
-
-// writeSection frames and writes one stream's records (root when
-// rep < 0), then resets the stream. Skipped entirely — no frame — for
-// empty streams; writes are skipped once a sticky error is set, but the
-// pages still recycle.
-func (t *BinaryTracer) writeSection(rep int, s *binStream) {
-	if t.err == nil && s.pages.len() > 0 {
-		t.writeHeader()
-		var hdr [2 * binary.MaxVarintLen64]byte
-		n := binary.PutUvarint(hdr[:], uint64(rep+1))
-		n += binary.PutUvarint(hdr[n:], uint64(s.pages.len()))
-		t.write(hdr[:n])
-		if t.err == nil {
-			if err := s.pages.writeTo(t.w); err != nil {
-				t.err = err
-			}
-		}
-	}
-	s.reset()
-}
-
-// writeHeader writes the magic and the kind table, once per tracer.
-func (t *BinaryTracer) writeHeader() {
-	if t.headerDone {
-		return
-	}
-	t.headerDone = true
-	t.write(traceMagic[:])
-	var buf []byte
-	var tmp [binary.MaxVarintLen64]byte
-	buf = append(buf, tmp[:binary.PutUvarint(tmp[:], uint64(kindCount))]...)
-	for _, name := range kindNames {
-		buf = append(buf, tmp[:binary.PutUvarint(tmp[:], uint64(len(name)))]...)
-		buf = append(buf, name...)
-	}
-	t.write(buf)
-}
-
-// write performs one sticky-error write.
-func (t *BinaryTracer) write(b []byte) {
-	if t.err != nil {
-		return
-	}
-	if _, err := t.w.Write(b); err != nil {
-		t.err = err
-	}
 }
 
 // putZigzag varint-encodes a signed value with the zigzag mapping

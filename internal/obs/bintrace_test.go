@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -38,12 +39,30 @@ func replay(t *testing.T, s Sink, script []tracedEvent) {
 	}
 }
 
-// jsonlOf is the reference output: the JSONL tracer over the script.
+// jsonlOf is the reference output, built without the binary path:
+// each scripted event through appendJSONLRecord in flush order — root
+// first, then the replications in ascending order, each stream in
+// script order.
 func jsonlOf(t *testing.T, script []tracedEvent) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	replay(t, NewTracer(&buf), script)
-	return buf.Bytes()
+	reps := map[int]bool{}
+	for _, te := range script {
+		reps[te.rep] = true
+	}
+	order := make([]int, 0, len(reps))
+	for rep := range reps {
+		order = append(order, rep)
+	}
+	sort.Ints(order) // -1, the root, sorts first
+	var out []byte
+	for _, rep := range order {
+		for _, te := range script {
+			if te.rep == rep {
+				out = appendJSONLRecord(out, te.e.Kind.Name(), te.e, rep)
+			}
+		}
+	}
+	return out
 }
 
 // decodedBinaryOf encodes the script with the binary tracer and decodes
@@ -375,6 +394,36 @@ func TestJSONLObserveSteadyStateAllocs(t *testing.T) {
 	}
 	if err := tr.Flush(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestJSONLFlushAllocs pins the JSONL flush path, which decodes the
+// buffered binary records in place: flushing ten times as many records
+// costs no more allocations, so the per-record cost is zero. Only the
+// Flush is counted; the Observe calls before it fetch pooled pages,
+// which -race's sync.Pool drops at random.
+func TestJSONLFlushAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	flushAllocs := func(n int) uint64 {
+		tr := NewTracer(io.Discard)
+		fork := tr.ForkRep(0)
+		var before, after runtime.MemStats
+		for run := 0; run < 2; run++ { // the first flush makes the writer and scratch
+			for i := 0; i < n/2; i++ {
+				tr.Observe(Event{Kind: NashSend, Time: float64(i), A: 1, V: 0.5, Node: "user-1"})
+				fork.Observe(Event{Kind: DESDeparture, Time: float64(i), A: 3, B: 1, V: 0.25})
+			}
+			runtime.ReadMemStats(&before)
+			if err := tr.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	small, large := flushAllocs(2000), flushAllocs(20_000)
+	if large > small {
+		t.Errorf("JSONL Flush of 20000 records allocates %d times, of 2000 %d; decoding at flush must not allocate per record", large, small)
 	}
 }
 

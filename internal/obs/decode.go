@@ -23,11 +23,12 @@ const (
 // errors.Is.
 var ErrBadTrace = errors.New("obs: malformed binary trace")
 
-// DecodeTrace reads a binary event trace (the BinaryTracer format) from
-// r and writes the equivalent JSONL to w. The output is byte-for-byte
-// what the JSONL Tracer would have flushed for the same event streams —
-// same record encoder, same field-omission rules, kind names taken from
-// the trace's own header table — so goldens, diffs and downstream tools
+// DecodeTrace reads a binary event trace (the NewBinaryTracer format)
+// from r and writes the equivalent JSONL to w. The output is
+// byte-for-byte what NewTracer would have flushed for the same event
+// streams — its Flush decodes the buffered sections with the same
+// decodeSection; here the kind names come from the trace's own header
+// table — so goldens, diffs and downstream tools
 // built on the JSONL format consume binary traces unchanged through
 // this one hop. Empty input decodes to empty output. Malformed input
 // returns an error wrapping ErrBadTrace; it never panics.
@@ -110,8 +111,10 @@ func readString(br *bufio.Reader, what string) (string, error) {
 
 // decodeSection decodes one section's records and emits their JSONL.
 // rep is -1 for the root section. The section's byte length frames it:
-// reads past the frame are corruption, not the next section.
-func decodeSection(br *bufio.Reader, bw *bufio.Writer, names []string, rep int, length uint64, scratch []byte) ([]byte, error) {
+// reads past the frame are corruption, not the next section. br is the
+// trace file's reader in DecodeTrace and a pageReader over a buffered
+// stream in a JSONL Tracer's Flush.
+func decodeSection(br byteReader, bw *bufio.Writer, names []string, rep int, length uint64, scratch []byte) ([]byte, error) {
 	sr := &sectionReader{br: br, remaining: length}
 	var prevBits uint64
 	var nodes []string
@@ -192,11 +195,17 @@ func decodeSection(br *bufio.Reader, bw *bufio.Writer, names []string, rep int, 
 	return scratch, nil
 }
 
-// sectionReader reads from the underlying buffered reader while
-// enforcing the section frame: reads beyond the declared length fail as
-// unexpected EOF instead of consuming the next section's bytes.
+// byteReader is what a section decodes from.
+type byteReader interface {
+	io.Reader
+	io.ByteReader
+}
+
+// sectionReader reads from the underlying reader while enforcing the
+// section frame: reads beyond the declared length fail as unexpected
+// EOF instead of consuming the next section's bytes.
 type sectionReader struct {
-	br        *bufio.Reader
+	br        byteReader
 	remaining uint64
 }
 

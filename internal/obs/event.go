@@ -2,8 +2,10 @@
 // typed event vocabulary (Event/Kind), an Observer interface the DES
 // engine, the iterative solvers and the distributed protocols report
 // into, a metrics Registry (counters, gauges, fixed-bucket histograms),
-// and a structured JSONL Tracer whose output is byte-identical for a
-// fixed seed at any worker count.
+// and one event recorder, the Tracer, that buffers compact binary
+// records and flushes them either as the binary trace format or,
+// decoded, as JSON Lines; for a fixed seed either output is
+// byte-identical at any worker count.
 //
 // Determinism contract: nothing in this package reads the wall clock or
 // draws randomness. Every Event carries the emitter's own notion of time

@@ -12,13 +12,13 @@ import (
 // whole thing away at the next run. Pages fix both ends: appends copy
 // into the tail page with no reallocation ever, and Flush returns every
 // page to a process-wide sync.Pool, so back-to-back traced runs reuse
-// the same slabs instead of re-growing from zero. Both trace formats
-// (JSONL and binary) buffer through this mechanism — the root stream
-// and every per-replication fork alike.
+// the same slabs instead of re-growing from zero. Every trace stream
+// buffers through this mechanism — the root stream and every
+// per-replication fork alike, in either flush encoding.
 //
 // Pages hold plain bytes with no record framing, so a record may span a
-// page boundary; Flush writes pages in append order, which concatenates
-// back to the exact byte stream.
+// page boundary; Flush reads pages in append order (pageReader, or
+// writeTo), which concatenates back to the exact byte stream.
 
 // pageSize is the slab size. Large enough that per-page overhead
 // (pool round-trips, Write syscalls on Flush) amortizes over thousands
@@ -83,19 +83,61 @@ func (p *pageBuf) grow() {
 // len reports the number of buffered bytes.
 func (p *pageBuf) len() int { return p.total }
 
+// page returns the buffered bytes of page i.
+func (p *pageBuf) page(i int) []byte {
+	if i == len(p.pages)-1 {
+		return p.pages[i][:p.used]
+	}
+	return p.pages[i][:]
+}
+
 // writeTo writes the buffered bytes to w in order. It does not reset;
 // callers pair it with free so pages recycle even after a write error.
 func (p *pageBuf) writeTo(w io.Writer) error {
-	for i, pg := range p.pages {
-		n := pageSize
-		if i == len(p.pages)-1 {
-			n = p.used
-		}
-		if _, err := w.Write(pg[:n]); err != nil {
+	for i := range p.pages {
+		if _, err := w.Write(p.page(i)); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// pageReader reads a pageBuf's bytes back in append order, so a JSONL
+// Flush decodes each stream where it is buffered.
+type pageReader struct {
+	p    *pageBuf
+	next int    // the next page to read
+	cur  []byte // the unread rest of the current page
+}
+
+// fill makes cur non-empty, reporting false at the end of the buffer.
+func (r *pageReader) fill() bool {
+	for len(r.cur) == 0 {
+		if r.next == len(r.p.pages) {
+			return false
+		}
+		r.cur = r.p.page(r.next)
+		r.next++
+	}
+	return true
+}
+
+func (r *pageReader) ReadByte() (byte, error) {
+	if !r.fill() {
+		return 0, io.EOF
+	}
+	b := r.cur[0]
+	r.cur = r.cur[1:]
+	return b, nil
+}
+
+func (r *pageReader) Read(b []byte) (int, error) {
+	if !r.fill() {
+		return 0, io.EOF
+	}
+	n := copy(b, r.cur)
+	r.cur = r.cur[n:]
+	return n, nil
 }
 
 // free returns every page to the pool and resets the buffer for reuse.

@@ -2,11 +2,11 @@ package obs
 
 // Sink is a trace destination: an Observer that buffers the run's
 // events and writes them in deterministic order on Flush. It is the
-// format-agnostic surface the facade's trace options construct against —
-// callers pick a format (JSONL via NewTracer, binary via
-// NewBinaryTracer), every downstream layer sees only this interface.
+// surface the facade's trace options construct against — callers pick
+// a flush encoding (JSONL via NewTracer, binary via NewBinaryTracer),
+// every downstream layer sees only this interface.
 //
-// The contract every implementation carries, whatever the wire format:
+// The contract the Tracer carries, whatever the flush encoding:
 //
 //   - ForkRep hands out one private sub-sink per simulation replication
 //     before the worker pool starts (see RepForker); forked streams
@@ -31,8 +31,5 @@ type Sink interface {
 	Err() error
 }
 
-// Compile-time checks: both trace formats satisfy the Sink contract.
-var (
-	_ Sink = (*Tracer)(nil)
-	_ Sink = (*BinaryTracer)(nil)
-)
+// Compile-time check: the Tracer satisfies the Sink contract.
+var _ Sink = (*Tracer)(nil)

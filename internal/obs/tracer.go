@@ -1,124 +1,123 @@
 package obs
 
 import (
+	"bufio"
+	"encoding/binary"
 	"io"
 	"sort"
 	"strconv"
 	"sync"
 )
 
-// Tracer records events as JSON Lines. Determinism is the whole point:
-// for a fixed seed the flushed byte stream is identical at any
-// simulator worker count, which is what makes traces diffable and
-// golden-testable. Three mechanisms deliver that:
+// Tracer is the event recorder behind every trace Sink. It records each
+// event as one compact binary record (see binStream) and on Flush
+// writes the buffered trace either as the binary trace format
+// (NewBinaryTracer) or as JSON Lines (NewTracer), which it produces by
+// decoding each buffered section with the decoder DecodeTrace uses. A
+// decoded binary trace therefore equals the JSONL trace by
+// construction: one record stream, one decoder, one JSON encoder
+// (appendJSONLRecord).
 //
-//  1. Per-replication buffers. The simulator calls ForkRep once per
+// Determinism is the whole point: for a fixed seed the flushed bytes
+// are identical at any simulator worker count, which is what makes
+// traces diffable and golden-testable. Three mechanisms deliver that:
+//
+//  1. Per-replication streams. The simulator calls ForkRep once per
 //     replication (see RepForker) before its worker pool starts; each
-//     replication then appends to its own buffer with no locking and no
-//     cross-replication interleaving, and Flush concatenates the
-//     buffers in ascending replication order — the sequential order —
-//     regardless of which worker ran which replication when.
-//  2. Deterministic encoding. Records are hand-encoded with a fixed
-//     field order, strconv float formatting ('g', shortest round-trip)
+//     replication then appends to its own stream with no locking, and
+//     Flush writes the root stream then the replication streams in
+//     ascending replication order — the sequential order — regardless
+//     of which worker ran which replication when.
+//  2. Deterministic encoding. Records have a fixed layout, and the JSON
+//     encoder a fixed field order, strconv shortest round-trip floats
 //     and a field-omission rule that is a pure function of the event.
-//     No maps, no reflection, no wall clock.
 //  3. Events carry virtual time. Nothing in a record depends on when
 //     it was written.
 //
 // Events observed directly on the Tracer (protocol traffic from
-// concurrent goroutines, solver iterations) go to a root buffer under a
-// mutex; their relative order is the observation order, which for
-// concurrent emitters is schedule-dependent — deterministic byte
-// streams are guaranteed only for the per-replication (forked) events
-// and for single-goroutine emitters.
+// concurrent goroutines, solver iterations) go to the root stream under
+// a mutex in observation order, which for concurrent emitters is
+// schedule-dependent: byte-identical output is guaranteed only for the
+// forked streams and for single-goroutine emitters.
 //
-// The trace is buffered on pooled pages (see pageBuf) until Flush,
-// which writes the root stream then the replication streams in
-// ascending order and returns the pages to the pool, so repeated traced
-// runs recycle the same slabs. Write errors are sticky: the first one
-// is kept and returned by Flush and Err.
-//
-// Tracer is the JSONL implementation of Sink; BinaryTracer is the
-// compact binary one. Both buffer and flush identically — only the
-// record encoding differs.
+// Streams buffer on pooled pages (see pageBuf) that Flush returns to
+// the pool. Write errors are sticky: the first one is kept and returned
+// by Flush and Err.
 type Tracer struct {
-	mu   sync.Mutex
-	w    io.Writer
-	root jsonlStream
-	reps map[int]*repTracer
-	err  error
+	mu         sync.Mutex
+	w          io.Writer
+	jsonl      bool // Flush decodes each section to JSON Lines
+	root       binStream
+	reps       map[int]*binStream
+	err        error
+	headerDone bool
+	bw         *bufio.Writer // JSONL output buffer, made on the first flush
+	scratch    []byte        // JSONL record scratch, reused across flushes
 }
 
-// NewTracer returns a tracer writing JSONL to w on Flush. It is the
-// JSONL-format Sink constructor; callers that want the compact binary
-// format use NewBinaryTracer instead.
+// BinaryTracer is the Tracer; the name is kept for callers that record
+// the binary format.
+type BinaryTracer = Tracer
+
+// NewTracer returns a Sink writing the trace to w as JSON Lines on
+// Flush, one line per event.
 func NewTracer(w io.Writer) *Tracer {
-	return &Tracer{w: w, reps: map[int]*repTracer{}}
+	return &Tracer{w: w, jsonl: true, reps: map[int]*binStream{}}
 }
 
-// jsonlStream is one ordered record stream (the root or one
-// replication): pooled pages plus a reusable encode scratch that grows
-// to the longest record once and is then reused for every append.
-type jsonlStream struct {
-	pages   pageBuf
-	scratch []byte
-}
-
-// observe encodes one record into the stream. rep < 0 means the root
-// stream (no rep field).
-func (s *jsonlStream) observe(e Event, rep int) {
-	s.scratch = appendJSONLRecord(s.scratch[:0], e.Kind.Name(), e, rep)
-	s.pages.write(s.scratch)
+// NewBinaryTracer returns a Sink writing the trace to w in the compact
+// binary trace format on Flush. Decode with DecodeTrace (or
+// `lbtrace -decode`), which reproduces NewTracer's output
+// byte-for-byte.
+func NewBinaryTracer(w io.Writer) *Tracer {
+	return &Tracer{w: w, reps: map[int]*binStream{}}
 }
 
 // Observe implements Observer: append one record to the root stream.
 func (t *Tracer) Observe(e Event) {
 	t.mu.Lock()
-	t.root.observe(e, -1)
+	t.root.Observe(e)
 	t.mu.Unlock()
 }
 
 // ForkRep implements RepForker: return the replication's private sink,
 // creating it on first use. Forks are handed out before the simulator's
 // worker pool starts and each is then driven by one goroutine only, so
-// their appends need no lock — each fork owns its page chain until
-// Flush collects them.
+// their appends need no lock — each fork owns its page chain and
+// encoder state until Flush collects them.
 func (t *Tracer) ForkRep(rep int) Observer {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	rt, ok := t.reps[rep]
+	s, ok := t.reps[rep]
 	if !ok {
-		rt = &repTracer{rep: rep}
-		t.reps[rep] = rt
+		s = &binStream{}
+		t.reps[rep] = s
 	}
-	return rt
+	return s
 }
 
-// repTracer is one replication's stream.
-type repTracer struct {
-	rep    int
-	stream jsonlStream
-}
-
-func (rt *repTracer) Observe(e Event) {
-	rt.stream.observe(e, rt.rep)
-}
-
-// Flush writes the buffered trace — root records first, then each
-// replication's records in ascending replication order — and returns
-// the buffered pages to the pool. It returns the first write error
-// encountered (also sticky in Err).
+// Flush writes the buffered trace — the root section first, then each
+// replication's section in ascending replication order — and returns
+// the buffered pages to the pool. Empty streams write nothing, so a
+// trace that observed nothing is zero bytes in either encoding (the
+// binary header is written once per tracer, before its first section).
+// It returns the first write error encountered (also sticky in Err).
 func (t *Tracer) Flush() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.writePages(&t.root.pages)
+	t.writeSection(-1, &t.root)
 	order := make([]int, 0, len(t.reps))
 	for rep := range t.reps {
 		order = append(order, rep)
 	}
 	sort.Ints(order)
 	for _, rep := range order {
-		t.writePages(&t.reps[rep].stream.pages)
+		t.writeSection(rep, t.reps[rep])
+	}
+	if t.err == nil && t.bw != nil {
+		if err := t.bw.Flush(); err != nil {
+			t.err = err
+		}
 	}
 	return t.err
 }
@@ -130,15 +129,72 @@ func (t *Tracer) Err() error {
 	return t.err
 }
 
-// writePages drains one stream's pages to the writer (skipped once a
-// sticky error is set) and recycles them either way.
-func (t *Tracer) writePages(p *pageBuf) {
-	if t.err == nil && p.len() > 0 {
-		if err := p.writeTo(t.w); err != nil {
+// writeSection writes one stream's records (root when rep < 0), then
+// resets the stream. Skipped for empty streams and once a sticky error
+// is set, but the pages recycle either way.
+func (t *Tracer) writeSection(rep int, s *binStream) {
+	if t.err == nil && s.pages.len() > 0 {
+		if t.jsonl {
+			t.writeJSONL(rep, s)
+		} else {
+			t.writeBinary(rep, s)
+		}
+	}
+	s.reset()
+}
+
+// writeJSONL writes one stream as JSON Lines, decoding its pages in
+// place.
+func (t *Tracer) writeJSONL(rep int, s *binStream) {
+	if t.bw == nil {
+		t.bw = bufio.NewWriterSize(t.w, pageSize)
+	}
+	var err error
+	t.scratch, err = decodeSection(&pageReader{p: &s.pages}, t.bw, kindNames[:], rep, uint64(s.pages.len()), t.scratch)
+	if err != nil {
+		t.err = err
+	}
+}
+
+// writeBinary writes one stream as a length-framed binary section.
+func (t *Tracer) writeBinary(rep int, s *binStream) {
+	t.writeHeader()
+	var hdr [2 * binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(hdr[:], uint64(rep+1))
+	n += binary.PutUvarint(hdr[n:], uint64(s.pages.len()))
+	t.write(hdr[:n])
+	if t.err == nil {
+		if err := s.pages.writeTo(t.w); err != nil {
 			t.err = err
 		}
 	}
-	p.free()
+}
+
+// writeHeader writes the magic and the kind table, once per tracer.
+func (t *Tracer) writeHeader() {
+	if t.headerDone {
+		return
+	}
+	t.headerDone = true
+	t.write(traceMagic[:])
+	var buf []byte
+	var tmp [binary.MaxVarintLen64]byte
+	buf = append(buf, tmp[:binary.PutUvarint(tmp[:], uint64(kindCount))]...)
+	for _, name := range kindNames {
+		buf = append(buf, tmp[:binary.PutUvarint(tmp[:], uint64(len(name)))]...)
+		buf = append(buf, name...)
+	}
+	t.write(buf)
+}
+
+// write performs one sticky-error write.
+func (t *Tracer) write(b []byte) {
+	if t.err != nil {
+		return
+	}
+	if _, err := t.w.Write(b); err != nil {
+		t.err = err
+	}
 }
 
 // appendJSONLRecord appends one event as a JSON line to dst and returns
@@ -147,8 +203,7 @@ func (t *Tracer) writePages(p *pageBuf) {
 // (only when nonempty) — the omission rule depends on the event alone,
 // never on encoder state, so identical event streams encode to
 // identical bytes. The kind name is a parameter (not read off e.Kind)
-// so the binary decoder can re-emit records through the exact same
-// encoder using the name table recorded in the trace file.
+// because the decoder takes names from the trace's own kind table.
 func appendJSONLRecord(dst []byte, name string, e Event, rep int) []byte {
 	b := dst
 	b = append(b, '{')

@@ -33,43 +33,38 @@ type Registry = obs.Registry
 // NewRegistry returns an empty metrics registry.
 func NewRegistry() *Registry { return obs.NewRegistry() }
 
-// Sink is a format-agnostic trace destination: an Observer that
-// buffers a run's events and writes them in deterministic order when
-// flushed. The trace options construct against this interface, so
-// callers pick a format — JSONL (NewTracer) or the compact binary
-// encoding (NewBinaryTracer) — without the rest of the API caring
-// which. Run entry points flush WithTrace/WithBinaryTrace sinks
-// automatically before returning.
+// Sink is a trace destination: an Observer that buffers a run's events
+// and writes them in deterministic order when flushed. The trace
+// options construct against this interface. Run entry points flush
+// WithTrace/WithBinaryTrace sinks automatically before returning.
 type Sink = obs.Sink
 
-// Tracer is the JSONL Sink: a structured event recorder, one JSON line
-// per event; for a fixed seed its flushed output is byte-identical at
-// any simulator worker count.
+// Tracer is the event recorder behind every Sink: it buffers each
+// event as a compact binary record (varint-delta virtual timestamps,
+// interned names, pooled pages) and flushes either that binary trace
+// or, decoded, JSON Lines; for a fixed seed either output is
+// byte-identical at any simulator worker count.
 type Tracer = obs.Tracer
 
-// NewTracer returns a tracer writing JSON Lines to w when flushed — the
-// JSONL-format Sink constructor (use NewBinaryTracer for the compact
-// binary format). Run entry points flush tracers passed via
+// NewTracer returns a tracer writing JSON Lines to w when flushed, one
+// line per event. Run entry points flush tracers passed via
 // WithObserver only if the caller does so; prefer WithTrace, which
 // flushes automatically.
 func NewTracer(w io.Writer) *Tracer { return obs.NewTracer(w) }
 
-// BinaryTracer is the compact binary Sink: the same determinism
-// contract as the JSONL Tracer at a fraction of the cost — varint-delta
-// virtual timestamps, interned event-name/label tables and pooled
-// buffer pages. Decode with DecodeTrace or `lbtrace -decode`.
+// BinaryTracer is another name for Tracer.
 type BinaryTracer = obs.BinaryTracer
 
-// NewBinaryTracer returns a Sink recording events in the compact
-// binary trace format, written to w when flushed. Prefer
-// WithBinaryTrace, which flushes automatically.
+// NewBinaryTracer returns a tracer writing the compact binary trace
+// format to w when flushed. Prefer WithBinaryTrace, which flushes
+// automatically.
 func NewBinaryTracer(w io.Writer) *BinaryTracer { return obs.NewBinaryTracer(w) }
 
 // DecodeTrace converts a binary event trace (the WithBinaryTrace /
 // NewBinaryTracer format) read from r into JSONL on w, byte-for-byte
-// identical to what the JSONL tracer would have produced for the same
-// run — so every tool built on the JSONL format consumes binary traces
-// through this one hop. The `lbtrace -decode` command wraps it.
+// what the JSONL tracer would have written for the same run: the JSONL
+// tracer flushes by decoding its records with the same decoder. The
+// `lbtrace -decode` command wraps it.
 func DecodeTrace(r io.Reader, w io.Writer) error { return obs.DecodeTrace(r, w) }
 
 // Option configures one run of a gtlb entry point.
@@ -101,9 +96,9 @@ func WithTrace(w io.Writer) Option {
 	return func(ro *runOptions) { ro.addSink(obs.NewTracer(w)) }
 }
 
-// WithBinaryTrace is WithTrace in the compact production-rate binary
-// trace format (varint-delta timestamps, interned names, pooled pages);
-// convert it to the JSONL bytes with DecodeTrace or `lbtrace -decode`.
+// WithBinaryTrace is WithTrace writing the compact binary trace format
+// the tracer records in, without formatting it as JSON; convert it to
+// the JSONL bytes with DecodeTrace or `lbtrace -decode`.
 func WithBinaryTrace(w io.Writer) Option {
 	return func(ro *runOptions) { ro.addSink(obs.NewBinaryTracer(w)) }
 }
