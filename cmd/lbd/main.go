@@ -19,12 +19,10 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"sync/atomic"
 	"time"
 
 	"gtlb"
@@ -94,24 +92,29 @@ func main() {
 		defer stopExpo()
 	}
 
-	// Graceful shutdown: the first SIGINT/SIGTERM closes stdin, which
-	// ends the pump below; the normal drain path then runs and the
-	// process exits 0 with the checkpoint flushed.
+	// Graceful shutdown: the first SIGINT/SIGTERM stops waiting for the
+	// pump; the normal drain path then runs and the process exits 0
+	// with the checkpoint flushed. The pump reads on its own goroutine
+	// because nothing interrupts a blocking read from an idle pipe (not
+	// even closing stdin). After a signal it is abandoned: closing src
+	// below fails its next send, and the process exits around it.
 	sigCh, stopSig := cliutil.ShutdownSignal()
 	defer stopSig()
-	var draining atomic.Bool
+	type pumped struct {
+		bad int
+		err error
+	}
+	done := make(chan pumped, 1)
 	go func() {
-		s := <-sigCh
+		bad, err := pump(os.Stdin, src)
+		done <- pumped{bad, err}
+	}()
+	var in pumped
+	select {
+	case in = <-done:
+	case s := <-sigCh:
 		stopSig()
 		fmt.Fprintf(os.Stderr, "lbd: caught %v, draining\n", s)
-		draining.Store(true)
-		//lint:ignore errcheck closing stdin only to unblock the pump
-		os.Stdin.Close()
-	}()
-
-	badLines, readErr := pump(os.Stdin, src)
-	if draining.Load() && errors.Is(readErr, os.ErrClosed) {
-		readErr = nil // our own signal handler closed stdin
 	}
 	if err := src.Close(); err != nil {
 		fatal(err)
@@ -119,14 +122,14 @@ func main() {
 	if err := d.Stop(); err != nil {
 		fatal(err)
 	}
-	if badLines > 0 {
-		fmt.Fprintf(os.Stderr, "lbd: skipped %d malformed input lines\n", badLines)
+	if in.bad > 0 {
+		fmt.Fprintf(os.Stderr, "lbd: skipped %d malformed input lines\n", in.bad)
 	}
 	if err := out.Flush(); err != nil {
 		fatal(err)
 	}
-	if readErr != nil {
-		fatal(fmt.Errorf("reading stdin: %w", readErr))
+	if in.err != nil {
+		fatal(fmt.Errorf("reading stdin: %w", in.err))
 	}
 	fmt.Printf("lbd: %d epochs committed, backlog %g\n", d.Epoch(), d.Backlog())
 	if *showMetrics {

@@ -1,10 +1,14 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -126,5 +130,83 @@ func TestPumpReturnsReadError(t *testing.T) {
 	}
 	if bad != 0 || len(seqs) != 2 {
 		t.Errorf("pump forwarded %v with %d malformed, want seqs [1 2] and 0 malformed", seqs, bad)
+	}
+}
+
+// TestMain runs lbd's main instead of the tests when the lbdMainEnv
+// variable is set, so a test can drive the real command in a child
+// process.
+func TestMain(m *testing.M) {
+	if os.Getenv(lbdMainEnv) == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+const lbdMainEnv = "LBD_TEST_RUN_MAIN"
+
+// TestSignalDrainsIdlePipe: SIGINT ends lbd promptly while its stdin is
+// a pipe that stays open and idle, and the drain still flushes the
+// checkpoint. A read from such a pipe is not interrupted by closing
+// stdin, so a drain that waits for the pump waits for the writer.
+func TestSignalDrainsIdlePipe(t *testing.T) {
+	ck := filepath.Join(t.TempDir(), "ck.json")
+	cmd := exec.Command(os.Args[0], "-checkpoint", ck, "-quiet")
+	cmd.Env = append(os.Environ(), lbdMainEnv+"=1")
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	stdin, err := cmd.StdinPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stdin.Close() // the writer stays open, idle, until the test ends
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan error, 1)
+	go func() { exited <- cmd.Wait() }()
+	for _, l := range estimateLines(t, 3) {
+		if _, err := io.WriteString(stdin, l+"\n"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The first estimate commits an epoch, which flushes the checkpoint.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		if _, err := os.Stat(ck); err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			_ = cmd.Process.Kill()
+			t.Fatalf("no checkpoint within 10 s; stderr: %s", stderr.String())
+		}
+	}
+	if err := os.Remove(ck); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Process.Signal(os.Interrupt); err != nil {
+		t.Fatal(err)
+	}
+	signalled := time.Now()
+	select {
+	case err := <-exited:
+		if err != nil {
+			t.Fatalf("lbd exited with %v after the signal; stderr: %s", err, stderr.String())
+		}
+	case <-time.After(2 * time.Second):
+		_ = cmd.Process.Kill()
+		<-exited
+		t.Fatalf("lbd still running 2 s after SIGINT on an idle pipe; stderr: %s", stderr.String())
+	}
+	t.Logf("exited %v after the signal", time.Since(signalled).Round(time.Millisecond))
+	if !strings.Contains(stderr.String(), "draining") {
+		t.Errorf("stderr lacks the drain notice: %q", stderr.String())
+	}
+	if !strings.Contains(stdout.String(), "lbd: 1 epochs committed") {
+		t.Errorf("stdout lacks the summary: %q", stdout.String())
+	}
+	got, ok, err := ctrl.LoadCheckpoint(ck)
+	if err != nil || !ok || got.Epoch != 1 {
+		t.Fatalf("drain checkpoint: epoch %d, ok %v, err %v; want epoch 1 flushed", got.Epoch, ok, err)
 	}
 }

@@ -54,6 +54,9 @@ type ControlCheckpoint = ctrl.Checkpoint
 type ControlDaemon = ctrl.Daemon
 
 // ControlDaemonConfig configures the daemon around its controller.
+// The LoadEstimate its OnDecision callback receives is valid only for
+// the duration of the call: the daemon decodes the next estimate into
+// the same slices, so a callback that keeps it keeps a copy.
 type ControlDaemonConfig = ctrl.DaemonConfig
 
 // LoadGenConfig configures the deterministic estimate generator

@@ -113,6 +113,7 @@ func Restore(cfg Config, ck Checkpoint) (*Controller, error) {
 		Spare:  ck.Spare,
 		Used:   append([]bool(nil), ck.Used...),
 	}
+	c.admitted = sum(c.alloc.Lambda)
 	c.backlog = ck.Backlog
 	c.have = true
 	c.observe(obs.Event{Kind: obs.CtrlResume, Time: ck.SeenTime, B: int32(ck.Epoch)})

@@ -191,9 +191,10 @@ type Controller struct {
 	basePhi []float64
 	baseT   float64 // committed logical time (checkpoint inspection)
 
-	alloc   core.Allocation // active allocation, full estimate width
-	backlog float64         // queued jobs (Policy Queue)
-	have    bool            // an epoch has committed
+	alloc    core.Allocation // active allocation, full estimate width
+	admitted float64         // Σλ of alloc, reported by every hold
+	backlog  float64         // queued jobs (Policy Queue)
+	have     bool            // an epoch has committed
 }
 
 // New returns a controller with no active allocation; the first
@@ -226,42 +227,47 @@ func (c *Controller) Allocation() (core.Allocation, bool) {
 	return out, true
 }
 
-// steadyState classifies an estimate against the committed baseline:
-// structural is true for churn (an up-status flip) or a width change —
-// both bypass the deadband — and drift is the maximum symmetric
-// relative change over the user rates and the surviving computer
-// rates. Drift is measured against the last *committed* estimate, not
-// the previous one, so sub-deadband creep accumulates until it trips
-// the band. This runs once per ingested estimate — the reconcile
-// loop's steady state — and stays allocation-free.
+// scan is Ingest's one pass over an estimate: validity (Validate's
+// predicates), the offered load Σφ, and the steady-state class against
+// the committed baseline. structural is true for churn (an up-status
+// flip) or a width change, both of which bypass the deadband; drift is
+// the maximum symmetric relative change over the user rates and the
+// surviving computer rates (0 when structural). Drift is measured
+// against the last *committed* estimate, so sub-deadband creep
+// accumulates until it trips the band. The builtin max has math.Max's
+// NaN and ±0 rules, so drift equals a math.Max fold, bit for bit.
 //
 //lb:hotpath
-func (c *Controller) steadyState(e Estimate) (drift float64, structural bool) {
-	if !c.have {
-		return 0, true
-	}
-	if len(e.Phi) != len(c.basePhi) || len(e.Mu) != len(c.baseMu) {
-		return 0, true
-	}
-	for i := range e.Mu {
-		if (c.baseMu[i] > 0) != (e.Mu[i] > 0) {
-			return 0, true
+func (c *Controller) scan(e *Estimate) (offered, drift float64, structural, ok bool) {
+	ok = len(e.Phi) > 0 && len(e.Mu) > 0 && validRate(e.Time)
+	structural = !c.have || len(e.Phi) != len(c.basePhi) || len(e.Mu) != len(c.baseMu)
+	for j, p := range e.Phi {
+		ok = ok && validRate(p)
+		offered += p
+		if !structural {
+			drift = max(drift, relDrift(p, c.basePhi[j]))
 		}
 	}
-	for j := range e.Phi {
-		drift = math.Max(drift, relDrift(e.Phi[j], c.basePhi[j]))
-	}
-	for i := range e.Mu {
-		if e.Mu[i] > 0 {
-			drift = math.Max(drift, relDrift(e.Mu[i], c.baseMu[i]))
+	for i, m := range e.Mu {
+		ok = ok && finite(m)
+		if structural {
+			continue
+		}
+		if b := c.baseMu[i]; (b > 0) != (m > 0) {
+			structural = true
+		} else if m > 0 {
+			drift = max(drift, relDrift(m, b))
 		}
 	}
-	return drift, false
+	if structural {
+		drift = 0
+	}
+	return offered, drift, structural, ok
 }
 
 // relDrift is the symmetric relative change between two rates.
 func relDrift(a, b float64) float64 {
-	den := math.Max(math.Abs(a), math.Abs(b))
+	den := max(math.Abs(a), math.Abs(b))
 	if den == 0 {
 		return 0
 	}
@@ -280,9 +286,10 @@ func (c *Controller) observe(e obs.Event) {
 // drops them); admission pressure is never an error — excess demand is
 // shed or queued per the configured policy.
 func (c *Controller) Ingest(e Estimate) (Decision, error) {
-	if err := e.Validate(); err != nil {
+	offered, drift, structural, ok := c.scan(&e)
+	if !ok {
 		c.observe(obs.Event{Kind: obs.CtrlInvalid, Time: e.Time})
-		return Decision{}, err
+		return Decision{}, e.Validate()
 	}
 
 	// Epoch fencing: duplicates and reordered deliveries never reach
@@ -299,31 +306,16 @@ func (c *Controller) Ingest(e Estimate) (Decision, error) {
 	}
 	c.observe(obs.Event{Kind: obs.CtrlEstimate, Time: e.Time})
 
-	dec := Decision{Seq: e.Seq, Time: e.Time, Offered: e.TotalPhi()}
+	dec := Decision{Seq: e.Seq, Time: e.Time, Offered: offered, Drift: drift}
 
-	// Steady-state classification: drift vs the committed baseline and
-	// whether the change is structural (churn, width change). The churn
-	// membership lists are only materialized off the hold path.
-	var structural bool
-	dec.Drift, structural = c.steadyState(e)
+	// The churn membership lists are only materialized off the hold path.
 	if structural && c.have {
-		w := min(len(e.Mu), len(c.baseMu))
-		for i := 0; i < w; i++ {
-			was, is := c.baseMu[i] > 0, e.Mu[i] > 0
+		for i := range max(len(e.Mu), len(c.baseMu)) {
+			was, is := i < len(c.baseMu) && c.baseMu[i] > 0, i < len(e.Mu) && e.Mu[i] > 0
 			if was && !is {
 				dec.Ejected = append(dec.Ejected, i)
 			} else if !was && is {
 				dec.Joined = append(dec.Joined, i)
-			}
-		}
-		for i := w; i < len(e.Mu); i++ {
-			if e.Mu[i] > 0 {
-				dec.Joined = append(dec.Joined, i)
-			}
-		}
-		for i := w; i < len(c.baseMu); i++ {
-			if c.baseMu[i] > 0 {
-				dec.Ejected = append(dec.Ejected, i)
 			}
 		}
 	}
@@ -334,7 +326,7 @@ func (c *Controller) Ingest(e Estimate) (Decision, error) {
 	if c.have && !structural && dec.Drift < c.cfg.Deadband && c.backlog == 0 {
 		dec.Action = ActionHold
 		dec.Epoch = c.epoch
-		dec.Admitted = sum(c.alloc.Lambda)
+		dec.Admitted = c.admitted
 		if c.cfg.Policy == Shed && dec.Offered > dec.Admitted {
 			// Shedding stays in force while the allocation holds.
 			dec.Shed = dec.Offered - dec.Admitted
@@ -444,6 +436,7 @@ func (c *Controller) Ingest(e Estimate) (Decision, error) {
 	c.basePhi = append(c.basePhi[:0], e.Phi...)
 	c.baseT = e.Time
 	c.alloc = next
+	c.admitted = sum(next.Lambda)
 	c.have = true
 	dec.Action = ActionRealloc
 	dec.Epoch = c.epoch
@@ -465,7 +458,7 @@ func (c *Controller) Ingest(e Estimate) (Decision, error) {
 	return dec, nil
 }
 
-// sum adds a slice (helper for the hold path's admitted report).
+// sum adds a slice in order (Σλ of a committed or restored allocation).
 func sum(xs []float64) float64 {
 	var t float64
 	for _, x := range xs {

@@ -31,6 +31,9 @@ type DaemonConfig struct {
 	RetryBase time.Duration
 	// OnDecision, when set, observes every estimate's decision from
 	// the ingest goroutine (the closed-loop demo logs epochs with it).
+	// The Estimate is valid only for the duration of the call: the
+	// daemon decodes the next estimate into the same slices. A callback
+	// that keeps it keeps a copy.
 	OnDecision func(Estimate, Decision)
 }
 
@@ -55,6 +58,8 @@ func (c DaemonConfig) withDefaults() DaemonConfig {
 type Daemon struct {
 	conn dist.Conn
 	cfg  DaemonConfig
+
+	est Estimate // the ingest goroutine's decode target, reused
 
 	mu      sync.Mutex
 	ctrl    *Controller
@@ -161,21 +166,21 @@ func (d *Daemon) run() {
 			continue
 		}
 		failures = 0
-		est, err := DecodeEstimate(m)
-		if err != nil {
-			// Malformed or foreign message: count and drop, never die.
-			if d.cfg.Controller.Observer != nil {
-				d.cfg.Controller.Observer.Observe(obs.Event{Kind: obs.CtrlInvalid})
-			}
-			continue
-		}
-		d.apply(est)
+		d.handle(m)
 	}
 }
 
-// apply runs one estimate through the controller and flushes the
-// checkpoint when an epoch committed.
-func (d *Daemon) apply(est Estimate) {
+// handle decodes one message into the reused estimate, runs it through
+// the controller (which validates it and counts what it rejects) and
+// flushes the checkpoint when an epoch committed.
+func (d *Daemon) handle(m dist.Message) {
+	if err := d.est.decode(m); err != nil { // malformed or foreign: count and drop
+		if d.cfg.Controller.Observer != nil {
+			d.cfg.Controller.Observer.Observe(obs.Event{Kind: obs.CtrlInvalid})
+		}
+		return
+	}
+	est := d.est
 	d.mu.Lock()
 	dec, err := d.ctrl.Ingest(est)
 	var ck Checkpoint

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"sync"
 	"testing"
 	"time"
@@ -51,13 +52,13 @@ func TestDaemonClosedLoopSoak(t *testing.T) {
 
 	var mu sync.Mutex
 	var decisions []Decision
-	var estimates []Estimate
+	var widths []int // len(Mu) of each estimate: the Estimate is valid only during the call
 	d, err := NewDaemon(lbd, DaemonConfig{
 		Controller:  Config{Policy: Queue, Deadband: 0.1},
 		PollTimeout: 5 * time.Millisecond,
 		OnDecision: func(e Estimate, dec Decision) {
 			mu.Lock()
-			estimates = append(estimates, e)
+			widths = append(widths, len(e.Mu))
 			decisions = append(decisions, dec)
 			mu.Unlock()
 		},
@@ -93,7 +94,7 @@ func TestDaemonClosedLoopSoak(t *testing.T) {
 		joins += len(dec.Joined)
 		if dec.Action == ActionRealloc {
 			reallocs++
-			if dec.Admitted > 0 && len(estimates[i].Mu) == 0 {
+			if dec.Admitted > 0 && widths[i] == 0 {
 				t.Fatalf("decision %d admitted load with no computers", i)
 			}
 		}
@@ -286,4 +287,61 @@ func TestDaemonRejectsCorruptCheckpoint(t *testing.T) {
 	if errors.Is(err, os.ErrNotExist) {
 		t.Fatal("corrupt checkpoint misreported as missing")
 	}
+}
+
+// TestDaemonHoldAllocs gates the daemon's hold path: once warm, a held
+// estimate through decode, validation and ingest allocates nothing.
+// The decode reuses the daemon's Estimate, its Source included, and the
+// hold reports the Σλ kept at commit.
+func TestDaemonHoldAllocs(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("the wire decoder's state comes from a sync.Pool, which drops items at random under -race")
+	}
+	net := dist.NewMemNetwork()
+	conn, err := net.Join("lbd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewDaemon(conn, DaemonConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := d.Stop(); err != nil {
+			t.Error(err)
+		}
+	}()
+	const runs = 200
+	msgs := make([]dist.Message, runs+2)
+	for k := range msgs {
+		w := 1 + 0.001*float64(k%3) // inside the default 5% deadband
+		e := Estimate{Seq: k + 1, Time: float64(k), Phi: []float64{10 * w, 5}, Mu: []float64{40, 0, 25 * w}, Source: "lbgen"}
+		if msgs[k], err = EncodeMessage("lbd", e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.handle(msgs[0]) // commits epoch 1
+	next := 1
+	allocs := testing.AllocsPerRun(runs, func() {
+		d.handle(msgs[next])
+		next++
+	})
+	if d.Epoch() != 1 || next != len(msgs) {
+		t.Fatalf("epoch %d after %d estimates, want every estimate after the first held", d.Epoch(), next)
+	}
+	if allocs != 0 {
+		t.Errorf("a held estimate costs %.1f allocs, want 0", allocs)
+	}
+}
+
+// raceEnabled reports a -race build.
+func raceEnabled() bool {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" {
+				return s.Value == "true"
+			}
+		}
+	}
+	return false
 }

@@ -59,7 +59,8 @@ type Estimate struct {
 }
 
 // Validate checks the estimate is well-formed: at least one computer,
-// finite non-negative user rates, finite computer rates.
+// finite non-negative user rates, finite computer rates. The
+// controller's scan checks the same predicates in its one pass.
 func (e Estimate) Validate() error {
 	if len(e.Mu) == 0 {
 		return errors.New("ctrl: estimate has no computers")
@@ -67,30 +68,27 @@ func (e Estimate) Validate() error {
 	if len(e.Phi) == 0 {
 		return errors.New("ctrl: estimate has no users")
 	}
-	if math.IsNaN(e.Time) || math.IsInf(e.Time, 0) || e.Time < 0 {
+	if !validRate(e.Time) {
 		return fmt.Errorf("ctrl: estimate time must be a non-negative finite number, got %g", e.Time)
 	}
 	for j, p := range e.Phi {
-		if p < 0 || math.IsNaN(p) || math.IsInf(p, 0) {
+		if !validRate(p) {
 			return fmt.Errorf("ctrl: user rate %d must be a non-negative finite number, got %g", j, p)
 		}
 	}
 	for i, m := range e.Mu {
-		if math.IsNaN(m) || math.IsInf(m, 0) {
+		if !finite(m) {
 			return fmt.Errorf("ctrl: computer rate %d must be finite, got %g", i, m)
 		}
 	}
 	return nil
 }
 
-// TotalPhi returns the offered load Σφ_j.
-func (e Estimate) TotalPhi() float64 {
-	var t float64
-	for _, p := range e.Phi {
-		t += p
-	}
-	return t
-}
+// validRate reports whether x is finite and non-negative.
+func validRate(x float64) bool { return x >= 0 && x <= math.MaxFloat64 }
+
+// finite reports whether x is neither NaN nor ±Inf.
+func finite(x float64) bool { return x-x == 0 }
 
 // UpCapacity returns the aggregate rate of the up computers and how
 // many there are.
@@ -120,7 +118,7 @@ func (e *Estimate) DecodeWire(d *dist.WireDec) {
 	e.Time = d.F64()
 	e.Phi = d.F64s(e.Phi)
 	e.Mu = d.F64s(e.Mu)
-	e.Source = d.Str()
+	e.Source = d.Str(e.Source)
 }
 
 // EncodeMessage packs the estimate into a transport message addressed
@@ -133,15 +131,12 @@ func EncodeMessage(to string, e Estimate) (dist.Message, error) {
 	return m, nil
 }
 
-// DecodeEstimate unpacks an estimate from its wire form. It rejects
-// messages of the wrong kind and malformed payloads; the caller counts
-// and drops those rather than failing the ingest loop.
+// DecodeEstimate unpacks and validates an estimate from its wire form:
+// a message of the wrong kind, a malformed payload or an invalid
+// estimate is an error, which callers count and drop.
 func DecodeEstimate(m dist.Message) (Estimate, error) {
-	if m.Kind != EstimateKind {
-		return Estimate{}, fmt.Errorf("ctrl: message kind %q is not %q", m.Kind, EstimateKind)
-	}
 	var e Estimate
-	if err := m.Decode(&e); err != nil {
+	if err := e.decode(m); err != nil {
 		return Estimate{}, err
 	}
 	if err := e.Validate(); err != nil {
@@ -150,8 +145,11 @@ func DecodeEstimate(m dist.Message) (Estimate, error) {
 	return e, nil
 }
 
-// DecodeEstimateBytes decodes a bare estimate payload (a Message's
-// Data; the fuzz surface: arbitrary bytes must never panic).
-func DecodeEstimateBytes(data []byte) (Estimate, error) {
-	return DecodeEstimate(dist.Message{Kind: EstimateKind, Data: data})
+// decode unpacks an estimate message into e, reusing its slices and
+// keeping its Source when the bytes spell it. It does not validate.
+func (e *Estimate) decode(m dist.Message) error {
+	if m.Kind != EstimateKind {
+		return fmt.Errorf("ctrl: message kind %q is not %q", m.Kind, EstimateKind)
+	}
+	return m.Decode(e)
 }

@@ -13,7 +13,10 @@ import (
 // must never panic, and whatever decodes successfully must satisfy the
 // Estimate validity contract (so a malicious or corrupted peer cannot
 // smuggle NaN rates into the controller). Valid estimates round-trip,
-// and re-encode the same after their input is overwritten.
+// and re-encode the same after their input is overwritten. Decoding
+// into a dirty, reused Estimate, as the daemon does, gives what a fresh
+// decode gives, and the controller's one-pass check rejects exactly
+// what Validate rejects.
 func FuzzLoadEstimate(f *testing.F) {
 	// Seed with a well-formed binary wire encoding and a few mutations
 	// of it.
@@ -34,8 +37,30 @@ func FuzzLoadEstimate(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		msg := dist.Message{Kind: EstimateKind, Data: data}
+		var fresh Estimate
+		freshErr := fresh.decode(msg)
+		for _, dirty := range []Estimate{
+			{Seq: 7, Time: 9, Phi: []float64{1, 2, 3, 4, 5, 6, 7, 8}, Mu: make([]float64, 300), Source: "other"},
+			{Phi: []float64{0}, Mu: []float64{math.NaN()}},
+		} {
+			err := dirty.decode(msg)
+			if (err == nil) != (freshErr == nil) {
+				t.Fatalf("decode into a dirty estimate: error %v, fresh decode: %v", err, freshErr)
+			}
+			if err == nil && !bytes.Equal(dirty.AppendWire(nil), fresh.AppendWire(nil)) {
+				t.Fatalf("decode into a dirty estimate gave %+v, a fresh decode %+v", dirty, fresh)
+			}
+		}
+		if freshErr == nil {
+			_, ingestErr := mustController(t, Config{}).Ingest(fresh)
+			if verr := fresh.Validate(); (ingestErr == nil) != (verr == nil) {
+				t.Fatalf("Ingest error %v, Validate error %v for %+v", ingestErr, verr, fresh)
+			}
+		}
+
 		in := bytes.Clone(data) // overwritten once decoded
-		e, err := DecodeEstimateBytes(in)
+		e, err := DecodeEstimate(dist.Message{Kind: EstimateKind, Data: in})
 		if err != nil {
 			return
 		}

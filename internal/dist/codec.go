@@ -83,11 +83,15 @@ func appendBool(b []byte, v bool) []byte {
 	return append(b, 0)
 }
 
-// AppendF64s appends a uvarint length and the floats (WireDec.F64s).
+// AppendF64s appends a uvarint length and the floats (WireDec.F64s),
+// growing b once for the whole slice.
 func AppendF64s(b []byte, s []float64) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s)))
-	for _, f := range s {
-		b = AppendF64(b, f)
+	off := len(b)
+	b = append(b, make([]byte, 8*len(s))...)
+	out := b[off:]
+	for i, f := range s {
+		binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(f))
 	}
 	return b
 }
@@ -205,7 +209,8 @@ func (d *WireDec) sliceLen(elemSize int) int {
 	return int(n)
 }
 
-// F64s reads a float64 slice into dst's capacity.
+// F64s reads a float64 slice into dst's capacity. The length prefix is
+// checked against the bytes left once, for the whole slice.
 func (d *WireDec) F64s(dst []float64) []float64 {
 	n := d.sliceLen(8)
 	if d.err != nil {
@@ -215,9 +220,11 @@ func (d *WireDec) F64s(dst []float64) []float64 {
 		dst = make([]float64, n)
 	}
 	dst = dst[:n]
+	src := d.b[d.off : d.off+8*n]
 	for i := range dst {
-		dst[i] = d.F64()
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
 	}
+	d.off += 8 * n
 	return dst
 }
 
@@ -239,15 +246,19 @@ func (d *WireDec) i32s(dst []int32) []int32 {
 	return dst
 }
 
-// Str reads a length-prefixed string.
-func (d *WireDec) Str() string {
+// Str reads a length-prefixed string. It returns prev, without
+// allocating, when the bytes spell prev.
+func (d *WireDec) Str(prev string) string {
 	n := d.sliceLen(1)
 	if d.err != nil {
 		return ""
 	}
-	s := string(d.b[d.off : d.off+n])
+	b := d.b[d.off : d.off+n]
 	d.off += n
-	return s
+	if string(b) == prev {
+		return prev
+	}
+	return string(b)
 }
 
 func (d *WireDec) rows(dst [][]float64) [][]float64 {
@@ -371,7 +382,7 @@ func (p hierSyncPayload) AppendWire(b []byte) []byte {
 }
 func (p *hierSyncPayload) DecodeWire(d *WireDec) {
 	p.Epoch = d.Int()
-	p.Next = d.Str()
+	p.Next = d.Str(p.Next)
 }
 
 func (hierRowPayload) WireID() byte { return wireHierRow }

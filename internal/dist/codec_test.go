@@ -1,6 +1,9 @@
 package dist
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math"
 	"reflect"
 	"runtime"
 	"runtime/debug"
@@ -190,4 +193,88 @@ func raceEnabled() bool {
 		}
 	}
 	return false
+}
+
+// TestF64sFixedBytes pins the float-slice wire format that
+// AppendF64s and WireDec.F64s move in bulk: a uvarint length, then each
+// float as 8 little-endian bytes, exactly what appending the elements
+// one by one writes. Special values round-trip bit for bit, and a
+// length prefix that overruns the payload fails before any slice is
+// made.
+func TestF64sFixedBytes(t *testing.T) {
+	special := []float64{
+		math.Copysign(0, -1),
+		math.Float64frombits(0x7ff8_0000_dead_beef), // quiet NaN with payload bits
+		math.Float64frombits(0x7ff0_0000_0000_0001), // signalling NaN
+		math.Float64frombits(0xfff4_0000_0000_0abc), // negative NaN with payload bits
+		math.Inf(1), math.Inf(-1),
+		math.Float64frombits(1),                     // smallest subnormal
+		math.Float64frombits(0x000f_ffff_ffff_ffff), // largest subnormal
+		-math.Float64frombits(0x0000_0000_0001_0000),
+	}
+	prefix := []byte{0xB1, 0x7f}
+	for _, n := range []int{0, 1, 4, 257} {
+		s := make([]float64, n)
+		for i := range s {
+			s[i] = 1.5*float64(i) - 100
+		}
+		if n > 1 {
+			copy(s, special)
+		}
+		want := binary.AppendUvarint(bytes.Clone(prefix), uint64(n))
+		for _, f := range s {
+			want = binary.LittleEndian.AppendUint64(want, math.Float64bits(f))
+		}
+		got := AppendF64s(bytes.Clone(prefix), s)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("n=%d: AppendF64s wrote % x, want % x", n, got, want)
+		}
+		// Decode into dst of every shape: nil, too short, long enough.
+		for _, dst := range [][]float64{nil, make([]float64, 0, n/2), make([]float64, 3, n+5)} {
+			d := WireDec{b: want, off: len(prefix)}
+			out := d.F64s(dst)
+			if d.err != nil || d.off != len(want) {
+				t.Fatalf("n=%d: F64s stopped at %d of %d bytes: %v", n, d.off, len(want), d.err)
+			}
+			if len(out) != n {
+				t.Fatalf("n=%d: F64s read %d floats", n, len(out))
+			}
+			for i := range out {
+				if math.Float64bits(out[i]) != math.Float64bits(s[i]) {
+					t.Fatalf("n=%d: float %d decoded as %#x, want %#x", n, i, math.Float64bits(out[i]), math.Float64bits(s[i]))
+				}
+			}
+		}
+	}
+
+	// A failed single-float read is the reference cost of a failure:
+	// the error, and nothing else.
+	failF64 := func() {
+		d := WireDec{b: []byte{1, 2, 3}}
+		if d.F64(); d.err == nil {
+			t.Fatal("a 3-byte float64 decoded")
+		}
+	}
+	ref := testing.AllocsPerRun(100, failF64)
+	dst := make([]float64, 2, 4)
+	for name, b := range map[string][]byte{
+		"truncated":  binary.LittleEndian.AppendUint64(binary.AppendUvarint(nil, 2), 0), // 2 floats, 1 present
+		"oversized":  binary.AppendUvarint(nil, 1<<60),
+		"max uint64": binary.AppendUvarint(nil, math.MaxUint64),
+		"overflow":   bytes.Repeat([]byte{0xff}, 11),
+	} {
+		var out []float64
+		allocs := testing.AllocsPerRun(100, func() {
+			d := WireDec{b: b}
+			if out = d.F64s(dst); d.err == nil {
+				t.Fatalf("%s: F64s accepted % x", name, b)
+			}
+		})
+		if len(out) != len(dst) || cap(out) != cap(dst) || &out[0] != &dst[0] {
+			t.Errorf("%s: F64s returned len %d cap %d, want dst (len %d cap %d) untouched", name, len(out), cap(out), len(dst), cap(dst))
+		}
+		if allocs > ref {
+			t.Errorf("%s: a failed F64s costs %.0f allocs, a failed F64 %.0f", name, allocs, ref)
+		}
+	}
 }

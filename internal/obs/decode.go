@@ -37,21 +37,22 @@ func DecodeTrace(r io.Reader, w io.Writer) error {
 	if _, err := br.Peek(1); err == io.EOF {
 		return nil // an empty trace encodes to zero bytes
 	}
+	c := &cursor{src: bufChunks{br}, frame: unframed}
 	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
+	if err := c.read(magic[:]); err != nil {
 		return badTrace("reading magic: %v", err)
 	}
 	if magic != traceMagic {
 		return badTrace("bad magic %q (want %q version %d)", magic[:3], traceMagic[:3], traceMagic[3])
 	}
-	names, err := readKindTable(br)
+	names, err := readKindTable(c)
 	if err != nil {
 		return err
 	}
 	bw := bufio.NewWriter(w)
 	var scratch []byte
 	for {
-		marker, err := binary.ReadUvarint(br)
+		marker, err := c.uvarint()
 		if err == io.EOF {
 			break // clean end between sections
 		}
@@ -61,11 +62,11 @@ func DecodeTrace(r io.Reader, w io.Writer) error {
 		if marker > maxRepMarker {
 			return badTrace("section replication marker %d out of range", marker)
 		}
-		length, err := binary.ReadUvarint(br)
+		length, err := c.uvarint()
 		if err != nil {
 			return badTrace("reading section length: %v", err)
 		}
-		if scratch, err = decodeSection(br, bw, names, int(marker)-1, length, scratch); err != nil {
+		if scratch, err = decodeSection(c, bw, names, int(marker)-1, length, scratch); err != nil {
 			return err
 		}
 	}
@@ -76,8 +77,8 @@ func DecodeTrace(r io.Reader, w io.Writer) error {
 }
 
 // readKindTable reads the header's interned kind names.
-func readKindTable(br *bufio.Reader) ([]string, error) {
-	count, err := binary.ReadUvarint(br)
+func readKindTable(c *cursor) ([]string, error) {
+	count, err := c.uvarint()
 	if err != nil {
 		return nil, badTrace("reading kind table size: %v", err)
 	}
@@ -86,45 +87,30 @@ func readKindTable(br *bufio.Reader) ([]string, error) {
 	}
 	names := make([]string, count)
 	for i := range names {
-		if names[i], err = readString(br, "kind name"); err != nil {
+		if names[i], err = c.readString("kind name"); err != nil {
 			return nil, err
 		}
 	}
 	return names, nil
 }
 
-// readString reads one uvarint-length-prefixed string.
-func readString(br *bufio.Reader, what string) (string, error) {
-	l, err := binary.ReadUvarint(br)
-	if err != nil {
-		return "", badTrace("reading %s length: %v", what, err)
-	}
-	if l > maxNameLen {
-		return "", badTrace("%s length %d out of range", what, l)
-	}
-	buf := make([]byte, l)
-	if _, err := io.ReadFull(br, buf); err != nil {
-		return "", badTrace("reading %s: %v", what, err)
-	}
-	return string(buf), nil
-}
-
 // decodeSection decodes one section's records and emits their JSONL.
 // rep is -1 for the root section. The section's byte length frames it:
-// reads past the frame are corruption, not the next section. br is the
-// trace file's reader in DecodeTrace and a pageReader over a buffered
-// stream in a JSONL Tracer's Flush.
-func decodeSection(br byteReader, bw *bufio.Writer, names []string, rep int, length uint64, scratch []byte) ([]byte, error) {
-	sr := &sectionReader{br: br, remaining: length}
+// reads past the frame are corruption, not the next section. c reads
+// the trace file in DecodeTrace and a buffered stream's pages in a
+// JSONL Tracer's Flush.
+func decodeSection(c *cursor, bw *bufio.Writer, names []string, rep int, length uint64, scratch []byte) ([]byte, error) {
+	c.frame, c.framed = length, true
+	defer func() { c.frame, c.framed = unframed, false }()
 	var prevBits uint64
 	var nodes []string
-	for sr.remaining > 0 {
-		op, err := sr.ReadByte()
+	for c.frame > 0 {
+		op, err := c.byte()
 		if err != nil {
 			return scratch, badTrace("reading record opcode: %v", err)
 		}
 		if op == opDefNode {
-			name, err := sr.readString("node label")
+			name, err := c.readString("node label")
 			if err != nil {
 				return scratch, err
 			}
@@ -135,7 +121,7 @@ func decodeSection(br byteReader, bw *bufio.Writer, names []string, rep int, len
 		if kindIdx >= len(names) {
 			return scratch, badTrace("event kind index %d outside the %d-entry table", kindIdx, len(names))
 		}
-		flags, err := sr.ReadByte()
+		flags, err := c.byte()
 		if err != nil {
 			return scratch, badTrace("reading event flags: %v", err)
 		}
@@ -143,42 +129,42 @@ func decodeSection(br byteReader, bw *bufio.Writer, names []string, rep int, len
 			return scratch, badTrace("unknown event flags %#x (newer format?)", flags)
 		}
 		var e Event
-		delta, err := binary.ReadUvarint(sr)
+		delta, err := c.uvarint()
 		if err != nil {
 			return scratch, badTrace("reading timestamp delta: %v", err)
 		}
 		prevBits += uint64(unzigzag(delta))
 		e.Time = math.Float64frombits(prevBits)
 		if flags&flagA != 0 {
-			v, err := binary.ReadUvarint(sr)
+			v, err := c.uvarint()
 			if err != nil {
 				return scratch, badTrace("reading operand a: %v", err)
 			}
 			e.A = int32(unzigzag(v))
 		}
 		if flags&flagB != 0 {
-			v, err := binary.ReadUvarint(sr)
+			v, err := c.uvarint()
 			if err != nil {
 				return scratch, badTrace("reading operand b: %v", err)
 			}
 			e.B = int32(unzigzag(v))
 		}
 		if flags&flagN != 0 {
-			v, err := binary.ReadUvarint(sr)
+			v, err := c.uvarint()
 			if err != nil {
 				return scratch, badTrace("reading count n: %v", err)
 			}
 			e.N = int64(v)
 		}
 		if flags&flagV != 0 {
-			bits, err := sr.readUint64LE()
+			bits, err := c.uint64LE()
 			if err != nil {
 				return scratch, badTrace("reading value v: %v", err)
 			}
 			e.V = math.Float64frombits(bits)
 		}
 		if flags&flagNode != 0 {
-			id, err := binary.ReadUvarint(sr)
+			id, err := c.uvarint()
 			if err != nil {
 				return scratch, badTrace("reading node id: %v", err)
 			}
@@ -195,40 +181,126 @@ func decodeSection(br byteReader, bw *bufio.Writer, names []string, rep int, len
 	return scratch, nil
 }
 
-// byteReader is what a section decodes from.
-type byteReader interface {
-	io.Reader
-	io.ByteReader
+// chunkSource yields a byte stream a chunk at a time; io.EOF ends it.
+// A cursor asks for the next chunk only once it has read the last.
+type chunkSource interface {
+	chunk() ([]byte, error)
 }
 
-// sectionReader reads from the underlying reader while enforcing the
-// section frame: reads beyond the declared length fail as unexpected
-// EOF instead of consuming the next section's bytes.
-type sectionReader struct {
-	br        byteReader
-	remaining uint64
+// bufChunks hands out a bufio.Reader's buffered bytes in place.
+type bufChunks struct{ br *bufio.Reader }
+
+func (s bufChunks) chunk() ([]byte, error) {
+	if _, err := s.br.Peek(1); err != nil {
+		return nil, err
+	}
+	b, _ := s.br.Peek(s.br.Buffered()) // never fails: the bytes are buffered
+	_, _ = s.br.Discard(len(b))        // never fails: the bytes are buffered
+	return b, nil
 }
 
-func (s *sectionReader) ReadByte() (byte, error) {
-	if s.remaining == 0 {
+// unframed is the frame between sections: no section limit applies.
+const unframed = math.MaxUint64
+
+// errOverflow is the error binary.ReadUvarint gives a varint that
+// overflows 64 bits.
+var errOverflow = errors.New("binary: varint overflows a 64-bit integer")
+
+// cursor reads a trace byte by byte from its current chunk, so each
+// read is a plain slice access; the source is asked only when a chunk
+// runs dry. frame is what the reads may still take: a section's
+// remaining length, so a corrupt record fails as unexpected EOF instead
+// of consuming the next section's bytes.
+type cursor struct {
+	cur    []byte // the unread rest of the current chunk
+	src    chunkSource
+	frame  uint64
+	framed bool // inside a section, where the input's end is unexpected
+}
+
+// fill makes cur non-empty.
+func (c *cursor) fill() error {
+	for len(c.cur) == 0 {
+		b, err := c.src.chunk()
+		if err == io.EOF && c.framed {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return err
+		}
+		c.cur = b
+	}
+	return nil
+}
+
+// take consumes n bytes of the current chunk.
+func (c *cursor) take(n int) {
+	c.cur = c.cur[n:]
+	c.frame -= uint64(n)
+}
+
+func (c *cursor) byte() (byte, error) {
+	if len(c.cur) == 0 || c.frame == 0 {
+		return c.slowByte()
+	}
+	b := c.cur[0]
+	c.take(1)
+	return b, nil
+}
+
+// slowByte is byte at the end of a chunk or of the frame.
+func (c *cursor) slowByte() (byte, error) {
+	if c.frame == 0 {
 		return 0, io.ErrUnexpectedEOF
 	}
-	b, err := s.br.ReadByte()
-	if err == nil {
-		s.remaining--
-	} else if err == io.EOF {
-		err = io.ErrUnexpectedEOF
+	if err := c.fill(); err != nil {
+		return 0, err
 	}
-	return b, err
+	b := c.cur[0]
+	c.take(1)
+	return b, nil
 }
 
-// readUint64LE reads 8 little-endian bytes a byte at a time: a stack
-// array handed to read would escape through io.ReadFull and cost an
-// allocation per record.
-func (s *sectionReader) readUint64LE() (uint64, error) {
+// uvarint reads an unsigned varint with binary.ReadUvarint's results,
+// decoding it straight from the chunk when it cannot straddle a chunk
+// or frame end.
+func (c *cursor) uvarint() (uint64, error) {
+	if len(c.cur) >= binary.MaxVarintLen64 && c.frame >= binary.MaxVarintLen64 {
+		if v, n := binary.Uvarint(c.cur); n > 0 {
+			c.take(n)
+			return v, nil
+		}
+	}
+	var x uint64
+	for i, s := 0, uint(0); i < binary.MaxVarintLen64; i, s = i+1, s+7 {
+		b, err := c.byte()
+		if err != nil {
+			if i > 0 && err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return x, err
+		}
+		if b < 0x80 {
+			if i == binary.MaxVarintLen64-1 && b > 1 {
+				return x, errOverflow
+			}
+			return x | uint64(b)<<s, nil
+		}
+		x |= uint64(b&0x7f) << s
+	}
+	return x, errOverflow
+}
+
+// uint64LE reads 8 little-endian bytes.
+func (c *cursor) uint64LE() (uint64, error) {
+	if len(c.cur) >= 8 && c.frame >= 8 {
+		v := binary.LittleEndian.Uint64(c.cur)
+		c.take(8)
+		return v, nil
+	}
 	var v uint64
 	for i := 0; i < 8; i++ {
-		b, err := s.ReadByte()
+		b, err := c.byte()
 		if err != nil {
 			return 0, err
 		}
@@ -237,28 +309,37 @@ func (s *sectionReader) readUint64LE() (uint64, error) {
 	return v, nil
 }
 
-func (s *sectionReader) read(p []byte) error {
-	if uint64(len(p)) > s.remaining {
+// read fills p with io.ReadFull's results, and fails as unexpected EOF
+// when p overruns the frame.
+func (c *cursor) read(p []byte) error {
+	if uint64(len(p)) > c.frame {
 		return io.ErrUnexpectedEOF
 	}
-	n, err := io.ReadFull(s.br, p)
-	s.remaining -= uint64(n)
-	if err == io.EOF {
-		err = io.ErrUnexpectedEOF
+	for n := 0; n < len(p); {
+		if err := c.fill(); err != nil {
+			if err == io.EOF && n > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return err
+		}
+		k := copy(p[n:], c.cur)
+		c.take(k)
+		n += k
 	}
-	return err
+	return nil
 }
 
-func (s *sectionReader) readString(what string) (string, error) {
-	l, err := binary.ReadUvarint(s)
+// readString reads one uvarint-length-prefixed string.
+func (c *cursor) readString(what string) (string, error) {
+	l, err := c.uvarint()
 	if err != nil {
 		return "", badTrace("reading %s length: %v", what, err)
 	}
-	if l > maxNameLen || l > s.remaining {
+	if l > maxNameLen || l > c.frame {
 		return "", badTrace("%s length %d out of range", what, l)
 	}
 	buf := make([]byte, l)
-	if err := s.read(buf); err != nil {
+	if err := c.read(buf); err != nil {
 		return "", badTrace("reading %s: %v", what, err)
 	}
 	return string(buf), nil

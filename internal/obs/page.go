@@ -17,7 +17,7 @@ import (
 // per-replication fork alike, in either flush encoding.
 //
 // Pages hold plain bytes with no record framing, so a record may span a
-// page boundary; Flush reads pages in append order (pageReader, or
+// page boundary; Flush reads pages in append order (pageChunks, or
 // writeTo), which concatenates back to the exact byte stream.
 
 // pageSize is the slab size. Large enough that per-page overhead
@@ -102,42 +102,19 @@ func (p *pageBuf) writeTo(w io.Writer) error {
 	return nil
 }
 
-// pageReader reads a pageBuf's bytes back in append order, so a JSONL
-// Flush decodes each stream where it is buffered.
-type pageReader struct {
+// pageChunks hands out a pageBuf's pages in append order, in place, so
+// a JSONL Flush decodes each stream where it is buffered.
+type pageChunks struct {
 	p    *pageBuf
-	next int    // the next page to read
-	cur  []byte // the unread rest of the current page
+	next int // the next page to hand out
 }
 
-// fill makes cur non-empty, reporting false at the end of the buffer.
-func (r *pageReader) fill() bool {
-	for len(r.cur) == 0 {
-		if r.next == len(r.p.pages) {
-			return false
-		}
-		r.cur = r.p.page(r.next)
-		r.next++
+func (r *pageChunks) chunk() ([]byte, error) {
+	if r.next == len(r.p.pages) {
+		return nil, io.EOF
 	}
-	return true
-}
-
-func (r *pageReader) ReadByte() (byte, error) {
-	if !r.fill() {
-		return 0, io.EOF
-	}
-	b := r.cur[0]
-	r.cur = r.cur[1:]
-	return b, nil
-}
-
-func (r *pageReader) Read(b []byte) (int, error) {
-	if !r.fill() {
-		return 0, io.EOF
-	}
-	n := copy(b, r.cur)
-	r.cur = r.cur[n:]
-	return n, nil
+	r.next++
+	return r.p.page(r.next - 1), nil
 }
 
 // free returns every page to the pool and resets the buffer for reuse.

@@ -150,7 +150,7 @@ func (t *Tracer) writeJSONL(rep int, s *binStream) {
 		t.bw = bufio.NewWriterSize(t.w, pageSize)
 	}
 	var err error
-	t.scratch, err = decodeSection(&pageReader{p: &s.pages}, t.bw, kindNames[:], rep, uint64(s.pages.len()), t.scratch)
+	t.scratch, err = decodeSection(&cursor{src: &pageChunks{p: &s.pages}}, t.bw, kindNames[:], rep, uint64(s.pages.len()), t.scratch)
 	if err != nil {
 		t.err = err
 	}
