@@ -92,29 +92,36 @@ func main() {
 		defer stopExpo()
 	}
 
-	// Graceful shutdown: the first SIGINT/SIGTERM stops waiting for the
-	// pump; the normal drain path then runs and the process exits 0
-	// with the checkpoint flushed. The pump reads on its own goroutine
-	// because nothing interrupts a blocking read from an idle pipe (not
-	// even closing stdin). After a signal it is abandoned: closing src
-	// below fails its next send, and the process exits around it.
+	// Graceful shutdown: the first SIGINT/SIGTERM stops the pump from
+	// forwarding and stops waiting for it; the normal drain path then
+	// runs and the process exits 0 with the checkpoint flushed. The
+	// handler also releases the signals, so a second one kills a wedged
+	// drain. The pump reads on its own goroutine because nothing
+	// interrupts a blocking read from an idle pipe (not even closing
+	// stdin); after a signal it is abandoned, and it sends nothing more
+	// once it has seen the signal.
 	sigCh, stopSig := cliutil.ShutdownSignal()
 	defer stopSig()
+	interrupted := make(chan struct{})
+	go func() {
+		s := <-sigCh
+		stopSig()
+		fmt.Fprintf(os.Stderr, "lbd: caught %v, draining\n", s)
+		close(interrupted)
+	}()
 	type pumped struct {
 		bad int
 		err error
 	}
 	done := make(chan pumped, 1)
 	go func() {
-		bad, err := pump(os.Stdin, src)
+		bad, err := pump(os.Stdin, src, interrupted)
 		done <- pumped{bad, err}
 	}()
 	var in pumped
 	select {
 	case in = <-done:
-	case s := <-sigCh:
-		stopSig()
-		fmt.Fprintf(os.Stderr, "lbd: caught %v, draining\n", s)
+	case <-interrupted:
 	}
 	if err := src.Close(); err != nil {
 		fatal(err)
@@ -142,12 +149,12 @@ func main() {
 const maxLine = 4 << 20
 
 // pump forwards stdin's JSONL estimates to the daemon over src until
-// the input ends or the daemon side is gone. Malformed lines — bad
+// the input ends, stop is closed or the daemon side is gone. Malformed lines — bad
 // JSON, an estimate that does not encode, a line longer than maxLine —
 // are counted, skipped and reading goes on; the daemon itself fences
 // stale and invalid estimates. It returns the malformed count and the
 // read error that ended the input (nil at end of input).
-func pump(r io.Reader, src gtlb.Conn) (bad int, err error) {
+func pump(r io.Reader, src gtlb.Conn, stop <-chan struct{}) (bad int, err error) {
 	br := bufio.NewReader(r)
 	var line []byte
 	tooLong := false
@@ -177,6 +184,11 @@ func pump(r io.Reader, src gtlb.Conn) (bad int, err error) {
 			if err != nil {
 				bad++
 				break
+			}
+			select {
+			case <-stop:
+				return bad, nil // shutting down; forward nothing more
+			default:
 			}
 			if err := src.Send(m); err != nil {
 				return bad, nil // daemon side gone; drain what was delivered

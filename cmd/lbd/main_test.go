@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -49,7 +50,7 @@ func pumpInto(t *testing.T, r io.Reader) (seqs []int, bad int, err error) {
 	if jerr != nil {
 		t.Fatal(jerr)
 	}
-	bad, err = pump(r, src)
+	bad, err = pump(r, src, nil)
 	if cerr := src.Close(); cerr != nil {
 		t.Fatal(cerr)
 	}
@@ -151,6 +152,51 @@ const lbdMainEnv = "LBD_TEST_RUN_MAIN"
 // checkpoint. A read from such a pipe is not interrupted by closing
 // stdin, so a drain that waits for the pump waits for the writer.
 func TestSignalDrainsIdlePipe(t *testing.T) {
+	lines := estimateLines(t, 3)
+	signalDrain(t, func(w io.Writer) error {
+		for _, l := range lines {
+			if _, err := io.WriteString(w, l+"\n"); err != nil {
+				return err
+			}
+		}
+		return nil // the writer stays open, idle, until the test ends
+	})
+}
+
+// TestSignalDrainsBusyPipe: SIGINT ends lbd promptly while its stdin
+// keeps delivering estimates. A pump that went on forwarding after the
+// signal would keep the daemon's drain busy for as long as the writer
+// writes.
+func TestSignalDrainsBusyPipe(t *testing.T) {
+	signalDrain(t, func(w io.Writer) error {
+		bw := bufio.NewWriter(w)
+		for seq := 1; ; seq++ {
+			b, err := json.Marshal(gtlb.LoadEstimate{
+				Seq:  seq,
+				Time: float64(seq),
+				Phi:  []float64{12, 8, 6},
+				Mu:   []float64{40, 37, 23, 14},
+			})
+			if err != nil {
+				return err
+			}
+			if _, err := bw.Write(append(b, '\n')); err != nil {
+				return err
+			}
+			if err := bw.Flush(); err != nil {
+				return err // lbd has exited and closed the pipe
+			}
+		}
+	})
+}
+
+// signalDrain runs lbd with a checkpoint, feeding its stdin from feed
+// on a goroutine, and sends SIGINT once the first epoch's checkpoint is
+// written. lbd must exit 0 within 2 s of the signal, with the drain
+// notice, the summary and the checkpoint flushed again at epoch 1 (the
+// estimates repeat one load, so every later one holds).
+func signalDrain(t *testing.T, feed func(w io.Writer) error) {
+	t.Helper()
 	ck := filepath.Join(t.TempDir(), "ck.json")
 	cmd := exec.Command(os.Args[0], "-checkpoint", ck, "-quiet")
 	cmd.Env = append(os.Environ(), lbdMainEnv+"=1")
@@ -160,17 +206,17 @@ func TestSignalDrainsIdlePipe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer stdin.Close() // the writer stays open, idle, until the test ends
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
 	exited := make(chan error, 1)
 	go func() { exited <- cmd.Wait() }()
-	for _, l := range estimateLines(t, 3) {
-		if _, err := io.WriteString(stdin, l+"\n"); err != nil {
-			t.Fatal(err)
-		}
-	}
+	fed := make(chan error, 1)
+	go func() { fed <- feed(stdin) }()
+	defer func() {
+		stdin.Close()
+		<-fed
+	}()
 	// The first estimate commits an epoch, which flushes the checkpoint.
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
 		if _, err := os.Stat(ck); err == nil {
@@ -178,6 +224,7 @@ func TestSignalDrainsIdlePipe(t *testing.T) {
 		}
 		if time.Now().After(deadline) {
 			_ = cmd.Process.Kill()
+			<-exited
 			t.Fatalf("no checkpoint within 10 s; stderr: %s", stderr.String())
 		}
 	}
@@ -196,7 +243,7 @@ func TestSignalDrainsIdlePipe(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		_ = cmd.Process.Kill()
 		<-exited
-		t.Fatalf("lbd still running 2 s after SIGINT on an idle pipe; stderr: %s", stderr.String())
+		t.Fatalf("lbd still running 2 s after SIGINT; stderr: %s", stderr.String())
 	}
 	t.Logf("exited %v after the signal", time.Since(signalled).Round(time.Millisecond))
 	if !strings.Contains(stderr.String(), "draining") {

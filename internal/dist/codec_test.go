@@ -273,7 +273,9 @@ func TestF64sFixedBytes(t *testing.T) {
 		if len(out) != len(dst) || cap(out) != cap(dst) || &out[0] != &dst[0] {
 			t.Errorf("%s: F64s returned len %d cap %d, want dst (len %d cap %d) untouched", name, len(out), cap(out), len(dst), cap(dst))
 		}
-		if allocs > ref {
+		// Under -race, sync.Pool drops fmt's pooled printers at random,
+		// so a failure's error costs a varying number of allocations.
+		if allocs > ref && !raceEnabled() {
 			t.Errorf("%s: a failed F64s costs %.0f allocs, a failed F64 %.0f", name, allocs, ref)
 		}
 	}

@@ -105,7 +105,7 @@ func decodeSection(c *cursor, bw *bufio.Writer, names []string, rep int, length 
 	var prevBits uint64
 	var nodes []string
 	for c.frame > 0 {
-		op, err := c.byte()
+		op, err := c.ReadByte()
 		if err != nil {
 			return scratch, badTrace("reading record opcode: %v", err)
 		}
@@ -121,7 +121,7 @@ func decodeSection(c *cursor, bw *bufio.Writer, names []string, rep int, length 
 		if kindIdx >= len(names) {
 			return scratch, badTrace("event kind index %d outside the %d-entry table", kindIdx, len(names))
 		}
-		flags, err := c.byte()
+		flags, err := c.ReadByte()
 		if err != nil {
 			return scratch, badTrace("reading event flags: %v", err)
 		}
@@ -202,10 +202,6 @@ func (s bufChunks) chunk() ([]byte, error) {
 // unframed is the frame between sections: no section limit applies.
 const unframed = math.MaxUint64
 
-// errOverflow is the error binary.ReadUvarint gives a varint that
-// overflows 64 bits.
-var errOverflow = errors.New("binary: varint overflows a 64-bit integer")
-
 // cursor reads a trace byte by byte from its current chunk, so each
 // read is a plain slice access; the source is asked only when a chunk
 // runs dry. frame is what the reads may still take: a section's
@@ -239,7 +235,8 @@ func (c *cursor) take(n int) {
 	c.frame -= uint64(n)
 }
 
-func (c *cursor) byte() (byte, error) {
+// ReadByte reads one byte; it makes the cursor an io.ByteReader.
+func (c *cursor) ReadByte() (byte, error) {
 	if len(c.cur) == 0 || c.frame == 0 {
 		return c.slowByte()
 	}
@@ -248,7 +245,7 @@ func (c *cursor) byte() (byte, error) {
 	return b, nil
 }
 
-// slowByte is byte at the end of a chunk or of the frame.
+// slowByte is ReadByte at the end of a chunk or of the frame.
 func (c *cursor) slowByte() (byte, error) {
 	if c.frame == 0 {
 		return 0, io.ErrUnexpectedEOF
@@ -271,24 +268,7 @@ func (c *cursor) uvarint() (uint64, error) {
 			return v, nil
 		}
 	}
-	var x uint64
-	for i, s := 0, uint(0); i < binary.MaxVarintLen64; i, s = i+1, s+7 {
-		b, err := c.byte()
-		if err != nil {
-			if i > 0 && err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return x, err
-		}
-		if b < 0x80 {
-			if i == binary.MaxVarintLen64-1 && b > 1 {
-				return x, errOverflow
-			}
-			return x | uint64(b)<<s, nil
-		}
-		x |= uint64(b&0x7f) << s
-	}
-	return x, errOverflow
+	return binary.ReadUvarint(c)
 }
 
 // uint64LE reads 8 little-endian bytes.
@@ -300,7 +280,7 @@ func (c *cursor) uint64LE() (uint64, error) {
 	}
 	var v uint64
 	for i := 0; i < 8; i++ {
-		b, err := c.byte()
+		b, err := c.ReadByte()
 		if err != nil {
 			return 0, err
 		}
