@@ -70,7 +70,8 @@ import (
 // certificate. Each leader drives a game.Shard: the shard's loads and
 // the per-activation sweep budget (a lone member sweeps once, End
 // rides the first sweep only, sweeping stops early at the shard's eps
-// share). Each member plays noncoop.Stepper. A fault-free run therefore
+// share or once a sweep shrinks the norm by less than half). Each
+// member plays noncoop.Stepper. A fault-free run therefore
 // performs the oracle's float operations in the oracle's order, and its
 // profile is bit-identical to the oracle's (tests pin this). This file
 // owns only what a network adds: the messages, fencing, retries, the
@@ -231,19 +232,20 @@ type ShardOptions struct {
 	// Shards is the shard count G; 0 selects
 	// game.DefaultShardCount(m). Clamped to [1, m].
 	Shards int
-	// LocalSweeps is the number of best-reply sweeps each shard runs
-	// per reconciliation round (default 4, game.ShardedOpts's default).
+	// LocalSweeps caps the best-reply sweeps each shard runs per
+	// reconciliation round (default 4, game.ShardedOpts's default).
 	// Shards early-exit their sweep budget once the local norm falls
-	// below the shard's eps share, and a one-member shard sweeps once.
-	// Higher values let each activation extract more progress from one
-	// round trip to the root, which pays on some systems and not on
-	// others (rounds/sweeps/messages, EXPERIMENTS.md X8): at m=1000 and
-	// eps=1e-3 on 32 shards 4 take 11/773/28,748 where 1 takes
-	// 12/360/15,431, but on the 64-user warm-up of the repository's TCP
-	// benchmark 4 take 51/407/13,833 where 1 takes 434/868/30,578, and at
-	// m=10,000 4 take 1/490/47,719 where 1 takes 3/939/63,756. With
-	// Shards 1, LocalSweeps 1 is the §4.3 ring: each user best-replies
-	// once per round, in ring order.
+	// below the shard's eps share, a one-member shard sweeps once, and a
+	// shard that does not hold every user stops once a sweep shrinks its
+	// norm by less than half, since the next reconcile changes the
+	// external view it sweeps against (game.Shard.Run). Fault-free
+	// rounds/sweeps/messages (EXPERIMENTS.md X8): at m=1000 and eps=1e-3
+	// on 32 shards 4 take 9/503/19,878 where 1 takes 12/360/15,431, on
+	// the 64-user warm-up of the repository's TCP benchmark 4 take
+	// 67/301/10,399 where 1 takes 434/868/30,578, and at m=10,000 4 take
+	// 1/490/47,719 where 1 takes 3/939/63,756. With Shards 1,
+	// LocalSweeps 1 is the §4.3 ring: each user best-replies once per
+	// round, in ring order.
 	LocalSweeps int
 	// Watchdog is the root's per-wait partial/rows collection timeout
 	// and the leaders' down wait (default 2s). It must comfortably

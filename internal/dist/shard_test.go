@@ -106,12 +106,16 @@ func jitteredSystem(t *testing.T, m int, seed uint64) noncoop.System {
 // where each shard sweeps once per activation whatever its budget, and
 // for a system on which the root skips quiescent shards (at one sweep
 // per activation a round with no skip runs exactly one sweep per
-// shard, so fewer sweeps than rounds·shards means a skip fired). Every
+// shard, so fewer sweeps than rounds·shards means a skip fired), and
+// for perfbench's m=1000 system on 8 shards, where shards most often
+// end an activation on a stalled sweep (249 sweeps in 30 rounds, 733
+// in 51 when every activation ran to the ε share or the budget). Every
 // profile passes the certificate: one more flat round moves response
 // times by at most game.GapFactor·eps.
 func TestNashShardedMatchesOracle(t *testing.T) {
 	t.Parallel()
 	small, jittered := shardTestSystem(t, 12), jitteredSystem(t, 160, 1)
+	large := jitteredSystem(t, 1000, 1)
 	for _, c := range []struct {
 		name                string
 		sys                 noncoop.System
@@ -124,6 +128,7 @@ func TestNashShardedMatchesOracle(t *testing.T) {
 		{"one member per shard", small, 1e-9, 12, 4, false},
 		{"skip, 1 sweep", jittered, 1.6e-3, 8, 1, true},
 		{"skip, default sweeps", jittered, 1.6e-3, 8, 0, false},
+		{"stalled sweeps, 8 shards", large, 1e-3, 8, 0, false},
 	} {
 		want, err := game.ShardedBestReply(c.sys, game.PlanShards(c.sys.NumUsers(), c.shards), c.eps, 0, game.ShardedOpts{LocalSweeps: c.localSweeps})
 		if err != nil {

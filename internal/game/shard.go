@@ -111,18 +111,19 @@ func SatAdd(norm, d float64) float64 {
 // scheme: shards activated one at a time, each running up to four
 // sweeps per activation.
 type ShardedOpts struct {
-	// LocalSweeps is the number of best-reply sweeps a shard runs per
+	// LocalSweeps caps the best-reply sweeps a shard runs per
 	// activation (default 4, the default of dist.ShardOptions too).
 	// Sweeps early-exit once the shard-local norm falls below the
-	// shard's eps share (a one-member shard sweeps once), so a larger
-	// budget costs nothing once a shard quiesces. Whether spending it
-	// while loads move pays depends on the system (rounds/sweeps,
-	// EXPERIMENTS.md X8): at m=1000 and eps=1e-3 on 32 shards 4 sweeps
-	// take 11/773 where 1 takes 12/360, but on the 64-user warm-up of the
-	// repository's TCP benchmark 4 take 51/407 where 1 takes 434/868, and
-	// at m=10,000 4 take 1/490 where 1 takes 3/939. The default stays 4:
-	// 1 would more than double the warm-up's work. Set 1 to reproduce the
-	// flat ring's exact user visit order.
+	// shard's eps share (a one-member shard sweeps once), and, in a
+	// shard that does not hold every user, once a sweep shrinks the
+	// norm by less than half: the external view it sweeps against is
+	// stale by the next reconcile. A growing norm keeps sweeping up to
+	// the cap. On the systems of EXPERIMENTS.md X8 (rounds/sweeps) at
+	// m=1000 and eps=1e-3 on 32 shards 4 take 9/503 where 1 takes 12/360,
+	// on the 64-user warm-up of the repository's TCP benchmark 4 take
+	// 67/301 where 1 takes 434/868, and at m=10,000 4 take 1/490 where 1
+	// takes 3/939. Set 1 to reproduce the flat ring's exact user visit
+	// order.
 	LocalSweeps int
 }
 
@@ -390,9 +391,16 @@ func (s *Shard) Activate(global, end []float64) {
 // sweep plays every member once against Loads, moving them, and returns
 // the sweep's token norm and end-of-round norm; only the first sweep
 // gets end, the later ones nil. The sweeps stop at the budget, once a
-// sweep's norm is within the shard's eps share, or after one sweep of a
+// sweep's norm is within the shard's eps share, after one sweep of a
 // lone member (its second sweep would reply to its own move and always
-// read a norm of 0). Local then takes the shard's new load. A sweep
+// read a norm of 0), or, unless the shard holds every user of the game,
+// once a sweep shrank the norm by less than half (prev/2 < norm < prev):
+// further sweeps would refine a reply to an external view the next
+// reconcile changes. On perfbench's m=1000 system this brings the
+// default plan to 9 rounds and 503 sweeps, where running each
+// activation to its eps share or the budget takes 11 and 773. A shard
+// that holds every user has no external view and sweeps on; a growing
+// norm sweeps on too. Local then takes the shard's new load. A sweep
 // error aborts the activation; the next Run restarts it from Local
 // against the same external view.
 //
@@ -419,9 +427,10 @@ func (s *Shard) Run(k int, sweep func(end []float64) (norm, endNorm float64, err
 		if s.Sweeps == 0 {
 			s.EndNorm = endNorm
 		}
+		stalled := s.Sweeps > 0 && k < s.users && s.Norm/2 < norm && norm < s.Norm
 		s.Norm, end = norm, nil
 		s.Sweeps++
-		if norm <= locEps {
+		if norm <= locEps || stalled {
 			break
 		}
 	}

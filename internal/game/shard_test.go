@@ -157,10 +157,11 @@ func TestShardedSkipKeepsEquilibrium(t *testing.T) {
 // TestShardedSweepBudgetTradeoff documents the LocalSweeps=4 default:
 // on a system whose stop takes hundreds of rounds, a larger
 // per-activation budget must not need more total sweeps than budget 1
-// (4,295 against 7,704 here), while reaching the same equilibrium
-// class. Where the end-of-round norm stops within a dozen rounds it no
-// longer pays: at m=1000 and eps=1e-3 on 32 shards, budget 4 takes 773
-// sweeps and budget 1 takes 359.
+// (2,747 against 7,704 here), while reaching the same equilibrium
+// class. Where the end-of-round norm stops within a dozen rounds
+// budget 1 takes fewer: at m=1000 and eps=1e-3 on 32 shards, budget 4
+// takes 501 sweeps, its shards ending activations on stalled sweeps
+// (773 without that stop), and budget 1 takes 359.
 func TestShardedSweepBudgetTradeoff(t *testing.T) {
 	t.Parallel()
 	const m, eps = 64, 1e-9
@@ -178,6 +179,43 @@ func TestShardedSweepBudgetTradeoff(t *testing.T) {
 	}
 	if four.Rounds >= one.Rounds {
 		t.Errorf("LocalSweeps=4 used %d rounds, want fewer than LocalSweeps=1's %d", four.Rounds, one.Rounds)
+	}
+}
+
+// TestShardSweepsStopWhenStalled pins the oracle's rounds and sweeps
+// on perfbench's system (seed 1, eps = 1e-6·m) under the stall stop: a
+// shard that does not hold every user ends its activation once a
+// sweep shrinks its norm by less than half. Multi-shard plans move
+// (old → new rounds/sweeps: m=1000 on 32 shards 11/773 → 9/503, on 8
+// shards 51/733 → 30/249, m=64 on 2 shards 51/407 → 67/301); m=10,000
+// stops in its first round either way, and a one-shard plan, which has
+// no external view to go stale, is unchanged (m=32: 47/188; with the
+// stall stop applied there too it would take 93 rounds). Every profile
+// passes the certificate.
+func TestShardSweepsStopWhenStalled(t *testing.T) {
+	t.Parallel()
+	for _, c := range []struct {
+		m, shards      int
+		rounds, sweeps int
+	}{
+		{1000, 32, 9, 503},
+		{1000, 8, 30, 249},
+		{64, 2, 67, 301},
+		{10000, DefaultShardCount(10000), 1, 490},
+		{32, 1, 47, 188},
+	} {
+		sys, eps := jitteredSystem(t, c.m, 1), 1e-6*float64(c.m)
+		res, err := ShardedBestReply(sys, PlanShards(c.m, c.shards), eps, 0, ShardedOpts{})
+		if err != nil {
+			t.Fatalf("m=%d on %d shards: %v", c.m, c.shards, err)
+		}
+		if res.Rounds != c.rounds || res.Sweeps != c.sweeps {
+			t.Errorf("m=%d on %d shards: %d rounds, %d sweeps; want %d, %d",
+				c.m, c.shards, res.Rounds, res.Sweeps, c.rounds, c.sweeps)
+		}
+		if gap, err := noncoop.Gap(sys, res.Profile); err != nil || gap > GapFactor*eps {
+			t.Errorf("m=%d on %d shards: gap %g, %v; want <= %g", c.m, c.shards, gap, err, GapFactor*eps)
+		}
 	}
 }
 
