@@ -60,6 +60,49 @@ func TestHierCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEncodeInPlace pins Encode's two paths. A Message whose Data has
+// room is re-encoded in place, writing the payload once and allocating
+// nothing; a fresh Message gets one Data of exactly the payload's
+// length. Both hold the payload's wire encoding byte for byte, and a
+// payload that outgrows the room it is given still encodes whole.
+func TestEncodeInPlace(t *testing.T) {
+	for _, p := range hierCodecSamples() {
+		want := p.AppendWire([]byte{codecMagic, p.WireID()})
+		var fresh Message
+		if err := fresh.Encode(p); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(fresh.Data, want) || cap(fresh.Data) != len(want) {
+			t.Errorf("%T: fresh Data % x (cap %d), want % x (cap %d)", p, fresh.Data, cap(fresh.Data), want, len(want))
+		}
+		buf := make([]byte, 0, len(want))
+		reused := Message{Data: buf}
+		if err := reused.Encode(p); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(reused.Data, want) || &reused.Data[0] != &buf[:1][0] {
+			t.Errorf("%T: re-encode wrote % x elsewhere than its Data; want % x in place", p, reused.Data, want)
+		}
+		small := Message{Data: make([]byte, 0, 3)}
+		if err := small.Encode(p); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(small.Data, want) {
+			t.Errorf("%T: encode past the Data's room wrote % x, want % x", p, small.Data, want)
+		}
+	}
+
+	tok := hierTokenPayload{Epoch: 1, Hop: 2, Norm: 0.5,
+		Loads: []float64{1, 2, 3, 4}, End: []float64{0.5, 1.5, 2.5, 3.5}}
+	m := Message{Data: make([]byte, 0, tokenBytes(len(tok.Loads)))}
+	allocGate(t, "re-encode into a Data with room", 0, func() {
+		tok.Hop++
+		if err := m.Encode(&tok); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
 // TestWireIDs pins every live payload's wire-type byte. The ids are
 // wire-format constants: ids 1–7 and 18–19 stay retired
 // (FuzzMessageRoundTrip checks no decoder accepts them) and nothing is
@@ -158,10 +201,12 @@ func TestHierDownAllocs(t *testing.T) {
 // allocGate fails the test if f costs more than limit allocations per
 // call. Encode and Decode draw their scratch state from a sync.Pool,
 // which in a -race build drops about a quarter of its Puts at random:
-// there an encode really averages about 1.5 allocations and a decode
-// about 0.25, and testing.AllocsPerRun's truncated count would pass or
-// fail by chance. So under -race the gate is off and the true mean is
-// logged instead.
+// there a fresh encode really averages about 1.5 allocations and a
+// decode about 0.25, and testing.AllocsPerRun's truncated count would
+// pass or fail by chance. The race build also allocates the zeroed
+// extension AppendF64s appends, which a normal build does not, so an
+// in-place token encode there costs two. So under -race the gate is off
+// and the true mean is logged instead.
 func allocGate(t *testing.T, what string, limit float64, f func()) {
 	t.Helper()
 	const runs = 1000

@@ -387,6 +387,98 @@ func TestMemNetworkContract(t *testing.T) {
 	})
 }
 
+// TestMemNetworkRejoinedPeer pins the sender's peer cache: a memConn
+// resolves a recipient's mailbox once and keeps it, so a send to a peer
+// that left must still fail with the unknown-node error, and a send
+// after the name re-joined must reach the new node, not the old box.
+func TestMemNetworkRejoinedPeer(t *testing.T) {
+	t.Parallel()
+	t.Run("departed and re-joined", func(t *testing.T) {
+		n := NewMemNetwork()
+		a := mustJoin(t, n, "a")
+		old := mustJoin(t, n, "b")
+		if err := a.Send(Message{To: "b", Kind: "1"}); err != nil { // a resolves b
+			t.Fatal(err)
+		}
+		if m, err := old.RecvTimeout(5 * time.Second); err != nil || m.Kind != "1" {
+			t.Fatalf("first receive = %q, %v", m.Kind, err)
+		}
+		old.Close()
+		if err := a.Send(Message{To: "b", Kind: "2"}); err == nil || err.Error() != `dist: unknown node "b"` {
+			t.Fatalf("send to a departed peer = %v, want the unknown-node error", err)
+		}
+		b := mustJoin(t, n, "b")
+		if err := a.Send(Message{To: "b", Kind: "3"}); err != nil {
+			t.Fatalf("send to the re-joined peer: %v", err)
+		}
+		if m, err := b.RecvTimeout(5 * time.Second); err != nil || m.Kind != "3" || m.From != "a" {
+			t.Fatalf("re-joined peer received %q from %q, %v; want 3 from a", m.Kind, m.From, err)
+		}
+	})
+	t.Run("re-joined while cached", func(t *testing.T) {
+		// The old box is closed but a still has it cached when the name
+		// re-joins: the refused put sends a to the new box.
+		n := NewMemNetwork()
+		a := mustJoin(t, n, "a")
+		old := mustJoin(t, n, "b")
+		if err := a.Send(Message{To: "b"}); err != nil {
+			t.Fatal(err)
+		}
+		old.Close()
+		b := mustJoin(t, n, "b")
+		if err := a.Send(Message{To: "b", Kind: "new"}); err != nil {
+			t.Fatalf("send after the re-join: %v", err)
+		}
+		if m, err := b.RecvTimeout(5 * time.Second); err != nil || m.Kind != "new" {
+			t.Fatalf("re-joined peer received %q, %v", m.Kind, err)
+		}
+	})
+	t.Run("senders race Close and re-Join", func(t *testing.T) {
+		// Each sender sends to b while b leaves and re-joins; a send
+		// either lands in some incarnation of b or fails. Once the last
+		// incarnation is up, every sender's next send must reach it.
+		const senders, rejoins = 4, 200
+		n := NewMemNetwork()
+		b := mustJoin(t, n, "b")
+		done := make(chan struct{}) // closed once the last incarnation has joined
+		var wg sync.WaitGroup
+		for s := 0; s < senders; s++ {
+			c := mustJoin(t, n, fmt.Sprintf("s%d", s))
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-done:
+						if err := c.Send(Message{To: "b", Kind: "final"}); err != nil {
+							t.Errorf("%s: send to the last incarnation: %v", c.Name(), err)
+						}
+						return
+					default:
+						_ = c.Send(Message{To: "b", Kind: "x"}) // may race a Close; either outcome is fine
+					}
+				}
+			}()
+		}
+		for r := 0; r < rejoins; r++ {
+			b.Close()
+			b = mustJoin(t, n, "b")
+		}
+		close(done)
+		finals := 0
+		for finals < senders {
+			m, err := b.RecvTimeout(5 * time.Second)
+			if err != nil {
+				t.Fatalf("after %d final messages: %v", finals, err)
+			}
+			if m.Kind == "final" {
+				finals++
+			}
+		}
+		wg.Wait()
+	})
+}
+
 // TestMailboxBoundedBacking: a queue that never drains must not keep
 // its consumed prefix, so its header array and its payload arena stay
 // bounded however many messages pass through, and every payload still

@@ -461,8 +461,8 @@ func TestNashRingRegenerationWithLiveToken(t *testing.T) {
 
 // TestNashRingStalled: when not even the failure detectors can act
 // (their timeouts are set far beyond the driver deadline) a lost first
-// activation ends the run in ErrStalled with the checkpoint profile
-// instead of hanging.
+// activation ends the run in ErrStalled, named as the run deadline, with
+// the checkpoint profile instead of hanging.
 func TestNashRingStalled(t *testing.T) {
 	t.Parallel()
 	sys := soakNashSystem(t)
@@ -474,6 +474,9 @@ func TestNashRingStalled(t *testing.T) {
 	res, err := RunNashShardedWith(netw, sys, nil, 1e-9, 0, opts)
 	if !errors.Is(err, ErrStalled) {
 		t.Fatalf("err = %v, want ErrStalled", err)
+	}
+	if want := "dist: run deadline 80ms passed: " + ErrStalled.Error(); err.Error() != want {
+		t.Errorf("err = %q, want %q", err, want)
 	}
 	if len(res.Profile.S) != sys.NumUsers() {
 		t.Error("stalled run lost the checkpoint profile")

@@ -1,9 +1,11 @@
 package dist
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
+	"strconv"
 	"sync"
 	"time"
 
@@ -202,11 +204,12 @@ type hierRowsPayload struct {
 	Rows    [][]float64
 }
 
-// ErrStalled is returned when the protocol makes no progress within the
-// driver deadline (e.g. the root crashed, or every shard was ejected).
-// The result still carries the latest profile, so the computation can
-// resume from it as a checkpoint (RunNashShardedWith's initial
-// profile).
+// ErrStalled is returned when a run ends without a result: every shard
+// was ejected, or the run deadline (ShardOptions.Deadline) passed first,
+// whether the protocol was stuck (a crashed root, say) or still
+// converging slowly under faults. The result still carries the latest
+// profile, so the computation can resume from it as a checkpoint
+// (RunNashShardedWith's initial profile).
 var ErrStalled = errors.New("dist: protocol stalled")
 
 // errStopped aborts an in-flight wait when a stop arrives.
@@ -222,9 +225,34 @@ var errTokenLost = errors.New("dist: shard token lost")
 
 const rootName = "root"
 
-func shardName(g int) string { return fmt.Sprintf("shard-%d", g) }
+func shardName(g int) string { return "shard-" + strconv.Itoa(g) }
 
-func userName(j int) string { return fmt.Sprintf("user-%d", j) }
+func userName(j int) string { return "user-" + strconv.Itoa(j) }
+
+// userNames returns userName(j) for each of m users, carved from one
+// string.
+func userNames(m int) []string {
+	var b []byte
+	ends := make([]int, m)
+	for j := range ends {
+		b = strconv.AppendInt(append(b, "user-"...), int64(j), 10)
+		ends[j] = len(b)
+	}
+	all := string(b)
+	names := make([]string, m)
+	start := 0
+	for j, end := range ends {
+		names[j], start = all[start:end], end
+	}
+	return names
+}
+
+// tokenBytes is room for an encoded hier.token over n computers that
+// carries End, while its epoch and hop fit 32 bits: a member's forward
+// buffer of this size holds every token of a run without growing.
+func tokenBytes(n int) int {
+	return 2 + 2*binary.MaxVarintLen32 + 2*8 + 2*(binary.MaxVarintLen32+8*n)
+}
 
 // ShardOptions tunes the hierarchical runtime. The zero value gets
 // production-safe defaults.
@@ -258,8 +286,9 @@ type ShardOptions struct {
 	// MaxAttempts bounds retries per request (default 3); exhausting it
 	// ejects the silent member or shard.
 	MaxAttempts int
-	// Deadline bounds the whole run; past it the driver returns
-	// ErrStalled (default 60s).
+	// Deadline bounds the whole run, however far it has got; past it the
+	// driver returns ErrStalled (default 60s). No progress watchdog
+	// stands behind it.
 	Deadline time.Duration
 	// Seed drives the retry-jitter streams (one split per node).
 	Seed uint64
@@ -325,9 +354,14 @@ type shardUser struct {
 	lastEpoch int // fencing; starts at -1
 	lastHop   int
 
+	dec     WireDec          // decoder state, so a receive skips the decoder pool
 	tok     hierTokenPayload // decode-reuse
 	ret     Message          // cached forward, re-sent on exact-duplicate tokens; its Data is re-encoded every step
 	haveRet bool
+
+	sync   hierSyncPayload // sync decode scratch
+	answer hierRowPayload  // the sync answer
+	reply  Message         // the sync answer encoded
 
 	obs   obs.Observer
 	errCh chan<- error
@@ -357,8 +391,9 @@ func (u *shardUser) serve() error {
 		case hierKindStop:
 			return nil
 		case hierKindSync:
-			var p hierSyncPayload
-			if m.From != u.leader || m.Decode(&p) != nil {
+			p := &u.sync
+			p.Next = u.next // a sync that names the same successor decodes without allocating
+			if m.From != u.leader || m.decodeWith(&u.dec, p) != nil {
 				continue // only the member's own leader may fence or rewire it
 			}
 			if p.Epoch > u.lastEpoch {
@@ -370,14 +405,15 @@ func (u *shardUser) serve() error {
 				u.haveRet = false
 				u.next = p.Next
 			}
-			reply := Message{To: m.From, Kind: hierKindRow}
-			if reply.Encode(hierRowPayload{User: u.id, Epoch: p.Epoch, S: u.row}) != nil {
+			u.answer = hierRowPayload{User: u.id, Epoch: p.Epoch, S: u.row}
+			u.reply.To, u.reply.Kind = m.From, hierKindRow
+			if u.reply.Encode(&u.answer) != nil {
 				continue
 			}
-			_ = u.conn.Send(reply) // best-effort: the leader retries the sync
+			_ = u.conn.Send(u.reply) // best-effort: the leader retries the sync
 			obs.Count(u.obs, obs.HierSync)
 		case hierKindToken:
-			if err := m.Decode(&u.tok); err != nil {
+			if err := m.decodeWith(&u.dec, &u.tok); err != nil {
 				continue // malformed token; the leader retries
 			}
 			tok := &u.tok
@@ -452,6 +488,9 @@ type shardLeader struct {
 	tok      hierTokenPayload   // working token; Loads is sh.Loads
 	tokMsg   Message            // tok encoded; its Data is re-encoded every sweep
 	ret      hierTokenPayload   // return decode scratch
+	sync     hierSyncPayload    // the sync syncMember encodes
+	syncMsg  Message            // sync encoded; its Data is re-encoded every sync
+	answer   hierRowPayload     // sync answer decode scratch
 	down     hierDownPayload    // down decode scratch
 	up       hierPartialPayload // the partial sendUp encodes
 	epoch    int
@@ -655,12 +694,14 @@ func (l *shardLeader) resync() error {
 // syncMember requests member idx's row under the current epoch and
 // names next as its successor.
 func (l *shardLeader) syncMember(idx int, next string) ([]float64, error) {
+	m := &l.syncMsg
+	m.To, m.Kind = l.names[idx], hierKindSync
+	l.sync = hierSyncPayload{Epoch: l.epoch, Next: next}
+	if err := m.Encode(&l.sync); err != nil {
+		return nil, err
+	}
 	for a := 0; a < l.attempts; a++ {
-		m := Message{To: l.names[idx], Kind: hierKindSync}
-		if err := m.Encode(hierSyncPayload{Epoch: l.epoch, Next: next}); err != nil {
-			return nil, err
-		}
-		if err := l.conn.Send(m); err != nil {
+		if err := l.conn.Send(*m); err != nil {
 			return nil, err
 		}
 		wait := backoffDelay(l.probeTO, 4*l.probeTO, a, l.rng)
@@ -678,8 +719,8 @@ func (l *shardLeader) syncMember(idx int, next string) ([]float64, error) {
 			}
 			switch r.Kind {
 			case hierKindRow:
-				var p hierRowPayload
-				if r.Decode(&p) != nil {
+				p := &l.answer
+				if r.Decode(p) != nil {
 					continue
 				}
 				if p.Epoch == l.epoch && p.User == l.ids[idx] && len(p.S) == l.n {
@@ -862,6 +903,7 @@ type rootNode struct {
 	part       hierPartialPayload // partial decode scratch
 	cachedDown []byte             // the root's one down buffer: the latest down, replayed on re-requests
 
+	rowsIn    hierRowsPayload // rows report decode scratch
 	rowsHave  []bool
 	rowsUsers [][]int32
 	rowsRows  [][][]float64
@@ -1193,8 +1235,8 @@ func (rt *rootNode) gatherRows() error {
 		}
 		switch m.Kind {
 		case hierKindRows:
-			var p hierRowsPayload
-			if m.Decode(&p) != nil {
+			p := &rt.rowsIn
+			if m.Decode(p) != nil {
 				continue
 			}
 			g := p.Shard
@@ -1206,8 +1248,10 @@ func (rt *rootNode) gatherRows() error {
 			}
 			rt.rowsUsers[g] = append([]int32(nil), p.Users...)
 			rt.rowsRows[g] = make([][]float64, len(p.Rows))
+			flat := make([]float64, len(p.Rows)*rt.n)
 			for i, row := range p.Rows {
-				rt.rowsRows[g][i] = append([]float64(nil), row...)
+				rt.rowsRows[g][i] = flat[i*rt.n : (i+1)*rt.n : (i+1)*rt.n]
+				copy(rt.rowsRows[g][i], row)
 			}
 			rt.rowsHave[g] = true
 			for _, id := range p.Ejected {
@@ -1228,7 +1272,7 @@ func (rt *rootNode) gatherRows() error {
 
 // validRows reports whether a rows report is well formed: one row of
 // length n per known user id.
-func (rt *rootNode) validRows(p hierRowsPayload) bool {
+func (rt *rootNode) validRows(p *hierRowsPayload) bool {
 	if len(p.Rows) != len(p.Users) {
 		return false
 	}
@@ -1338,22 +1382,26 @@ func RunNashShardedWith(netw Network, sys noncoop.System, initial *noncoop.Profi
 	result := &NashShardedResult{}
 	var resMu sync.Mutex
 	errCh := make(chan error, 1+numShards+m)
-	var wg sync.WaitGroup
+	var wg, userWG sync.WaitGroup // the root and the leaders; the members
 	var stopOnce sync.Once
 	teardown := func() {
 		stopOnce.Do(func() {
+			// The members go last: a leader that holds the root's stop
+			// forwards it before it sees its own endpoint closed, and its
+			// members are still there to take it.
 			_ = rootConn.Close() // teardown; unblocks the root
 			for _, c := range leaderConns {
 				if c != nil {
 					_ = c.Close() // teardown; unblocks the leader
 				}
 			}
+			wg.Wait()
 			for _, c := range userConns {
 				if c != nil {
 					_ = c.Close() // teardown; unblocks the user
 				}
 			}
-			wg.Wait()
+			userWG.Wait()
 		})
 	}
 	defer teardown()
@@ -1364,8 +1412,9 @@ func RunNashShardedWith(netw Network, sys noncoop.System, initial *noncoop.Profi
 		}
 		leaderConns[g] = c
 	}
-	for j := 0; j < m; j++ {
-		c, err := netw.Join(userName(j))
+	names := userNames(m)
+	for j, name := range names {
+		c, err := netw.Join(name)
 		if err != nil {
 			return NashShardedResult{}, err
 		}
@@ -1400,19 +1449,21 @@ func RunNashShardedWith(netw Network, sys noncoop.System, initial *noncoop.Profi
 		rt.run()
 	}()
 
+	// The leaders' row buffers, one per member, in one slab.
+	rowSlab := make([]float64, m*n)
 	for g := 0; g < numShards; g++ {
 		members := plan[g]
-		names := make([]string, len(members))
+		memberNames := make([]string, len(members))
 		phis := make([]float64, len(members))
 		rows := make([][]float64, len(members))
 		for i, j := range members {
-			names[i] = userName(j)
+			memberNames[i] = names[j]
 			phis[i] = sys.Phi[j]
-			rows[i] = make([]float64, n)
+			rows[i] = rowSlab[j*n : (j+1)*n : (j+1)*n]
 		}
 		l := &shardLeader{
 			conn: leaderConns[g], g: g, n: n,
-			ids: append([]int(nil), members...), names: names, phis: phis, rows: rows,
+			ids: append([]int(nil), members...), names: memberNames, phis: phis, rows: rows,
 			sh:       shards[g],
 			tok:      hierTokenPayload{Loads: shards[g].Loads},
 			watchdog: opts.Watchdog, probeTO: opts.ProbeTimeout,
@@ -1427,24 +1478,37 @@ func RunNashShardedWith(netw Network, sys noncoop.System, initial *noncoop.Profi
 			l.run()
 		}()
 	}
+	// The members, their steppers and the buffers they decode the token
+	// into and encode their forward into, each in one slab: a member
+	// allocates nothing on its first token.
+	users := make([]shardUser, m)
+	steppers := noncoop.NewSteppers(sys.Mu, m, m)
+	tokFloats := make([]float64, 2*m*n)
+	tb := tokenBytes(n)
+	bufs := make([]byte, m*tb)
 	for g, members := range plan {
 		for i, j := range members {
-			next := shardName(g) // the last member returns the token
+			next := leaders[g] // the last member returns the token
 			if i+1 < len(members) {
-				next = userName(members[i+1])
+				next = names[members[i+1]]
 			}
-			u := &shardUser{
+			f := tokFloats[2*j*n : 2*(j+1)*n : 2*(j+1)*n]
+			buf := bufs[j*tb : j*tb : (j+1)*tb]
+			u := &users[j]
+			*u = shardUser{
 				conn: userConns[j], id: j, phi: sys.Phi[j],
-				leader: shardName(g), next: next,
+				leader: leaders[g], next: next,
 				row:       prof.S[j],
-				stepper:   noncoop.NewStepper(sys.Mu, m),
+				stepper:   &steppers[j],
 				lastEpoch: -1, lastHop: -1,
+				tok:   hierTokenPayload{Loads: f[:0:n], End: f[n:n]},
+				ret:   Message{Data: buf},
 				obs:   opts.Observer,
 				errCh: errCh,
 			}
-			wg.Add(1)
+			userWG.Add(1)
 			go func() {
-				defer wg.Done()
+				defer userWG.Done()
 				u.run()
 			}()
 		}
@@ -1456,14 +1520,14 @@ func RunNashShardedWith(netw Network, sys noncoop.System, initial *noncoop.Profi
 	select {
 	case runErr = <-errCh:
 	case <-deadline.C:
-		runErr = fmt.Errorf("dist: no progress within %v: %w", opts.Deadline, ErrStalled)
+		runErr = fmt.Errorf("dist: run deadline %v passed: %w", opts.Deadline, ErrStalled)
 	}
 	teardown()
 	resMu.Lock()
 	defer resMu.Unlock()
 	if result.Profile.S == nil {
 		// The root never assembled (stall or protocol error): hand back
-		// the driver-side profile as a checkpoint. The wg.Wait above is
+		// the driver-side profile as a checkpoint. The userWG.Wait above is
 		// the happens-before edge making the user-mutated rows safe to
 		// read.
 		result.Profile = prof

@@ -1,9 +1,11 @@
 package dist
 
 import (
+	"errors"
 	"fmt"
 	"maps"
 	"math"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -677,6 +679,43 @@ func TestShardUserStepAllocs(t *testing.T) {
 	}
 }
 
+// TestNashShardedSolveAllocs gates a whole solve's allocations: one
+// fault-free mem solve of the repository benchmark's system (m=1000,
+// eps=1e-3, 32 shards, 19,878 messages), set-up and teardown included.
+// The members are built in slabs and decode into and encode from
+// buffers sized at set-up, and the teardown lets the leaders forward the
+// stop before it closes the members, so a solve allocates about eight
+// objects per node (its endpoint, wake-up channel and goroutine, its
+// mailbox's first arena and queue, the runtime's record of a parked
+// goroutine) where it allocated about 37. The ceiling leaves room for
+// what the runtime varies from run to run. Not parallel, so no other
+// test's allocations land in the count; skipped under -race, whose
+// instrumentation allocates.
+func TestNashShardedSolveAllocs(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("allocation counts differ under -race")
+	}
+	const ceiling = 9_000
+	sys := jitteredSystem(t, 1000, 1)
+	solve := func() {
+		t.Helper()
+		if _, err := RunNashShardedWith(NewMemNetwork(), sys, nil, 1e-3, 0, ShardOptions{Seed: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	solve() // fills the pools a first solve in a process fills
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	solve()
+	runtime.ReadMemStats(&after)
+	n := after.Mallocs - before.Mallocs
+	t.Logf("one solve allocated %d objects, %d B", n, after.TotalAlloc-before.TotalAlloc)
+	if n > ceiling {
+		t.Errorf("one solve allocated %d objects, want <= %d", n, ceiling)
+	}
+}
+
 // TestHierDownPartialAllocs gates the activation round trip the way
 // TestShardUserStepAllocs gates the member step: the root re-encodes
 // each down into its one down buffer and the leader each partial into
@@ -821,8 +860,10 @@ func TestNashShardedTCP(t *testing.T) {
 	}
 }
 
-// TestNashShardedStalled: a network that eats everything stalls the run
-// into the driver deadline with ErrStalled.
+// TestNashShardedStalled: on a network that eats everything the run
+// ends in ErrStalled. The root ejects every shard (in about 0.3 s here,
+// before the 0.7 s run deadline); TestNashRingStalled covers the
+// deadline itself.
 func TestNashShardedStalled(t *testing.T) {
 	t.Parallel()
 	const m = 4
@@ -836,5 +877,8 @@ func TestNashShardedStalled(t *testing.T) {
 	_, err := RunNashShardedWith(netw, sys, nil, 1e-9, 0, opts)
 	if err == nil {
 		t.Fatal("total message loss converged")
+	}
+	if !errors.Is(err, ErrStalled) {
+		t.Errorf("err = %v, want ErrStalled", err)
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -30,20 +31,21 @@ type Message struct {
 	Data []byte // encoded payload (the binary wire codec; see codec.go)
 }
 
-// Encode serializes a payload value into the message's Data: the
-// payload is appended into a pooled scratch buffer and copied into m.Data
-// in place when its capacity is large enough (no allocation), otherwise
-// into one new slice of exactly its length. Whoever else holds the old
-// Data sees it overwritten, so a Message is re-encoded only by its owner;
-// Send keeps no reference to Data (the Conn send rule).
+// Encode serializes a payload value into the message's Data. A Data
+// with capacity is written in place, once, and keeps any capacity the
+// payload outgrows it by (a reused Message stops allocating once it has
+// held its largest payload). An empty one gets one new slice of exactly
+// the encoded length, built in a pooled scratch buffer. Whoever else
+// holds the old Data sees it overwritten, so a Message is re-encoded only
+// by its owner; Send keeps no reference to Data (the Conn send rule).
 func (m *Message) Encode(p WireEncoder) error {
+	if cap(m.Data) > 0 {
+		m.Data = p.AppendWire(append(m.Data[:0], codecMagic, p.WireID()))
+		return nil
+	}
 	scratch := wireEncPool.Get().(*[]byte)
 	b := p.AppendWire(append((*scratch)[:0], codecMagic, p.WireID()))
-	if cap(m.Data) >= len(b) {
-		m.Data = m.Data[:len(b)]
-	} else {
-		m.Data = make([]byte, len(b))
-	}
+	m.Data = make([]byte, len(b))
 	copy(m.Data, b)
 	*scratch = b
 	wireEncPool.Put(scratch)
@@ -68,13 +70,22 @@ var wireDecPool = sync.Pool{New: func() any { return new(WireDec) }}
 // capacity. A payload of another wire type, or any malformed input, is
 // an error — never a panic.
 func (m *Message) Decode(p WireDecoder) error {
+	d := wireDecPool.Get().(*WireDec)
+	err := m.decodeWith(d, p)
+	wireDecPool.Put(d)
+	return err
+}
+
+// decodeWith is Decode with the caller's decoder state, which it leaves
+// zeroed: a node that decodes on every receive keeps one of its own and
+// skips the pool.
+func (m *Message) decodeWith(d *WireDec, p WireDecoder) error {
 	if len(m.Data) < 2 || m.Data[0] != codecMagic {
 		return fmt.Errorf("dist: decode %s payload: not a wire-codec payload", m.Kind)
 	}
 	if m.Data[1] != p.WireID() {
 		return fmt.Errorf("dist: decode %s payload: wire type %d does not match target %T", m.Kind, m.Data[1], p)
 	}
-	d := wireDecPool.Get().(*WireDec)
 	*d = WireDec{b: m.Data, off: 2}
 	p.DecodeWire(d)
 	if d.err == nil && d.off != len(d.b) {
@@ -82,7 +93,6 @@ func (m *Message) Decode(p WireDecoder) error {
 	}
 	err := d.err
 	*d = WireDec{}
-	wireDecPool.Put(d)
 	if err != nil {
 		return fmt.Errorf("dist: decode %s payload: %w", m.Kind, err)
 	}
@@ -92,9 +102,10 @@ func (m *Message) Decode(p WireDecoder) error {
 // Conn is one node's endpoint on a transport. Recv/RecvTimeout are
 // called only by the goroutine that owns the Conn; Send is safe for
 // concurrent use. The TCP conn reads frames on that receiving goroutine,
-// and the mem conn parks it on a one-slot wake-up channel and reuses one
-// timer across receives, both relying on there being a single receiver.
-// Close may come from any goroutine.
+// and the mem conn parks it on a one-slot wake-up channel, which a send
+// signals only while it is parked, and reuses one timer across
+// receives, both relying on there being a single receiver. Close may
+// come from any goroutine.
 //
 // A received Message's Data is valid only until the next Recv or
 // RecvTimeout on the same Conn: the TCP conn hands out the frame in
@@ -107,7 +118,10 @@ func (m *Message) Decode(p WireDecoder) error {
 // frames it into its send buffer, the mem conn copies it into the
 // recipient's arena, and a fault-injecting wrapper that delivers late
 // sends a copy. The sender may overwrite Data or re-encode into it
-// straight away.
+// straight away. A send addresses a node by name: the mem conn keeps
+// the mailbox it last resolved and resolves the name again once that
+// mailbox is closed, so a send to a node that left fails and one to a
+// name that re-joined reaches the new node.
 type Conn interface {
 	// Name returns the node name this endpoint joined as.
 	Name() string
@@ -178,11 +192,17 @@ type memNetwork struct {
 // and a byte arena holding their payloads, both grown on demand, so a
 // node costs a few hundred bytes until messages actually queue up. The
 // queue is unbounded — Send never blocks — which is what keeps protocol
-// fan-out (a dispatcher messaging n computers) from deadlocking. The
-// single receiver (the Conn contract) parks on wake, a one-slot channel
-// that every put and the close signal. A token left by a put that raced
-// the receiver's empty check keeps that wake-up from being lost; a stale
-// token costs one empty re-check.
+// fan-out (a dispatcher messaging n computers) from deadlocking.
+//
+// The single receiver (the Conn contract) parks on wake, a one-slot
+// channel. A take that finds the queue empty marks the receiver parked,
+// since it waits on wake next; the first put after that clears the mark
+// and leaves a token, and a put into a queue whose receiver is busy
+// touches no channel. A token left by a put that raced the receiver's
+// way from its empty take to the channel keeps that wake-up from being
+// lost; a receiver that gave up waiting (a receive timeout) may find a
+// stale token later, which costs one empty re-check. Close always
+// leaves a token.
 //
 // put copies Data into the arena, so the sender may reuse its buffer
 // (the send rule), and take hands Data out in place (the receive rule).
@@ -196,7 +216,9 @@ type mailbox struct {
 	head   int
 	data   []byte // the arena; q[i]'s payload is data[q[i].off:][:q[i].n]
 	closed bool
+	parked bool // the receiver found the queue empty and waits on wake
 	wake   chan struct{}
+	name   string // the node name the box was joined under
 }
 
 // queued is one pending message: its header, with Data nil, and where
@@ -207,7 +229,7 @@ type queued struct {
 }
 
 // put copies m's payload into the arena, queues m and wakes the
-// receiver. It fails once the mailbox is closed.
+// receiver if it is parked. It fails once the mailbox is closed.
 func (b *mailbox) put(m Message) bool {
 	b.mu.Lock()
 	if b.closed {
@@ -224,8 +246,12 @@ func (b *mailbox) put(m Message) bool {
 	e.m.Data = nil
 	b.data = append(b.data, m.Data...)
 	b.q = append(b.q, e)
+	wake := b.parked
+	b.parked = false
 	b.mu.Unlock()
-	b.signal()
+	if wake {
+		b.signal()
+	}
 	return true
 }
 
@@ -267,8 +293,8 @@ func (b *mailbox) signal() {
 
 // take pops the oldest message (ok), its Data in place in the arena.
 // With the queue empty it returns ErrClosed once the mailbox is closed,
-// and neither while the receiver must wait. Messages queued before the
-// close are returned first.
+// and neither while the receiver must wait, which marks it parked.
+// Messages queued before the close are returned first.
 func (b *mailbox) take() (m Message, ok bool, err error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -279,6 +305,7 @@ func (b *mailbox) take() (m Message, ok bool, err error) {
 		if b.closed {
 			return Message{}, false, ErrClosed
 		}
+		b.parked = true // the caller waits on wake next
 		return Message{}, false, nil
 	}
 	if off := b.q[b.head].off; off > 0 && 2*off >= len(b.data) {
@@ -322,9 +349,16 @@ func (n *memNetwork) Join(name string) (Conn, error) {
 	if _, dup := n.boxes[name]; dup {
 		return nil, fmt.Errorf("dist: node %q already joined", name)
 	}
-	box := &mailbox{wake: make(chan struct{}, 1)}
-	n.boxes[name] = box
-	return &memConn{net: n, name: name, box: box}, nil
+	// The endpoint and its mailbox share one allocation.
+	node := &struct {
+		conn memConn
+		box  mailbox
+	}{}
+	node.box.wake = make(chan struct{}, 1)
+	node.box.name = name
+	node.conn = memConn{net: n, name: name, box: &node.box}
+	n.boxes[name] = &node.box
+	return &node.conn, nil
 }
 
 func (n *memNetwork) lookup(name string) (*mailbox, bool) {
@@ -348,6 +382,13 @@ type memConn struct {
 	name string
 	box  *mailbox
 
+	// peer is the mailbox the last Send resolved, so a node that keeps
+	// sending to one peer (a ring member to its successor) looks its
+	// name up once. A closed box refuses the put, and the name is
+	// resolved again: a node that left is gone from the network, and one
+	// that re-joined under the name has a new box.
+	peer atomic.Pointer[mailbox]
+
 	// timer is reused across RecvTimeout calls. A Conn is received from
 	// by its owning node goroutine only (the Conn contract), so no lock
 	// is needed; reusing the timer keeps the protocol hot paths free of
@@ -361,10 +402,14 @@ func (c *memConn) Name() string { return c.name }
 
 func (c *memConn) Send(m Message) error {
 	m.From = c.name
+	if box := c.peer.Load(); box != nil && box.name == m.To && box.put(m) {
+		return nil
+	}
 	box, ok := c.net.lookup(m.To)
 	if !ok {
 		return fmt.Errorf("dist: unknown node %q", m.To)
 	}
+	c.peer.Store(box)
 	if !box.put(m) {
 		return fmt.Errorf("dist: node %q closed", m.To)
 	}

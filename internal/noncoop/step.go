@@ -21,11 +21,24 @@ type Stepper struct {
 // users players. A norm term that is +Inf or NaN counts
 // MaxFloat64/users, so that users such terms sum to at most MaxFloat64.
 func NewStepper(mu []float64, users int) *Stepper {
+	return &NewSteppers(mu, users, 1)[0]
+}
+
+// NewSteppers returns k independent Steppers, each as NewStepper builds
+// it, with their scratch carved from three allocations in all.
+func NewSteppers(mu []float64, users, k int) []Stepper {
 	n := len(mu)
-	return &Stepper{
-		mu: mu, users: float64(users),
-		avail: make([]float64, n), next: make([]float64, n), ord: make([]int, n),
+	fs := make([]float64, 2*k*n)
+	ord := make([]int, k*n)
+	out := make([]Stepper, k)
+	for i := range out {
+		f := fs[2*i*n : 2*(i+1)*n : 2*(i+1)*n]
+		out[i] = Stepper{
+			mu: mu, users: float64(users),
+			avail: f[:n:n], next: f[n:], ord: ord[i*n : (i+1)*n : (i+1)*n],
+		}
 	}
+	return out
 }
 
 // StepState is what one user carries from its turn to the next.

@@ -100,11 +100,13 @@ type Profile struct {
 	S [][]float64
 }
 
-// NewProfile returns an all-zero (m × n) profile.
+// NewProfile returns an all-zero (m × n) profile. Its rows share one
+// backing array, each capped at its own length.
 func NewProfile(m, n int) Profile {
 	s := make([][]float64, m)
+	all := make([]float64, m*n)
 	for j := range s {
-		s[j] = make([]float64, n)
+		s[j] = all[j*n : (j+1)*n : (j+1)*n]
 	}
 	return Profile{S: s}
 }
