@@ -54,6 +54,9 @@ func (a *jobArena) release(id jobID) {
 // dynamic mode's receiver-initiated policies steal the newest waiting
 // job. All operations are O(1); the buffer doubles on overflow and is
 // never shrunk, so a steady-state replication stops allocating.
+//
+// len(buf) is zero or a power of two (grow starts at 8 and doubles), so
+// a position wraps with a mask, & (len(buf)-1), instead of a division.
 type jobRing struct {
 	buf  []jobID
 	head int // index of the first element
@@ -70,8 +73,9 @@ func (q *jobRing) grow() {
 	}
 	//lint:ignore allocfree doubling to the queue's high-water length; the buffer never shrinks, so steady state stops growing
 	next := make([]jobID, size)
+	mask := len(q.buf) - 1
 	for i := 0; i < q.n; i++ {
-		next[i] = q.buf[(q.head+i)%len(q.buf)]
+		next[i] = q.buf[(q.head+i)&mask]
 	}
 	q.buf = next
 	q.head = 0
@@ -81,7 +85,7 @@ func (q *jobRing) pushBack(id jobID) {
 	if q.n == len(q.buf) {
 		q.grow()
 	}
-	q.buf[(q.head+q.n)%len(q.buf)] = id
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = id
 	q.n++
 }
 
@@ -89,19 +93,19 @@ func (q *jobRing) pushFront(id jobID) {
 	if q.n == len(q.buf) {
 		q.grow()
 	}
-	q.head = (q.head - 1 + len(q.buf)) % len(q.buf)
+	q.head = (q.head - 1) & (len(q.buf) - 1)
 	q.buf[q.head] = id
 	q.n++
 }
 
 func (q *jobRing) popFront() jobID {
 	id := q.buf[q.head]
-	q.head = (q.head + 1) % len(q.buf)
+	q.head = (q.head + 1) & (len(q.buf) - 1)
 	q.n--
 	return id
 }
 
 func (q *jobRing) popBack() jobID {
 	q.n--
-	return q.buf[(q.head+q.n)%len(q.buf)]
+	return q.buf[(q.head+q.n)&(len(q.buf)-1)]
 }

@@ -252,10 +252,10 @@ func TestUnusedComputerIdle(t *testing.T) {
 func TestEventQueueOrdering(t *testing.T) {
 	t.Parallel()
 	s := &scheduler{}
-	s.schedule(3, evArrival, -1, noJob)
-	s.schedule(1, evDeparture, 0, 0)
-	s.schedule(2, evArrival, -1, noJob)
-	s.schedule(1, evArrival, -1, noJob) // same time as the departure, later seq
+	s.schedule(3, evDynArrival, -1, noJob)
+	s.schedule(1, evDynComplete, 0, 0)
+	s.schedule(2, evDynArrival, -1, noJob)
+	s.schedule(1, evDynArrival, -1, noJob) // same time as the departure, later seq
 	var times []float64
 	var kinds []eventKind
 	for !s.empty() {
@@ -269,7 +269,7 @@ func TestEventQueueOrdering(t *testing.T) {
 			t.Fatalf("event %d at time %v, want %v", i, times[i], wantTimes[i])
 		}
 	}
-	if kinds[0] != evDeparture || kinds[1] != evArrival {
+	if kinds[0] != evDynComplete || kinds[1] != evDynArrival {
 		t.Error("tie not broken by scheduling order")
 	}
 }
@@ -320,5 +320,26 @@ func TestP95MatchesMM1(t *testing.T) {
 	}
 	if res.P95.Mean <= res.Overall.Mean {
 		t.Error("p95 should exceed the mean")
+	}
+}
+
+// TestSingleClassPerUserIsOverall: with one class every job is user 0's,
+// so its summary is the overall one, bit for bit.
+func TestSingleClassPerUserIsOverall(t *testing.T) {
+	t.Parallel()
+	res, err := Run(Config{
+		Mu:           []float64{4, 2, 1},
+		InterArrival: queueing.NewExponential(5),
+		Routing:      [][]float64{{0.6, 0.3, 0.1}},
+		Horizon:      500,
+		Warmup:       20,
+		Seed:         9,
+		Replications: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.PerUser) != 1 || res.PerUser[0] != res.Overall {
+		t.Errorf("PerUser %+v, want [%+v]", res.PerUser, res.Overall)
 	}
 }

@@ -312,9 +312,12 @@ type replication struct {
 }
 
 // runOnce executes one replication. The steady-state loop performs no
-// heap allocations: events are values in a flat 4-ary heap, jobs live in
-// an index-addressed arena, FCFS queues are ring-buffer deques, and the
-// failure-reroute renormalization reuses a scratch buffer.
+// heap allocations: the one pending arrival is a scalar, each computer's
+// pending departure sits in its slot of a winner tree, failures and
+// repairs are values in a flat 4-ary heap, jobs live in an
+// index-addressed arena, FCFS queues are ring-buffer deques, and the
+// failure-reroute renormalization reuses a scratch buffer. A failure
+// clears its computer's slot, so no cancelled departure is ever popped.
 //
 // RNG-draw discipline (the bit-identical-across-worker-counts contract):
 // every replication draws only from its own pre-split stream, and the
@@ -348,17 +351,17 @@ func runOnce(cfg Config, interArrival queueing.Distribution, service []queueing.
 		servers[i].inService = noJob
 	}
 	down := make([]bool, n)
-	epoch := make([]uint32, n)
 	sched := &scheduler{}
+	deps := newDepartures(n)
 	arena := &jobArena{}
 	scratch := make([]float64, n) // failure-reroute renormalization buffer
 
-	// Prime the arrival stream and the failure processes. There is only
-	// ever one pending arrival, so it lives in a scalar merged against
-	// the heap top by the same (time, seq) order instead of paying heap
-	// traffic — arrivals are half of all events, so this halves the
-	// push/pop volume of the inner loop.
-	nextArrival := event{time: interArrival.Sample(rng), seq: sched.nextSeq(), kind: evArrival}
+	// Prime the arrival stream and the failure processes. The pending
+	// events live in three places, merged by the one (time, seq) order:
+	// the single pending arrival in a scalar, each computer's pending
+	// departure in its slot of the departures tree, and failures and
+	// repairs in the event heap, which stays empty without Breakdowns.
+	arrival := stampOf(interArrival.Sample(rng), sched.nextSeq())
 	arrivalsOpen := true
 	for i := range cfg.Breakdowns {
 		if cfg.Breakdowns[i].FailRate > 0 {
@@ -366,10 +369,12 @@ func runOnce(cfg Config, interArrival queueing.Distribution, service []queueing.
 		}
 	}
 
-	startService := func(i int, now float64) {
+	// startService starts serving computer i's next job if it can, and
+	// reports whether it did.
+	startService := func(i int, now float64) bool {
 		s := &servers[i]
 		if s.busy || down[i] || s.queue.len() == 0 {
-			return
+			return false
 		}
 		s.busy = true
 		j := s.queue.popFront()
@@ -381,7 +386,8 @@ func runOnce(cfg Config, interArrival queueing.Distribution, service []queueing.
 		} else {
 			svc = rng.Exp(cfg.Mu[i])
 		}
-		sched.scheduleEpoch(now+svc, evDeparture, i, j, epoch[i])
+		deps.set(i, now+svc, sched.nextSeq())
+		return true
 	}
 
 	// clampBusy accumulates the [start, end] service interval clipped to
@@ -448,27 +454,19 @@ func runOnce(cfg Config, interArrival queueing.Distribution, service []queueing.
 		return pick
 	}
 
-	for arrivalsOpen || !sched.empty() {
-		var ev event
-		if arrivalsOpen && (sched.empty() || nextArrival.before(sched.peek())) {
-			ev = nextArrival
-			arrivalsOpen = false
-		} else {
-			ev = sched.next()
-		}
-		if ev.time > cfg.Horizon && ev.kind == evArrival {
-			// Stop admitting new jobs; drain the remaining events so
-			// in-flight jobs complete (run-to-completion). Failures stop
-			// at the horizon too (inside evFail) while pending repairs
-			// still fire so paused jobs can finish.
-			continue
-		}
-		switch ev.kind {
-		case evArrival:
-			now := ev.time
-			// Next arrival.
-			nextArrival = event{time: now + interArrival.Sample(rng), seq: sched.nextSeq(), kind: evArrival}
-			arrivalsOpen = true
+	for {
+		dep := deps.next()
+		if arrivalsOpen && arrival.before(dep.stamp) && (sched.empty() || arrival.before(sched.peek().stamp())) {
+			now := arrival.time()
+			if now > cfg.Horizon {
+				// Stop admitting new jobs; drain the remaining events so
+				// in-flight jobs complete (run-to-completion). Failures
+				// stop at the horizon too (inside evFail) while pending
+				// repairs still fire so paused jobs can finish.
+				arrivalsOpen = false
+				continue
+			}
+			arrival = stampOf(now+interArrival.Sample(rng), sched.nextSeq())
 			// Classify and route the job.
 			u := 0
 			if sp.user != nil {
@@ -481,36 +479,49 @@ func runOnce(cfg Config, interArrival queueing.Distribution, service []queueing.
 			id := arena.alloc(int32(u), now)
 			servers[i].queue.pushBack(id)
 			startService(i, now)
-
-		case evDeparture:
-			i := ev.server
-			if ev.epoch != epoch[i] {
-				continue // cancelled by a failure while in service
+			continue
+		}
+		if sched.empty() || dep.before(sched.peek().stamp()) {
+			if dep.key == noStamp {
+				break // nothing pending anywhere
 			}
-			servers[i].busy = false
-			servers[i].inService = noJob
-			clampBusy(int(i), servers[i].serviceStart, ev.time)
-			j := arena.jobs[ev.job]
-			arena.release(ev.job)
-			rt := ev.time - j.arrival
+			// The earliest departure: computer i completes its job. Its
+			// slot is overwritten by the next service start, or cleared
+			// if the computer idles.
+			i := int(dep.server)
+			now := dep.time()
+			s := &servers[i]
+			s.busy = false
+			jid := s.inService
+			s.inService = noJob
+			clampBusy(i, s.serviceStart, now)
+			j := arena.jobs[jid]
+			arena.release(jid)
+			rt := now - j.arrival
 			if o != nil {
-				o.Observe(obs.Event{Kind: obs.DESDeparture, Time: ev.time, A: int32(i), B: j.user, V: rt})
+				o.Observe(obs.Event{Kind: obs.DESDeparture, Time: now, A: int32(i), B: j.user, V: rt})
 			}
 			if j.arrival >= cfg.Warmup {
 				rep.total.Add(rt)
 				rep.comp[i].Add(rt)
-				rep.user[j.user].Add(rt)
+				if sp.user != nil {
+					rep.user[j.user].Add(rt)
+				}
 				rep.p95.Add(rt)
 			}
-			startService(int(i), ev.time)
-
+			if !startService(i, now) {
+				deps.clear(i)
+			}
+			continue
+		}
+		ev := sched.next()
+		switch ev.kind {
 		case evFail:
 			i := ev.server
 			if ev.time > cfg.Horizon {
 				continue
 			}
 			down[i] = true
-			epoch[i]++ // invalidate the pending departure, if any
 			if o != nil {
 				o.Observe(obs.Event{Kind: obs.DESFail, Time: ev.time, A: int32(i)})
 			}
@@ -521,6 +532,7 @@ func runOnce(cfg Config, interArrival queueing.Distribution, service []queueing.
 				// exponential default, preemptive-repeat-with-resample
 				// for general Service distributions (see Config.Service).
 				interrupted := servers[i].inService
+				deps.clear(int(i)) // the interrupted job's departure
 				servers[i].busy = false
 				servers[i].inService = noJob
 				clampBusy(int(i), servers[i].serviceStart, ev.time)
@@ -541,6 +553,11 @@ func runOnce(cfg Config, interArrival queueing.Distribution, service []queueing.
 			// Schedule the next failure.
 			sched.schedule(ev.time+rng.Exp(cfg.Breakdowns[i].FailRate), evFail, i, noJob)
 		}
+	}
+	if sp.user == nil {
+		// One class: user 0's jobs are all the jobs, so its accumulator
+		// is the total's, fed the same stream by the same operations.
+		rep.user[0] = rep.total
 	}
 	return rep
 }

@@ -7,23 +7,24 @@
 // Sim++ C++ package the paper used (see DESIGN.md, Substitutions).
 package des
 
+import "math"
+
 // eventKind discriminates the simulator's event types.
 type eventKind uint8
 
+// The static engine keeps arrivals and departures out of the heap (see
+// runOnce), so only its failures and repairs are events.
 const (
-	evArrival   eventKind = iota // a new job enters the system
-	evDeparture                  // a computer finishes its job in service
-	evFail                       // a computer breaks down
-	evRepair                     // a broken computer comes back up
+	evFail   eventKind = iota // a computer breaks down
+	evRepair                  // a broken computer comes back up
 )
 
-// noJob marks events that carry no job (arrivals, failures, repairs).
+// noJob marks events that carry no job (failures, repairs, dynamic
+// arrivals) and computers with no job in service.
 const noJob jobID = -1
 
 // event is a scheduled occurrence in virtual time. seq breaks ties so
 // simultaneous events fire in schedule order, keeping runs deterministic.
-// epoch implements lazy cancellation: a departure scheduled before its
-// computer failed carries a stale epoch and is ignored when popped.
 //
 // The struct is a 32-byte value — jobs are arena indices, not pointers —
 // so the pending-event set lives in one flat slice with no per-event
@@ -33,10 +34,11 @@ type event struct {
 	time   float64
 	seq    uint64
 	job    jobID // arena index of the job concerned, or noJob
-	server int32 // evDeparture/evFail/evRepair: which computer
-	epoch  uint32
+	server int32 // which computer (dynamic arrivals: the home computer)
 	kind   eventKind
 }
+
+func (e event) stamp() stamp { return stampOf(e.time, e.seq) }
 
 // before is the simulator's total event order: primarily virtual time,
 // with the monotone sequence number breaking exact-time ties in schedule
@@ -114,12 +116,8 @@ type scheduler struct {
 }
 
 func (s *scheduler) schedule(t float64, kind eventKind, server int, j jobID) {
-	s.scheduleEpoch(t, kind, server, j, 0)
-}
-
-func (s *scheduler) scheduleEpoch(t float64, kind eventKind, server int, j jobID, epoch uint32) {
 	s.seq++
-	s.q.push(event{time: t, seq: s.seq, kind: kind, server: int32(server), job: j, epoch: epoch})
+	s.q.push(event{time: t, seq: s.seq, kind: kind, server: int32(server), job: j})
 }
 
 func (s *scheduler) next() event {
@@ -131,11 +129,99 @@ func (s *scheduler) next() event {
 func (s *scheduler) peek() event { return s.q.ev[0] }
 
 // nextSeq claims the next sequence number for an event tracked outside
-// the heap (the engine keeps the single pending arrival in a scalar and
-// merges it against the heap top by the same (time, seq) order).
+// the heap: the static engine's pending arrival and its departure slots
+// take their places in the same (time, seq) order as heap events.
 func (s *scheduler) nextSeq() uint64 {
 	s.seq++
 	return s.seq
 }
 
 func (s *scheduler) empty() bool { return s.q.len() == 0 }
+
+// stamp is an event's place in the (time, seq) order, with the time
+// held as its IEEE-754 bits. For non-negative times the uint64 bits
+// order exactly as the float64 values do, +Inf included, so the order
+// costs two integer compares. The sign bit is cleared, which folds -0
+// onto +0, the value it compares equal to.
+type stamp struct {
+	key uint64 // math.Float64bits(time) with the sign bit cleared
+	seq uint64
+}
+
+// noStamp is the key of an empty departure slot: above the key of every
+// time, since a cleared sign bit keeps real keys below 1<<63.
+const noStamp = ^uint64(0)
+
+func stampOf(t float64, seq uint64) stamp {
+	return stamp{key: math.Float64bits(t) &^ (1 << 63), seq: seq}
+}
+
+func (a stamp) before(b stamp) bool {
+	return a.key < b.key || a.key == b.key && a.seq < b.seq
+}
+
+func (a stamp) time() float64 { return math.Float64frombits(a.key) }
+
+// departure is one computer's pending departure in the winner tree.
+type departure struct {
+	stamp
+	server int32
+}
+
+// departures holds the static engine's pending departures: a computer
+// serves one job at a time, so it has at most one, and it lives in the
+// computer's slot instead of the event heap. A winner tree over the
+// slots keeps the earliest at the root: node[size+i] is computer i's
+// slot and every inner node holds the earlier of its two children, so
+// writing a slot re-plays only the log2(size) matches on its path.
+// An empty slot holds noStamp, so it never wins against a pending one.
+type departures struct {
+	node []departure
+	size int // leaves: the computer count rounded up to a power of two
+}
+
+func newDepartures(n int) departures {
+	size := 1
+	for size < n {
+		size <<= 1
+	}
+	d := departures{node: make([]departure, 2*size), size: size}
+	for k := range d.node {
+		d.node[k].key = noStamp
+	}
+	for i := 0; i < size; i++ {
+		d.node[size+i].server = int32(i)
+	}
+	return d
+}
+
+// next returns the earliest pending departure; its key is noStamp when
+// no computer is busy.
+func (d *departures) next() departure { return d.node[1] }
+
+// set makes computer i's pending departure the one at (t, seq).
+func (d *departures) set(i int, t float64, seq uint64) {
+	k := d.size + i
+	d.node[k].stamp = stampOf(t, seq)
+	d.replay(k)
+}
+
+// clear empties computer i's slot: it idles, or it failed with a job in
+// service.
+func (d *departures) clear(i int) {
+	k := d.size + i
+	d.node[k].key = noStamp
+	d.replay(k)
+}
+
+// replay re-plays the matches on the path from leaf k to the root.
+func (d *departures) replay(k int) {
+	for k > 1 {
+		l, r := d.node[k&^1], d.node[k|1]
+		k >>= 1
+		if r.before(l.stamp) {
+			l = r
+		}
+		d.node[k] = l
+	}
+}
