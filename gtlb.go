@@ -158,8 +158,12 @@ func NewTCPNetwork(addr string) (Network, string, func() error, error) {
 type LBMResult = dist.LBMResult
 
 // ShardOptions tunes the NASH protocol runtime: shard count,
-// per-activation sweep budget, and the fault-tolerance knobs (watchdog,
-// retries, deadline, seed); the zero value uses safe defaults.
+// per-activation sweep budget, and the fault-tolerance knobs (the
+// root's wait for a shard, the leader's wait for its ring, retries,
+// deadline, seed); the zero value uses safe defaults. Each link is
+// retried only by the node that waits on it: the root re-sends a down
+// its shard does not answer, a leader re-sends a token or sync its
+// members do not answer, and a leader never times out on the root.
 // ShardOptions{Shards: 1, LocalSweeps: 1} runs the paper's §4.3 ring.
 type ShardOptions = dist.ShardOptions
 

@@ -316,6 +316,35 @@ func TestNashRingCrashedUserEjected(t *testing.T) {
 	}
 }
 
+// TestNashRingBusyLeader: the root's wait for the ring (Watchdog 15 ms)
+// is shorter than one attempt of the leader's (ProbeTimeout 40 ms), so
+// while the leader waits out a crashed member the root re-sends its
+// down many times. The leader answers each with hier.alive, which keeps
+// the root from ejecting the ring, and the re-sent downs do not extend
+// the leader's own attempts, so it still resyncs and ejects only the
+// crashed member.
+func TestNashRingBusyLeader(t *testing.T) {
+	t.Parallel()
+	sys := soakNashSystem(t)
+	for _, victim := range []int{0, 2} {
+		ctr := obs.NewRegistry()
+		netw := NewChaosNetwork(NewMemNetwork(), FaultPlan{Crash: map[string]int{userName(victim): 4}}, ctr)
+		opts := fastRingOptions(ctr)
+		opts.Watchdog, opts.ProbeTimeout = 15*time.Millisecond, 40*time.Millisecond
+		opts.Deadline = 5 * time.Second
+		res, err := RunNashShardedWith(netw, sys, nil, 1e-9, 0, opts)
+		if err != nil {
+			t.Fatalf("user %d crashed: %v (counters %s)", victim, err, ctr)
+		}
+		if len(res.Ejected) != 1 || res.Ejected[0] != victim || len(res.EjectedShards) != 0 {
+			t.Fatalf("user %d crashed: Ejected = %v, EjectedShards = %v; want [%d] and none", victim, res.Ejected, res.EjectedShards, victim)
+		}
+		if err := survivorsAtBestReply(sys, res, 1e-6); err != nil {
+			t.Errorf("user %d crashed: %v", victim, err)
+		}
+	}
+}
+
 // TestNashRingFinalGatherEjection: a member that answers none of the
 // final gather's syncs is ejected there. The survivors' strategies are
 // then best replies to loads that still held it, so the run must not

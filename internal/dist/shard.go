@@ -93,14 +93,16 @@ import (
 //     sync's new epoch fences any zombie token still in flight and
 //     names the member's successor), ejects the members that stay
 //     silent, rebuilds its local loads and restarts the sweep.
-//   - Root level: partials are re-requested (hier.partreq) with bounded
-//     attempts — the request doubles as a liveness probe — after which
-//     the shard is ejected. A leader still working on the requested
-//     round (retrying its token, resyncing a silent member) answers the
-//     probe with hier.alive, which restarts the root's count, so a
-//     member's failure never reads as its leader's. Leaders that miss a
-//     down re-request it (hier.downreq) forever; the driver deadline is
-//     the backstop.
+//   - Root level: only the root times out on its link to a leader. When
+//     a partial or rows report does not come in time it re-sends the
+//     down it waits on (the activation, or the stop of the final
+//     gather), which is also the liveness probe, and after bounded
+//     attempts it ejects the shard. A leader answers a re-sent down by
+//     its round: a round it reported gets the cached report again, and
+//     the round it is still working on (retrying its token, resyncing a
+//     silent member) gets hier.alive, which restarts the root's count,
+//     so a member's failure never reads as its leader's. A leader blocks
+//     on the root; the driver deadline is the backstop.
 //   - The run ends with a final gather: a resync of every shard whose
 //     rows go to the root. A member ejected there leaves the survivors
 //     at best replies to loads that still held it; the certificate
@@ -110,14 +112,11 @@ import (
 const (
 	hierKindToken   = "hier.token"   // leader → member → … → leader: working token
 	hierKindPartial = "hier.partial" // leader → root: shard report
-	hierKindDown    = "hier.down"    // root → leaders: reconciled loads
-	hierKindPartReq = "hier.partreq" // root → leader: partial re-request/probe
-	hierKindDownReq = "hier.downreq" // leader → root: down re-request
+	hierKindDown    = "hier.down"    // root → leaders: reconciled loads, re-sent as the probe
 	hierKindSync    = "hier.sync"    // leader → member: row sync (epoch fence)
 	hierKindRow     = "hier.row"     // member → leader: sync answer
 	hierKindRows    = "hier.rows"    // leader → root: final strategy rows
-	hierKindRowsReq = "hier.rowsreq" // root → leader: rows re-request
-	hierKindAlive   = "hier.alive"   // leader → root: still working on the probed round
+	hierKindAlive   = "hier.alive"   // leader → root: still working on the re-sent down's round
 	hierKindStop    = "hier.stop"    // root → leaders → members: run over
 )
 
@@ -169,9 +168,8 @@ type hierDownPayload struct {
 	End   []float64
 }
 
-// hierReqPayload re-requests a lost partial (root → leader), downward
-// broadcast (leader → root) or rows report (root → leader), and carries
-// a busy leader's liveness answer to such a probe (leader → root).
+// hierReqPayload is a busy leader's hier.alive: the round of the
+// re-sent down it is still working on.
 type hierReqPayload struct {
 	Round int
 }
@@ -275,13 +273,15 @@ type ShardOptions struct {
 	// LocalSweeps 1 is the §4.3 ring: each user best-replies once per
 	// round, in ring order.
 	LocalSweeps int
-	// Watchdog is the root's per-wait partial/rows collection timeout
-	// and the leaders' down wait (default 2s). It must comfortably
-	// exceed one shard sweep.
+	// Watchdog is the root's wait for a shard's partial or rows (default
+	// 2s); each timeout re-sends the down and uses one of MaxAttempts,
+	// and a leader still working on that round answers hier.alive, which
+	// restarts the count. It must comfortably exceed one shard sweep.
 	Watchdog time.Duration
 	// ProbeTimeout is the wait per attempt for a token circulation (the
 	// token's trip from the leader through every member of the shard
-	// and back) or for a member's sync answer (default 150ms).
+	// and back) or for a member's sync answer (default 150ms), counted
+	// from the send.
 	ProbeTimeout time.Duration
 	// MaxAttempts bounds retries per request (default 3); exhausting it
 	// ejects the silent member or shard.
@@ -503,7 +503,6 @@ type shardLeader struct {
 	cachedUp    []byte // the one partial buffer: the last partial, replayed on re-requests
 	cachedUpRnd int
 
-	watchdog time.Duration
 	probeTO  time.Duration
 	attempts int
 	rng      *queueing.RNG
@@ -564,8 +563,8 @@ func (l *shardLeader) protocol() error {
 }
 
 // resendUp replays the cached partial (direct to the root) if round
-// matches the last one reported — the root re-asking for a round we
-// already answered means the answer was lost.
+// matches the last one reported: the root re-sending a down we already
+// answered means the answer was lost.
 func (l *shardLeader) resendUp(round int) {
 	if l.cachedUp == nil || round != l.cachedUpRnd {
 		return
@@ -594,6 +593,18 @@ func (l *shardLeader) sweepRound() error {
 	}
 }
 
+// recvBy receives until deadline, which nothing that arrives first
+// moves: an attempt of a circulation or sync waits once, however many
+// of the root's re-sent downs come in meanwhile. A spent deadline is a
+// timeout here, since RecvTimeout blocks forever on d <= 0.
+func (l *shardLeader) recvBy(deadline time.Time) (Message, error) {
+	d := time.Until(deadline)
+	if d <= 0 {
+		return Message{}, ErrTimeout
+	}
+	return l.conn.RecvTimeout(d)
+}
+
 // circulate sends the working token, carrying end, once around the
 // ring — to the first member, member to member, and back from the last
 // — and returns the sweep's norm and end-of-round norm. An attempt that
@@ -613,9 +624,9 @@ func (l *shardLeader) circulate(end []float64) (float64, float64, error) {
 			return 0, 0, err
 		}
 		obs.Emit(l.obs, obs.Event{Kind: obs.NashSend, A: int32(l.g), Node: l.conn.Name()})
-		wait := backoffDelay(l.probeTO, 4*l.probeTO, a, l.rng)
+		deadline := time.Now().Add(backoffDelay(l.probeTO, 4*l.probeTO, a, l.rng))
 		for {
-			r, err := l.conn.RecvTimeout(wait)
+			r, err := l.recvBy(deadline)
 			if err != nil {
 				if errors.Is(err, ErrTimeout) {
 					obs.Count(l.obs, obs.NashTimeout)
@@ -704,9 +715,9 @@ func (l *shardLeader) syncMember(idx int, next string) ([]float64, error) {
 		if err := l.conn.Send(*m); err != nil {
 			return nil, err
 		}
-		wait := backoffDelay(l.probeTO, 4*l.probeTO, a, l.rng)
+		deadline := time.Now().Add(backoffDelay(l.probeTO, 4*l.probeTO, a, l.rng))
 		for {
-			r, err := l.conn.RecvTimeout(wait)
+			r, err := l.recvBy(deadline)
 			if err != nil {
 				if errors.Is(err, ErrTimeout) {
 					obs.Count(l.obs, obs.NashTimeout)
@@ -756,24 +767,13 @@ func (l *shardLeader) sendUp() error {
 	return l.conn.Send(up)
 }
 
-// awaitDown waits for the root's next activation, re-requesting on
-// every timeout (unbounded; the driver deadline is the backstop). A
-// duplicate of an already-served round means the root lost our partial:
-// the cached report is replayed.
+// awaitDown blocks until the root's next activation; the root re-sends
+// a down it gets no report for. A duplicate of an already-served round
+// means the root lost our partial: the cached report is replayed.
 func (l *shardLeader) awaitDown() (*hierDownPayload, error) {
-	for a := 0; ; a++ {
-		wait := backoffDelay(l.watchdog, 2*l.watchdog, a, l.rng)
-		r, err := l.conn.RecvTimeout(wait)
+	for {
+		r, err := l.conn.Recv()
 		if err != nil {
-			if errors.Is(err, ErrTimeout) {
-				obs.Count(l.obs, obs.NashTimeout)
-				req := Message{To: rootName, Kind: hierKindDownReq}
-				if err := req.Encode(hierReqPayload{Round: l.lastDownRound}); err != nil {
-					return nil, err
-				}
-				_ = l.conn.Send(req) // best-effort re-request; the next timeout retries
-				continue
-			}
 			return nil, err
 		}
 		switch r.Kind {
@@ -791,14 +791,14 @@ func (l *shardLeader) awaitDown() (*hierDownPayload, error) {
 		case hierKindStop:
 			return nil, errStopped
 		default:
-			l.handleOOB(r)
+			// Stale tokens or sync answers: drop.
 		}
 	}
 }
 
 // finalGather resyncs the surviving members' rows under a fresh epoch,
-// reports them to the root, and waits for the shutdown (re-reporting on
-// every timeout), which ends it with a nil down. A newer down means the
+// reports them to the root (again for each re-sent stop), and waits for
+// the shutdown, which ends it with a nil down. A newer down means the
 // root resumed reconciliation — the rows failed the stop certificate —
 // and is returned for the protocol loop to serve.
 func (l *shardLeader) finalGather() (*hierDownPayload, error) {
@@ -821,14 +821,9 @@ func (l *shardLeader) finalGather() (*hierDownPayload, error) {
 	if err := l.conn.Send(rows); err != nil {
 		return nil, err
 	}
-	for a := 0; ; a++ {
-		wait := backoffDelay(l.watchdog, 2*l.watchdog, a, l.rng)
-		r, err := l.conn.RecvTimeout(wait)
+	for {
+		r, err := l.conn.Recv()
 		if err != nil {
-			if errors.Is(err, ErrTimeout) {
-				_ = l.conn.Send(rows) // best-effort re-report; the root also re-requests
-				continue
-			}
 			return nil, err
 		}
 		switch r.Kind {
@@ -839,42 +834,32 @@ func (l *shardLeader) finalGather() (*hierDownPayload, error) {
 				return &l.down, nil
 			}
 			_ = l.conn.Send(rows) // a re-sent stop: the root missed our report
-		case hierKindRowsReq:
-			_ = l.conn.Send(rows) // the root missed our report; re-send
 		case hierKindStop:
 			return nil, nil
 		default:
-			l.handleOOB(r)
+			// Stale tokens or sync answers: drop.
 		}
 	}
 }
 
-// handleOOB processes out-of-band traffic arriving while the leader
-// waits for something else: the root's probes and stale broadcasts. A
-// partial re-request for an answered round replays the cached report; a
-// probe for the round the leader is still working on — a sweep, or the
-// final gather's resync — gets a hier.alive so the root keeps waiting.
+// handleOOB answers a down that arrives while the leader is busy with a
+// sweep or the final gather's resync: the root re-sent the down of the
+// round the leader is still working on, so it gets a hier.alive and the
+// root keeps waiting. Anything else is stale and dropped.
 func (l *shardLeader) handleOOB(r Message) {
-	switch r.Kind {
-	case hierKindPartReq, hierKindRowsReq:
-		var p hierReqPayload
-		if r.Decode(&p) != nil {
-			return
-		}
-		if r.Kind == hierKindPartReq && p.Round == l.cachedUpRnd {
-			l.resendUp(p.Round)
-			return
-		}
-		if p.Round != l.curRound {
-			return // a round this leader has not seen yet
-		}
-		alive := Message{To: rootName, Kind: hierKindAlive}
-		if alive.Encode(hierReqPayload{Round: p.Round}) == nil {
-			_ = l.conn.Send(alive) // best-effort; the root probes again
-		}
-	default:
-		// Stale downs, partials, rows, rows re-requests outside the
-		// gather phase: drop.
+	if r.Kind != hierKindDown {
+		return
+	}
+	// Only the Round is read, into a scratch payload: the activation
+	// being swept keeps l.down.End by reference (game.Shard.Activate),
+	// so decoding a re-sent down into l.down would overwrite it.
+	var p hierDownPayload
+	if r.Decode(&p) != nil || p.Round != l.curRound {
+		return
+	}
+	alive := Message{To: rootName, Kind: hierKindAlive}
+	if alive.Encode(hierReqPayload{Round: p.Round}) == nil {
+		_ = l.conn.Send(alive) // best-effort; the root re-sends again
 	}
 }
 
@@ -911,7 +896,6 @@ type rootNode struct {
 	runErr error
 
 	watchdog  time.Duration
-	probeTO   time.Duration
 	attemptsN int
 	rng       *queueing.RNG
 	obs       obs.Observer
@@ -932,14 +916,15 @@ func (rt *rootNode) run() {
 	rt.errCh <- rt.runErr
 }
 
-func (rt *rootNode) liveCount() int {
-	c := 0
+// allEjected is ErrStalled once the root has ejected every shard, in
+// the cycles or in a final gather: no survivor is left to certify.
+func (rt *rootNode) allEjected() error {
 	for g := 0; g < rt.numShards; g++ {
 		if rt.sched.Live(g) {
-			c++
+			return nil
 		}
 	}
-	return c
+	return fmt.Errorf("dist: all %d shards ejected: %w", rt.numShards, ErrStalled)
 }
 
 // protocol runs reconciliation cycles until a cycle's token norm or
@@ -951,8 +936,8 @@ func (rt *rootNode) protocol() error {
 		if err := rt.sequentialCycle(); err != nil {
 			return err
 		}
-		if rt.liveCount() == 0 {
-			return fmt.Errorf("dist: all %d shards ejected: %w", rt.numShards, ErrStalled)
+		if err := rt.allEjected(); err != nil {
+			return err
 		}
 		gather := rt.sched.EndRound()
 		obs.Emit(rt.obs, obs.Event{Kind: obs.HierRound, Time: float64(rt.sched.Rounds), V: rt.sched.Norm, Node: rootName})
@@ -963,6 +948,9 @@ func (rt *rootNode) protocol() error {
 			return err
 		}
 		if err := rt.gatherRows(); err != nil {
+			return err
+		}
+		if err := rt.allEjected(); err != nil {
 			return err
 		}
 		rows := rt.gatheredRows()
@@ -1024,11 +1012,10 @@ func (rt *rootNode) survivorGap(rows [][]float64) (float64, error) {
 }
 
 // sequentialCycle activates each shard the schedule does not skip in
-// turn: targeted down, await its partial (probing and ultimately
-// ejecting a silent shard), which the schedule reconciles at once. A
-// skipped shard's leader sits parked in awaitDown; its watchdog
-// downreqs are answered with the cached down, which activates another
-// shard and so tells it to keep waiting.
+// turn: targeted down, await its partial (re-sending the down and
+// ultimately ejecting a silent shard), which the schedule reconciles at
+// once. A skipped shard's leader sits parked in awaitDown until a down
+// names it.
 func (rt *rootNode) sequentialCycle() error {
 	rt.sched.BeginRound()
 	for g := 0; g < rt.numShards; g++ {
@@ -1071,8 +1058,8 @@ func (rt *rootNode) encodeDown() error {
 }
 
 // awaitPartial waits for shard g's report for the current wire round,
-// re-sending the down and probing on timeouts, and ejecting g once the
-// probe budget is exhausted.
+// re-sending the down (also the liveness probe) on timeouts, and
+// ejecting g once the attempts are exhausted.
 func (rt *rootNode) awaitPartial(g int) error {
 	attempts := 0
 	for rt.sched.Live(g) && !rt.have {
@@ -1089,11 +1076,7 @@ func (rt *rootNode) awaitPartial(g int) error {
 				return nil
 			}
 			obs.Count(rt.obs, obs.NashRetry)
-			_ = rt.conn.Send(Message{To: rt.leaders[g], Kind: hierKindDown, Data: rt.cachedDown}) // best-effort re-activation
-			req := Message{To: rt.leaders[g], Kind: hierKindPartReq}
-			if req.Encode(hierReqPayload{Round: rt.downRound}) == nil {
-				_ = rt.conn.Send(req) // best-effort probe; the next timeout retries
-			}
+			_ = rt.conn.Send(Message{To: rt.leaders[g], Kind: hierKindDown, Data: rt.cachedDown}) // best-effort re-send and probe; the next timeout retries
 			continue
 		}
 		switch m.Kind {
@@ -1103,8 +1086,6 @@ func (rt *rootNode) awaitPartial(g int) error {
 			if rt.isAlive(m, g) {
 				attempts = 0 // the leader is still working on this round
 			}
-		case hierKindDownReq:
-			rt.onDownReq(m)
 		default:
 			// Stale rows/acks from an earlier phase; drop.
 		}
@@ -1112,8 +1093,8 @@ func (rt *rootNode) awaitPartial(g int) error {
 	return nil
 }
 
-// isAlive reports whether m is shard g's liveness answer to a probe for
-// the current wire round.
+// isAlive reports whether m is shard g's liveness answer to the re-sent
+// down of the current wire round.
 func (rt *rootNode) isAlive(m Message, g int) bool {
 	var p hierReqPayload
 	if m.Decode(&p) != nil {
@@ -1160,23 +1141,6 @@ func (rt *rootNode) ejectShard(g int) {
 	obs.Emit(rt.obs, obs.Event{Kind: obs.HierShardEjected, A: int32(g), Node: rootName})
 }
 
-// onDownReq re-sends the latest down to a lagging leader (the leader's
-// round fence drops it if stale), or a stop to an ejected one.
-func (rt *rootNode) onDownReq(m Message) {
-	var p hierReqPayload
-	if m.Decode(&p) != nil {
-		return
-	}
-	g, known := rt.leaderG[m.From]
-	if known && !rt.sched.Live(g) {
-		_ = rt.conn.Send(Message{To: m.From, Kind: hierKindStop}) // ejected shard: tell it to quit
-		return
-	}
-	if rt.cachedDown != nil {
-		_ = rt.conn.Send(Message{To: m.From, Kind: hierKindDown, Data: rt.cachedDown}) // best-effort resend
-	}
-}
-
 // broadcastStop ends the cycles at every live leader, which opens the
 // final gather.
 func (rt *rootNode) broadcastStop() error {
@@ -1187,14 +1151,15 @@ func (rt *rootNode) broadcastStop() error {
 	}
 	for g := 0; g < rt.numShards; g++ {
 		if rt.sched.Live(g) {
-			_ = rt.conn.Send(Message{To: rt.leaders[g], Kind: hierKindDown, Data: rt.cachedDown}) // best-effort; leaders re-request
+			_ = rt.conn.Send(Message{To: rt.leaders[g], Kind: hierKindDown, Data: rt.cachedDown}) // best-effort; gatherRows re-sends
 		}
 	}
 	return nil
 }
 
-// gatherRows collects every live shard's final strategy rows, probing
-// and ultimately ejecting silent shards.
+// gatherRows collects every live shard's final strategy rows,
+// re-sending the stop to the shards still missing on each timeout and
+// ultimately ejecting silent ones.
 func (rt *rootNode) gatherRows() error {
 	for g := range rt.rowsHave {
 		rt.rowsHave[g] = false
@@ -1222,12 +1187,7 @@ func (rt *rootNode) gatherRows() error {
 						rt.ejectShard(g)
 						continue
 					}
-					_ = rt.conn.Send(Message{To: rt.leaders[g], Kind: hierKindDown, Data: rt.cachedDown}) // re-send the stop down
-					req := Message{To: rt.leaders[g], Kind: hierKindRowsReq}
-					if req.Encode(hierReqPayload{Round: rt.downRound}) != nil {
-						continue
-					}
-					_ = rt.conn.Send(req) // best-effort probe; the next timeout retries
+					_ = rt.conn.Send(Message{To: rt.leaders[g], Kind: hierKindDown, Data: rt.cachedDown}) // best-effort re-send and probe; the next timeout retries
 				}
 				continue
 			}
@@ -1261,8 +1221,6 @@ func (rt *rootNode) gatherRows() error {
 			if lg, known := rt.leaderG[m.From]; known && rt.isAlive(m, lg) {
 				attempts[lg] = 0 // the leader is still resyncing its members
 			}
-		case hierKindDownReq:
-			rt.onDownReq(m)
 		default:
 			// Stale partials from the final round; drop.
 		}
@@ -1437,11 +1395,11 @@ func RunNashShardedWith(netw Network, sys noncoop.System, initial *noncoop.Profi
 		rowsHave:    make([]bool, numShards),
 		rowsUsers:   make([][]int32, numShards),
 		rowsRows:    make([][][]float64, numShards),
-		watchdog:    opts.Watchdog, probeTO: opts.ProbeTimeout,
-		attemptsN: opts.MaxAttempts,
-		rng:       queueing.NewRNG(opts.Seed).Split(1),
-		obs:       opts.Observer,
-		errCh:     errCh, result: result, resMu: &resMu,
+		watchdog:    opts.Watchdog,
+		attemptsN:   opts.MaxAttempts,
+		rng:         queueing.NewRNG(opts.Seed).Split(1),
+		obs:         opts.Observer,
+		errCh:       errCh, result: result, resMu: &resMu,
 	}
 	wg.Add(1)
 	go func() {
@@ -1466,7 +1424,7 @@ func RunNashShardedWith(netw Network, sys noncoop.System, initial *noncoop.Profi
 			ids: append([]int(nil), members...), names: memberNames, phis: phis, rows: rows,
 			sh:       shards[g],
 			tok:      hierTokenPayload{Loads: shards[g].Loads},
-			watchdog: opts.Watchdog, probeTO: opts.ProbeTimeout,
+			probeTO:  opts.ProbeTimeout,
 			attempts: opts.MaxAttempts,
 			rng:      queueing.NewRNG(opts.Seed).Split(uint64(g) + 2),
 			obs:      opts.Observer,

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"maps"
@@ -382,6 +383,79 @@ func TestNashShardedReplaysLostToken(t *testing.T) {
 	}
 }
 
+// TestNashShardedRecoversLostReports: only the root retries the
+// root↔leader link. It re-sends the down it gets no report for, and the
+// leader answers a down of a round it already reported with the report
+// it sent. Losing shard 1's first hier.partial and its first hier.rows
+// therefore costs exactly one re-sent hier.down and one replayed report
+// each, on top of the fault-free run's traffic, and the run stays
+// bit-identical to the oracle.
+func TestNashShardedRecoversLostReports(t *testing.T) {
+	t.Parallel()
+	const m, shards, localSweeps = 12, 3, 2
+	sys := shardTestSystem(t, m)
+	want, err := game.ShardedBestReply(sys, game.PlanShards(m, shards), 1e-9, 0, game.ShardedOpts{LocalSweeps: localSweeps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := ShardOptions{
+		Shards:       shards,
+		LocalSweeps:  localSweeps,
+		Watchdog:     250 * time.Millisecond,
+		ProbeTimeout: 5 * time.Second,
+		Deadline:     30 * time.Second,
+		Seed:         1,
+	}
+	run := func(netw *tapNetwork) map[string]int {
+		t.Helper()
+		got, err := RunNashShardedWith(netw, sys, nil, 1e-9, 0, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Ejected) != 0 || len(got.EjectedShards) != 0 {
+			t.Errorf("Ejected = %v, EjectedShards = %v; want none", got.Ejected, got.EjectedShards)
+		}
+		if got.Rounds != want.Rounds || got.Sweeps != want.Sweeps || got.Norm != want.Norm {
+			t.Errorf("rounds/sweeps/norm = %d/%d/%g, oracle %d/%d/%g",
+				got.Rounds, got.Sweeps, got.Norm, want.Rounds, want.Sweeps, want.Norm)
+		}
+		for j := range want.Profile.S {
+			for i := range want.Profile.S[j] {
+				if got.Profile.S[j][i] != want.Profile.S[j][i] {
+					t.Fatalf("profile[%d][%d] = %v, oracle %v (not bit-identical)",
+						j, i, got.Profile.S[j][i], want.Profile.S[j][i])
+				}
+			}
+		}
+		netw.mu.Lock()
+		defer netw.mu.Unlock()
+		return maps.Clone(netw.kinds)
+	}
+
+	base := run(newTapNetwork(NewMemNetwork()))
+	lossy := newTapNetwork(NewMemNetwork())
+	lost := map[string]bool{} // guarded by the tap's lock
+	lossy.drop = func(from string, m Message) bool {
+		if from != shardName(1) || (m.Kind != hierKindPartial && m.Kind != hierKindRows) || lost[m.Kind] {
+			return false
+		}
+		lost[m.Kind] = true
+		return true
+	}
+	got := run(lossy)
+	if !lost[hierKindPartial] || !lost[hierKindRows] {
+		t.Fatalf("lost %v; want one hier.partial and one hier.rows", lost)
+	}
+	// The tap counts a dropped message as sent, so each loss adds its
+	// replay to the sent reports and its re-sent down to the downs.
+	base[hierKindDown] += 2
+	base[hierKindPartial]++
+	base[hierKindRows]++
+	if !maps.Equal(got, base) {
+		t.Errorf("messages by kind: %v; want %v (the fault-free run's plus one re-sent down and one replay per loss)", got, base)
+	}
+}
+
 // TestNashShardedMessagePattern pins the ring's message count: a sweep
 // over k members costs k+1 hier.token messages (leader to the first
 // member, member to member, the last back to the leader), and every
@@ -722,9 +796,9 @@ func TestNashShardedSolveAllocs(t *testing.T) {
 // its one partial buffer, so neither allocates per activation, and the
 // receive and decode on the other side allocate nothing either. The
 // buffers hold only the latest down and partial, which is all a replay
-// ever needs: a stop down re-requested after the cycles end comes back
-// as the stop. Not parallel, so no other test's allocations land in the
-// count.
+// ever needs: the root re-sending the down of a round the leader already
+// reported gets that round's cached partial back. Not parallel, so no
+// other test's allocations land in the count.
 func TestHierDownPartialAllocs(t *testing.T) {
 	netw := NewMemNetwork()
 	sched := game.NewSchedule(1, 4, [][]int{{0}}, 1e-9, 0, 0)
@@ -738,9 +812,8 @@ func TestHierDownPartialAllocs(t *testing.T) {
 	}
 	l := &shardLeader{
 		conn: mustJoin(t, netw, shardName(0)), g: 0, n: 4,
-		sh:       &game.Shard{Local: []float64{0.25, 0.5, 0.75, 1}, Norm: 0.5, EndNorm: 0.25, Sweeps: 2},
-		ejected:  []int32{},
-		watchdog: 5 * time.Second,
+		sh:      &game.Shard{Local: []float64{0.25, 0.5, 0.75, 1}, Norm: 0.5, EndNorm: 0.25, Sweeps: 2},
+		ejected: []int32{},
 	}
 	allocGate(t, "down and partial", 0, func() {
 		if err := rt.sendDown(0); err != nil {
@@ -762,6 +835,12 @@ func TestHierDownPartialAllocs(t *testing.T) {
 			p.Norm, p.EndNorm, p.Sweeps, rt.sched.Global(), l.sh.Local)
 	}
 
+	// The root re-sends the cached down, as on a timeout, then stops the
+	// cycles. The leader answers the duplicate with its cached partial
+	// and serves the stop.
+	if err := rt.conn.Send(Message{To: shardName(0), Kind: hierKindDown, Data: rt.cachedDown}); err != nil {
+		t.Fatal(err)
+	}
 	if err := rt.broadcastStop(); err != nil {
 		t.Fatal(err)
 	}
@@ -769,25 +848,13 @@ func TestHierDownPartialAllocs(t *testing.T) {
 	if err != nil || !stop.Stop {
 		t.Fatalf("leader got %+v, %v; want the stop", stop, err)
 	}
-	req := Message{To: rootName, Kind: hierKindDownReq}
-	if err := req.Encode(hierReqPayload{Round: stop.Round}); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.conn.Send(req); err != nil {
-		t.Fatal(err)
-	}
 	r, err := rt.conn.RecvTimeout(5 * time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt.onDownReq(r)
-	r, err = l.conn.RecvTimeout(5 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var replay hierDownPayload
-	if err := r.Decode(&replay); err != nil || !replay.Stop || replay.Round != stop.Round {
-		t.Errorf("replayed down %+v, %v; want the stop of round %d", replay, err, stop.Round)
+	var replay hierPartialPayload
+	if r.Kind != hierKindPartial || !bytes.Equal(r.Data, l.cachedUp) || r.Decode(&replay) != nil || replay.Round != rt.downRound-1 {
+		t.Errorf("root got %q %+v; want the cached partial of round %d", r.Kind, replay, rt.downRound-1)
 	}
 }
 
@@ -820,6 +887,28 @@ func TestNashShardedCrashedLeaderEjectsShard(t *testing.T) {
 	}
 	if err := survivorsAtBestReply(sys, res, 1e-6); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestNashShardedAllEjectedInGather: a final gather whose rows never
+// reach the root ejects every shard there. That ends the run in
+// ErrStalled, as an ejection of every shard in the cycles does, not in
+// a result with no survivor, whose empty certificate passes vacuously.
+func TestNashShardedAllEjectedInGather(t *testing.T) {
+	t.Parallel()
+	const m = 9
+	sys := shardTestSystem(t, m)
+	netw := newTapNetwork(NewMemNetwork())
+	netw.drop = func(_ string, m Message) bool { return m.Kind == hierKindRows }
+	opts := fastShardOptions(23)
+	opts.Shards = 3
+	opts.Watchdog = 50 * time.Millisecond
+	res, err := RunNashShardedWith(netw, sys, nil, 1e-9, 0, opts)
+	if !errors.Is(err, ErrStalled) {
+		t.Fatalf("err = %v, want ErrStalled (Ejected %v, EjectedShards %v)", err, res.Ejected, res.EjectedShards)
+	}
+	if want := "dist: all 3 shards ejected: " + ErrStalled.Error(); err.Error() != want {
+		t.Errorf("err = %q, want %q", err, want)
 	}
 }
 
