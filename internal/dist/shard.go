@@ -103,6 +103,10 @@ import (
 //     silent member) gets hier.alive, which restarts the root's count,
 //     so a member's failure never reads as its leader's. A leader blocks
 //     on the root; the driver deadline is the backstop.
+//   - Each timed role waits in one loop: a leader's request (a token or
+//     a sync, one deadline per send) and the root's await (a fresh
+//     Watchdog per receive). A leader's only other wait, awaitDown,
+//     blocks on the root without a timer.
 //   - The run ends with a final gather: a resync of every shard whose
 //     rows go to the root. A member ejected there leaves the survivors
 //     at best replies to loads that still held it; the certificate
@@ -274,17 +278,25 @@ type ShardOptions struct {
 	// round, in ring order.
 	LocalSweeps int
 	// Watchdog is the root's wait for a shard's partial or rows (default
-	// 2s); each timeout re-sends the down and uses one of MaxAttempts,
-	// and a leader still working on that round answers hier.alive, which
-	// restarts the count. It must comfortably exceed one shard sweep.
+	// 2s), plus a jitter of up to half of it, drawn afresh for every
+	// receive. A leader still working on the round it waits on answers
+	// the re-sent down with hier.alive, which restarts the shard's count
+	// of timeouts (MaxAttempts). It must comfortably exceed one shard
+	// sweep.
 	Watchdog time.Duration
-	// ProbeTimeout is the wait per attempt for a token circulation (the
+	// ProbeTimeout is a leader's first wait for a token circulation (the
 	// token's trip from the leader through every member of the shard
 	// and back) or for a member's sync answer (default 150ms), counted
-	// from the send.
+	// from the send. The wait doubles on each re-send up to
+	// 4×ProbeTimeout, and each adds a jitter of up to half of
+	// ProbeTimeout.
 	ProbeTimeout time.Duration
-	// MaxAttempts bounds retries per request (default 3); exhausting it
-	// ejects the silent member or shard.
+	// MaxAttempts (default 3) is how many times a leader sends a token
+	// or a sync: a token lost MaxAttempts times resyncs the shard, and a
+	// member that answers none of MaxAttempts syncs is ejected. The root
+	// sends a shard a down 1 + MaxAttempts times, the first send and one
+	// re-send on each timeout, and ejects the shard on the timeout after
+	// the last.
 	MaxAttempts int
 	// Deadline bounds the whole run, however far it has got; past it the
 	// driver returns ErrStalled (default 60s). No progress watchdog
@@ -488,7 +500,7 @@ type shardLeader struct {
 	tok      hierTokenPayload   // working token; Loads is sh.Loads
 	tokMsg   Message            // tok encoded; its Data is re-encoded every sweep
 	ret      hierTokenPayload   // return decode scratch
-	sync     hierSyncPayload    // the sync syncMember encodes
+	sync     hierSyncPayload    // the sync syncMember sends
 	syncMsg  Message            // sync encoded; its Data is re-encoded every sync
 	answer   hierRowPayload     // sync answer decode scratch
 	down     hierDownPayload    // down decode scratch
@@ -500,8 +512,8 @@ type shardLeader struct {
 	curRound      int // wire round of the down being served
 	lastDownRound int // newest down round seen (dedup fence)
 
-	cachedUp    []byte // the one partial buffer: the last partial, replayed on re-requests
-	cachedUpRnd int
+	report    Message // the one report buffer: the last partial or rows, replayed on a re-sent down
+	reportRnd int     // the wire round report answers
 
 	probeTO  time.Duration
 	attempts int
@@ -540,10 +552,10 @@ func (l *shardLeader) stopMembers() {
 func (l *shardLeader) protocol() error {
 	for {
 		down, err := l.awaitDown()
-		for err == nil && down != nil && down.Stop {
+		for err == nil && down.Stop {
 			down, err = l.finalGather()
 		}
-		if err != nil || down == nil {
+		if err != nil {
 			return err
 		}
 		if down.Shard != l.g {
@@ -560,16 +572,6 @@ func (l *shardLeader) protocol() error {
 			return err
 		}
 	}
-}
-
-// resendUp replays the cached partial (direct to the root) if round
-// matches the last one reported: the root re-sending a down we already
-// answered means the answer was lost.
-func (l *shardLeader) resendUp(round int) {
-	if l.cachedUp == nil || round != l.cachedUpRnd {
-		return
-	}
-	_ = l.conn.Send(Message{To: rootName, Kind: hierKindPartial, Data: l.cachedUp}) // best-effort replay; the root re-asks
 }
 
 // sweepRound plays the activation (game.Shard.Run), circulating each
@@ -593,16 +595,53 @@ func (l *shardLeader) sweepRound() error {
 	}
 }
 
-// recvBy receives until deadline, which nothing that arrives first
-// moves: an attempt of a circulation or sync waits once, however many
-// of the root's re-sent downs come in meanwhile. A spent deadline is a
-// timeout here, since RecvTimeout blocks forever on d <= 0.
-func (l *shardLeader) recvBy(deadline time.Time) (Message, error) {
-	d := time.Until(deadline)
-	if d <= 0 {
-		return Message{}, ErrTimeout
+// request encodes p into m once, sends m until accept takes a reply,
+// and reports false once MaxAttempts sends have gone unanswered. Each
+// send fixes its own deadline, a backoffDelay after it, which nothing
+// that arrives meanwhile moves: the root's re-sent downs go to
+// handleOOB, a stop ends the wait with errStopped, and a token that
+// accept rejects is a stale one.
+func (l *shardLeader) request(m *Message, p WireEncoder, accept func(Message) bool) (bool, error) {
+	if err := m.Encode(p); err != nil {
+		return false, err
 	}
-	return l.conn.RecvTimeout(d)
+	for a := 0; a < l.attempts; a++ {
+		if err := l.conn.Send(*m); err != nil {
+			return false, err
+		}
+		if m.Kind == hierKindToken {
+			obs.Emit(l.obs, obs.Event{Kind: obs.NashSend, A: int32(l.g), Node: l.conn.Name()})
+		}
+		deadline := time.Now().Add(backoffDelay(l.probeTO, 4*l.probeTO, a, l.rng))
+		for {
+			var r Message
+			err := ErrTimeout // a spent deadline, since RecvTimeout blocks forever on d <= 0
+			if d := time.Until(deadline); d > 0 {
+				r, err = l.conn.RecvTimeout(d)
+			}
+			if errors.Is(err, ErrTimeout) {
+				obs.Count(l.obs, obs.NashTimeout)
+				if a < l.attempts-1 {
+					obs.Count(l.obs, obs.NashRetry)
+				}
+				break
+			}
+			if err != nil {
+				return false, err
+			}
+			switch {
+			case r.Kind == hierKindStop:
+				return false, errStopped
+			case r.Kind == hierKindDown:
+				l.handleOOB(r)
+			case accept(r):
+				return true, nil
+			case r.Kind == hierKindToken:
+				obs.Count(l.obs, obs.NashTokenStale)
+			}
+		}
+	}
+	return false, nil
 }
 
 // circulate sends the working token, carrying end, once around the
@@ -614,51 +653,22 @@ func (l *shardLeader) circulate(end []float64) (float64, float64, error) {
 	start := l.hop + 1
 	back := start + len(l.ids) // every member bumps Hop as it forwards
 	l.tok.Epoch, l.tok.Hop, l.tok.Norm, l.tok.EndNorm, l.tok.End = l.epoch, start, 0, 0, end
-	m := &l.tokMsg
-	m.To, m.Kind = l.names[0], hierKindToken
-	if err := m.Encode(&l.tok); err != nil {
+	l.tokMsg.To, l.tokMsg.Kind = l.names[0], hierKindToken
+	ok, err := l.request(&l.tokMsg, &l.tok, func(r Message) bool {
+		return r.Kind == hierKindToken && r.Decode(&l.ret) == nil && l.ret.Epoch == l.epoch && l.ret.Hop == back
+	})
+	if err != nil {
 		return 0, 0, err
 	}
-	for a := 0; a < l.attempts; a++ {
-		if err := l.conn.Send(*m); err != nil {
-			return 0, 0, err
-		}
-		obs.Emit(l.obs, obs.Event{Kind: obs.NashSend, A: int32(l.g), Node: l.conn.Name()})
-		deadline := time.Now().Add(backoffDelay(l.probeTO, 4*l.probeTO, a, l.rng))
-		for {
-			r, err := l.recvBy(deadline)
-			if err != nil {
-				if errors.Is(err, ErrTimeout) {
-					obs.Count(l.obs, obs.NashTimeout)
-					if a < l.attempts-1 {
-						obs.Count(l.obs, obs.NashRetry)
-					}
-					break
-				}
-				return 0, 0, err
-			}
-			switch r.Kind {
-			case hierKindToken:
-				if r.Decode(&l.ret) != nil {
-					continue // malformed return; keep waiting
-				}
-				if l.ret.Epoch == l.epoch && l.ret.Hop == back {
-					if len(l.ret.Loads) != l.n {
-						return 0, 0, fmt.Errorf("dist: shard %d: malformed token return from %s", l.g, r.From)
-					}
-					copy(l.tok.Loads, l.ret.Loads)
-					l.hop = back
-					return l.ret.Norm, l.ret.EndNorm, nil
-				}
-				obs.Count(l.obs, obs.NashTokenStale)
-			case hierKindStop:
-				return 0, 0, errStopped
-			default:
-				l.handleOOB(r)
-			}
-		}
+	if !ok {
+		return 0, 0, errTokenLost
 	}
-	return 0, 0, errTokenLost
+	if len(l.ret.Loads) != l.n {
+		return 0, 0, fmt.Errorf("dist: shard %d: malformed token return", l.g)
+	}
+	copy(l.tok.Loads, l.ret.Loads)
+	l.hop = back
+	return l.ret.Norm, l.ret.EndNorm, nil
 }
 
 func (l *shardLeader) ejectMember(idx int) {
@@ -705,53 +715,22 @@ func (l *shardLeader) resync() error {
 // syncMember requests member idx's row under the current epoch and
 // names next as its successor.
 func (l *shardLeader) syncMember(idx int, next string) ([]float64, error) {
-	m := &l.syncMsg
-	m.To, m.Kind = l.names[idx], hierKindSync
 	l.sync = hierSyncPayload{Epoch: l.epoch, Next: next}
-	if err := m.Encode(&l.sync); err != nil {
+	l.syncMsg.To, l.syncMsg.Kind = l.names[idx], hierKindSync
+	p := &l.answer
+	ok, err := l.request(&l.syncMsg, &l.sync, func(r Message) bool {
+		return r.Kind == hierKindRow && r.Decode(p) == nil && p.Epoch == l.epoch && p.User == l.ids[idx] && len(p.S) == l.n
+	})
+	if err != nil {
 		return nil, err
 	}
-	for a := 0; a < l.attempts; a++ {
-		if err := l.conn.Send(*m); err != nil {
-			return nil, err
-		}
-		deadline := time.Now().Add(backoffDelay(l.probeTO, 4*l.probeTO, a, l.rng))
-		for {
-			r, err := l.recvBy(deadline)
-			if err != nil {
-				if errors.Is(err, ErrTimeout) {
-					obs.Count(l.obs, obs.NashTimeout)
-					if a < l.attempts-1 {
-						obs.Count(l.obs, obs.NashRetry)
-					}
-					break
-				}
-				return nil, err
-			}
-			switch r.Kind {
-			case hierKindRow:
-				p := &l.answer
-				if r.Decode(p) != nil {
-					continue
-				}
-				if p.Epoch == l.epoch && p.User == l.ids[idx] && len(p.S) == l.n {
-					return p.S, nil
-				}
-			case hierKindStop:
-				return nil, errStopped
-			case hierKindToken:
-				obs.Count(l.obs, obs.NashTokenStale) // dead old-epoch return
-			default:
-				l.handleOOB(r)
-			}
-		}
+	if !ok {
+		return nil, fmt.Errorf("dist: shard %d: member %s: %w", l.g, l.names[idx], errMemberLost)
 	}
-	return nil, fmt.Errorf("dist: shard %d: member %s: %w", l.g, l.names[idx], errMemberLost)
+	return p.S, nil
 }
 
-// sendUp reports this activation to the root. The report is
-// re-encoded into cachedUp, kept for replay on re-requests: only the
-// latest partial is ever replayed, and Send keeps no reference to it.
+// sendUp reports this activation to the root.
 func (l *shardLeader) sendUp() error {
 	l.up = hierPartialPayload{
 		Round: l.curRound, Shard: l.g,
@@ -759,17 +738,24 @@ func (l *shardLeader) sendUp() error {
 		Loads:   l.sh.Local,
 		Ejected: l.ejected,
 	}
-	up := Message{To: rootName, Kind: hierKindPartial, Data: l.cachedUp}
-	if err := up.Encode(&l.up); err != nil {
-		return err
-	}
-	l.cachedUp, l.cachedUpRnd = up.Data, l.curRound
-	return l.conn.Send(up)
+	return l.sendReport(hierKindPartial, &l.up)
 }
 
-// awaitDown blocks until the root's next activation; the root re-sends
-// a down it gets no report for. A duplicate of an already-served round
-// means the root lost our partial: the cached report is replayed.
+// sendReport encodes p into the report buffer and sends it to the root.
+// Only the latest report is ever replayed, and Send keeps no reference
+// to the buffer, so one serves every partial and rows report.
+func (l *shardLeader) sendReport(kind string, p WireEncoder) error {
+	l.report.To, l.report.Kind = rootName, kind
+	if err := l.report.Encode(p); err != nil {
+		return err
+	}
+	l.reportRnd = l.curRound
+	return l.conn.Send(l.report)
+}
+
+// awaitDown blocks until the root's next down; the root re-sends a down
+// it gets no report for. A duplicate of an already-served round means
+// the root lost our report: the cached one is replayed.
 func (l *shardLeader) awaitDown() (*hierDownPayload, error) {
 	for {
 		r, err := l.conn.Recv()
@@ -782,7 +768,9 @@ func (l *shardLeader) awaitDown() (*hierDownPayload, error) {
 				continue
 			}
 			if l.down.Round <= l.lastDownRound {
-				l.resendUp(l.down.Round) // dup of a served round: replay the report
+				if l.down.Round == l.reportRnd && l.report.Data != nil {
+					_ = l.conn.Send(l.report) // best-effort replay; the root re-sends the down again
+				}
 				continue
 			}
 			l.lastDownRound = l.down.Round
@@ -797,10 +785,10 @@ func (l *shardLeader) awaitDown() (*hierDownPayload, error) {
 }
 
 // finalGather resyncs the surviving members' rows under a fresh epoch,
-// reports them to the root (again for each re-sent stop), and waits for
-// the shutdown, which ends it with a nil down. A newer down means the
-// root resumed reconciliation — the rows failed the stop certificate —
-// and is returned for the protocol loop to serve.
+// reports them to the root and waits in awaitDown, which replays them
+// for each re-sent stop. The shutdown ends it with errStopped. A newer
+// down means the root resumed reconciliation — the rows failed the stop
+// certificate — and is returned for the protocol loop to serve.
 func (l *shardLeader) finalGather() (*hierDownPayload, error) {
 	if err := l.resync(); err != nil {
 		return nil, err
@@ -809,47 +797,24 @@ func (l *shardLeader) finalGather() (*hierDownPayload, error) {
 	for i, id := range l.ids {
 		users[i] = int32(id)
 	}
-	rows := Message{To: rootName, Kind: hierKindRows}
-	if err := rows.Encode(hierRowsPayload{
+	l.report.Data = nil // the rows get one buffer of their size, not growth from a partial's
+	err := l.sendReport(hierKindRows, hierRowsPayload{
 		Round: l.curRound, Shard: l.g,
 		Users:   users,
-		Ejected: append([]int32(nil), l.ejected...),
+		Ejected: l.ejected,
 		Rows:    l.rows,
-	}); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
-	if err := l.conn.Send(rows); err != nil {
-		return nil, err
-	}
-	for {
-		r, err := l.conn.Recv()
-		if err != nil {
-			return nil, err
-		}
-		switch r.Kind {
-		case hierKindDown:
-			if r.Decode(&l.down) == nil && l.down.Round > l.lastDownRound {
-				l.lastDownRound = l.down.Round
-				l.curRound = l.down.Round
-				return &l.down, nil
-			}
-			_ = l.conn.Send(rows) // a re-sent stop: the root missed our report
-		case hierKindStop:
-			return nil, nil
-		default:
-			// Stale tokens or sync answers: drop.
-		}
-	}
+	return l.awaitDown()
 }
 
 // handleOOB answers a down that arrives while the leader is busy with a
 // sweep or the final gather's resync: the root re-sent the down of the
 // round the leader is still working on, so it gets a hier.alive and the
-// root keeps waiting. Anything else is stale and dropped.
+// root keeps waiting. A down of any other round is stale and dropped.
 func (l *shardLeader) handleOOB(r Message) {
-	if r.Kind != hierKindDown {
-		return
-	}
 	// Only the Round is read, into a scratch payload: the activation
 	// being swept keeps l.down.End by reference (game.Shard.Activate),
 	// so decoding a re-sent down into l.down would overwrite it.
@@ -880,16 +845,21 @@ type rootNode struct {
 	leaders []string
 	leaderG map[string]int
 	sched   *game.Schedule
-	have    bool // the current activation's partial arrived
 
 	downRound int // monotone wire round of downs
 
 	down       hierDownPayload    // the down encodeDown encodes
 	part       hierPartialPayload // partial decode scratch
-	cachedDown []byte             // the root's one down buffer: the latest down, replayed on re-requests
+	cachedDown []byte             // the root's one down buffer: the latest down, re-sent on a timeout
+
+	// owes[g] is set while shard g owes an answer to the current down,
+	// and tries[g] counts the timeouts it has gone unanswered since it
+	// was sent that down or last said it was alive. An ejected shard
+	// owes nothing.
+	owes  []bool
+	tries []int
 
 	rowsIn    hierRowsPayload // rows report decode scratch
-	rowsHave  []bool
 	rowsUsers [][]int32
 	rowsRows  [][][]float64
 
@@ -947,7 +917,7 @@ func (rt *rootNode) protocol() error {
 		if err := rt.broadcastStop(); err != nil {
 			return err
 		}
-		if err := rt.gatherRows(); err != nil {
+		if err := rt.await(); err != nil {
 			return err
 		}
 		if err := rt.allEjected(); err != nil {
@@ -978,7 +948,7 @@ func (rt *rootNode) protocol() error {
 func (rt *rootNode) gatheredRows() [][]float64 {
 	rows := make([][]float64, len(rt.phis))
 	for g := 0; g < rt.numShards; g++ {
-		if !rt.sched.Live(g) || !rt.rowsHave[g] {
+		if !rt.sched.Live(g) {
 			continue
 		}
 		for k, id := range rt.rowsUsers[g] {
@@ -1025,7 +995,7 @@ func (rt *rootNode) sequentialCycle() error {
 		if err := rt.sendDown(g); err != nil {
 			return err
 		}
-		if err := rt.awaitPartial(g); err != nil {
+		if err := rt.await(); err != nil {
 			return err
 		}
 	}
@@ -1036,13 +1006,19 @@ func (rt *rootNode) sequentialCycle() error {
 // global view and the loads the previous cycle ended at.
 func (rt *rootNode) sendDown(g int) error {
 	rt.downRound++
-	rt.have = false
 	rt.down = hierDownPayload{Round: rt.downRound, Shard: g, Loads: rt.sched.Global(), End: rt.sched.End()}
 	if err := rt.encodeDown(); err != nil {
 		return err
 	}
-	_ = rt.conn.Send(Message{To: rt.leaders[g], Kind: hierKindDown, Data: rt.cachedDown}) // best-effort: awaitPartial re-sends on timeout
+	rt.openDown(g)
 	return nil
+}
+
+// openDown sends shard g the current down and starts its wait for the
+// answer.
+func (rt *rootNode) openDown(g int) {
+	rt.owes[g], rt.tries[g] = true, 0
+	_ = rt.conn.Send(Message{To: rt.leaders[g], Kind: hierKindDown, Data: rt.cachedDown}) // best-effort: await re-sends on timeout
 }
 
 // encodeDown re-encodes rt.down into cachedDown. One buffer serves every
@@ -1057,51 +1033,54 @@ func (rt *rootNode) encodeDown() error {
 	return nil
 }
 
-// awaitPartial waits for shard g's report for the current wire round,
-// re-sending the down (also the liveness probe) on timeouts, and
-// ejecting g once the attempts are exhausted.
-func (rt *rootNode) awaitPartial(g int) error {
-	attempts := 0
-	for rt.sched.Live(g) && !rt.have {
-		wait := backoffDelay(rt.watchdog, 2*rt.watchdog, 0, rt.rng)
-		m, err := rt.conn.RecvTimeout(wait)
-		if err != nil {
-			if !errors.Is(err, ErrTimeout) {
-				return err
-			}
-			obs.Count(rt.obs, obs.NashTimeout)
-			attempts++
-			if attempts > rt.attemptsN {
-				rt.ejectShard(g)
-				return nil
-			}
-			obs.Count(rt.obs, obs.NashRetry)
-			_ = rt.conn.Send(Message{To: rt.leaders[g], Kind: hierKindDown, Data: rt.cachedDown}) // best-effort re-send and probe; the next timeout retries
+// await waits until no shard owes an answer to the current down: the
+// activated shard's partial, or every live shard's rows after a stop.
+// Every receive waits a fresh Watchdog plus jitter. On a timeout each
+// shard still owing its answer gets the down again, which is also the
+// liveness probe, or is ejected once 1 + MaxAttempts downs went
+// unanswered. A hier.alive for the current round restarts its sender's
+// count: the leader is still working on that round.
+func (rt *rootNode) await() error {
+	for slices.Contains(rt.owes, true) {
+		m, err := rt.conn.RecvTimeout(backoffDelay(rt.watchdog, rt.watchdog, 0, rt.rng))
+		if errors.Is(err, ErrTimeout) {
+			rt.onTimeout()
 			continue
+		}
+		if err != nil {
+			return err
 		}
 		switch m.Kind {
 		case hierKindPartial:
 			rt.onPartial(m)
+		case hierKindRows:
+			rt.onRows(m)
 		case hierKindAlive:
-			if rt.isAlive(m, g) {
-				attempts = 0 // the leader is still working on this round
+			var p hierReqPayload
+			if g, known := rt.leaderG[m.From]; known && m.Decode(&p) == nil && p.Round == rt.downRound {
+				rt.tries[g] = 0
 			}
-		default:
-			// Stale rows/acks from an earlier phase; drop.
 		}
 	}
 	return nil
 }
 
-// isAlive reports whether m is shard g's liveness answer to the re-sent
-// down of the current wire round.
-func (rt *rootNode) isAlive(m Message, g int) bool {
-	var p hierReqPayload
-	if m.Decode(&p) != nil {
-		return false
+// onTimeout re-sends the cached down to every shard that owes an answer
+// to it, or ejects the shard once its attempts are spent.
+func (rt *rootNode) onTimeout() {
+	obs.Count(rt.obs, obs.NashTimeout)
+	for g, owes := range rt.owes {
+		if !owes {
+			continue
+		}
+		rt.tries[g]++
+		if rt.tries[g] > rt.attemptsN {
+			rt.ejectShard(g)
+			continue
+		}
+		obs.Count(rt.obs, obs.NashRetry)
+		_ = rt.conn.Send(Message{To: rt.leaders[g], Kind: hierKindDown, Data: rt.cachedDown}) // best-effort re-send and probe; the next timeout retries
 	}
-	lg, known := rt.leaderG[m.From]
-	return known && lg == g && p.Round == rt.downRound
 }
 
 func (rt *rootNode) onPartial(m Message) {
@@ -1112,9 +1091,9 @@ func (rt *rootNode) onPartial(m Message) {
 	if p.Round != rt.downRound {
 		return // stale round
 	}
-	if g := p.Shard; g == rt.down.Shard && rt.sched.Live(g) && !rt.have && len(p.Loads) == rt.n {
+	if g := p.Shard; !rt.down.Stop && g == rt.down.Shard && rt.owes[g] && len(p.Loads) == rt.n {
 		rt.sched.Report(g, p.Loads, p.Norm, p.EndNorm, p.Sweeps)
-		rt.have = true
+		rt.owes[g] = false
 	}
 	for _, id := range p.Ejected {
 		rt.ejectUser(int(id))
@@ -1138,6 +1117,7 @@ func (rt *rootNode) ejectShard(g int) {
 	for _, id := range rt.sched.EjectShard(g) {
 		rt.ejectUser(id)
 	}
+	rt.owes[g] = false
 	obs.Emit(rt.obs, obs.Event{Kind: obs.HierShardEjected, A: int32(g), Node: rootName})
 }
 
@@ -1151,81 +1131,34 @@ func (rt *rootNode) broadcastStop() error {
 	}
 	for g := 0; g < rt.numShards; g++ {
 		if rt.sched.Live(g) {
-			_ = rt.conn.Send(Message{To: rt.leaders[g], Kind: hierKindDown, Data: rt.cachedDown}) // best-effort; gatherRows re-sends
+			rt.openDown(g)
 		}
 	}
 	return nil
 }
 
-// gatherRows collects every live shard's final strategy rows,
-// re-sending the stop to the shards still missing on each timeout and
-// ultimately ejecting silent ones.
-func (rt *rootNode) gatherRows() error {
-	for g := range rt.rowsHave {
-		rt.rowsHave[g] = false
+// onRows keeps a live shard's final strategy rows: its answer to the
+// stop of the current gather.
+func (rt *rootNode) onRows(m Message) {
+	p := &rt.rowsIn
+	if m.Decode(p) != nil {
+		return
 	}
-	attempts := make([]int, rt.numShards)
-	done := func() bool {
-		for g := range rt.rowsHave {
-			if rt.sched.Live(g) && !rt.rowsHave[g] {
-				return false
-			}
-		}
-		return true
+	g := p.Shard
+	if p.Round != rt.downRound || g < 0 || g >= rt.numShards || !rt.owes[g] || !rt.validRows(p) {
+		return // a late report from an earlier gather, or not a live shard's
 	}
-	for !done() {
-		wait := backoffDelay(rt.watchdog, 2*rt.watchdog, 0, rt.rng)
-		m, err := rt.conn.RecvTimeout(wait)
-		if err != nil {
-			if errors.Is(err, ErrTimeout) {
-				for g := 0; g < rt.numShards; g++ {
-					if !rt.sched.Live(g) || rt.rowsHave[g] {
-						continue
-					}
-					attempts[g]++
-					if attempts[g] > rt.attemptsN {
-						rt.ejectShard(g)
-						continue
-					}
-					_ = rt.conn.Send(Message{To: rt.leaders[g], Kind: hierKindDown, Data: rt.cachedDown}) // best-effort re-send and probe; the next timeout retries
-				}
-				continue
-			}
-			return err
-		}
-		switch m.Kind {
-		case hierKindRows:
-			p := &rt.rowsIn
-			if m.Decode(p) != nil {
-				continue
-			}
-			g := p.Shard
-			if p.Round != rt.downRound || g < 0 || g >= rt.numShards || !rt.sched.Live(g) || rt.rowsHave[g] {
-				continue // a late report from an earlier gather, or not a live shard's
-			}
-			if !rt.validRows(p) {
-				continue
-			}
-			rt.rowsUsers[g] = append([]int32(nil), p.Users...)
-			rt.rowsRows[g] = make([][]float64, len(p.Rows))
-			flat := make([]float64, len(p.Rows)*rt.n)
-			for i, row := range p.Rows {
-				rt.rowsRows[g][i] = flat[i*rt.n : (i+1)*rt.n : (i+1)*rt.n]
-				copy(rt.rowsRows[g][i], row)
-			}
-			rt.rowsHave[g] = true
-			for _, id := range p.Ejected {
-				rt.ejectUser(int(id))
-			}
-		case hierKindAlive:
-			if lg, known := rt.leaderG[m.From]; known && rt.isAlive(m, lg) {
-				attempts[lg] = 0 // the leader is still resyncing its members
-			}
-		default:
-			// Stale partials from the final round; drop.
-		}
+	rt.rowsUsers[g] = append([]int32(nil), p.Users...)
+	rt.rowsRows[g] = make([][]float64, len(p.Rows))
+	flat := make([]float64, len(p.Rows)*rt.n)
+	for i, row := range p.Rows {
+		rt.rowsRows[g][i] = flat[i*rt.n : (i+1)*rt.n : (i+1)*rt.n]
+		copy(rt.rowsRows[g][i], row)
 	}
-	return nil
+	rt.owes[g] = false
+	for _, id := range p.Ejected {
+		rt.ejectUser(int(id))
+	}
 }
 
 // validRows reports whether a rows report is well formed: one row of
@@ -1392,7 +1325,8 @@ func RunNashShardedWith(netw Network, sys noncoop.System, initial *noncoop.Profi
 		leaders:     leaders,
 		leaderG:     leaderG,
 		sched:       sched,
-		rowsHave:    make([]bool, numShards),
+		owes:        make([]bool, numShards),
+		tries:       make([]int, numShards),
 		rowsUsers:   make([][]int32, numShards),
 		rowsRows:    make([][][]float64, numShards),
 		watchdog:    opts.Watchdog,

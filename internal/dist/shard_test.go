@@ -793,9 +793,9 @@ func TestNashShardedSolveAllocs(t *testing.T) {
 // TestHierDownPartialAllocs gates the activation round trip the way
 // TestShardUserStepAllocs gates the member step: the root re-encodes
 // each down into its one down buffer and the leader each partial into
-// its one partial buffer, so neither allocates per activation, and the
+// its one report buffer, so neither allocates per activation, and the
 // receive and decode on the other side allocate nothing either. The
-// buffers hold only the latest down and partial, which is all a replay
+// buffers hold only the latest down and report, which is all a replay
 // ever needs: the root re-sending the down of a round the leader already
 // reported gets that round's cached partial back. Not parallel, so no
 // other test's allocations land in the count.
@@ -807,7 +807,8 @@ func TestHierDownPartialAllocs(t *testing.T) {
 	rt := &rootNode{
 		conn: mustJoin(t, netw, rootName), numShards: 1, n: 4,
 		leaders: []string{shardName(0)}, leaderG: map[string]int{shardName(0): 0},
-		sched:    sched,
+		sched: sched,
+		owes:  []bool{false}, tries: []int{0},
 		watchdog: 5 * time.Second, attemptsN: 1,
 	}
 	l := &shardLeader{
@@ -826,7 +827,7 @@ func TestHierDownPartialAllocs(t *testing.T) {
 		if err := l.sendUp(); err != nil {
 			t.Fatal(err)
 		}
-		if err := rt.awaitPartial(0); err != nil || !rt.have {
+		if err := rt.await(); err != nil || rt.owes[0] {
 			t.Fatalf("root got no partial: %v", err)
 		}
 	})
@@ -853,7 +854,7 @@ func TestHierDownPartialAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	var replay hierPartialPayload
-	if r.Kind != hierKindPartial || !bytes.Equal(r.Data, l.cachedUp) || r.Decode(&replay) != nil || replay.Round != rt.downRound-1 {
+	if r.Kind != hierKindPartial || !bytes.Equal(r.Data, l.report.Data) || r.Decode(&replay) != nil || replay.Round != rt.downRound-1 {
 		t.Errorf("root got %q %+v; want the cached partial of round %d", r.Kind, replay, rt.downRound-1)
 	}
 }
@@ -894,21 +895,103 @@ func TestNashShardedCrashedLeaderEjectsShard(t *testing.T) {
 // reach the root ejects every shard there. That ends the run in
 // ErrStalled, as an ejection of every shard in the cycles does, not in
 // a result with no survivor, whose empty certificate passes vacuously.
+// The gather counts its timeouts as the cycles do: 1 + MaxAttempts
+// nash.timeout, and a nash.retry per re-sent stop. The leaders' waits
+// are far above a resync, so the timeouts counted from the first stop
+// on are the root's alone.
 func TestNashShardedAllEjectedInGather(t *testing.T) {
 	t.Parallel()
-	const m = 9
+	const m, shards = 9, 3
 	sys := shardTestSystem(t, m)
 	netw := newTapNetwork(NewMemNetwork())
-	netw.drop = func(_ string, m Message) bool { return m.Kind == hierKindRows }
+	ctr := obs.NewRegistry()
+	var stopped bool                         // guarded by the tap's lock
+	var timeoutsBefore, retriesBefore uint64 // at the first stop
+	netw.drop = func(from string, m Message) bool {
+		var p hierDownPayload
+		if !stopped && from == rootName && m.Kind == hierKindDown && m.Decode(&p) == nil && p.Stop {
+			stopped = true
+			timeoutsBefore, retriesBefore = ctr.Get("nash.timeout"), ctr.Get("nash.retry")
+		}
+		return m.Kind == hierKindRows
+	}
 	opts := fastShardOptions(23)
-	opts.Shards = 3
-	opts.Watchdog = 50 * time.Millisecond
+	opts.Shards = shards
+	opts.Watchdog, opts.ProbeTimeout = 50*time.Millisecond, 5*time.Second
+	opts.Observer = ctr
 	res, err := RunNashShardedWith(netw, sys, nil, 1e-9, 0, opts)
 	if !errors.Is(err, ErrStalled) {
 		t.Fatalf("err = %v, want ErrStalled (Ejected %v, EjectedShards %v)", err, res.Ejected, res.EjectedShards)
 	}
 	if want := "dist: all 3 shards ejected: " + ErrStalled.Error(); err.Error() != want {
 		t.Errorf("err = %q, want %q", err, want)
+	}
+	netw.mu.Lock()
+	defer netw.mu.Unlock()
+	timeouts, retries := ctr.Get("nash.timeout")-timeoutsBefore, ctr.Get("nash.retry")-retriesBefore
+	if timeouts != uint64(1+opts.MaxAttempts) || retries != uint64(shards*opts.MaxAttempts) {
+		t.Errorf("the gather counted %d nash.timeout and %d nash.retry, want %d and %d",
+			timeouts, retries, 1+opts.MaxAttempts, shards*opts.MaxAttempts)
+	}
+}
+
+// TestNashShardedRetryCounts pins what MaxAttempts (3 here) counts on
+// each link. The root sends a shard its down 1 + MaxAttempts times: the
+// first send, then one re-send on each timeout but the last, which
+// ejects the shard. So losing every hier.rows costs each leader 4
+// stops. A leader sends a member MaxAttempts syncs and ejects it when
+// none is answered, so losing user-4's hier.row answers costs it 3
+// syncs.
+func TestNashShardedRetryCounts(t *testing.T) {
+	t.Parallel()
+	const m, shards = 9, 3
+	sys := shardTestSystem(t, m)
+	opts := fastShardOptions(29)
+	opts.Shards = shards
+
+	// Every hier.rows is lost.
+	netw := newTapNetwork(NewMemNetwork())
+	stops := map[string]int{} // guarded by the tap's lock
+	netw.drop = func(from string, m Message) bool {
+		var p hierDownPayload
+		if from == rootName && m.Kind == hierKindDown && m.Decode(&p) == nil && p.Stop {
+			stops[m.To]++
+		}
+		return m.Kind == hierKindRows
+	}
+	ropts := opts
+	ropts.Watchdog = 100 * time.Millisecond
+	if _, err := RunNashShardedWith(netw, sys, nil, 1e-9, 0, ropts); !errors.Is(err, ErrStalled) {
+		t.Fatalf("every hier.rows lost: err = %v, want ErrStalled", err)
+	}
+	netw.mu.Lock()
+	for g := 0; g < shards; g++ {
+		if n := stops[shardName(g)]; n != 1+opts.MaxAttempts {
+			t.Errorf("every hier.rows lost: the root sent %s %d stops, want %d", shardName(g), n, 1+opts.MaxAttempts)
+		}
+	}
+	netw.mu.Unlock()
+
+	// user-4 (shard 1) answers no sync.
+	netw = newTapNetwork(NewMemNetwork())
+	syncs := 0 // guarded by the tap's lock
+	netw.drop = func(from string, m Message) bool {
+		if m.Kind == hierKindSync && m.To == userName(4) {
+			syncs++
+		}
+		return from == userName(4) && m.Kind == hierKindRow
+	}
+	res, err := RunNashShardedWith(netw, sys, nil, 1e-9, 0, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Ejected) != 1 || res.Ejected[0] != 4 || len(res.EjectedShards) != 0 {
+		t.Errorf("Ejected = %v, EjectedShards = %v; want [4] and none", res.Ejected, res.EjectedShards)
+	}
+	netw.mu.Lock()
+	defer netw.mu.Unlock()
+	if syncs != opts.MaxAttempts {
+		t.Errorf("the leader sent %s %d syncs, want %d", userName(4), syncs, opts.MaxAttempts)
 	}
 }
 

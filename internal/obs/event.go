@@ -60,11 +60,11 @@ const (
 	ChaosCrash     // node crash window opened
 	ChaosPartition // network partition window opened
 
-	// NASH ring traffic inside each shard (internal/dist/shard.go).
-	NashSend             // token forwarded by user A
-	NashTimeout          // token wait timed out at user A
-	NashRetry            // token retransmitted by user A
-	NashEjected          // user A ejected from the ring
+	// Sharded NASH traffic (internal/dist/shard.go).
+	NashSend             // token sent by member A, or by the leader of shard A (each send of a circulation)
+	NashTimeout          // a leader's wait for a token or sync answer, or the root's for a shard's report, ran out
+	NashRetry            // a leader re-sent a token or sync, or the root re-sent a down
+	NashEjected          // the root took a user out of the game
 	NashTokenRegenerated // leader regenerated a lost token under a fresh epoch
 	NashTokenStale       // stale token generation discarded
 
